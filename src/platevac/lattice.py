@@ -14,9 +14,21 @@ quadratic with real coefficients:
     lin    = Q_A omega lin_B - Q_B omega lin_A
     scalar = lin_A^T omega lin_B
 
+Omega is never built: it is applied by indexing the phi and pi halves,
+Q omega Q' = Q[:, :M] Q'[M:] - Q[:, M:] Q'[:M], with products against an
+all-zero M x M block skipped, and the second quad term is the negative
+transpose of the first because both Q are symmetric. Every generator here is
+block-diagonal (H, the t = 0 boost) or purely off-diagonal (P, J), so most
+brackets cost a few M x M products instead of dense 2M x 2M ones.
+
 Input scalar slots never contribute (constants commute), so a commutator of
 two pure Weyl quadratics carries no central term; central scalars only enter
 through the normal-ordering bookkeeping handled by `verify_central_relation`.
+
+Residual norms are spectral norms of symmetric quads, computed by
+`spectral_norm` from the same block structure: the largest |eigenvalue| of
+each diagonal block, the top singular value of a lone coupling block, or
+the largest |eigenvalue| of the whole matrix when both kinds are present.
 
 Spatial derivatives follow two deliberate conventions: the gradient energy
 in the Hamiltonian uses forward differences (keeps the potential matrix
@@ -36,7 +48,6 @@ import numpy as np
 __all__ = [
     "DegenerateVacuumError",
     "LatticeGeometry",
-    "SymplecticStructure",
     "QuadraticObservable",
     "ModeBasis",
     "build_hamiltonian",
@@ -46,6 +57,7 @@ __all__ = [
     "local_energy_density",
     "build_mode_basis",
     "commutator",
+    "spectral_norm",
     "vacuum_expectation",
     "normal_ordered",
     "verify_central_relation",
@@ -102,31 +114,6 @@ class LatticeGeometry:
         if direction == 0:
             return np.repeat(line, n)
         return np.tile(line, n)
-
-
-@dataclass(frozen=True)
-class SymplecticStructure:
-    """The exact block form [[0, I], [-I, 0]] on M canonical pairs."""
-
-    n_modes: int
-
-    def __post_init__(self):
-        if self.n_modes < 1:
-            raise ValueError("need at least one mode")
-
-    @property
-    def matrix(self) -> np.ndarray:
-        m = self.n_modes
-        omega = np.zeros((2 * m, 2 * m))
-        omega[:m, m:] = np.eye(m)
-        omega[m:, :m] = -np.eye(m)
-        omega.setflags(write=False)
-        return omega
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        """omega @ x without materializing omega: (top, bottom) -> (bottom, -top)."""
-        m = self.n_modes
-        return np.concatenate([x[m:], -x[:m]], axis=0)
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
@@ -259,14 +246,18 @@ def _off_diag(coupling: np.ndarray) -> np.ndarray:
     return out
 
 
+def _check_mass(mass: float) -> None:
+    if not (math.isfinite(mass) and mass >= 0):
+        raise ValueError(f"mass must be finite and nonnegative, got {mass!r}")
+
+
 def build_hamiltonian(geom: LatticeGeometry, mass: float, L_label=None) -> QuadraticObservable:
     """H = 1/2 sum_x [pi_x^2 + sum_i ((phi_{x+e_i} - phi_x)/a)^2 + m^2 phi_x^2].
 
     Scalar slot is 0 (plain Weyl form). A massless periodic lattice has an
     exact zero mode (the constant field) and is rejected outright.
     """
-    if mass < 0:
-        raise ValueError("mass must be nonnegative")
+    _check_mass(mass)
     if mass == 0 and geom.boundary == "periodic":
         raise DegenerateVacuumError("massless periodic lattice has an exact zero mode")
     quad = _block_diag(_potential_matrix(geom, mass), np.eye(geom.n_sites))
@@ -337,6 +328,7 @@ def build_boost(
         raise ValueError("boost generator needs an open boundary")
     if not 0 <= direction < geom.dims:
         raise ValueError("direction out of range")
+    _check_mass(mass)
     coord = geom.centered_coordinate(direction)
     m_sites = geom.n_sites
     inv_a2 = 1.0 / (geom.spacing * geom.spacing)
@@ -416,8 +408,9 @@ def build_mode_basis(hamiltonian: QuadraticObservable, degeneracy_tol: float = 1
     if lam[0] <= degeneracy_tol:
         raise DegenerateVacuumError(f"smallest potential eigenvalue {lam[0]:.3e}")
     omega = np.sqrt(lam)
-    s = _block_diag(np.diag(np.sqrt(omega)) @ u.T, np.diag(1.0 / np.sqrt(omega)) @ u.T)
-    sigma = 0.5 * _block_diag(u @ np.diag(1.0 / omega) @ u.T, u @ np.diag(omega) @ u.T)
+    root = np.sqrt(omega)[:, None]
+    s = _block_diag(root * u.T, (1.0 / root) * u.T)
+    sigma = 0.5 * _block_diag((u * (1.0 / omega)) @ u.T, (u * omega) @ u.T)
     return ModeBasis(omega, s, sigma)
 
 
@@ -439,34 +432,80 @@ def normal_ordered(obs: QuadraticObservable, basis: ModeBasis) -> QuadraticObser
 # commutators
 
 
-def commutator(a: QuadraticObservable, b: QuadraticObservable, omega=None) -> QuadraticObservable:
+def _blocks(quad: np.ndarray) -> list[list[np.ndarray | None]]:
+    """The four M x M blocks [[phi-phi, phi-pi], [pi-phi, pi-pi]], None where all zero."""
+    m = quad.shape[0] // 2
+    halves = (slice(0, m), slice(m, 2 * m))
+    blocks = [[quad[r, c] for c in halves] for r in halves]
+    return [[blk if blk.any() else None for blk in row] for row in blocks]
+
+
+def _omega_product(qa: np.ndarray, qb: np.ndarray) -> np.ndarray:
+    """Q_A omega Q_B, block (i, j) = A_i0 B_1j - A_i1 B_0j, zero-block products skipped."""
+    m = qa.shape[0] // 2
+    a, b = _blocks(qa), _blocks(qb)
+    out = np.zeros_like(qa)
+    for i in range(2):
+        for j in range(2):
+            block = out[i * m:(i + 1) * m, j * m:(j + 1) * m]
+            if a[i][0] is not None and b[1][j] is not None:
+                block += a[i][0] @ b[1][j]
+            if a[i][1] is not None and b[0][j] is not None:
+                block -= a[i][1] @ b[0][j]
+    return out
+
+
+def _omega_apply(quad: np.ndarray, vec: np.ndarray) -> np.ndarray:
+    """Q omega v, with omega v = (v_pi, -v_phi)."""
+    m = quad.shape[0] // 2
+    return quad[:, :m] @ vec[m:] - quad[:, m:] @ vec[:m]
+
+
+def commutator(a: QuadraticObservable, b: QuadraticObservable) -> QuadraticObservable:
     """(1/i)[A, B] for Weyl-ordered quadratic observables.
 
     The input scalar slots drop out entirely; the output scalar comes only
-    from the linear x linear cross term.
+    from the linear x linear cross term. With both quads symmetric,
+    Q_B omega Q_A = -(Q_A omega Q_B)^T, so one block product gives the quad.
     """
     if a.quad.shape != b.quad.shape:
         raise ValueError("observable dimensions differ")
-    if omega is None:
-        omega = SymplecticStructure(a.n_modes)
-    if isinstance(omega, SymplecticStructure):
-        if omega.n_modes != a.n_modes:
-            raise ValueError("symplectic structure dimension differs from observables")
-        om = omega.matrix
-    else:
-        om = np.asarray(omega, dtype=float)
-        if om.shape != a.quad.shape:
-            raise ValueError("symplectic matrix dimension differs from observables")
-    qa_om = a.quad @ om
-    qb_om = b.quad @ om
-    quad = qa_om @ b.quad - qb_om @ a.quad
-    lin = qa_om @ b.lin - qb_om @ a.lin
-    scalar = float(a.lin @ om @ b.lin)
-    return QuadraticObservable(quad, lin, scalar)
+    m = a.n_modes
+    x = _omega_product(a.quad, b.quad)
+    lin = _omega_apply(a.quad, b.lin) - _omega_apply(b.quad, a.lin)
+    scalar = float(a.lin[:m] @ b.lin[m:] - a.lin[m:] @ b.lin[:m])
+    return QuadraticObservable(x + x.T, lin, scalar)
 
 
 # ---------------------------------------------------------------------------
-# bulk residual norms
+# residual norms
+
+
+def spectral_norm(quad: np.ndarray) -> float:
+    """Largest singular value of a symmetric 2M x 2M quad, from its block structure.
+
+    Block-diagonal: the largest |eigenvalue| of the two M x M blocks.
+    Off-diagonal [[0, C^T], [C, 0]]: the top singular value of C.
+    Otherwise: the largest |eigenvalue| of the whole matrix.
+    """
+    quad = np.asarray(quad, dtype=float)
+    if quad.ndim != 2 or quad.shape[0] != quad.shape[1] or quad.shape[0] % 2:
+        raise ValueError("quad must be a square 2M x 2M matrix")
+    if not np.array_equal(quad, quad.T):
+        raise ValueError("spectral_norm needs a symmetric quad")
+    (phi, coupling), (_, pi) = _blocks(quad)
+    if coupling is None:
+        return max(_max_abs_eigenvalue(blk) for blk in (phi, pi))
+    if phi is None and pi is None:
+        return float(np.linalg.svd(coupling, compute_uv=False)[0])
+    return _max_abs_eigenvalue(quad)
+
+
+def _max_abs_eigenvalue(sym: np.ndarray | None) -> float:
+    if sym is None:
+        return 0.0
+    eig = np.linalg.eigvalsh(sym)
+    return float(max(-eig[0], eig[-1]))
 
 
 def _bulk_sites(geom: LatticeGeometry, window: int) -> np.ndarray:
@@ -541,11 +580,17 @@ def bulk_residual_norm(
 def _masked_operator_norm(quad: np.ndarray, geom: LatticeGeometry, window: int) -> float:
     keep = _bulk_sites(geom, window)
     idx = np.concatenate([keep, keep + geom.n_sites])
-    return float(np.linalg.norm(quad[np.ix_(idx, idx)], 2))
+    return spectral_norm(quad[np.ix_(idx, idx)])
+
+
+def _check_spacings(spacings) -> None:
+    if np.unique(np.asarray(spacings, dtype=float)).size < 2:
+        raise ValueError("a convergence order needs at least two distinct spacings")
 
 
 def fit_convergence_order(spacings, residuals) -> float:
     """Least-squares slope of log(residual) against log(1/a)."""
+    _check_spacings(spacings)
     x = np.log(np.asarray(spacings, dtype=float))
     y = np.log(np.asarray(residuals, dtype=float))
     slope = np.polyfit(x, y, 1)[0]
@@ -617,7 +662,7 @@ def verify_central_relation(
                 "ground_energy_eigensum": e_eig,
                 "scalar_discrepancy_rel": abs(e_trace - e_eig) / abs(e_eig),
                 "bulk_residual_norm": bulk_residual_norm(residual.quad, geom, window),
-                "full_residual_norm": float(np.linalg.norm(residual.quad, 2)),
+                "full_residual_norm": spectral_norm(residual.quad),
                 "commutator_scalar_raw": comm.scalar,
                 "commutator_vev": vacuum_expectation(comm, basis),
             }
@@ -642,6 +687,7 @@ def central_relation_convergence(
     Site counts are physical_size / a rounded to the nearest integer; the
     report adds fitted convergence orders of the bulk residual norms.
     """
+    _check_spacings(spacings)
     rows = []
     for a in spacings:
         n = round(physical_size / a)
@@ -669,13 +715,13 @@ def verify_poincare_closure(geom: LatticeGeometry, mass: float, bulk_window: int
     momenta = [build_momentum(geom, d) for d in range(geom.dims)]
     out = {}
     for d, p in enumerate(momenta):
-        out[f"H,P{d + 1}"] = float(np.linalg.norm(commutator(h, p).quad, 2))
+        out[f"H,P{d + 1}"] = spectral_norm(commutator(h, p).quad)
     if geom.dims == 2:
-        out["P1,P2"] = float(np.linalg.norm(commutator(momenta[0], momenta[1]).quad, 2))
+        out["P1,P2"] = spectral_norm(commutator(momenta[0], momenta[1]).quad)
         rot = build_rotation(geom)
         comm_jh = commutator(rot, h)
         out["J,H bulk"] = _masked_operator_norm(comm_jh.quad, geom, window)
-        out["J,H full"] = float(np.linalg.norm(comm_jh.quad, 2))
+        out["J,H full"] = spectral_norm(comm_jh.quad)
     return out
 
 

@@ -134,6 +134,20 @@ def test_algebra_verify_order_gate_fails(tmp_path, capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("argv", [
+    ["--mass0", "nan"],
+    ["--mass1", "inf"],
+    ["--spacings", "0.1,0.1,0.1"],
+    ["--spacings", "0.2"],
+])
+def test_algebra_verify_bad_input_exit_code(tmp_path, capsys, argv):
+    code = main(["algebra-verify", *argv, "--outdir", str(tmp_path)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert "FAIL" not in captured.out
+
+
 def test_algebra_verify_poincare_check(tmp_path, capsys):
     code = main(["algebra-verify", "--check", "poincare", "--outdir", str(tmp_path)])
     assert code == 0

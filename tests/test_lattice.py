@@ -15,6 +15,25 @@ def _rand_obs(rng, n_modes, with_lin=True):
     return lat.QuadraticObservable(quad + quad.T, lin, rng.standard_normal())
 
 
+def _omega(n_modes):
+    eye = np.eye(n_modes)
+    zero = np.zeros((n_modes, n_modes))
+    return np.block([[zero, eye], [-eye, zero]])
+
+
+def _dense_commutator(a, b):
+    """The commutator formulas with an explicit dense omega (reference)."""
+    om = _omega(a.n_modes)
+    quad = a.quad @ om @ b.quad - b.quad @ om @ a.quad
+    lin = a.quad @ om @ b.lin - b.quad @ om @ a.lin
+    return quad, lin, float(a.lin @ om @ b.lin)
+
+
+def _dense_norm(quad):
+    """Spectral norm by a full dense SVD (reference)."""
+    return float(np.linalg.norm(quad, 2))
+
+
 # ---------------------------------------------------------------------------
 # construction and geometry
 
@@ -63,14 +82,6 @@ def test_observable_arithmetic():
     assert s.scalar == 1.0
     assert (2.0 * a).scalar == 4.0
     assert a.shifted(-2.0).scalar == 0.0
-
-
-def test_symplectic_structure():
-    om = lat.SymplecticStructure(3)
-    m = om.matrix
-    assert np.array_equal(m @ m, -np.eye(6))
-    v = np.arange(6.0)
-    assert np.array_equal(om.apply(v), m @ v)
 
 
 # ---------------------------------------------------------------------------
@@ -137,6 +148,41 @@ def test_commutator_jacobi_identity():
         assert np.abs(total.quad).max() <= 1e-10 * scale**3
         assert np.abs(total.lin).max() <= 1e-10 * scale**3
         assert abs(total.scalar) <= 1e-10 * scale**3
+
+
+def test_commutator_matches_explicit_omega():
+    rng = np.random.default_rng(5)
+    for n_modes in (1, 2, 5):
+        for with_lin in (True, False):
+            a = _rand_obs(rng, n_modes, with_lin)
+            b = _rand_obs(rng, n_modes, with_lin)
+            quad, lin, scalar = _dense_commutator(a, b)
+            got = lat.commutator(a, b)
+            scale = np.abs(a.quad).max() * np.abs(b.quad).max() * 2 * n_modes
+            assert np.abs(got.quad - quad).max() <= 1e-13 * scale
+            assert np.abs(got.lin - lin).max() <= 1e-13 * scale
+            assert abs(got.scalar - scalar) <= 1e-13 * max(1.0, abs(scalar))
+
+
+def test_commutator_of_generators_matches_explicit_omega():
+    # block-diagonal, off-diagonal and mixed quads, so every zero-block skip
+    # in the block product is taken
+    g = lat.LatticeGeometry(1, 12, 0.5, "open")
+    basis = lat.build_mode_basis(lat.build_hamiltonian(g, 1.0))
+    h = lat.build_hamiltonian(g, 1.0)
+    p = lat.build_momentum(g, 0, ordering=basis)
+    k0 = lat.build_boost(g, 0, 0.0, 0, 1.0)
+    kt = lat.build_boost(g, 0, 0.7, 0, 1.0)
+    shifted = lat.QuadraticObservable(kt.quad, np.linspace(-1.0, 1.0, g.n_canonical), 0.3)
+    obs = (h, p, k0, kt, shifted)
+    for a in obs:
+        for b in obs:
+            quad, lin, scalar = _dense_commutator(a, b)
+            got = lat.commutator(a, b)
+            scale = np.abs(a.quad).max() * np.abs(b.quad).max()
+            assert np.abs(got.quad - quad).max() <= 1e-14 * scale
+            assert np.abs(got.lin - lin).max() <= 1e-14 * scale
+            assert got.scalar == pytest.approx(scalar, rel=1e-14, abs=1e-14)
 
 
 def test_commutator_dimension_mismatch():
@@ -236,7 +282,7 @@ def test_mode_basis_symplectic_and_energy():
     g = lat.LatticeGeometry(1, 12, 0.4, "open")
     h = lat.build_hamiltonian(g, 0.7)
     basis = lat.build_mode_basis(h)
-    om = lat.SymplecticStructure(basis.n_modes).matrix
+    om = _omega(basis.n_modes)
     s = basis.transform
     assert np.abs(s.T @ om @ s - om).max() < 1e-10
     assert np.linalg.eigvalsh(basis.vacuum_covariance).min() > 0
@@ -260,9 +306,29 @@ def test_mode_basis_rejects_wrong_block_form():
         lat.build_mode_basis(p)
 
 
+def test_mode_basis_diagonal_scaling_matches_diagonal_products():
+    g = lat.LatticeGeometry(1, 20, 0.4, "open")
+    basis = lat.build_mode_basis(lat.build_hamiltonian(g, 0.9))
+    lam, u = np.linalg.eigh(lat.build_hamiltonian(g, 0.9).quad[:20, :20])
+    omega = np.sqrt(lam)
+    s = np.zeros((40, 40))
+    s[:20, :20] = np.diag(np.sqrt(omega)) @ u.T
+    s[20:, 20:] = np.diag(1.0 / np.sqrt(omega)) @ u.T
+    assert np.array_equal(basis.transform, s)
+    sigma = np.zeros((40, 40))
+    sigma[:20, :20] = u @ np.diag(1.0 / omega) @ u.T
+    sigma[20:, 20:] = u @ np.diag(omega) @ u.T
+    assert np.array_equal(basis.vacuum_covariance, 0.5 * sigma)
+
+
 def test_negative_mass_rejected():
-    with pytest.raises(ValueError):
-        lat.build_hamiltonian(lat.LatticeGeometry(1, 8, 0.5), -1.0)
+    # non-finite masses too: nothing downstream may be left to choke on them
+    g = lat.LatticeGeometry(1, 8, 0.5)
+    for mass in (-1.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            lat.build_hamiltonian(g, mass)
+        with pytest.raises(ValueError):
+            lat.build_boost(g, 0, 0.0, 0, mass)
 
 
 # ---------------------------------------------------------------------------
@@ -362,6 +428,29 @@ def test_poincare_closure_periodic_2d():
     assert report["J,H full"] > 1.0
 
 
+def test_closure_report_matches_dense_svd():
+    g = lat.LatticeGeometry(2, 12, 0.5, "periodic")
+    report = lat.verify_poincare_closure(g, 1.0)
+    h = lat.build_hamiltonian(g, 1.0)
+    p1, p2 = lat.build_momentum(g, 0), lat.build_momentum(g, 1)
+    rot = lat.build_rotation(g)
+    jh = _dense_commutator(rot, h)[0]
+    keep = np.arange(3, 9)
+    keep = (keep[:, None] * 12 + keep[None, :]).ravel()
+    idx = np.concatenate([keep, keep + g.n_sites])
+    dense = {
+        "H,P1": _dense_norm(_dense_commutator(h, p1)[0]),
+        "H,P2": _dense_norm(_dense_commutator(h, p2)[0]),
+        "P1,P2": _dense_norm(_dense_commutator(p1, p2)[0]),
+        "J,H bulk": _dense_norm(jh[np.ix_(idx, idx)]),
+        "J,H full": _dense_norm(jh),
+    }
+    assert report.keys() == dense.keys()
+    scale = np.abs(h.quad).max() * np.abs(rot.quad).max() * g.n_canonical
+    for pair, value in dense.items():
+        assert abs(report[pair] - value) <= 1e-12 * max(value, scale), pair
+
+
 def test_closure_requires_periodic():
     with pytest.raises(ValueError):
         lat.verify_poincare_closure(lat.LatticeGeometry(2, 8, 0.5, "open"), 1.0)
@@ -438,6 +527,29 @@ def test_central_relation_input_validation():
         lat.verify_central_relation(open_g, (1.0, 2.0), bulk_window=8)
 
 
+def test_central_relation_report_matches_dense_svd():
+    n = 160
+    g = lat.LatticeGeometry(1, n, 8.0 / n, "open")
+    masses = (math.pi, math.pi / 2)
+    rep = lat.verify_central_relation(g, masses)
+    basis0 = lat.build_mode_basis(lat.build_hamiltonian(g, masses[0]))
+    p = lat.build_momentum(g, 0, ordering=basis0)
+    for row, mass in zip(rep["per_label"], masses):
+        h = lat.build_hamiltonian(g, mass)
+        basis = lat.build_mode_basis(h)
+        e = lat.vacuum_expectation(h, basis)
+        assert row["ground_energy_trace"] == e
+        assert row["scalar_slot"] == -e
+        k = lat.build_boost(g, 0, 0.0, row["L_label"], mass)
+        quad, _, scalar = _dense_commutator(k, p)
+        residual = 0.5 * (quad + quad.T) - h.quad
+        assert row["commutator_scalar_raw"] == scalar == 0.0
+        full = _dense_norm(residual)
+        assert abs(row["full_residual_norm"] - full) <= 1e-12 * full
+        bulk = lat.bulk_residual_norm(residual, g, row["bulk_window"])
+        assert abs(row["bulk_residual_norm"] - bulk) <= 1e-12 * full
+
+
 def test_bulk_norm_halving_step():
     # one halving of the spacing at fixed physical size: residual shrinks
     # by at least 3.6 (order about two)
@@ -455,6 +567,52 @@ def test_fit_convergence_order_synthetic():
     spacings = [0.4, 0.2, 0.1]
     residuals = [5.0 * a**2.07 for a in spacings]
     assert abs(lat.fit_convergence_order(spacings, residuals) - 2.07) < 1e-10
+
+
+@pytest.mark.parametrize("spacings", [[0.1], [0.1, 0.1, 0.1], []])
+def test_convergence_order_needs_two_spacings(spacings):
+    with pytest.raises(ValueError):
+        lat.fit_convergence_order(spacings, [1.0] * len(spacings))
+    with pytest.raises(ValueError):
+        lat.central_relation_convergence(8.0, spacings, (1.0, 2.0))
+
+
+# ---------------------------------------------------------------------------
+# spectral norm
+
+
+def _sym(rng, m):
+    x = rng.standard_normal((m, m))
+    return x + x.T
+
+
+@pytest.mark.parametrize("m", [1, 2, 7, 30])
+@pytest.mark.parametrize("shape", ["block-diagonal", "off-diagonal", "mixed", "zero",
+                                   "phi-only", "pi-only"])
+def test_spectral_norm_matches_dense_svd(m, shape):
+    rng = np.random.default_rng(37 * m + len(shape))
+    for _ in range(5):
+        q = np.zeros((2 * m, 2 * m))
+        if shape in ("block-diagonal", "mixed", "phi-only"):
+            q[:m, :m] = _sym(rng, m)
+        if shape in ("block-diagonal", "mixed", "pi-only"):
+            q[m:, m:] = 10.0 * _sym(rng, m)
+        if shape in ("off-diagonal", "mixed"):
+            c = rng.standard_normal((m, m))
+            q[m:, :m] = c
+            q[:m, m:] = c.T
+        want = _dense_norm(q)
+        got = lat.spectral_norm(q)
+        assert abs(got - want) <= 1e-12 * want if want else got == 0.0
+
+
+def test_spectral_norm_input_checks():
+    with pytest.raises(ValueError):
+        lat.spectral_norm(np.array([[0.0, 1.0], [2.0, 0.0]]))
+    with pytest.raises(ValueError):
+        lat.spectral_norm(np.eye(3))
+    with pytest.raises(ValueError):
+        lat.spectral_norm(np.zeros((2, 4)))
 
 
 # ---------------------------------------------------------------------------
