@@ -45,6 +45,7 @@ __all__ = [
 ]
 
 METHODS = ("zeta", "abel_plana", "cutoff_extrapolation")
+_CUTOFF_SCALES = (20.0, 40.0, 80.0)  # the cutoff route's ladder Lambda = scale / L
 
 
 @dataclass(frozen=True)
@@ -81,12 +82,25 @@ def zeta_negative_odd(n: int) -> Fraction:
     return -bernoulli_number(n + 1) / (n + 1)
 
 
+def _check_gap(length: float) -> None:
+    """Reject a gap unless it is positive and its powers stay in float range.
+
+    The force goes as L^-4 and the cutoff route as (80/L)^4; both must be
+    finite and nonzero, which holds for about 7e-76 < L < 1e77.
+    """
+    try:
+        powers = (length**4, (_CUTOFF_SCALES[-1] / length) ** 4) if length > 0 else (0.0,)
+    except OverflowError:
+        powers = (0.0,)
+    if not all(0 < p < math.inf for p in powers):
+        raise ValueError(f"need a finite positive gap of about 7e-76 to 1e77, got {length!r}")
+
+
 def mode_mass(n: int, length: float) -> float:
     """Transverse mass of tower level n at plate gap `length`: n pi / L."""
     if n < 1:
         raise ValueError("need n >= 1")
-    if not length > 0:
-        raise ValueError("need a positive gap")
+    _check_gap(length)
     return n * math.pi / length
 
 
@@ -177,7 +191,7 @@ def _cutoff_tower_remainder(length: float, lam: float) -> float:
 
 
 def _cutoff_route(length: float) -> tuple[float, float, dict]:
-    lams = [20.0 / length, 40.0 / length, 80.0 / length]
+    lams = [scale / length for scale in _CUTOFF_SCALES]
     f = [_cutoff_tower_remainder(length, lam) for lam in lams]
     # two Richardson levels over the doubling ladder: kill 1/Lambda^2, then 1/Lambda^4
     r1 = [(4.0 * f[i + 1] - f[i]) / 3.0 for i in range(2)]
@@ -192,8 +206,7 @@ def _cutoff_route(length: float) -> tuple[float, float, dict]:
 
 def casimir_energy_per_area(length: float, method: str = "zeta") -> RegularizedSum:
     """Regularized plate energy per unit area at gap `length`."""
-    if not length > 0:
-        raise ValueError("need a positive gap")
+    _check_gap(length)
     prefactor = -(math.pi**2) / (12.0 * length**3)
     if method == "zeta":
         zeta3 = zeta_negative_odd(3)  # exact 1/120
@@ -215,8 +228,7 @@ def casimir_energy_per_area(length: float, method: str = "zeta") -> RegularizedS
 
 def casimir_force_per_area(length: float) -> float:
     """-d/dL of the plate energy: -pi^2/(480 L^4), attractive for all L."""
-    if not length > 0:
-        raise ValueError("need a positive gap")
+    _check_gap(length)
     return -(math.pi**2) / (480.0 * length**4)
 
 

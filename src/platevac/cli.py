@@ -12,7 +12,10 @@ Exit codes: 0 success, 2 bad input (malformed files, invalid parameters),
 
 Every subcommand accepts --outdir, --seed, and --config.  The config file
 is INI-style with one section per subcommand; keys are the long flag
-names without the leading dashes.  Command-line flags override the file.
+names without the leading dashes.  Each line ``key = value`` is parsed as
+the flag ``--key=value`` by the same declarations as the command line, so
+file values are checked like flags; repeatable keys take ``;``-separated
+values.  Command-line flags override the file, which overrides defaults.
 CSV output uses 12-significant-digit scientific notation and unix line
 endings, so identical inputs produce byte-identical files.
 """
@@ -36,46 +39,6 @@ from . import lattice as lat
 
 _FLOAT_FMT = "%.11e"
 
-_DEFAULTS = {
-    "cocycle": {"selftest": 0},
-    "algebra-verify": {
-        "physical-size": 8.0,
-        "spacings": "0.2,0.1,0.05",
-        "mass0": math.pi,
-        "mass1": math.pi / 2.0,
-        "order-min": 1.9,
-        "scalar-tol": 1e-9,
-        "closure-size": 16,
-        "closure-mass": 1.0,
-        "closure-tol": 1e-10,
-    },
-    "casimir": {"cross-tol": 1e-8},
-    "adiabatic": {"T": "2,4,8", "n": 1, "k": 0.0, "wronskian-tol": 1e-8},
-}
-
-_PARSERS = {
-    "selftest": int,
-    "physical-size": float,
-    "mass0": float,
-    "mass1": float,
-    "order-min": float,
-    "scalar-tol": float,
-    "closure-size": int,
-    "closure-mass": float,
-    "closure-tol": float,
-    "cross-tol": float,
-    "n": int,
-    "k": float,
-    "wronskian-tol": float,
-    "L0": float,
-    "L1": float,
-    "seed": int,
-    "diff": lambda s: s.strip().lower() in ("1", "true", "yes", "on"),
-    "sudden-check": lambda s: s.strip().lower() in ("1", "true", "yes", "on"),
-    "L": lambda s: [float(x) for x in s.split(";")],
-    "charges-raw": lambda s: [x.strip() for x in s.split(";")],
-}
-
 
 def _rational(text: str) -> Fraction:
     try:
@@ -89,6 +52,7 @@ def _fraction_str(value: Fraction) -> str:
 
 
 def _write_csv(path: Path, header, rows):
+    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(header)
@@ -103,7 +67,42 @@ def _fmt(value: float) -> str:
 # argument plumbing
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _nonnegative(kind):
+    """Argument type of tolerances and counts: a finite `kind` >= 0."""
+    def convert(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            value = math.nan
+        if not 0 <= value < math.inf:
+            raise argparse.ArgumentTypeError(
+                f"need a finite {kind.__name__} >= 0, got {text!r}")
+        return value
+    return convert
+
+
+def _flag(text: str) -> bool:
+    """Argument type of on/off options: the INI boolean spellings."""
+    states = configparser.ConfigParser.BOOLEAN_STATES
+    try:
+        return states[text.strip().lower()]
+    except KeyError:
+        raise argparse.ArgumentTypeError(
+            f"need one of {', '.join(states)}, got {text!r}") from None
+
+
+def _floats(text: str) -> list[float]:
+    """Argument type of comma-separated lists of floats."""
+    return [float(part) for part in text.split(",")]
+
+
+def build_parser(defaults: bool = True) -> argparse.ArgumentParser:
+    """Declare every subcommand and option: type, default, choices, repeats.
+
+    With ``defaults=False`` every option defaults to ``argparse.SUPPRESS``,
+    so a parse returns only the options its tokens name. Parse repeatable
+    flags that way: ``append`` adds to a default instead of replacing it.
+    """
     parser = argparse.ArgumentParser(
         prog="platevac",
         description="Central charges from plate vacua: exact cocycle algebra, "
@@ -111,91 +110,116 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--outdir", default=".", help="directory for output files")
-        p.add_argument("--config", default=None, help="INI config file")
-        p.add_argument("--seed", type=int, default=None, help="random seed")
+    def option(p, name, default=None, **kwargs):
+        p.add_argument(name, default=default if defaults else argparse.SUPPRESS, **kwargs)
 
-    p = sub.add_parser("cocycle", help="exact algebra and cocycle diagnostics")
-    common(p)
+    def subcommand(name, handler, summary):
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(handler=handler)
+        option(p, "--outdir", type=Path, default=".", help="directory for output files")
+        option(p, "--config", help="INI config file")
+        option(p, "--seed", type=int, default=0, help="random seed")
+        return p
+
+    p = subcommand("cocycle", cmd_cocycle, "exact algebra and cocycle diagnostics")
     src = p.add_mutually_exclusive_group()
-    src.add_argument("--builtin", default=None,
-                     help="builtin algebra name (e.g. poincare21, abelian2)")
-    src.add_argument("--algebra-file", default=None, help="algebra data file")
-    p.add_argument("--charges", default=None,
-                   help="c0,c1,c2 charge triple (poincare21 only)")
-    p.add_argument("--charges-raw", action="append", default=None,
-                   metavar="A,B=VALUE", help="explicit cocycle entry; repeatable")
-    p.add_argument("--cocycle-file", default=None, help="cocycle data file")
-    p.add_argument("--selftest", type=int, default=None, metavar="N",
-                   help="run N random charge triples through the solver")
+    option(src, "--builtin", default="poincare21",
+           help="builtin algebra name (e.g. poincare21, abelian2)")
+    option(src, "--algebra-file", help="algebra data file")
+    src = p.add_mutually_exclusive_group()
+    option(src, "--charges", help="c0,c1,c2 charge triple (poincare21 only)")
+    option(src, "--charges-raw", action="append", metavar="A,B=VALUE",
+           help="explicit cocycle entry; repeatable")
+    option(src, "--cocycle-file", help="cocycle data file")
+    option(p, "--selftest", type=_nonnegative(int), default=0, metavar="N",
+           help="run N random charge triples through the solver")
 
-    p = sub.add_parser("algebra-verify", help="lattice commutator verification")
-    common(p)
-    p.add_argument("--physical-size", type=float, default=None)
-    p.add_argument("--spacings", default=None, help="comma-separated spacings")
-    p.add_argument("--mass0", type=float, default=None)
-    p.add_argument("--mass1", type=float, default=None)
-    p.add_argument("--order-min", type=float, default=None,
-                   help="minimum accepted convergence order")
-    p.add_argument("--scalar-tol", type=float, default=None,
-                   help="relative tolerance on the scalar slot")
-    p.add_argument("--check", choices=["poincare"], default=None,
-                   help="run the periodic closure residual check instead")
-    p.add_argument("--closure-size", type=int, default=None)
-    p.add_argument("--closure-mass", type=float, default=None)
-    p.add_argument("--closure-tol", type=float, default=None)
-    p.add_argument("--demo", choices=["contradiction"], default=None,
-                   help="print the positive vacuum-energy lower bound")
+    p = subcommand("algebra-verify", cmd_algebra_verify, "lattice commutator verification")
+    option(p, "--physical-size", type=float, default=8.0)
+    option(p, "--spacings", type=_floats, default="0.2,0.1,0.05",
+           help="comma-separated spacings")
+    option(p, "--mass0", type=float, default=math.pi)
+    option(p, "--mass1", type=float, default=math.pi / 2.0)
+    option(p, "--order-min", type=float, default=1.9,
+           help="minimum accepted convergence order")
+    option(p, "--scalar-tol", type=_nonnegative(float), default=1e-9,
+           help="relative tolerance on the scalar slot")
+    option(p, "--check", choices=["poincare"],
+           help="run the periodic closure residual check instead")
+    option(p, "--closure-size", type=int, default=16)
+    option(p, "--closure-mass", type=float, default=1.0)
+    option(p, "--closure-tol", type=_nonnegative(float), default=1e-10)
+    option(p, "--demo", choices=["contradiction"],
+           help="print the positive vacuum-energy lower bound")
 
-    p = sub.add_parser("casimir", help="plate energies, all routes")
-    common(p)
-    p.add_argument("--L", action="append", type=float, default=None,
-                   help="plate separation; repeatable")
-    p.add_argument("--diff", action="store_true", default=None,
-                   help="add energy-difference column relative to the first L")
-    p.add_argument("--cross-tol", type=float, default=None,
-                   help="relative tolerance between zeta and contour routes")
+    p = subcommand("casimir", cmd_casimir, "plate energies, all routes")
+    option(p, "--L", action="append", type=float, default=[1.0],
+           help="plate separation; repeatable")
+    option(p, "--diff", type=_flag, nargs="?", const=True, default=False,
+           help="add energy-difference column relative to the first L")
+    option(p, "--cross-tol", type=_nonnegative(float), default=1e-8,
+           help="relative tolerance between zeta and contour routes")
 
-    p = sub.add_parser("adiabatic", help="mode evolution through the schedule")
-    common(p)
-    p.add_argument("--L0", type=float, default=None)
-    p.add_argument("--L1", type=float, default=None)
-    p.add_argument("--T", default=None, help="comma-separated half-durations")
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--k", type=float, default=None)
-    p.add_argument("--sudden-check", action="store_true", default=None,
-                   help="compare the integrator against the closed-form sudden limit")
-    p.add_argument("--wronskian-tol", type=float, default=None)
+    p = subcommand("adiabatic", cmd_adiabatic, "mode evolution through the schedule")
+    option(p, "--L0", type=float)
+    option(p, "--L1", type=float)
+    option(p, "--T", type=_floats, default="2,4,8", help="comma-separated half-durations")
+    option(p, "--n", type=int, default=1)
+    option(p, "--k", type=float, default=0.0)
+    option(p, "--sudden-check", type=_flag, nargs="?", const=True, default=False,
+           help="compare the integrator against the closed-form sudden limit")
+    option(p, "--wronskian-tol", type=_nonnegative(float), default=1e-8)
 
     return parser
 
 
-def _apply_config(opts: dict, command: str) -> dict:
-    """Fill unset options from the config file, then from defaults."""
-    merged = dict(opts)
-    path = merged.get("config")
-    if path:
-        ini = configparser.ConfigParser()
-        ini.optionxform = str  # keys like L0 are case-sensitive
-        read = ini.read(path)
-        if not read:
-            raise ValueError(f"config file not found: {path}")
-        if ini.has_section(command):
-            known = {k.replace("_", "-") for k in merged}
-            for key, raw in ini.items(command):
-                if key not in known:
-                    raise ValueError(f"unknown key {key!r} in config section [{command}]")
-                dest = key.replace("-", "_")
-                if merged.get(dest) is None:
-                    merged[dest] = _PARSERS.get(key, str)(raw)
-    for key, value in _DEFAULTS.get(command, {}).items():
-        dest = key.replace("-", "_")
-        if merged.get(dest) is None:
-            merged[dest] = value
-    if merged.get("outdir") is None:
-        merged["outdir"] = "."
-    return merged
+def _subparser(parser, command) -> argparse.ArgumentParser:
+    # argparse keeps its option tables private; these names date from Python 2.7
+    (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return sub.choices[command]
+
+
+def _config_tokens(parser, path, command) -> list[str]:
+    """The [command] section of the INI file at `path` as ``--key=value`` flags."""
+    ini = configparser.ConfigParser()
+    ini.optionxform = str  # keys like L0 are case-sensitive
+    if not ini.read(path):
+        raise ValueError(f"config file not found: {path}")
+    if not ini.has_section(command):
+        return []
+    actions = _subparser(parser, command)._option_string_actions
+    tokens = []
+    for key, raw in ini.items(command):
+        action = actions.get("--" + key)
+        if action is None:
+            raise ValueError(f"unknown key {key!r} in config section [{command}]")
+        values = raw.split(";") if isinstance(action, argparse._AppendAction) else [raw]
+        # the = form keeps a value like -0.1 from being read as a flag
+        tokens += [f"--{key}={value.strip()}" for value in values]
+    return tokens
+
+
+def parse_options(argv=None) -> dict:
+    """Resolve the options of one run: defaults, then the config file, then flags.
+
+    The flags and the file's tokens are parsed apart and merged key by key,
+    so a flag replaces a file value, also of a repeatable option, and of
+    the options it excludes.
+    """
+    parser = build_parser(defaults=False)
+    given = vars(parser.parse_args(argv))
+    command = given["command"]
+    opts = vars(build_parser().parse_args([command]))
+    if "config" in given:
+        tokens = _config_tokens(parser, given["config"], command)
+        from_file = vars(parser.parse_args([command, *tokens]))
+        for group in _subparser(parser, command)._mutually_exclusive_groups:
+            dests = {action.dest for action in group._group_actions}
+            if dests & given.keys():
+                from_file = {k: v for k, v in from_file.items() if k not in dests}
+        opts.update(from_file)
+    opts.update(given)
+    return opts
 
 
 # ---------------------------------------------------------------------------
@@ -203,28 +227,23 @@ def _apply_config(opts: dict, command: str) -> dict:
 
 
 def _resolve_algebra(opts):
-    if opts.get("algebra_file"):
-        algebra = alg.load_algebra(opts["algebra_file"])
-        return algebra, None
-    name = opts.get("builtin") or "poincare21"
+    if opts["algebra_file"]:
+        return alg.load_algebra(opts["algebra_file"]), None
     try:
-        return alg.builtin_algebra(name), name
+        return alg.builtin_algebra(opts["builtin"]), opts["builtin"]
     except KeyError as exc:
         raise ValueError(str(exc)) from exc
 
 
 def _resolve_cocycle(algebra, builtin, opts):
-    given = [k for k in ("charges", "charges_raw", "cocycle_file") if opts.get(k)]
-    if len(given) > 1:
-        raise ValueError("give at most one of --charges, --charges-raw, --cocycle-file")
-    if opts.get("charges"):
+    if opts["charges"]:
         if builtin != "poincare21":
             raise ValueError("--charges applies to the poincare21 algebra only")
         parts = opts["charges"].split(",")
         if len(parts) != 3:
             raise ValueError("--charges needs exactly three rationals c0,c1,c2")
         return alg.shift_cocycle(*(_rational(p) for p in parts))
-    if opts.get("charges_raw"):
+    if opts["charges_raw"]:
         entries = {}
         for item in opts["charges_raw"]:
             head, _, value = item.partition("=")
@@ -233,7 +252,7 @@ def _resolve_cocycle(algebra, builtin, opts):
                 raise ValueError(f"bad --charges-raw entry {item!r}, want A,B=value")
             entries[(labels[0], labels[1])] = _rational(value)
         return alg.TwoCocycle.from_entries(algebra.labels, entries)
-    if opts.get("cocycle_file"):
+    if opts["cocycle_file"]:
         cocycle = alg.load_cocycle(opts["cocycle_file"])
         if cocycle.labels != algebra.labels:
             raise ValueError(
@@ -245,7 +264,7 @@ def _resolve_cocycle(algebra, builtin, opts):
 
 
 def _selftest(algebra, trials, seed):
-    rng = random.Random(seed if seed is not None else 0)
+    rng = random.Random(seed)
     failures = 0
     for _ in range(trials):
         charges = [
@@ -308,14 +327,13 @@ def cmd_cocycle(opts) -> int:
     if opts["selftest"]:
         if builtin != "poincare21":
             raise ValueError("--selftest runs on the poincare21 algebra only")
-        outcome = _selftest(algebra, opts["selftest"], opts.get("seed"))
+        outcome = _selftest(algebra, opts["selftest"], opts["seed"])
         report["selftest"] = outcome
         if outcome["failures"]:
             status = 3
 
-    outdir = Path(opts["outdir"])
-    outdir.mkdir(parents=True, exist_ok=True)
-    out = outdir / "cocycle_report.json"
+    out = opts["outdir"] / "cocycle_report.json"
+    out.parent.mkdir(parents=True, exist_ok=True)
     with open(out, "w") as handle:
         json.dump(report, handle, indent=2, sort_keys=True)
         handle.write("\n")
@@ -332,10 +350,8 @@ def cmd_cocycle(opts) -> int:
 
 
 def cmd_algebra_verify(opts) -> int:
-    outdir = Path(opts["outdir"])
-    outdir.mkdir(parents=True, exist_ok=True)
-
-    if opts.get("demo") == "contradiction":
+    outdir = opts["outdir"]
+    if opts["demo"] == "contradiction":
         geom = lat.LatticeGeometry(1, opts["closure_size"], 0.5, boundary="periodic")
         demo = lat.contradiction_demo(geom, opts["closure_mass"])
         print(f"modes: {demo['n_modes']}")
@@ -346,7 +362,7 @@ def cmd_algebra_verify(opts) -> int:
               else "vacuum energy > 0: FAIL")
         return 0
 
-    if opts.get("check") == "poincare":
+    if opts["check"] == "poincare":
         geom = lat.LatticeGeometry(2, opts["closure_size"], 0.5, boundary="periodic")
         residuals = lat.verify_poincare_closure(geom, opts["closure_mass"])
         rows = [(pair, _fmt(value)) for pair, value in residuals.items()]
@@ -359,10 +375,8 @@ def cmd_algebra_verify(opts) -> int:
         print(f"closure residuals < {opts['closure_tol']:g}: {'PASS' if ok else 'FAIL'}")
         return 0 if ok else 3
 
-    spacings = [float(s) for s in str(opts["spacings"]).split(",")]
-    sweep = lat.central_relation_convergence(
-        opts["physical_size"], spacings, (opts["mass0"], opts["mass1"])
-    )
+    masses = (opts["mass0"], opts["mass1"])
+    sweep = lat.central_relation_convergence(opts["physical_size"], opts["spacings"], masses)
     header = ("spacing", "mass", "sites", "scalar_slot", "ground_energy_trace",
               "scalar_discrepancy_rel", "bulk_residual_norm", "full_residual_norm")
     rows = []
@@ -381,7 +395,6 @@ def cmd_algebra_verify(opts) -> int:
     orders = sweep["bulk_orders"]
     order_ok = all(o >= opts["order_min"] for o in orders)
     scalar_ok = worst_scalar <= opts["scalar_tol"]
-    masses = (opts["mass0"], opts["mass1"])
     for mass, order in zip(masses, orders):
         print(f"  bulk convergence order (mass {mass:g}): {order:.4f}")
     print(f"  worst scalar-slot relative discrepancy: {_fmt(worst_scalar)}")
@@ -396,20 +409,14 @@ def cmd_algebra_verify(opts) -> int:
 
 
 def cmd_casimir(opts) -> int:
-    lengths = opts.get("L") or [1.0]
-    if isinstance(lengths, float):
-        lengths = [lengths]
-    outdir = Path(opts["outdir"])
-    outdir.mkdir(parents=True, exist_ok=True)
-
     header = ["L", "method", "energy_per_area", "error_estimate", "force_per_area"]
-    if opts.get("diff"):
+    if opts["diff"]:
         header.append("central_charge_diff_vs_first")
 
     rows = []
     first = {}
     cross_ok = True
-    for length in lengths:
+    for length in opts["L"]:
         force = cas.casimir_force_per_area(length)
         per_method = {}
         for method in cas.METHODS:
@@ -417,12 +424,9 @@ def cmd_casimir(opts) -> int:
             per_method[method] = result
             row = [_fmt(length), method, _fmt(result.value),
                    _fmt(result.error_estimate), _fmt(force)]
-            if opts.get("diff"):
-                if method in first:
-                    row.append(_fmt(first[method] - result.value))
-                else:
-                    row.append("")
-                    first[method] = result.value
+            if opts["diff"]:  # the first L is the reference: no entry
+                row.append(_fmt(first[method] - result.value) if method in first else "")
+                first.setdefault(method, result.value)
             rows.append(row)
         zeta = per_method["zeta"].value
         contour = per_method["abel_plana"].value
@@ -433,7 +437,7 @@ def cmd_casimir(opts) -> int:
         if abs(zeta - cutoff.value) > budget:
             cross_ok = False
 
-    _write_csv(outdir / "casimir.csv", header, rows)
+    _write_csv(opts["outdir"] / "casimir.csv", header, rows)
     print(f"routes agree within tolerance: {'PASS' if cross_ok else 'FAIL'}")
     return 0 if cross_ok else 3
 
@@ -443,15 +447,12 @@ def cmd_casimir(opts) -> int:
 
 
 def cmd_adiabatic(opts) -> int:
-    if opts.get("L0") is None or opts.get("L1") is None:
+    if opts["L0"] is None or opts["L1"] is None:
         raise ValueError("adiabatic requires --L0 and --L1")
-    times = [float(t) for t in str(opts["T"]).split(",")]
-    n, k = opts["n"], opts["k"]
-    outdir = Path(opts["outdir"])
-    outdir.mkdir(parents=True, exist_ok=True)
+    times, n, k = opts["T"], opts["n"], opts["k"]
 
     status = 0
-    if opts.get("sudden_check"):
+    if opts["sudden_check"]:
         closed = ad.sudden_beta_magnitude(n, k, opts["L0"], opts["L1"])
         run = ad.evolve_mode(ad.Schedule(opts["L0"], opts["L1"], 1e-4), n, k,
                              wronskian_tol=opts["wronskian_tol"])
@@ -486,32 +487,23 @@ def cmd_adiabatic(opts) -> int:
          _fmt(r.particle_number), _fmt(r.wronskian_drift))
         for r in results
     ]
-    _write_csv(outdir / "adiabatic_scan.csv", header, rows)
-    print(f"scan written to {outdir / 'adiabatic_scan.csv'}")
+    out = opts["outdir"] / "adiabatic_scan.csv"
+    _write_csv(out, header, rows)
+    print(f"scan written to {out}")
     return status
 
 
 # ---------------------------------------------------------------------------
 
 
-_HANDLERS = {
-    "cocycle": cmd_cocycle,
-    "algebra-verify": cmd_algebra_verify,
-    "casimir": cmd_casimir,
-    "adiabatic": cmd_adiabatic,
-}
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        opts = _apply_config(vars(args), args.command)
-        return _HANDLERS[args.command](opts)
+        opts = parse_options(argv)
+        return opts["handler"](opts)
     except (ad.IntegrationFailure, ad.WronskianViolation, ad.ScanQualityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except (alg.AlgebraFormatError, ValueError, OSError) as exc:
+    except (alg.AlgebraFormatError, configparser.Error, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

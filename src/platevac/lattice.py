@@ -41,7 +41,7 @@ convergence report measures instead of hiding.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -129,7 +129,6 @@ class QuadraticObservable:
     quad: np.ndarray
     lin: np.ndarray = None
     scalar: float = 0.0
-    meta: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
         q = np.asarray(self.quad, dtype=float)
@@ -148,7 +147,7 @@ class QuadraticObservable:
         return self.quad.shape[0] // 2
 
     def shifted(self, delta_scalar: float) -> "QuadraticObservable":
-        return QuadraticObservable(self.quad, self.lin, self.scalar + delta_scalar, dict(self.meta))
+        return QuadraticObservable(self.quad, self.lin, self.scalar + delta_scalar)
 
     def __add__(self, other: "QuadraticObservable") -> "QuadraticObservable":
         return QuadraticObservable(
@@ -251,7 +250,7 @@ def _check_mass(mass: float) -> None:
         raise ValueError(f"mass must be finite and nonnegative, got {mass!r}")
 
 
-def build_hamiltonian(geom: LatticeGeometry, mass: float, L_label=None) -> QuadraticObservable:
+def build_hamiltonian(geom: LatticeGeometry, mass: float) -> QuadraticObservable:
     """H = 1/2 sum_x [pi_x^2 + sum_i ((phi_{x+e_i} - phi_x)/a)^2 + m^2 phi_x^2].
 
     Scalar slot is 0 (plain Weyl form). A massless periodic lattice has an
@@ -260,11 +259,7 @@ def build_hamiltonian(geom: LatticeGeometry, mass: float, L_label=None) -> Quadr
     _check_mass(mass)
     if mass == 0 and geom.boundary == "periodic":
         raise DegenerateVacuumError("massless periodic lattice has an exact zero mode")
-    quad = _block_diag(_potential_matrix(geom, mass), np.eye(geom.n_sites))
-    meta = {"mass": float(mass), "boundary": geom.boundary}
-    if L_label is not None:
-        meta["L_label"] = L_label
-    return QuadraticObservable(quad, meta=meta)
+    return QuadraticObservable(_block_diag(_potential_matrix(geom, mass), np.eye(geom.n_sites)))
 
 
 def local_energy_density(geom: LatticeGeometry, mass: float) -> list[QuadraticObservable]:
@@ -304,11 +299,7 @@ def build_momentum(geom: LatticeGeometry, direction: int, ordering="weyl") -> Qu
     """
     if not 0 <= direction < geom.dims:
         raise ValueError("direction out of range")
-    d = _difference_matrix(geom, direction)
-    meta = {"direction": direction}
-    if geom.boundary == "open":
-        meta["edge_handling"] = "one-sided"
-    obs = QuadraticObservable(_off_diag(d), meta=meta)
+    obs = QuadraticObservable(_off_diag(_difference_matrix(geom, direction)))
     if isinstance(ordering, str):
         if ordering != "weyl":
             raise ValueError("ordering must be 'weyl' or a ModeBasis")
@@ -317,7 +308,7 @@ def build_momentum(geom: LatticeGeometry, direction: int, ordering="weyl") -> Qu
 
 
 def build_boost(
-    geom: LatticeGeometry, direction: int, t: float, L_label, mass: float
+    geom: LatticeGeometry, direction: int, t: float, mass: float
 ) -> QuadraticObservable:
     """K = t * P - sum_x x_i h_x with the bond terms weighted at bond midpoints.
 
@@ -343,8 +334,7 @@ def build_boost(
     quad = -_block_diag(v_w, np.diag(coord))
     if t != 0.0:
         quad = quad + t * _off_diag(_difference_matrix(geom, direction))
-    meta = {"direction": direction, "t": float(t), "L_label": L_label, "mass": float(mass)}
-    return QuadraticObservable(quad, meta=meta)
+    return QuadraticObservable(quad)
 
 
 def build_rotation(geom: LatticeGeometry) -> QuadraticObservable:
@@ -636,18 +626,18 @@ def verify_central_relation(
     window = geom.sites_per_dim // 4 if bulk_window is None else bulk_window
     _bulk_sites(geom, window)  # validate early
 
-    h0 = build_hamiltonian(geom, mass_pair[0], L_label=0)
+    h0 = build_hamiltonian(geom, mass_pair[0])
     basis0 = build_mode_basis(h0)
     momentum = build_momentum(geom, direction, ordering=basis0)
 
     per_label = []
     energies = []
     for label, mass in enumerate(mass_pair):
-        h = h0 if label == 0 else build_hamiltonian(geom, mass, L_label=label)
+        h = h0 if label == 0 else build_hamiltonian(geom, mass)
         basis = basis0 if label == 0 else build_mode_basis(h)
         e_trace = vacuum_expectation(h, basis)
         e_eig = basis.energy
-        boost = build_boost(geom, direction, t, label, mass)
+        boost = build_boost(geom, direction, t, mass)
         comm = commutator(boost, momentum)
         residual = comm - h.shifted(-e_trace)
         per_label.append(

@@ -185,6 +185,29 @@ def test_energy_route_validation():
         cas.RegularizedSum(1.0, "zeta", {}, -1.0)
 
 
+@pytest.mark.parametrize("length", [0.0, -1.0, 1e-100, 1e80, math.inf, math.nan])
+def test_gap_outside_float_range_rejected(length):
+    # L^-4 or (80/L)^4 would overflow or vanish: a division by zero, an
+    # OverflowError or a NaN tower length instead of a result
+    with pytest.raises(ValueError, match="gap"):
+        cas.mode_mass(1, length)
+    for method in cas.METHODS:
+        with pytest.raises(ValueError, match="gap"):
+            cas.casimir_energy_per_area(length, method)
+    with pytest.raises(ValueError, match="gap"):
+        cas.casimir_force_per_area(length)
+
+
+@pytest.mark.parametrize("length", [1e-75, 1e76])
+def test_gap_range_edges_stay_finite(length):
+    assert math.isfinite(cas.mode_mass(1, length))
+    assert math.isfinite(cas.casimir_force_per_area(length))
+    for method in cas.METHODS:
+        result = cas.casimir_energy_per_area(length, method)
+        assert math.isfinite(result.value) and result.value < 0.0
+        assert math.isfinite(result.error_estimate)
+
+
 # ---------------------------------------------------------------------------
 # force
 

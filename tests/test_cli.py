@@ -7,11 +7,19 @@ import pytest
 
 from platevac import algebra as alg
 from platevac import casimir as cas
-from platevac.cli import main
+from platevac.cli import main, parse_options
 
 
 def _read(path):
     return path.read_text()
+
+
+def _exit_code(argv):
+    """Exit code of `main`, also when argparse rejects the input."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
 
 
 # ---------------------------------------------------------------------------
@@ -296,3 +304,127 @@ def test_config_adiabatic_section(tmp_path):
     code = main(["adiabatic", "--config", str(ini), "--outdir", str(tmp_path)])
     assert code == 0
     assert len(_read(tmp_path / "adiabatic_scan.csv").splitlines()) == 4
+
+
+def test_config_flag_replaces_repeatable_file_value(tmp_path):
+    ini = tmp_path / "run.ini"
+    ini.write_text("[casimir]\nL = 1;2\n")
+    assert main(["casimir", "--config", str(ini), "--L", "3",
+                 "--outdir", str(tmp_path)]) == 0
+    rows = _read(tmp_path / "casimir.csv").splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == ["%.11e" % 3.0] * 3
+
+
+def test_config_flag_replaces_the_options_it_excludes(tmp_path):
+    alg.save_algebra(alg.build_poincare_2plus1(), tmp_path / "algebra.txt")
+    ini = tmp_path / "run.ini"
+    ini.write_text(f"[cocycle]\nalgebra-file = {tmp_path}/algebra.txt\ncharges = 1,2,3\n")
+    assert main(["cocycle", "--config", str(ini), "--builtin", "abelian2",
+                 "--charges-raw", "P1,P2=1", "--outdir", str(tmp_path)]) == 0
+    report = json.loads(_read(tmp_path / "cocycle_report.json"))
+    assert report["algebra"]["builtin"] == "abelian2"
+    assert report["cocycle"] == {"P1,P2": "1/1"}
+
+
+@pytest.mark.parametrize("command,section", [
+    ("algebra-verify", "check = bogus"),
+    ("algebra-verify", "demo = bogus"),
+    ("casimir", "diff = maybe"),
+    ("cocycle", "builtin = poincare21\nalgebra-file = {tmp}/algebra.txt"),
+    ("casimir", "command = casimir"),
+    ("casimir", "cross-tol = 1;2"),
+    ("casimir", "cross-tol = nan"),
+    ("casimir", "cross-tol = -1"),
+    ("casimir", "L = 1e80"),
+    ("cocycle", "selftest = -3"),
+    ("casimir", "cross = 1e-8"),  # keys are full flag names, not abbreviations
+])
+def test_config_values_checked_like_flags(tmp_path, capsys, command, section):
+    alg.save_algebra(alg.build_poincare_2plus1(), tmp_path / "algebra.txt")
+    ini = tmp_path / "run.ini"
+    ini.write_text(f"[{command}]\n{section.format(tmp=tmp_path)}\n")
+    assert _exit_code([command, "--config", str(ini), "--outdir", str(tmp_path)]) == 2
+    assert "PASS" not in capsys.readouterr().out
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["algebra.txt", "run.ini"]
+
+
+def test_config_malformed_file(tmp_path):
+    ini = tmp_path / "run.ini"
+    ini.write_text("L = 1\n")  # no section header
+    assert main(["casimir", "--config", str(ini), "--outdir", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["casimir", "--cross-tol", "nan"],
+    ["casimir", "--cross-tol", "-1"],
+    ["casimir", "--L", "1e-100"],
+    ["casimir", "--L", "1e80"],
+    ["casimir", "--L", "inf"],
+    ["casimir", "--diff", "maybe"],
+    ["algebra-verify", "--check", "poincare", "--closure-tol", "-1"],
+    ["algebra-verify", "--scalar-tol", "inf"],
+    ["adiabatic", "--L0", "1", "--L1", "2", "--T", "2", "--wronskian-tol", "nan"],
+    ["adiabatic", "--L0", "1", "--L1", "2", "--T", "2", "--wronskian-tol", "-1"],
+    ["cocycle", "--selftest", "-3"],
+])
+def test_bad_values_exit_2(tmp_path, capsys, argv):
+    assert _exit_code([*argv, "--outdir", str(tmp_path)]) == 2
+    assert "PASS" not in capsys.readouterr().out
+
+
+_COMMANDS = ("cocycle", "algebra-verify", "casimir", "adiabatic")
+
+# each option once as flags and once as the lines of its config section
+_FLAG_AND_INI = [
+    ("cocycle", ["--builtin", "abelian2"], "builtin = abelian2"),
+    ("cocycle", ["--algebra-file", "a.txt"], "algebra-file = a.txt"),
+    ("cocycle", ["--charges", "1,2,3"], "charges = 1,2,3"),
+    ("cocycle", ["--charges-raw", "P1,P2=1", "--charges-raw", "H,P1=-2/3"],
+     "charges-raw = P1,P2=1; H,P1=-2/3"),
+    ("cocycle", ["--cocycle-file", "c.txt"], "cocycle-file = c.txt"),
+    ("cocycle", ["--selftest", "5"], "selftest = 5"),
+    *[(command, ["--seed", "7"], "seed = 7") for command in _COMMANDS],
+    *[(command, ["--outdir", "out"], "outdir = out") for command in _COMMANDS],
+    ("algebra-verify", ["--physical-size", "6"], "physical-size = 6"),
+    ("algebra-verify", ["--spacings", "0.3,0.2"], "spacings = 0.3,0.2"),
+    ("algebra-verify", ["--mass0", "1.5"], "mass0 = 1.5"),
+    ("algebra-verify", ["--mass1", "2"], "mass1 = 2"),
+    ("algebra-verify", ["--order-min", "1.5"], "order-min = 1.5"),
+    ("algebra-verify", ["--scalar-tol", "1e-8"], "scalar-tol = 1e-8"),
+    ("algebra-verify", ["--check", "poincare"], "check = poincare"),
+    ("algebra-verify", ["--closure-size", "8"], "closure-size = 8"),
+    ("algebra-verify", ["--closure-mass", "0.5"], "closure-mass = 0.5"),
+    ("algebra-verify", ["--closure-tol", "1e-9"], "closure-tol = 1e-9"),
+    ("algebra-verify", ["--demo", "contradiction"], "demo = contradiction"),
+    ("casimir", ["--L", "1", "--L", "2"], "L = 1;2"),
+    ("casimir", ["--diff"], "diff = true"),
+    ("casimir", ["--diff", "off"], "diff = Off"),
+    ("casimir", ["--cross-tol", "1e-7"], "cross-tol = 1e-7"),
+    ("adiabatic", ["--L0", "1", "--L1", "2"], "L0 = 1\nL1 = 2"),
+    ("adiabatic", ["--T", "1,2"], "T = 1,2"),
+    ("adiabatic", ["--n", "3"], "n = 3"),
+    ("adiabatic", ["--k", "-0.5"], "k = -0.5"),
+    ("adiabatic", ["--sudden-check"], "sudden-check = yes"),
+    ("adiabatic", ["--wronskian-tol", "1e-7"], "wronskian-tol = 1e-7"),
+]
+
+
+@pytest.mark.parametrize("command,flags,section", _FLAG_AND_INI)
+def test_flag_and_config_key_resolve_alike(tmp_path, command, flags, section):
+    ini = tmp_path / "run.ini"
+    ini.write_text(f"[{command}]\n{section}\n")
+    from_flags = parse_options([command, *flags])
+    from_file = parse_options([command, "--config", str(ini)])
+    assert from_file.pop("config") == str(ini)
+    assert from_flags.pop("config") is None
+    assert from_file == from_flags
+    assert from_flags != parse_options([command])
+
+
+def test_flag_and_config_cases_cover_every_option():
+    covered = {(command, flag) for command, flags, _ in _FLAG_AND_INI
+               for flag in flags if flag.startswith("--")}
+    for command in _COMMANDS:
+        names = set(parse_options([command])) - {"command", "handler", "config"}
+        assert {(command, "--" + name.replace("_", "-")) for name in names} == {
+            pair for pair in covered if pair[0] == command}

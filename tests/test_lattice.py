@@ -171,8 +171,8 @@ def test_commutator_of_generators_matches_explicit_omega():
     basis = lat.build_mode_basis(lat.build_hamiltonian(g, 1.0))
     h = lat.build_hamiltonian(g, 1.0)
     p = lat.build_momentum(g, 0, ordering=basis)
-    k0 = lat.build_boost(g, 0, 0.0, 0, 1.0)
-    kt = lat.build_boost(g, 0, 0.7, 0, 1.0)
+    k0 = lat.build_boost(g, 0, 0.0, 1.0)
+    kt = lat.build_boost(g, 0, 0.7, 1.0)
     shifted = lat.QuadraticObservable(kt.quad, np.linspace(-1.0, 1.0, g.n_canonical), 0.3)
     obs = (h, p, k0, kt, shifted)
     for a in obs:
@@ -328,7 +328,7 @@ def test_negative_mass_rejected():
         with pytest.raises(ValueError):
             lat.build_hamiltonian(g, mass)
         with pytest.raises(ValueError):
-            lat.build_boost(g, 0, 0.0, 0, mass)
+            lat.build_boost(g, 0, 0.0, mass)
 
 
 # ---------------------------------------------------------------------------
@@ -378,9 +378,6 @@ def test_momentum_normal_ordering_and_metadata():
     basis = lat.build_mode_basis(lat.build_hamiltonian(g, 1.1))
     p = lat.build_momentum(g, 0, ordering=basis)
     assert p.scalar == 0.0  # Weyl expectation already vanished
-    assert p.meta.get("edge_handling") == "one-sided"
-    periodic = lat.build_momentum(lat.LatticeGeometry(1, 14, 0.5, "periodic"), 0)
-    assert "edge_handling" not in periodic.meta
     with pytest.raises(ValueError):
         lat.build_momentum(g, 1)
     with pytest.raises(ValueError):
@@ -389,16 +386,16 @@ def test_momentum_normal_ordering_and_metadata():
 
 def test_boost_structure():
     g = lat.LatticeGeometry(1, 12, 0.5, "open")
-    k0 = lat.build_boost(g, 0, 0.0, 0, 1.0)
+    k0 = lat.build_boost(g, 0, 0.0, 1.0)
     m = g.n_sites
     assert np.all(k0.quad[:m, m:] == 0.0)  # t = 0: no phi-pi coupling
     basis = lat.build_mode_basis(lat.build_hamiltonian(g, 1.0))
     assert abs(lat.vacuum_expectation(k0, basis)) < 1e-12  # mirror symmetry
-    kt = lat.build_boost(g, 0, 0.7, 0, 1.0)
+    kt = lat.build_boost(g, 0, 0.7, 1.0)
     p = lat.build_momentum(g, 0)
     assert np.allclose(kt.quad - k0.quad, 0.7 * p.quad, atol=1e-14)
     with pytest.raises(ValueError):
-        lat.build_boost(lat.LatticeGeometry(1, 12, 0.5, "periodic"), 0, 0.0, 0, 1.0)
+        lat.build_boost(lat.LatticeGeometry(1, 12, 0.5, "periodic"), 0, 0.0, 1.0)
 
 
 def test_rotation_requires_two_dims():
@@ -540,7 +537,7 @@ def test_central_relation_report_matches_dense_svd():
         e = lat.vacuum_expectation(h, basis)
         assert row["ground_energy_trace"] == e
         assert row["scalar_slot"] == -e
-        k = lat.build_boost(g, 0, 0.0, row["L_label"], mass)
+        k = lat.build_boost(g, 0, 0.0, mass)
         quad, _, scalar = _dense_commutator(k, p)
         residual = 0.5 * (quad + quad.T) - h.quad
         assert row["commutator_scalar_raw"] == scalar == 0.0
