@@ -1,145 +1,17 @@
 """Vacuum-energy central charges for a scalar field between plates.
 
-Four layers, each importable on its own:
+Four layers, each a module of its own; import the layer you need:
+`from platevac import lattice`. The package itself re-exports nothing,
+so importing one layer loads only what that layer needs.
 
 - `algebra`: exact rational Lie-algebra structure constants, two-cocycles,
-  coboundary certificates, and H^2 dimensions.
+  coboundary certificates, and H^2 dimensions. Standard library only.
 - `lattice`: quadratic observables on finite field lattices, their
-  commutators, vacuum state, and symmetry-closure checks.
+  commutators, vacuum state, and symmetry-closure checks. Needs numpy.
 - `casimir`: regularized plate energies (zeta, Abel-Plana, cutoff
   extrapolation), forces, and central-charge differences.
 - `adiabatic`: single-mode evolution under a slow plate motion and the
   Bogoliubov coefficients it produces.
 """
-
-from .adiabatic import (
-    BogoliubovResult,
-    IntegrationFailure,
-    ScanQualityError,
-    ScanResult,
-    Schedule,
-    WronskianViolation,
-    adiabatic_scan,
-    evolve_mode,
-    mode_frequency,
-    schedule_eval,
-    sudden_beta_magnitude,
-    vacuum_energy_shift,
-)
-from .algebra import (
-    AlgebraFormatError,
-    CoboundaryCertificate,
-    CoboundaryResult,
-    LieAlgebraSpec,
-    TwoCocycle,
-    abelian_algebra,
-    build_poincare_2plus1,
-    builtin_algebra,
-    change_basis,
-    coboundary_of,
-    coboundary_solve,
-    cocycle_check,
-    galilei_1plus1,
-    h2_dimension,
-    heisenberg_algebra,
-    jacobi_check,
-    load_algebra,
-    load_cocycle,
-    save_algebra,
-    save_cocycle,
-    shift_cocycle,
-)
-from .casimir import (
-    RegularizedSum,
-    casimir_energy_per_area,
-    casimir_force_per_area,
-    central_charge_difference,
-    mode_energy_density,
-    zeta_negative_odd,
-)
-from .lattice import (
-    DegenerateVacuumError,
-    LatticeGeometry,
-    ModeBasis,
-    QuadraticObservable,
-    build_boost,
-    build_hamiltonian,
-    build_mode_basis,
-    build_momentum,
-    build_rotation,
-    bulk_residual_norm,
-    central_relation_convergence,
-    commutator,
-    contradiction_demo,
-    fit_convergence_order,
-    local_energy_density,
-    normal_ordered,
-    spectral_norm,
-    vacuum_expectation,
-    verify_central_relation,
-    verify_poincare_closure,
-)
-
-__all__ = [
-    "AlgebraFormatError",
-    "BogoliubovResult",
-    "CoboundaryCertificate",
-    "CoboundaryResult",
-    "DegenerateVacuumError",
-    "IntegrationFailure",
-    "LatticeGeometry",
-    "LieAlgebraSpec",
-    "ModeBasis",
-    "QuadraticObservable",
-    "RegularizedSum",
-    "ScanQualityError",
-    "ScanResult",
-    "Schedule",
-    "TwoCocycle",
-    "WronskianViolation",
-    "abelian_algebra",
-    "adiabatic_scan",
-    "build_boost",
-    "build_hamiltonian",
-    "build_mode_basis",
-    "build_momentum",
-    "build_poincare_2plus1",
-    "build_rotation",
-    "builtin_algebra",
-    "bulk_residual_norm",
-    "casimir_energy_per_area",
-    "casimir_force_per_area",
-    "central_charge_difference",
-    "central_relation_convergence",
-    "change_basis",
-    "coboundary_of",
-    "coboundary_solve",
-    "cocycle_check",
-    "commutator",
-    "contradiction_demo",
-    "evolve_mode",
-    "fit_convergence_order",
-    "galilei_1plus1",
-    "h2_dimension",
-    "heisenberg_algebra",
-    "jacobi_check",
-    "load_algebra",
-    "load_cocycle",
-    "local_energy_density",
-    "mode_energy_density",
-    "mode_frequency",
-    "normal_ordered",
-    "save_algebra",
-    "save_cocycle",
-    "schedule_eval",
-    "shift_cocycle",
-    "spectral_norm",
-    "sudden_beta_magnitude",
-    "vacuum_energy_shift",
-    "vacuum_expectation",
-    "verify_central_relation",
-    "verify_poincare_closure",
-    "zeta_negative_odd",
-]
 
 __version__ = "0.1.0"

@@ -48,8 +48,6 @@ __all__ = [
     "sudden_beta_magnitude",
     "evolve_mode",
     "adiabatic_scan",
-    "vacuum_energy_shift",
-    "transverse_momentum_grid",
 ]
 
 _WRONSKIAN_SAMPLES = 600
@@ -85,12 +83,6 @@ class Schedule:
             value = getattr(self, name)
             if not (value > 0.0 and math.isfinite(value)):
                 raise ValueError(f"{name} must be positive and finite, got {value}")
-
-    def length(self, t: float) -> float:
-        return schedule_eval(self, t)
-
-    def reversed(self) -> "Schedule":
-        return Schedule(self.L1, self.L0, self.T)
 
 
 def schedule_eval(schedule: Schedule, t: float) -> float:
@@ -306,35 +298,3 @@ def _threshold_duration(times, numbers, target, exponent):
     if not math.isfinite(exponent) or exponent <= 0.0:
         return math.inf
     return times[-1] * (numbers[-1] / target) ** (1.0 / exponent)
-
-
-def vacuum_energy_shift(schedule: Schedule, modes, **evolve_kwargs) -> list[dict]:
-    """Per-mode energy bookkeeping after the schedule completes.
-
-    For each (n, k) pair, reports the static zero-point shift
-    (omega_out - omega_in) / 2 and the adiabaticity violation
-    omega_out |beta|^2 (excess energy above the final vacuum).  Modes are
-    processed independently; row order follows input order.
-    """
-    report = []
-    for n, k in modes:
-        result = evolve_mode(schedule, int(n), float(k), **evolve_kwargs)
-        report.append({
-            "n": result.n,
-            "k": result.k,
-            "omega_in": result.omega_in,
-            "omega_out": result.omega_out,
-            "zero_point_shift": 0.5 * (result.omega_out - result.omega_in),
-            "adiabatic_violation": result.omega_out * result.particle_number,
-            "particle_number": result.particle_number,
-            "wronskian_drift": result.wronskian_drift,
-        })
-    return report
-
-
-def transverse_momentum_grid(k_max: float, count: int, decades: float = 2.0):
-    """k = 0 plus a logarithmic ladder up to k_max, `count` points total."""
-    if k_max <= 0.0 or count < 2:
-        raise ValueError("need k_max > 0 and count >= 2")
-    ladder = np.geomspace(k_max * 10.0 ** (-decades), k_max, count - 1)
-    return np.concatenate([[0.0], ladder])

@@ -53,7 +53,6 @@ __all__ = [
     "jacobi_check",
     "cocycle_check",
     "shift_cocycle",
-    "coboundary_of",
     "coboundary_solve",
     "h2_dimension",
     "change_basis",
@@ -335,12 +334,6 @@ def shift_cocycle(c0, c1, c2) -> TwoCocycle:
             ("J", "P2"): -c1,
         },
     )
-
-
-def coboundary_of(algebra: LieAlgebraSpec, alpha) -> TwoCocycle:
-    """Coboundary induced by the linear form alpha (sequence of rationals)."""
-    cert = CoboundaryCertificate(algebra.labels, tuple(Fraction(x) for x in alpha))
-    return cert.induced_cocycle(algebra)
 
 
 def _pair_slots(n: int) -> list[tuple[int, int]]:

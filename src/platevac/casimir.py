@@ -35,11 +35,9 @@ __all__ = [
     "mode_mass",
     "mode_energy_density",
     "abel_plana_zeta3",
-    "abel_plana_identity_gap",
     "cutoff_energy_density",
     "casimir_energy_per_area",
     "casimir_force_per_area",
-    "force_finite_difference",
     "central_charge_difference",
     "METHODS",
 ]
@@ -139,25 +137,6 @@ def abel_plana_zeta3() -> tuple[float, float]:
     return val, err
 
 
-def abel_plana_identity_gap(epsilon: float) -> float:
-    """Residual of the Abel-Plana identity for f(x) = x^3 e^{-epsilon x}.
-
-    sum_{n>=1} f(n) = 6/epsilon^4 + int_0^inf 2 t^3 cos(epsilon t)/(e^{2 pi t}-1) dt.
-    Returns |lhs - rhs| relative to the contour term. Meant for moderate
-    epsilon; at tiny epsilon the 6/epsilon^4 cancellation wipes out double
-    precision and says nothing about the contour integral.
-    """
-    if not epsilon > 0:
-        raise ValueError("need epsilon > 0")
-    n_max = max(60, int(60.0 / epsilon))
-    lhs = math.fsum(n**3 * math.exp(-epsilon * n) for n in range(1, n_max + 1))
-    contour, _ = quad(
-        lambda t: 2.0 * t**3 * math.cos(epsilon * t) * _bose_factor(t), 0.0, math.inf
-    )
-    rhs = 6.0 / epsilon**4 + contour
-    return abs(lhs - rhs) / abs(contour)
-
-
 # ---------------------------------------------------------------------------
 # exponential-cutoff machinery
 
@@ -230,14 +209,6 @@ def casimir_force_per_area(length: float) -> float:
     """-d/dL of the plate energy: -pi^2/(480 L^4), attractive for all L."""
     _check_gap(length)
     return -(math.pi**2) / (480.0 * length**4)
-
-
-def force_finite_difference(length: float, step_scale: float = 1e-4) -> float:
-    """Central-difference cross-check of the force from the zeta-route energy."""
-    h = length * step_scale
-    e_plus = casimir_energy_per_area(length + h).value
-    e_minus = casimir_energy_per_area(length - h).value
-    return -(e_plus - e_minus) / (2.0 * h)
 
 
 def central_charge_difference(l0: float, l1: float, single_mode_n: int | None = None) -> float:

@@ -38,6 +38,7 @@ from . import casimir as cas
 from . import lattice as lat
 
 _FLOAT_FMT = "%.11e"
+_SELFTEST_MAX = 10_000  # exact solves: about a minute
 
 
 def _rational(text: str) -> Fraction:
@@ -67,16 +68,18 @@ def _fmt(value: float) -> str:
 # argument plumbing
 
 
-def _nonnegative(kind):
-    """Argument type of tolerances and counts: a finite `kind` >= 0."""
+def _nonnegative(kind, most=math.inf):
+    """Argument type of tolerances and counts: a finite `kind` from 0 to `most`."""
+    bound = ">= 0" if most == math.inf else f"from 0 to {most}"
+
     def convert(text: str):
         try:
             value = kind(text)
         except ValueError:
             value = math.nan
-        if not 0 <= value < math.inf:
+        if not (0 <= value <= most and value < math.inf):
             raise argparse.ArgumentTypeError(
-                f"need a finite {kind.__name__} >= 0, got {text!r}")
+                f"need a finite {kind.__name__} {bound}, got {text!r}")
         return value
     return convert
 
@@ -131,7 +134,7 @@ def build_parser(defaults: bool = True) -> argparse.ArgumentParser:
     option(src, "--charges-raw", action="append", metavar="A,B=VALUE",
            help="explicit cocycle entry; repeatable")
     option(src, "--cocycle-file", help="cocycle data file")
-    option(p, "--selftest", type=_nonnegative(int), default=0, metavar="N",
+    option(p, "--selftest", type=_nonnegative(int, _SELFTEST_MAX), default=0, metavar="N",
            help="run N random charge triples through the solver")
 
     p = subcommand("algebra-verify", cmd_algebra_verify, "lattice commutator verification")
@@ -191,7 +194,7 @@ def _config_tokens(parser, path, command) -> list[str]:
     tokens = []
     for key, raw in ini.items(command):
         action = actions.get("--" + key)
-        if action is None:
+        if action is None or key == "config":  # a config file names no other file
             raise ValueError(f"unknown key {key!r} in config section [{command}]")
         values = raw.split(";") if isinstance(action, argparse._AppendAction) else [raw]
         # the = form keeps a value like -0.1 from being read as a flag

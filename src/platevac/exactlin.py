@@ -96,14 +96,3 @@ def inverse(rows):
     if pivots != list(range(n)):
         return None
     return [row[n:] for row in red]
-
-
-def matmul(a_rows, b_rows):
-    a = as_matrix(a_rows)
-    b = as_matrix(b_rows)
-    if a and b and len(a[0]) != len(b):
-        raise ValueError("inner dimensions differ")
-    return [
-        [sum((ra[k] * b[k][j] for k in range(len(b))), Fraction(0)) for j in range(len(b[0]))]
-        for ra in a
-    ]

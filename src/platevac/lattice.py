@@ -54,7 +54,6 @@ __all__ = [
     "build_momentum",
     "build_boost",
     "build_rotation",
-    "local_energy_density",
     "build_mode_basis",
     "commutator",
     "spectral_norm",
@@ -260,34 +259,6 @@ def build_hamiltonian(geom: LatticeGeometry, mass: float) -> QuadraticObservable
     if mass == 0 and geom.boundary == "periodic":
         raise DegenerateVacuumError("massless periodic lattice has an exact zero mode")
     return QuadraticObservable(_block_diag(_potential_matrix(geom, mass), np.eye(geom.n_sites)))
-
-
-def local_energy_density(geom: LatticeGeometry, mass: float) -> list[QuadraticObservable]:
-    """Per-site energy observables h_x with sum_x h_x = H.
-
-    Each bond's gradient energy is split half-half between its two endpoint
-    sites; the pi^2 and mass terms stay with their own site. In the scaled
-    canonical variables h_x already includes the lattice measure, so the sum
-    over sites reproduces `build_hamiltonian` with no extra a^dims weight.
-    Dense per-site matrices: intended for small lattices only.
-    """
-    m_sites = geom.n_sites
-    half_inv_a2 = 0.5 / (geom.spacing * geom.spacing)
-    site_v = [np.zeros((m_sites, m_sites)) for _ in range(m_sites)]
-    for x in range(m_sites):
-        site_v[x][x, x] = mass * mass
-    for u, w in _all_bonds(geom):
-        for x in (u, w):
-            site_v[x][u, u] += half_inv_a2
-            site_v[x][w, w] += half_inv_a2
-            site_v[x][u, w] -= half_inv_a2
-            site_v[x][w, u] -= half_inv_a2
-    out = []
-    for x in range(m_sites):
-        pi_block = np.zeros((m_sites, m_sites))
-        pi_block[x, x] = 1.0
-        out.append(QuadraticObservable(_block_diag(site_v[x], pi_block)))
-    return out
 
 
 def build_momentum(geom: LatticeGeometry, direction: int, ordering="weyl") -> QuadraticObservable:

@@ -18,6 +18,12 @@ def _pairs(n):
     return [(a, b) for a in range(n) for b in range(a + 1, n)]
 
 
+def _matmul(a, b):
+    """Exact product of two rational matrices given as lists of rows."""
+    return [[sum((row[k] * b[k][j] for k in range(len(b))), Fraction(0))
+             for j in range(len(b[0]))] for row in a]
+
+
 # ---------------------------------------------------------------------------
 # exactlin sanity
 
@@ -39,10 +45,10 @@ def test_inverse_roundtrip_random():
             for j in range(i):
                 lo[i][j] = _rand_fraction(rng)
                 up[j][i] = _rand_fraction(rng)
-        a = exactlin.matmul(lo, up)
+        a = _matmul(lo, up)
         inv = exactlin.inverse(a)
         ident = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-        assert exactlin.matmul(a, inv) == ident
+        assert _matmul(a, inv) == ident
 
 
 def test_solve_inconsistent_returns_none():
@@ -283,7 +289,7 @@ def _random_invertible(rng, n):
         for j in range(i):
             lo[i][j] = _rand_fraction(rng, span=3)
             up[j][i] = _rand_fraction(rng, span=3)
-    return exactlin.matmul(lo, up)
+    return _matmul(lo, up)
 
 
 def test_change_basis_identity_is_noop():

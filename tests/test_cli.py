@@ -338,6 +338,8 @@ def test_config_flag_replaces_the_options_it_excludes(tmp_path):
     ("casimir", "L = 1e80"),
     ("cocycle", "selftest = -3"),
     ("casimir", "cross = 1e-8"),  # keys are full flag names, not abbreviations
+    ("casimir", "config = /nonexistent.ini"),  # a config file names no other file
+    ("cocycle", "selftest = 10001"),
 ])
 def test_config_values_checked_like_flags(tmp_path, capsys, command, section):
     alg.save_algebra(alg.build_poincare_2plus1(), tmp_path / "algebra.txt")
@@ -366,6 +368,8 @@ def test_config_malformed_file(tmp_path):
     ["adiabatic", "--L0", "1", "--L1", "2", "--T", "2", "--wronskian-tol", "nan"],
     ["adiabatic", "--L0", "1", "--L1", "2", "--T", "2", "--wronskian-tol", "-1"],
     ["cocycle", "--selftest", "-3"],
+    ["cocycle", "--selftest", "10001"],
+    ["cocycle", "--selftest", "9" * 400],
 ])
 def test_bad_values_exit_2(tmp_path, capsys, argv):
     assert _exit_code([*argv, "--outdir", str(tmp_path)]) == 2

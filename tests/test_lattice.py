@@ -332,35 +332,6 @@ def test_negative_mass_rejected():
 
 
 # ---------------------------------------------------------------------------
-# energy density partition
-
-
-def test_local_density_sums_to_hamiltonian():
-    for dims, n in ((1, 16), (2, 5)):
-        g = lat.LatticeGeometry(dims, n, 0.5, "open")
-        h = lat.build_hamiltonian(g, 1.3)
-        parts = lat.local_energy_density(g, 1.3)
-        total = parts[0]
-        for piece in parts[1:]:
-            total = total + piece
-        scale = np.abs(h.quad).max()
-        assert np.abs(total.quad - h.quad).max() <= 1e-12 * scale
-
-
-def test_local_density_positive_semidefinite():
-    g = lat.LatticeGeometry(1, 10, 0.5, "open")
-    for obs in lat.local_energy_density(g, 0.9):
-        assert np.linalg.eigvalsh(obs.quad).min() > -1e-12
-
-
-def test_local_density_vacuum_sum():
-    g = lat.LatticeGeometry(1, 12, 0.5, "open")
-    basis = lat.build_mode_basis(lat.build_hamiltonian(g, 1.0))
-    total = sum(lat.vacuum_expectation(o, basis) for o in lat.local_energy_density(g, 1.0))
-    assert abs(total - basis.energy) < 1e-10 * basis.energy
-
-
-# ---------------------------------------------------------------------------
 # momentum and boost generators
 
 
