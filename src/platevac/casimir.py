@@ -22,6 +22,7 @@ All quantities use hbar = c = 1; L is the gap appearing in m_n = n pi / L.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -156,26 +157,33 @@ def cutoff_energy_density(mass: float, cutoff: float) -> float:
     ) / (4.0 * math.pi)
 
 
-def _cutoff_tower_remainder(length: float, lam: float) -> float:
+def _cutoff_tower_remainder(length: float, lam: float) -> tuple[float, float]:
     """Damped tower sum minus its integral approximation plus half the n=0 term.
 
     Euler-Maclaurin gives -g'(0)/12 + g'''(0)/720 - ... for this combination;
     g'(0) = 0 and g'''(0) = -pi^2/(2 L^3) is cutoff-independent, so the limit
     Lambda -> inf is the regularized energy with corrections O(1/Lambda^2).
+    Returns the remainder and its rounding error. At the top rung the tower
+    and the integral are each about 1e9 times the remainder, so the
+    subtraction cancels about nine digits; the rounding left over is taken
+    as 2 eps |integral|, about one rounding in each of the two.
     """
     n_max = int(50.0 * length * lam / math.pi) + 10
     tower = math.fsum(cutoff_energy_density(n * math.pi / length, lam) for n in range(1, n_max + 1))
     integral = (length / math.pi) * 3.0 * lam**4 / (2.0 * math.pi)
-    return tower - integral + 0.5 * cutoff_energy_density(0.0, lam)
+    rounding = 2.0 * sys.float_info.epsilon * integral
+    return tower - integral + 0.5 * cutoff_energy_density(0.0, lam), rounding
 
 
 def _cutoff_route(length: float) -> tuple[float, float, dict]:
     lams = [scale / length for scale in _CUTOFF_SCALES]
-    f = [_cutoff_tower_remainder(length, lam) for lam in lams]
-    # two Richardson levels over the doubling ladder: kill 1/Lambda^2, then 1/Lambda^4
+    f, rounding = zip(*(_cutoff_tower_remainder(length, lam) for lam in lams))
+    # two Richardson levels over the doubling ladder: kill 1/Lambda^2, then 1/Lambda^4;
+    # together the weights are (1, -20, 64) / 45, which also carry the rungs' rounding
     r1 = [(4.0 * f[i + 1] - f[i]) / 3.0 for i in range(2)]
     r2 = (16.0 * r1[1] - r1[0]) / 15.0
-    err = abs(r2 - r1[1]) + 1e-13 * abs(r2)
+    carried = (rounding[0] + 20.0 * rounding[1] + 64.0 * rounding[2]) / 45.0
+    err = abs(r2 - r1[1]) + carried + 1e-13 * abs(r2)
     return r2, err, {"cutoffs": lams, "extrapolation_order": 2}
 
 

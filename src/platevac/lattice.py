@@ -7,6 +7,17 @@ omega the exact +-1 block matrix [[0, I], [-I, 0]].
 
 Observables are at most quadratic, O = 1/2 xi^T Q xi + lin^T xi + scalar,
 with Q symmetric; a symmetric Q is automatically Weyl (symmetric) ordered.
+Q is stored as its three M x M blocks,
+
+    Q = [[phi, C^T], [C, pi]],
+
+with phi and pi symmetric, C the pi-phi coupling, and a block that is all
+zero stored as None. The dense 2M x 2M matrix `quad` is a read-only view,
+built on first access; no computation here reads it except the spectral
+norm of a quad with all three blocks present. Every generator is
+block-diagonal (H, the t = 0 boost) or purely off-diagonal (P, J), so most
+brackets cost a few M x M products.
+
 `commutator` returns the rescaled product (1/i)[A, B], which is again
 quadratic with real coefficients:
 
@@ -14,21 +25,20 @@ quadratic with real coefficients:
     lin    = Q_A omega lin_B - Q_B omega lin_A
     scalar = lin_A^T omega lin_B
 
-Omega is never built: it is applied by indexing the phi and pi halves,
-Q omega Q' = Q[:, :M] Q'[M:] - Q[:, M:] Q'[:M], with products against an
-all-zero M x M block skipped, and the second quad term is the negative
-transpose of the first because both Q are symmetric. Every generator here is
-block-diagonal (H, the t = 0 boost) or purely off-diagonal (P, J), so most
-brackets cost a few M x M products instead of dense 2M x 2M ones.
+Omega is never built. With X = Q_A omega Q_B, block (i, j) of X is
+A_i0 B_1j - A_i1 B_0j, products against a None block are skipped, and the
+second quad term is -X^T because both Q are symmetric; so the result has
+phi = X_00 + X_00^T, pi = X_11 + X_11^T and C = X_10 + X_01^T.
 
 Input scalar slots never contribute (constants commute), so a commutator of
 two pure Weyl quadratics carries no central term; central scalars only enter
 through the normal-ordering bookkeeping handled by `verify_central_relation`.
 
-Residual norms are spectral norms of symmetric quads, computed by
-`spectral_norm` from the same block structure: the largest |eigenvalue| of
-each diagonal block, the top singular value of a lone coupling block, or
-the largest |eigenvalue| of the whole matrix when both kinds are present.
+The vacuum covariance Sigma is block-diagonal, so a vacuum expectation
+needs only phi and pi. Residual norms are spectral norms of symmetric quads,
+computed by `spectral_norm` from the blocks: the largest |eigenvalue| of
+phi and pi, the top singular value of a lone coupling block, or the largest
+|eigenvalue| of the whole matrix when both kinds are present.
 
 Spatial derivatives follow two deliberate conventions: the gradient energy
 in the Hamiltonian uses forward differences (keeps the potential matrix
@@ -40,8 +50,11 @@ convergence report measures instead of hiding.
 
 from __future__ import annotations
 
+import copy
 import math
+import operator
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -71,9 +84,13 @@ class DegenerateVacuumError(ValueError):
     """The Hamiltonian has a (numerically) zero-frequency mode."""
 
 
+# 2-d N = 64; one M x M block then takes 134 MB
+_MAX_SITES = 4096
+
+
 @dataclass(frozen=True)
 class LatticeGeometry:
-    """Finite spatial lattice: `dims` in (1, 2), N sites per direction."""
+    """Finite spatial lattice: `dims` in (1, 2), N sites per direction, at most 4096 sites."""
 
     dims: int
     sites_per_dim: int
@@ -85,6 +102,8 @@ class LatticeGeometry:
             raise ValueError("dims must be 1 or 2")
         if self.sites_per_dim < 3:
             raise ValueError("need at least 3 sites per direction")
+        if self.n_sites > _MAX_SITES:
+            raise ValueError(f"{self.n_sites} lattice sites, more than the {_MAX_SITES} allowed")
         if not self.spacing > 0:
             raise ValueError("spacing must be positive")
         if self.boundary not in ("open", "periodic"):
@@ -121,48 +140,122 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
+def _assemble(phi, coupling, pi, m: int) -> np.ndarray:
+    """The dense 2M x 2M matrix [[phi, C^T], [C, pi]], None blocks as zeros."""
+    out = np.zeros((2 * m, 2 * m))
+    if phi is not None:
+        out[:m, :m] = phi
+    if pi is not None:
+        out[m:, m:] = pi
+    if coupling is not None:
+        out[m:, :m] = coupling
+        out[:m, m:] = coupling.T
+    return _readonly(out)
+
+
+def _blockwise(op, x, y):
+    """op(x, y) for M x M blocks, None standing for an all-zero block."""
+    if x is None and y is None:
+        return None
+    return op(0.0 if x is None else x, 0.0 if y is None else y)
+
+
+def _transpose(x):
+    return None if x is None else x.T
+
+
+@dataclass(frozen=True, init=False, eq=False)
 class QuadraticObservable:
-    """O = 1/2 xi^T quad xi + lin^T xi + scalar, quad symmetric (Weyl order)."""
+    """O = 1/2 xi^T Q xi + lin^T xi + scalar, Q = [[phi, C^T], [C, pi]] symmetric (Weyl order).
 
-    quad: np.ndarray
-    lin: np.ndarray = None
-    scalar: float = 0.0
+    `QuadraticObservable(quad, lin, scalar)` takes the dense 2M x 2M matrix
+    and keeps the blocks of its symmetric part; `from_blocks` takes the
+    blocks. phi and pi are symmetrized, and an all-zero block becomes None.
+    """
 
-    def __post_init__(self):
-        q = np.asarray(self.quad, dtype=float)
+    n_modes: int
+    phi: np.ndarray | None
+    coupling: np.ndarray | None
+    pi: np.ndarray | None
+    lin: np.ndarray
+    scalar: float
+
+    def __init__(self, quad, lin=None, scalar: float = 0.0):
+        q = np.asarray(quad, dtype=float)
         if q.ndim != 2 or q.shape[0] != q.shape[1] or q.shape[0] % 2:
             raise ValueError("quad must be a square 2M x 2M matrix")
-        object.__setattr__(self, "quad", _readonly(0.5 * (q + q.T)))
-        lin = self.lin
-        lin = np.zeros(q.shape[0]) if lin is None else np.asarray(lin, dtype=float)
-        if lin.shape != (q.shape[0],):
+        m = q.shape[0] // 2
+        self._set_blocks(m, q[:m, :m], 0.5 * (q[m:, :m] + q[:m, m:].T), q[m:, m:], lin, scalar)
+
+    @classmethod
+    def from_blocks(cls, n_modes: int, phi=None, coupling=None, pi=None, lin=None,
+                    scalar: float = 0.0) -> "QuadraticObservable":
+        """The observable with Q = [[phi, C^T], [C, pi]]; a block left None is zero."""
+        obs = cls.__new__(cls)
+        obs._set_blocks(n_modes, phi, coupling, pi, lin, scalar)
+        return obs
+
+    def _set_blocks(self, m, phi, coupling, pi, lin, scalar):
+        def block(x, symmetric):
+            if x is None:
+                return None
+            x = np.asarray(x, dtype=float)
+            if x.shape != (m, m):
+                raise ValueError("quad blocks must be M x M")
+            if symmetric:
+                x = x + x.T
+                x *= 0.5
+            return _readonly(x) if x.any() else None
+
+        lin = np.zeros(2 * m) if lin is None else np.asarray(lin, dtype=float)
+        if lin.shape != (2 * m,):
             raise ValueError("lin length must match quad dimension")
-        object.__setattr__(self, "lin", _readonly(lin))
-        object.__setattr__(self, "scalar", float(self.scalar))
+        for name, value in (("n_modes", m), ("phi", block(phi, True)),
+                            ("coupling", block(coupling, False)), ("pi", block(pi, True)),
+                            ("lin", _readonly(lin)), ("scalar", float(scalar))):
+            object.__setattr__(self, name, value)
 
     @property
-    def n_modes(self) -> int:
-        return self.quad.shape[0] // 2
+    def blocks(self) -> tuple:
+        return self.phi, self.coupling, self.pi
+
+    @cached_property
+    def quad(self) -> np.ndarray:
+        """Read-only dense 2M x 2M view of Q, built on first access."""
+        return _assemble(*self.blocks, self.n_modes)
 
     def shifted(self, delta_scalar: float) -> "QuadraticObservable":
-        return QuadraticObservable(self.quad, self.lin, self.scalar + delta_scalar)
+        out = copy.copy(self)  # the blocks are read-only, so the copy shares them
+        object.__setattr__(out, "scalar", float(self.scalar + delta_scalar))
+        return out
+
+    def _combine(self, other: "QuadraticObservable", op) -> "QuadraticObservable":
+        m = _same_modes(self, other)
+        blocks = [_blockwise(op, x, y) for x, y in zip(self.blocks, other.blocks)]
+        return QuadraticObservable.from_blocks(
+            m, *blocks, op(self.lin, other.lin), op(self.scalar, other.scalar)
+        )
 
     def __add__(self, other: "QuadraticObservable") -> "QuadraticObservable":
-        return QuadraticObservable(
-            self.quad + other.quad, self.lin + other.lin, self.scalar + other.scalar
-        )
+        return self._combine(other, operator.add)
 
     def __sub__(self, other: "QuadraticObservable") -> "QuadraticObservable":
-        return QuadraticObservable(
-            self.quad - other.quad, self.lin - other.lin, self.scalar - other.scalar
-        )
+        return self._combine(other, operator.sub)
 
     def __mul__(self, factor: float) -> "QuadraticObservable":
         factor = float(factor)
-        return QuadraticObservable(factor * self.quad, factor * self.lin, factor * self.scalar)
+        scaled = [None if x is None else factor * x for x in self.blocks]
+        return QuadraticObservable.from_blocks(
+            self.n_modes, *scaled, factor * self.lin, factor * self.scalar
+        )
 
     __rmul__ = __mul__
+
+
+def _same_modes(a: QuadraticObservable, b: QuadraticObservable) -> int:
+    if a.n_modes != b.n_modes:
+        raise ValueError("observable dimensions differ")
+    return a.n_modes
 
 
 # ---------------------------------------------------------------------------
@@ -227,23 +320,6 @@ def _difference_matrix(geom: LatticeGeometry, direction: int) -> np.ndarray:
     return np.kron(d1, eye) if direction == 0 else np.kron(eye, d1)
 
 
-def _block_diag(phi_block: np.ndarray, pi_block: np.ndarray) -> np.ndarray:
-    m = phi_block.shape[0]
-    out = np.zeros((2 * m, 2 * m))
-    out[:m, :m] = phi_block
-    out[m:, m:] = pi_block
-    return out
-
-
-def _off_diag(coupling: np.ndarray) -> np.ndarray:
-    """Quadratic-form matrix of pi^T C phi: [[0, C^T], [C, 0]]."""
-    m = coupling.shape[0]
-    out = np.zeros((2 * m, 2 * m))
-    out[:m, m:] = coupling.T
-    out[m:, :m] = coupling
-    return out
-
-
 def _check_mass(mass: float) -> None:
     if not (math.isfinite(mass) and mass >= 0):
         raise ValueError(f"mass must be finite and nonnegative, got {mass!r}")
@@ -258,7 +334,8 @@ def build_hamiltonian(geom: LatticeGeometry, mass: float) -> QuadraticObservable
     _check_mass(mass)
     if mass == 0 and geom.boundary == "periodic":
         raise DegenerateVacuumError("massless periodic lattice has an exact zero mode")
-    return QuadraticObservable(_block_diag(_potential_matrix(geom, mass), np.eye(geom.n_sites)))
+    m = geom.n_sites
+    return QuadraticObservable.from_blocks(m, phi=_potential_matrix(geom, mass), pi=np.eye(m))
 
 
 def build_momentum(geom: LatticeGeometry, direction: int, ordering="weyl") -> QuadraticObservable:
@@ -270,7 +347,9 @@ def build_momentum(geom: LatticeGeometry, direction: int, ordering="weyl") -> Qu
     """
     if not 0 <= direction < geom.dims:
         raise ValueError("direction out of range")
-    obs = QuadraticObservable(_off_diag(_difference_matrix(geom, direction)))
+    obs = QuadraticObservable.from_blocks(
+        geom.n_sites, coupling=_difference_matrix(geom, direction)
+    )
     if isinstance(ordering, str):
         if ordering != "weyl":
             raise ValueError("ordering must be 'weyl' or a ModeBasis")
@@ -302,10 +381,8 @@ def build_boost(
         v_w[w, w] += mid * inv_a2
         v_w[u, w] -= mid * inv_a2
         v_w[w, u] -= mid * inv_a2
-    quad = -_block_diag(v_w, np.diag(coord))
-    if t != 0.0:
-        quad = quad + t * _off_diag(_difference_matrix(geom, direction))
-    return QuadraticObservable(quad)
+    coupling = t * _difference_matrix(geom, direction) if t != 0.0 else None
+    return QuadraticObservable.from_blocks(m_sites, -v_w, coupling, -np.diag(coord))
 
 
 def build_rotation(geom: LatticeGeometry) -> QuadraticObservable:
@@ -319,7 +396,7 @@ def build_rotation(geom: LatticeGeometry) -> QuadraticObservable:
     x1 = geom.centered_coordinate(0)
     x2 = geom.centered_coordinate(1)
     b = x1[:, None] * _difference_matrix(geom, 1) - x2[:, None] * _difference_matrix(geom, 0)
-    return QuadraticObservable(_off_diag(b))
+    return QuadraticObservable.from_blocks(geom.n_sites, coupling=b)
 
 
 # ---------------------------------------------------------------------------
@@ -328,21 +405,24 @@ def build_rotation(geom: LatticeGeometry) -> QuadraticObservable:
 
 @dataclass(frozen=True)
 class ModeBasis:
-    """Eigenmode data of a Hamiltonian quadratic form.
+    """Eigenmode data of a Hamiltonian [[V, 0], [0, I]] with V = U diag(omega^2) U^T.
 
-    transform S satisfies S^T omega S = omega and maps xi to mode variables
-    in which H is sum_k omega_k (q_k^2 + p_k^2)/2; vacuum_covariance is
-    Sigma[a][b] = <0| {xi_a, xi_b}/2 |0>.
+    The vacuum covariance Sigma[a][b] = <0| {xi_a, xi_b}/2 |0> is
+    block-diagonal, stored as covariance_phi = U diag(1/omega) U^T / 2 and
+    covariance_pi = U diag(omega) U^T / 2. The dense 2M x 2M views, built on
+    first access, are vacuum_covariance and transform: S = diag(omega^{1/2}
+    U^T, omega^{-1/2} U^T) satisfies S^T omega S = omega and maps xi to mode
+    variables in which H is sum_k omega_k (q_k^2 + p_k^2)/2.
     """
 
     frequencies: np.ndarray
-    transform: np.ndarray
-    vacuum_covariance: np.ndarray
+    modes: np.ndarray
+    covariance_phi: np.ndarray
+    covariance_pi: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "frequencies", _readonly(self.frequencies))
-        object.__setattr__(self, "transform", _readonly(self.transform))
-        object.__setattr__(self, "vacuum_covariance", _readonly(self.vacuum_covariance))
+        for name in ("frequencies", "modes", "covariance_phi", "covariance_pi"):
+            object.__setattr__(self, name, _readonly(getattr(self, name)))
 
     @property
     def n_modes(self) -> int:
@@ -353,6 +433,15 @@ class ModeBasis:
         """Ground-state energy 1/2 sum_k omega_k."""
         return 0.5 * float(np.sum(self.frequencies))
 
+    @cached_property
+    def transform(self) -> np.ndarray:
+        root = np.sqrt(self.frequencies)[:, None]
+        return _assemble(root * self.modes.T, None, (1.0 / root) * self.modes.T, self.n_modes)
+
+    @cached_property
+    def vacuum_covariance(self) -> np.ndarray:
+        return _assemble(self.covariance_phi, None, self.covariance_pi, self.n_modes)
+
 
 def build_mode_basis(hamiltonian: QuadraticObservable, degeneracy_tol: float = 1e-10) -> ModeBasis:
     """Diagonalize a Hamiltonian of the block form [[V, 0], [0, I]].
@@ -360,28 +449,26 @@ def build_mode_basis(hamiltonian: QuadraticObservable, degeneracy_tol: float = 1
     Raises DegenerateVacuumError when the smallest potential eigenvalue
     drops to `degeneracy_tol` (no normalizable vacuum).
     """
-    q = hamiltonian.quad
     m = hamiltonian.n_modes
-    v = q[:m, :m]
-    if np.any(q[:m, m:] != 0) or not np.array_equal(q[m:, m:], np.eye(m)):
+    pi = hamiltonian.pi
+    if hamiltonian.coupling is not None or pi is None or not np.array_equal(pi, np.eye(m)):
         raise ValueError("mode basis needs a Hamiltonian with unit pi block and no cross terms")
+    v = np.zeros((m, m)) if hamiltonian.phi is None else hamiltonian.phi
     lam, u = np.linalg.eigh(v)
     if lam[0] <= degeneracy_tol:
         raise DegenerateVacuumError(f"smallest potential eigenvalue {lam[0]:.3e}")
     omega = np.sqrt(lam)
-    root = np.sqrt(omega)[:, None]
-    s = _block_diag(root * u.T, (1.0 / root) * u.T)
-    sigma = 0.5 * _block_diag((u * (1.0 / omega)) @ u.T, (u * omega) @ u.T)
-    return ModeBasis(omega, s, sigma)
+    return ModeBasis(omega, u, 0.5 * ((u * (1.0 / omega)) @ u.T), 0.5 * ((u * omega) @ u.T))
 
 
 def vacuum_expectation(obs: QuadraticObservable, basis: ModeBasis) -> float:
     """<0|O|0> = 1/2 tr(quad Sigma) + scalar; the vacuum has <xi> = 0."""
-    sigma = basis.vacuum_covariance
-    if obs.quad.shape != sigma.shape:
+    if obs.n_modes != basis.n_modes:
         raise ValueError("observable and basis dimensions differ")
-    # Sigma is symmetric, so tr(Q Sigma) is the elementwise contraction
-    return 0.5 * float(np.sum(obs.quad * sigma)) + obs.scalar
+    # Sigma is symmetric and block-diagonal, so tr(Q Sigma) is the
+    # elementwise contraction of phi and pi with their covariance blocks
+    pairs = ((obs.phi, basis.covariance_phi), (obs.pi, basis.covariance_pi))
+    return 0.5 * sum(float(np.sum(q * s)) for q, s in pairs if q is not None) + obs.scalar
 
 
 def normal_ordered(obs: QuadraticObservable, basis: ModeBasis) -> QuadraticObservable:
@@ -393,33 +480,25 @@ def normal_ordered(obs: QuadraticObservable, basis: ModeBasis) -> QuadraticObser
 # commutators
 
 
-def _blocks(quad: np.ndarray) -> list[list[np.ndarray | None]]:
-    """The four M x M blocks [[phi-phi, phi-pi], [pi-phi, pi-pi]], None where all zero."""
-    m = quad.shape[0] // 2
-    halves = (slice(0, m), slice(m, 2 * m))
-    blocks = [[quad[r, c] for c in halves] for r in halves]
-    return [[blk if blk.any() else None for blk in row] for row in blocks]
+def _product_difference(p, q, r, s):
+    """p @ q - r @ s, skipping a product with a None (all-zero) factor."""
+    first = None if p is None or q is None else p @ q
+    second = None if r is None or s is None else r @ s
+    return _blockwise(operator.sub, first, second)
 
 
-def _omega_product(qa: np.ndarray, qb: np.ndarray) -> np.ndarray:
-    """Q_A omega Q_B, block (i, j) = A_i0 B_1j - A_i1 B_0j, zero-block products skipped."""
-    m = qa.shape[0] // 2
-    a, b = _blocks(qa), _blocks(qb)
-    out = np.zeros_like(qa)
-    for i in range(2):
-        for j in range(2):
-            block = out[i * m:(i + 1) * m, j * m:(j + 1) * m]
-            if a[i][0] is not None and b[1][j] is not None:
-                block += a[i][0] @ b[1][j]
-            if a[i][1] is not None and b[0][j] is not None:
-                block -= a[i][1] @ b[0][j]
+def _quad_apply(obs: QuadraticObservable, vec: np.ndarray) -> np.ndarray:
+    """Q v from the blocks: (phi v_phi + C^T v_pi, C v_phi + pi v_pi)."""
+    m = obs.n_modes
+    out = np.zeros(2 * m)
+    if obs.phi is not None:
+        out[:m] += obs.phi @ vec[:m]
+    if obs.coupling is not None:
+        out[:m] += obs.coupling.T @ vec[m:]
+        out[m:] += obs.coupling @ vec[:m]
+    if obs.pi is not None:
+        out[m:] += obs.pi @ vec[m:]
     return out
-
-
-def _omega_apply(quad: np.ndarray, vec: np.ndarray) -> np.ndarray:
-    """Q omega v, with omega v = (v_pi, -v_phi)."""
-    m = quad.shape[0] // 2
-    return quad[:, :m] @ vec[m:] - quad[:, m:] @ vec[:m]
 
 
 def commutator(a: QuadraticObservable, b: QuadraticObservable) -> QuadraticObservable:
@@ -427,39 +506,55 @@ def commutator(a: QuadraticObservable, b: QuadraticObservable) -> QuadraticObser
 
     The input scalar slots drop out entirely; the output scalar comes only
     from the linear x linear cross term. With both quads symmetric,
-    Q_B omega Q_A = -(Q_A omega Q_B)^T, so one block product gives the quad.
+    Q_B omega Q_A = -(Q_A omega Q_B)^T, so one block product X gives the quad.
     """
-    if a.quad.shape != b.quad.shape:
-        raise ValueError("observable dimensions differ")
-    m = a.n_modes
-    x = _omega_product(a.quad, b.quad)
-    lin = _omega_apply(a.quad, b.lin) - _omega_apply(b.quad, a.lin)
+    m = _same_modes(a, b)
+    ca, cb = _transpose(a.coupling), _transpose(b.coupling)
+    # X = Q_A omega Q_B, block (i, j) = A_i0 B_1j - A_i1 B_0j, where
+    # Q_00 = phi, Q_01 = C^T, Q_10 = C and Q_11 = pi
+    x00 = _product_difference(a.phi, b.coupling, ca, b.phi)
+    x01 = _product_difference(a.phi, b.pi, ca, cb)
+    x10 = _product_difference(a.coupling, b.coupling, a.pi, b.phi)
+    x11 = _product_difference(a.coupling, b.pi, a.pi, cb)
+
+    def omega(vec):  # omega v = (v_pi, -v_phi)
+        return np.concatenate([vec[m:], -vec[:m]])
+
+    lin = _quad_apply(a, omega(b.lin)) - _quad_apply(b, omega(a.lin))
     scalar = float(a.lin[:m] @ b.lin[m:] - a.lin[m:] @ b.lin[:m])
-    return QuadraticObservable(x + x.T, lin, scalar)
+    pairs = ((x00, x00), (x10, x01), (x11, x11))  # phi, C, pi of X + X^T
+    quad = [_blockwise(operator.add, x, _transpose(y)) for x, y in pairs]
+    return QuadraticObservable.from_blocks(m, *quad, lin, scalar)
 
 
 # ---------------------------------------------------------------------------
 # residual norms
 
 
-def spectral_norm(quad: np.ndarray) -> float:
-    """Largest singular value of a symmetric 2M x 2M quad, from its block structure.
+def _as_observable(quad) -> QuadraticObservable:
+    """An observable as it is; a dense 2M x 2M array, which must be symmetric, as its blocks."""
+    if isinstance(quad, QuadraticObservable):
+        return quad
+    quad = np.asarray(quad, dtype=float)
+    if not np.array_equal(quad, quad.T):
+        raise ValueError("need a symmetric quad")
+    return QuadraticObservable(quad)
 
-    Block-diagonal: the largest |eigenvalue| of the two M x M blocks.
+
+def spectral_norm(quad) -> float:
+    """Largest singular value of a symmetric quad, from its blocks.
+
+    `quad` is an observable (its Q is used) or a dense symmetric 2M x 2M array.
+    Block-diagonal: the largest |eigenvalue| of phi and pi.
     Off-diagonal [[0, C^T], [C, 0]]: the top singular value of C.
     Otherwise: the largest |eigenvalue| of the whole matrix.
     """
-    quad = np.asarray(quad, dtype=float)
-    if quad.ndim != 2 or quad.shape[0] != quad.shape[1] or quad.shape[0] % 2:
-        raise ValueError("quad must be a square 2M x 2M matrix")
-    if not np.array_equal(quad, quad.T):
-        raise ValueError("spectral_norm needs a symmetric quad")
-    (phi, coupling), (_, pi) = _blocks(quad)
-    if coupling is None:
-        return max(_max_abs_eigenvalue(blk) for blk in (phi, pi))
-    if phi is None and pi is None:
-        return float(np.linalg.svd(coupling, compute_uv=False)[0])
-    return _max_abs_eigenvalue(quad)
+    obs = _as_observable(quad)
+    if obs.coupling is None:
+        return max(_max_abs_eigenvalue(blk) for blk in (obs.phi, obs.pi))
+    if obs.phi is None and obs.pi is None:
+        return float(np.linalg.svd(obs.coupling, compute_uv=False)[0])
+    return _max_abs_eigenvalue(obs.quad)
 
 
 def _max_abs_eigenvalue(sym: np.ndarray | None) -> float:
@@ -513,16 +608,18 @@ def _bump_profiles(geom: LatticeGeometry, window: int, count: int) -> list[np.nd
     return profiles
 
 
-def bulk_residual_norm(
-    quad_residual: np.ndarray, geom: LatticeGeometry, window: int, n_profiles: int = 3
-) -> float:
+def bulk_residual_norm(quad_residual, geom: LatticeGeometry, window: int, n_profiles: int = 3) -> float:
     """max over smooth bulk test vectors v of |R v|_2 / |v|_2.
+
+    `quad_residual` is an observable (R is its Q) or a dense symmetric
+    2M x 2M array; R v is taken block by block.
 
     The raw operator norm of a finite-difference residual does not shrink
     with the spacing (the residual acts like a^2 times a second difference,
     an O(1) matrix); measuring against fixed smooth profiles recovers the
     continuum convergence order.
     """
+    obs = _as_observable(quad_residual)
     m = geom.n_sites
     worst = 0.0
     for f, df in _bump_profiles(geom, window, n_profiles):
@@ -534,14 +631,16 @@ def bulk_residual_norm(
             norm_v = float(np.linalg.norm(v))
             if norm_v == 0.0:
                 continue
-            worst = max(worst, float(np.linalg.norm(quad_residual @ v)) / norm_v)
+            worst = max(worst, float(np.linalg.norm(_quad_apply(obs, v))) / norm_v)
     return worst
 
 
-def _masked_operator_norm(quad: np.ndarray, geom: LatticeGeometry, window: int) -> float:
+def _masked_operator_norm(obs: QuadraticObservable, geom: LatticeGeometry, window: int) -> float:
+    """Spectral norm of Q restricted to the bulk sites, in both the phi and the pi half."""
     keep = _bulk_sites(geom, window)
-    idx = np.concatenate([keep, keep + geom.n_sites])
-    return spectral_norm(quad[np.ix_(idx, idx)])
+    sub = np.ix_(keep, keep)
+    blocks = [None if x is None else x[sub] for x in obs.blocks]
+    return spectral_norm(QuadraticObservable.from_blocks(keep.size, *blocks))
 
 
 def _check_spacings(spacings) -> None:
@@ -622,8 +721,8 @@ def verify_central_relation(
                 "ground_energy_trace": e_trace,
                 "ground_energy_eigensum": e_eig,
                 "scalar_discrepancy_rel": abs(e_trace - e_eig) / abs(e_eig),
-                "bulk_residual_norm": bulk_residual_norm(residual.quad, geom, window),
-                "full_residual_norm": spectral_norm(residual.quad),
+                "bulk_residual_norm": bulk_residual_norm(residual, geom, window),
+                "full_residual_norm": spectral_norm(residual),
                 "commutator_scalar_raw": comm.scalar,
                 "commutator_vev": vacuum_expectation(comm, basis),
             }
@@ -649,11 +748,9 @@ def central_relation_convergence(
     report adds fitted convergence orders of the bulk residual norms.
     """
     _check_spacings(spacings)
-    rows = []
-    for a in spacings:
-        n = round(physical_size / a)
-        geom = LatticeGeometry(dims=1, sites_per_dim=n, spacing=a, boundary="open")
-        rows.append(verify_central_relation(geom, mass_pair, direction, t))
+    geoms = [LatticeGeometry(dims=1, sites_per_dim=round(physical_size / a), spacing=a,
+                             boundary="open") for a in spacings]  # reject bad sizes up front
+    rows = [verify_central_relation(geom, mass_pair, direction, t) for geom in geoms]
     orders = []
     for label in range(2):
         norms = [r["per_label"][label]["bulk_residual_norm"] for r in rows]
@@ -676,13 +773,13 @@ def verify_poincare_closure(geom: LatticeGeometry, mass: float, bulk_window: int
     momenta = [build_momentum(geom, d) for d in range(geom.dims)]
     out = {}
     for d, p in enumerate(momenta):
-        out[f"H,P{d + 1}"] = spectral_norm(commutator(h, p).quad)
+        out[f"H,P{d + 1}"] = spectral_norm(commutator(h, p))
     if geom.dims == 2:
-        out["P1,P2"] = spectral_norm(commutator(momenta[0], momenta[1]).quad)
+        out["P1,P2"] = spectral_norm(commutator(momenta[0], momenta[1]))
         rot = build_rotation(geom)
         comm_jh = commutator(rot, h)
-        out["J,H bulk"] = _masked_operator_norm(comm_jh.quad, geom, window)
-        out["J,H full"] = spectral_norm(comm_jh.quad)
+        out["J,H bulk"] = _masked_operator_norm(comm_jh, geom, window)
+        out["J,H full"] = spectral_norm(comm_jh)
     return out
 
 

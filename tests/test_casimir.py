@@ -180,6 +180,16 @@ def test_cutoff_route_within_error_bars():
         assert c.parameters["cutoffs"] == [20.0 / length, 40.0 / length, 80.0 / length]
 
 
+def test_cutoff_error_bar_counts_its_rounding():
+    # the tower - integral step cancels about nine digits; the bar must
+    # cover that loss at every gap and still stay below 1e-6 relative
+    for length in np.logspace(-6.0, 6.0, 121):
+        z = cas.casimir_energy_per_area(float(length), "zeta")
+        c = cas.casimir_energy_per_area(float(length), "cutoff_extrapolation")
+        assert abs(z.value - c.value) <= z.error_estimate + c.error_estimate, length
+        assert c.error_estimate <= 1e-6 * abs(z.value), length
+
+
 def test_energy_homogeneity_and_monotonicity():
     rng = np.random.default_rng(41)
     for lam in rng.uniform(0.5, 2.0, size=8):

@@ -370,6 +370,8 @@ def test_config_malformed_file(tmp_path):
     ["cocycle", "--selftest", "-3"],
     ["cocycle", "--selftest", "10001"],
     ["cocycle", "--selftest", "9" * 400],
+    ["algebra-verify", "--check", "poincare", "--closure-size", "1000"],  # 10^6 sites
+    ["algebra-verify", "--spacings", "0.0001,0.0002"],  # 80 000 sites
 ])
 def test_bad_values_exit_2(tmp_path, capsys, argv):
     assert _exit_code([*argv, "--outdir", str(tmp_path)]) == 2

@@ -1,6 +1,7 @@
 """Lattice observables: commutator contract, vacuum structure, closure checks."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -47,6 +48,13 @@ def test_geometry_validation():
         lat.LatticeGeometry(1, 8, 0.0)
     with pytest.raises(ValueError):
         lat.LatticeGeometry(1, 8, 0.5, "mixed")
+    # at most 4096 sites (2-d N = 64): a larger lattice is bad input, not a
+    # multi-gigabyte allocation
+    assert lat.LatticeGeometry(2, 64, 0.5).n_sites == 4096
+    assert lat.LatticeGeometry(1, 4096, 0.5).n_sites == 4096
+    for dims, sites in ((2, 65), (1, 4097), (2, 1000), (1, 80000)):
+        with pytest.raises(ValueError, match="sites"):
+            lat.LatticeGeometry(dims, sites, 0.5)
 
 
 def test_geometry_counts():
@@ -253,6 +261,95 @@ def test_commutator_against_fock_oracle(n_modes):
         got = _low_block(_as_operator(claimed, xi), n_modes)
         want = _low_block(oracle, n_modes)
         assert np.abs(got - want).max() < 1e-10 * max(1.0, np.abs(want).max())
+
+
+# ---------------------------------------------------------------------------
+# block storage against the dense oracles
+
+_PATTERNS = {  # which of (phi, coupling, pi) is nonzero
+    "phi": (True, False, False),
+    "coupling": (False, True, False),
+    "pi": (False, False, True),
+    "mixed": (True, True, True),
+}
+
+
+def _pattern_quad(rng, m, pattern):
+    phi_on, coupling_on, pi_on = _PATTERNS[pattern]
+    q = np.zeros((2 * m, 2 * m))
+    if phi_on:
+        q[:m, :m] = _sym(rng, m)
+    if pi_on:
+        q[m:, m:] = _sym(rng, m)
+    if coupling_on:
+        c = rng.standard_normal((m, m))
+        q[m:, :m] = c
+        q[:m, m:] = c.T
+    return q
+
+
+@pytest.mark.parametrize("m", [3, 8])
+def test_zero_block_patterns_match_dense_oracles(m):
+    rng = np.random.default_rng(43 + m)
+    basis = lat.build_mode_basis(lat.build_hamiltonian(lat.LatticeGeometry(1, m, 0.5), 1.0))
+    sigma = basis.vacuum_covariance
+    obs = {}
+    for pattern, on in _PATTERNS.items():
+        q = _pattern_quad(rng, m, pattern)
+        a = lat.QuadraticObservable(q, rng.standard_normal(2 * m), rng.standard_normal())
+        assert [x is not None for x in (a.phi, a.coupling, a.pi)] == list(on), pattern
+        assert np.array_equal(a.quad, q) and a.quad is a.quad
+        obs[pattern] = a
+    for name_a, a in obs.items():
+        shifted = a.shifted(1.5)
+        assert np.array_equal(shifted.quad, a.quad) and np.array_equal(shifted.lin, a.lin)
+        assert shifted.scalar == a.scalar + 1.5
+        assert abs(lat.spectral_norm(a) - _dense_norm(a.quad)) <= 1e-12 * _dense_norm(a.quad)
+        vev = 0.5 * float(np.trace(a.quad @ sigma)) + a.scalar
+        assert lat.vacuum_expectation(a, basis) == pytest.approx(vev, rel=1e-13, abs=1e-13)
+        zero = a - a
+        assert (zero.phi, zero.coupling, zero.pi) == (None, None, None)
+        for name_b, b in obs.items():
+            pair = (name_a, name_b)
+            assert np.array_equal((a + b).quad, a.quad + b.quad), pair
+            assert np.array_equal((a - b).quad, a.quad - b.quad), pair
+            quad, lin, scalar = _dense_commutator(a, b)
+            got = lat.commutator(a, b)
+            scale = np.abs(a.quad).max() * np.abs(b.quad).max() * 2 * m
+            assert np.abs(got.quad - quad).max() <= 1e-13 * scale, pair
+            assert np.abs(got.lin - lin).max() <= 1e-13 * scale, pair
+            assert abs(got.scalar - scalar) <= 1e-13 * max(1.0, abs(scalar)), pair
+            want = _dense_norm(quad)
+            assert abs(lat.spectral_norm(got) - want) <= 1e-12 * scale, pair
+
+
+def test_dense_views_read_only_and_cached():
+    g = lat.LatticeGeometry(1, 6, 0.5)
+    h = lat.build_hamiltonian(g, 1.0)
+    basis = lat.build_mode_basis(h)
+    for view in (h.quad, basis.transform, basis.vacuum_covariance):
+        with pytest.raises(ValueError):
+            view[0, 0] = 1.0
+    assert basis.transform is basis.transform
+    assert basis.vacuum_covariance is basis.vacuum_covariance
+    assert h.coupling is None and np.array_equal(h.pi, np.eye(6))
+    assert np.array_equal(basis.vacuum_covariance[:6, :6], basis.covariance_phi)
+    assert np.array_equal(basis.vacuum_covariance[6:, 6:], basis.covariance_pi)
+
+
+def test_central_relation_peak_memory_stays_blockwise():
+    # the observables keep M x M blocks: at N = 640 the whole check stays
+    # below 8 dense 2M x 2M matrices (it took 13 with dense storage)
+    n = 640
+    g = lat.LatticeGeometry(1, n, 8.0 / n, "open")
+    dense_bytes = (2 * n) ** 2 * 8
+    tracemalloc.start()
+    try:
+        lat.verify_central_relation(g, (math.pi, math.pi / 2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * dense_bytes
 
 
 # ---------------------------------------------------------------------------
