@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from scipy.integrate import quad
+from ._integrate import quad
 
 __all__ = [
     "RegularizedSum",

@@ -1,10 +1,14 @@
 """Mode evolution through the smooth separation schedule."""
 
+import cmath
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
+from platevac import _integrate
 from platevac import adiabatic as ad
 
 
@@ -55,6 +59,13 @@ def test_mode_frequency():
         ad.mode_frequency(0, 0.0, 1.0)
     with pytest.raises(ValueError):
         ad.mode_frequency(1, -1.0, 1.0)
+    for k in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="transverse momentum"):
+            ad.mode_frequency(1, k, 1.0)
+    with pytest.raises(ValueError, match="overflows"):
+        ad.mode_frequency(1, 0.0, 1e-310)
+    with pytest.raises(ValueError, match="overflows"):
+        ad.mode_frequency(10**400, 0.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -107,14 +118,62 @@ def test_time_reversal_symmetry():
     assert abs(abs(fwd.beta) - abs(rev.beta)) <= 1e-8
 
 
-def test_evolve_validation():
+def test_evolve_validation(monkeypatch):
     s = ad.Schedule(1.0, 2.0, 1.0)
     with pytest.raises(ValueError):
         ad.evolve_mode(s, 1, rtol=1e-6)  # too loose for phase accuracy
     with pytest.raises(ValueError):
         ad.evolve_mode(s, 0)
+    # the integrator's own drift is rounding, about 1e-15 here: report a
+    # drift just above the bound so the gate trips on every platform
+    integrate = ad.solve_ivp
+    monkeypatch.setattr(ad, "solve_ivp", lambda *args, **kwargs: dataclasses.replace(
+        integrate(*args, **kwargs), drift=2e-14))
     with pytest.raises(ad.WronskianViolation):
         ad.evolve_mode(s, 1, wronskian_tol=1e-14)
+
+
+def test_step_cap_bounds_the_work(monkeypatch):
+    # 8 steps per period over 2T = 2e6 at omega = pi: 8e6 steps, over the cap
+    with pytest.raises(ValueError, match="steps per sweep"):
+        ad.evolve_mode(ad.Schedule(1.0, 2.0, 1e6), 1)
+    # a doubling that reaches the cap fails instead of running on
+    monkeypatch.setattr(_integrate, "MAX_STEPS", 64)
+    with pytest.raises(ad.IntegrationFailure, match="64 steps per sweep"):
+        ad.evolve_mode(ad.Schedule(1.0, 2.0, 2.0), 1)
+
+
+def _dop853_bogoliubov(schedule, n, k):
+    """(alpha, beta) from scipy's DOP853 on the real 4-vector (f, f'), rtol 1e-12."""
+    w_in = ad.mode_frequency(n, k, schedule.L0)
+    w_out = ad.mode_frequency(n, k, schedule.L1)
+    f0 = cmath.exp(1j * w_in * schedule.T) / math.sqrt(2.0 * w_in)
+    g0 = -1j * w_in * f0
+
+    def rhs(t, y):
+        w2 = k * k + (n * math.pi / ad.schedule_eval(schedule, t)) ** 2
+        return [y[2], y[3], -w2 * y[0], -w2 * y[1]]
+
+    sol = solve_ivp(rhs, (-schedule.T, schedule.T), [f0.real, f0.imag, g0.real, g0.imag],
+                    method="DOP853", rtol=1e-12, atol=1e-14,
+                    max_step=0.5 * math.pi / max(w_in, w_out))
+    f1, g1 = complex(sol.y[0, -1], sol.y[1, -1]), complex(sol.y[2, -1], sol.y[3, -1])
+    root = math.sqrt(0.5 * w_out)
+    return (root * (f1 + 1j * g1 / w_out) * cmath.exp(1j * w_out * schedule.T),
+            root * (f1 - 1j * g1 / w_out) * cmath.exp(-1j * w_out * schedule.T))
+
+
+@pytest.mark.parametrize("n,k,t", [
+    (1, 0.0, 1e-4), (1, 0.0, 2.0), (1, 3.0, 8.0), (2, 3.0, 0.3),
+    (5, 3.0, 4.0), (20, 0.0, 1e-4), (20, 3.0, 2.0),
+])
+def test_magnus_matches_dop853(n, k, t):
+    schedule = ad.Schedule(1.0, 2.0, t)
+    r = ad.evolve_mode(schedule, n, k)
+    alpha, beta = _dop853_bogoliubov(schedule, n, k)
+    assert abs(r.beta - beta) <= 1e-9
+    assert abs(r.alpha - alpha) <= 1e-9
+    assert r.wronskian_drift <= 1e-12  # every step has determinant 1
 
 
 def test_integration_failure_carries_time():

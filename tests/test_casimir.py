@@ -135,6 +135,15 @@ def test_abel_plana_contour_equals_exact_zeta():
     assert err < 1e-8
 
 
+def test_abel_plana_quadrature_against_scipy():
+    # the exp-sinh rule's error estimate covers its distance to 1/120 and to
+    # scipy's adaptive quadrature of the same integrand
+    value, err = cas.abel_plana_zeta3()
+    assert abs(value - 1.0 / 120.0) <= err <= 1e-12
+    oracle, oracle_err = quad(lambda t: 2.0 * t**3 * _bose(t), 0.0, math.inf)
+    assert abs(value - oracle) <= err + oracle_err
+
+
 def test_abel_plana_identity_moderate_damping():
     # full identity, with the 6/eps^4 term still within float range
     assert _abel_plana_identity_gap(1.0) < 1e-10

@@ -1,10 +1,12 @@
 """End-to-end checks of the command-line interface."""
 
+import dataclasses
 import json
 import math
 
 import pytest
 
+from platevac import adiabatic as ad
 from platevac import algebra as alg
 from platevac import casimir as cas
 from platevac.cli import main, parse_options
@@ -199,7 +201,17 @@ def test_casimir_diff_column(tmp_path):
     assert zeta_l2[-1] == "%.11e" % cas.central_charge_difference(1.0, 2.0)
 
 
-def test_casimir_cross_check_exit_code(tmp_path, capsys):
+def _contour_off_by_1e15(monkeypatch):
+    """Make the contour route miss 1/120 by 1e-15 relative, past --cross-tol 1e-18.
+
+    The quadrature alone may land on 1/120 to the bit, and then no tolerance
+    trips the cross-check.
+    """
+    monkeypatch.setattr(cas, "abel_plana_zeta3", lambda: ((1.0 + 1e-15) / 120.0, 1e-14))
+
+
+def test_casimir_cross_check_exit_code(tmp_path, capsys, monkeypatch):
+    _contour_off_by_1e15(monkeypatch)
     code = main(["casimir", "--L", "1", "--cross-tol", "1e-18",
                  "--outdir", str(tmp_path)])
     assert code == 3
@@ -255,7 +267,12 @@ def test_adiabatic_sudden_check(tmp_path, capsys):
     assert "sudden-limit check: PASS" in out
 
 
-def test_adiabatic_wronskian_exit_code(tmp_path, capsys):
+def test_adiabatic_wronskian_exit_code(tmp_path, capsys, monkeypatch):
+    # the integrator's drift is rounding, 1e-15 to 1e-14 here: report one just
+    # above the bound so the gate trips on every platform
+    integrate = ad.solve_ivp
+    monkeypatch.setattr(ad, "solve_ivp", lambda *args, **kwargs: dataclasses.replace(
+        integrate(*args, **kwargs), drift=2e-14))
     code = main(["adiabatic", "--L0", "1", "--L1", "2", "--wronskian-tol", "1e-14",
                  "--outdir", str(tmp_path)])
     assert code == 4
@@ -276,7 +293,8 @@ def test_config_file_supplies_options(tmp_path):
     assert len(lines) == 7  # two lengths, three methods each
 
 
-def test_config_flags_override_file(tmp_path):
+def test_config_flags_override_file(tmp_path, monkeypatch):
+    _contour_off_by_1e15(monkeypatch)
     ini = tmp_path / "run.ini"
     ini.write_text("[casimir]\ncross-tol = 1e-18\n")
     # config alone trips the designed cross-check failure
@@ -372,6 +390,11 @@ def test_config_malformed_file(tmp_path):
     ["cocycle", "--selftest", "9" * 400],
     ["algebra-verify", "--check", "poincare", "--closure-size", "1000"],  # 10^6 sites
     ["algebra-verify", "--spacings", "0.0001,0.0002"],  # 80 000 sites
+    ["adiabatic", "--L0", "1", "--L1", "2", "--T", "1e6"],  # 8e6 steps in the first sweep
+    ["adiabatic", "--L0", "1", "--L1", "2", "--k", "nan"],
+    ["adiabatic", "--L0", "1", "--L1", "2", "--k", "inf"],
+    ["adiabatic", "--L0", "1e-310", "--L1", "2"],  # omega overflows
+    ["adiabatic", "--L0", "1", "--L1", "2", "--n", "1" + "0" * 400],
 ])
 def test_bad_values_exit_2(tmp_path, capsys, argv):
     assert _exit_code([*argv, "--outdir", str(tmp_path)]) == 2

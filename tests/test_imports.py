@@ -13,6 +13,9 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 @pytest.mark.parametrize("module,absent", [
     ("platevac.algebra", ("numpy", "scipy")),
     ("platevac.lattice", ("scipy",)),
+    ("platevac.casimir", ("numpy", "scipy")),
+    ("platevac.adiabatic", ("numpy", "scipy")),
+    ("platevac.cli", ("scipy",)),
 ])
 def test_layer_import_loads_only_its_dependencies(module, absent):
     # a fresh interpreter: this one already has numpy and scipy loaded
