@@ -7,6 +7,11 @@ Structure constants are indexed as f[c][a][b], meaning
 
     <<X_a, X_b>> = sum_c f[c][a][b] X_c.
 
+An algebra stores only its nonzero brackets, {(a, b): {c: f[c][a][b]}}
+with a < b, at most MAX_DIM generators, and every check loops over those
+brackets alone. The dense table `LieAlgebraSpec.f` is a read-only view,
+built on first access, for independent oracles.
+
 Planar Poincare conventions (generator order H, P1, P2, J, K1, K2, with
 eps_12 = +1):
 
@@ -35,11 +40,13 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from . import exactlin
 
 __all__ = [
     "AlgebraFormatError",
+    "MAX_DIM",
     "LieAlgebraSpec",
     "TwoCocycle",
     "CoboundaryCertificate",
@@ -67,8 +74,12 @@ class AlgebraFormatError(ValueError):
     """Malformed algebra or cocycle text file."""
 
 
-def _freeze3(f):
-    return tuple(tuple(tuple(Fraction(x) for x in row) for row in plane) for plane in f)
+MAX_DIM = 64  # generators; exact H^2 of a dense table grows steeply with dim
+
+
+def _check_dim(n: int) -> None:
+    if n > MAX_DIM:
+        raise ValueError(f"{n} generators, more than the {MAX_DIM} allowed")
 
 
 def _freeze2(c):
@@ -77,31 +88,45 @@ def _freeze2(c):
 
 @dataclass(frozen=True)
 class LieAlgebraSpec:
-    """Ordered basis labels plus exact structure constants f[c][a][b]."""
+    """Ordered basis labels plus the nonzero brackets {(a, b): {c: f[c][a][b]}}.
+
+    A (b, a) key is folded in negated and must agree with any (a, b) entry.
+    The stored table has a < b, Fraction values and no zeros, in index order.
+    """
 
     labels: tuple[str, ...]
-    f: tuple  # f[c][a][b], nested tuples of Fraction
+    brackets: dict
 
     def __post_init__(self):
         n = len(self.labels)
+        _check_dim(n)
         if len(set(self.labels)) != n:
             raise ValueError("duplicate basis labels")
-        object.__setattr__(self, "f", _freeze3(self.f))
-        if len(self.f) != n or any(
-            len(plane) != n or any(len(row) != n for row in plane) for plane in self.f
-        ):
-            raise ValueError("structure constants must be n x n x n")
-        for c in range(n):
-            for a in range(n):
-                for b in range(a, n):
-                    if self.f[c][a][b] != -self.f[c][b][a]:
-                        raise ValueError(
-                            f"antisymmetry violated at f[{c}][{a}][{b}]"
-                        )
+        table = {}
+        for (a, b), comps in self.brackets.items():
+            if a == b or not all(0 <= i < n for i in (a, b, *comps)):
+                raise ValueError(f"bracket ({a}, {b}) is diagonal or out of range")
+            row = {c: Fraction(v) if a < b else -Fraction(v) for c, v in comps.items()}
+            row = {c: v for c, v in row.items() if v}
+            if table.setdefault((min(a, b), max(a, b)), row) != row:
+                raise ValueError(f"antisymmetry violated at bracket ({a}, {b})")
+        object.__setattr__(self, "brackets", {
+            ab: dict(sorted(table[ab].items())) for ab in sorted(table) if table[ab]
+        })
 
     @property
     def dim(self) -> int:
         return len(self.labels)
+
+    @cached_property
+    def f(self) -> tuple:
+        """Dense f[c][a][b] as nested tuples of Fraction, for oracles only."""
+        n = self.dim
+        f = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
+        for (a, b), comps in self.brackets.items():
+            for c, v in comps.items():
+                f[c][a][b], f[c][b][a] = v, -v
+        return tuple(tuple(tuple(row) for row in plane) for plane in f)
 
     def index(self, label: str) -> int:
         try:
@@ -109,24 +134,27 @@ class LieAlgebraSpec:
         except ValueError:
             raise KeyError(f"unknown generator label {label!r}") from None
 
+    def terms(self, a: int, b: int):
+        """(c, f[c][a][b]) pairs of the nonzero components of <<X_a, X_b>>."""
+        if a < b:
+            return self.brackets.get((a, b), {}).items()
+        return [(c, -v) for c, v in self.brackets.get((b, a), {}).items()]
+
     def bracket(self, a: int, b: int) -> tuple[Fraction, ...]:
         """Coefficient vector of <<X_a, X_b>> in the basis."""
-        return tuple(self.f[c][a][b] for c in range(self.dim))
+        vec = [Fraction(0)] * self.dim
+        for c, v in self.terms(a, b):
+            vec[c] = v
+        return tuple(vec)
 
 
 def _algebra_from_brackets(labels, brackets) -> LieAlgebraSpec:
-    """brackets: {(a_label, b_label): {c_label: coefficient}} for a-before-b."""
-    n = len(labels)
+    """brackets: {(a_label, b_label): {c_label: coefficient}}."""
     idx = {lab: i for i, lab in enumerate(labels)}
-    f = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
-    for (la, lb), comps in brackets.items():
-        a, b = idx[la], idx[lb]
-        for lc, v in comps.items():
-            c = idx[lc]
-            v = Fraction(v)
-            f[c][a][b] += v
-            f[c][b][a] -= v
-    return LieAlgebraSpec(tuple(labels), f)
+    return LieAlgebraSpec(tuple(labels), {
+        (idx[la], idx[lb]): {idx[lc]: v for lc, v in comps.items()}
+        for (la, lb), comps in brackets.items()
+    })
 
 
 POINCARE_LABELS = ("H", "P1", "P2", "J", "K1", "K2")
@@ -154,6 +182,7 @@ def abelian_algebra(n: int) -> LieAlgebraSpec:
     """n commuting translations, labelled P1..Pn."""
     if n < 1:
         raise ValueError("need n >= 1")
+    _check_dim(n)
     return _algebra_from_brackets(tuple(f"P{i + 1}" for i in range(n)), {})
 
 
@@ -241,13 +270,10 @@ class CoboundaryCertificate:
         if algebra.labels != self.labels:
             raise ValueError("certificate labels do not match algebra")
         n = algebra.dim
-        c = [
-            [
-                sum((algebra.f[k][a][b] * self.alpha[k] for k in range(n)), Fraction(0))
-                for b in range(n)
-            ]
-            for a in range(n)
-        ]
+        c = [[Fraction(0)] * n for _ in range(n)]
+        for (a, b), comps in algebra.brackets.items():
+            v = sum((w * self.alpha[k] for k, w in comps.items()), Fraction(0))
+            c[a][b], c[b][a] = v, -v
         return TwoCocycle(self.labels, c)
 
 
@@ -267,26 +293,32 @@ class CoboundaryResult:
     rank_deficit: int
 
 
+def _touched_triples(algebra: LieAlgebraSpec) -> list[tuple[int, int, int]]:
+    """Triples a < b < c with a nonzero bracket among their pairs.
+
+    Every cyclic sum over any other triple is zero term by term.
+    """
+    n = algebra.dim
+    return sorted(
+        {tuple(sorted((*ab, c))) for ab in algebra.brackets for c in range(n) if c not in ab}
+    )
+
+
+def _cyclic(a, b, c):
+    return ((a, b, c), (b, c, a), (c, a, b))
+
+
 def jacobi_check(algebra: LieAlgebraSpec) -> Fraction:
     """Max absolute Jacobi residual, exactly zero for a genuine Lie algebra."""
-    n = algebra.dim
-    f = algebra.f
     worst = Fraction(0)
-    for a in range(n):
-        for b in range(a + 1, n):
-            for c in range(b + 1, n):
-                for e in range(n):
-                    r = sum(
-                        (
-                            f[d][a][b] * f[e][d][c]
-                            + f[d][b][c] * f[e][d][a]
-                            + f[d][c][a] * f[e][d][b]
-                            for d in range(n)
-                        ),
-                        Fraction(0),
-                    )
-                    if abs(r) > worst:
-                        worst = abs(r)
+    for triple in _touched_triples(algebra):
+        # <<<<X_x, X_y>>, X_z>> summed cyclically, component by component
+        r = {}
+        for x, y, z in _cyclic(*triple):
+            for d, v in algebra.terms(x, y):
+                for e, w in algebra.terms(d, z):
+                    r[e] = r.get(e, 0) + v * w
+        worst = max([worst, *map(abs, r.values())])
     return worst
 
 
@@ -294,23 +326,14 @@ def cocycle_check(algebra: LieAlgebraSpec, cocycle: TwoCocycle) -> Fraction:
     """Max absolute residual of the cyclic cocycle condition, exact."""
     if algebra.labels != cocycle.labels:
         raise ValueError("cocycle labels do not match algebra labels")
-    n = algebra.dim
-    f, C = algebra.f, cocycle.c
+    C = cocycle.c
     worst = Fraction(0)
-    for a in range(n):
-        for b in range(a + 1, n):
-            for c in range(b + 1, n):
-                r = sum(
-                    (
-                        f[d][a][b] * C[d][c]
-                        + f[d][b][c] * C[d][a]
-                        + f[d][c][a] * C[d][b]
-                        for d in range(n)
-                    ),
-                    Fraction(0),
-                )
-                if abs(r) > worst:
-                    worst = abs(r)
+    for triple in _touched_triples(algebra):
+        r = sum(
+            (v * C[d][z] for x, y, z in _cyclic(*triple) for d, v in algebra.terms(x, y)),
+            Fraction(0),
+        )
+        worst = max(worst, abs(r))
     return worst
 
 
@@ -340,63 +363,54 @@ def _pair_slots(n: int) -> list[tuple[int, int]]:
     return [(a, b) for a in range(n) for b in range(a + 1, n)]
 
 
-def _coboundary_matrix(algebra: LieAlgebraSpec):
-    """Rows indexed by slots (a < b), columns by generators: C[a][b] = A alpha."""
-    n = algebra.dim
-    return [[algebra.f[c][a][b] for c in range(n)] for a, b in _pair_slots(n)]
-
-
 def coboundary_solve(algebra: LieAlgebraSpec, cocycle: TwoCocycle) -> CoboundaryResult:
     """Decide exactly whether `cocycle` is a coboundary.
 
     The input must pass cocycle_check with zero residual; a non-cocycle is a
-    precondition violation and raises ValueError.
+    precondition violation and raises ValueError. One row reduction of
+    [A | C], with a row per slot a < b where the bracket or C is nonzero,
+    decides everything: the pivots left of the last column give rank(A),
+    and a pivot in the last column means C is not in the range of A.
     """
     residual = cocycle_check(algebra, cocycle)
     if residual != 0:
         raise ValueError(f"input is not a cocycle, max residual {residual}")
-    a_rows = _coboundary_matrix(algebra)
-    b_col = [cocycle.c[a][b] for a, b in _pair_slots(algebra.dim)]
-    kernel_dim = exactlin.nullity(a_rows)
-    x = exactlin.solve(a_rows, b_col)
-    if x is None:
-        aug = [row + [rhs] for row, rhs in zip(a_rows, b_col)]
-        deficit = exactlin.rank(aug) - exactlin.rank(a_rows)
-        return CoboundaryResult(False, None, kernel_dim, deficit)
-    cert = CoboundaryCertificate(algebra.labels, tuple(x))
-    return CoboundaryResult(True, cert, kernel_dim, 0)
+    n = algebra.dim
+    rows = [
+        [*algebra.bracket(a, b), cocycle.c[a][b]]
+        for a, b in _pair_slots(n)
+        if (a, b) in algebra.brackets or cocycle.c[a][b]
+    ]
+    red, pivots = exactlin.rref(rows)
+    infeasible = n in pivots
+    kernel_dim = n - (len(pivots) - infeasible)
+    if infeasible:
+        return CoboundaryResult(False, None, kernel_dim, 1)
+    alpha = [Fraction(0)] * n  # free components set to zero
+    for r, c in enumerate(pivots):
+        alpha[c] = red[r][n]
+    return CoboundaryResult(True, CoboundaryCertificate(algebra.labels, alpha), kernel_dim, 0)
 
 
 def h2_dimension(algebra: LieAlgebraSpec) -> int:
     """dim H^2(g, R) = dim(cocycles) - dim(coboundaries), by exact ranks."""
     if jacobi_check(algebra) != 0:
         raise ValueError("structure constants do not satisfy the Jacobi identity")
-    n = algebra.dim
-    slots = _pair_slots(n)
+    slots = _pair_slots(algebra.dim)
     slot_index = {ab: i for i, ab in enumerate(slots)}
-
-    def slot_coeff(row, d, c, coeff):
-        # C[d][c] expressed through upper-triangle unknowns
-        if d == c:
-            return
-        if d < c:
-            row[slot_index[(d, c)]] += coeff
-        else:
-            row[slot_index[(c, d)]] -= coeff
-
     z_rows = []
-    f = algebra.f
-    for a in range(n):
-        for b in range(a + 1, n):
-            for c in range(b + 1, n):
-                row = [Fraction(0)] * len(slots)
-                for d in range(n):
-                    slot_coeff(row, d, c, f[d][a][b])
-                    slot_coeff(row, d, a, f[d][b][c])
-                    slot_coeff(row, d, b, f[d][c][a])
-                z_rows.append(row)
-    dim_cocycles = len(slots) - (exactlin.rank(z_rows) if z_rows else 0)
-    dim_coboundaries = exactlin.rank(_coboundary_matrix(algebra))
+    for triple in _touched_triples(algebra):
+        row = [Fraction(0)] * len(slots)
+        for x, y, z in _cyclic(*triple):
+            for d, v in algebra.terms(x, y):
+                # C[d][z] expressed through upper-triangle unknowns
+                if d < z:
+                    row[slot_index[(d, z)]] += v
+                elif d > z:
+                    row[slot_index[(z, d)]] -= v
+        z_rows.append(row)
+    dim_cocycles = len(slots) - exactlin.rank(z_rows)
+    dim_coboundaries = exactlin.rank([algebra.bracket(a, b) for a, b in algebra.brackets])
     return dim_cocycles - dim_coboundaries
 
 
@@ -413,29 +427,20 @@ def change_basis(algebra: LieAlgebraSpec, p_cols) -> LieAlgebraSpec:
     pinv = exactlin.inverse(p)
     if pinv is None:
         raise ValueError("basis-change matrix is singular")
-    f = algebra.f
-    fp = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
-    for a in range(n):
-        for b in range(a + 1, n):
-            # bracket of the new pair, in old components
-            vec = [Fraction(0)] * n
-            for c in range(n):
-                pc = p[c][a]
-                if pc == 0:
-                    continue
-                for d in range(n):
-                    pd = p[d][b]
-                    if pd == 0:
-                        continue
-                    w = pc * pd
-                    for e in range(n):
-                        if f[e][c][d] != 0:
-                            vec[e] += w * f[e][c][d]
-            for ep in range(n):
-                comp = sum((pinv[ep][e] * vec[e] for e in range(n)), Fraction(0))
-                fp[ep][a][b] = comp
-                fp[ep][b][a] = -comp
-    return LieAlgebraSpec(algebra.labels, fp)
+    brackets = {}
+    for a, b in _pair_slots(n):
+        # bracket of the new pair, in old components
+        vec = {}
+        for (c, d), comps in algebra.brackets.items():
+            w = p[c][a] * p[d][b] - p[d][a] * p[c][b]
+            if w:
+                for e, v in comps.items():
+                    vec[e] = vec.get(e, 0) + w * v
+        brackets[(a, b)] = {
+            ep: sum((pinv[ep][e] * v for e, v in vec.items()), Fraction(0))
+            for ep in range(n)
+        }
+    return LieAlgebraSpec(algebra.labels, brackets)
 
 
 # ---------------------------------------------------------------------------
@@ -447,16 +452,12 @@ _HEADER = "# platevac exact algebra data"
 def save_algebra(algebra: LieAlgebraSpec, path) -> None:
     """Write `basis` plus sparse `f a b c num den` lines (a-index < b-index)."""
     lines = [_HEADER, "basis " + " ".join(algebra.labels)]
-    n = algebra.dim
-    for a in range(n):
-        for b in range(a + 1, n):
-            for c in range(n):
-                v = algebra.f[c][a][b]
-                if v != 0:
-                    lines.append(
-                        f"f {algebra.labels[a]} {algebra.labels[b]} "
-                        f"{algebra.labels[c]} {v.numerator} {v.denominator}"
-                    )
+    for (a, b), comps in algebra.brackets.items():
+        for c, v in comps.items():
+            lines.append(
+                f"f {algebra.labels[a]} {algebra.labels[b]} "
+                f"{algebra.labels[c]} {v.numerator} {v.denominator}"
+            )
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -531,25 +532,21 @@ def load_algebra(path) -> LieAlgebraSpec:
             f"line {c_entries[0][0]}: cocycle record in an algebra file"
         )
     idx = {lab: i for i, lab in enumerate(basis)}
-    n = len(basis)
-    f = [[[None] * n for _ in range(n)] for _ in range(n)]
+    table = {}
     for lineno, la, lb, lc, num, den in f_entries:
         for lab in (la, lb, lc):
             if lab not in idx:
                 raise AlgebraFormatError(f"line {lineno}: unknown label {lab!r}")
         a, b, c = idx[la], idx[lb], idx[lc]
         v = _to_fraction(lineno, num, den)
-        for (i, j, w) in ((a, b, v), (b, a, -v)):
-            prev = f[c][i][j]
-            if prev is not None and prev != w:
-                raise AlgebraFormatError(
-                    f"line {lineno}: conflicting value for f[{lc}][{la}][{lb}]"
-                )
-            f[c][i][j] = w
-    filled = [
-        [[Fraction(0) if x is None else x for x in row] for row in plane] for plane in f
-    ]
-    return LieAlgebraSpec(basis, filled)
+        if a > b:
+            a, b, v = b, a, -v
+        # a nonzero diagonal entry conflicts with its own mirror image
+        if table.setdefault((a, b), {}).setdefault(c, v) != v or (a == b and v):
+            raise AlgebraFormatError(
+                f"line {lineno}: conflicting value for f[{lc}][{la}][{lb}]"
+            )
+    return LieAlgebraSpec(basis, {(a, b): row for (a, b), row in table.items() if a != b})
 
 
 def load_cocycle(path) -> TwoCocycle:

@@ -1,8 +1,10 @@
 """Exact linear algebra over fractions.Fraction for small dense systems.
 
 Everything here works on lists of lists of Fraction and is meant for
-matrices with at most a few dozen rows. Rank decisions are exact, so
-any nonzero entry is an acceptable pivot.
+matrices with at most a few dozen rows: `rref` (and `rank` from it) and
+`inverse`. Rank decisions are exact, so any nonzero entry is an
+acceptable pivot. A linear system A x = b is solved by reducing [A | b]
+once with `rref`: b is consistent unless the last column is a pivot.
 """
 
 from __future__ import annotations
@@ -53,36 +55,6 @@ def rref(rows) -> tuple[list[list[Fraction]], list[int]]:
 
 def rank(rows) -> int:
     return len(rref(rows)[1])
-
-
-def nullity(rows) -> int:
-    m = as_matrix(rows)
-    if not m or not m[0]:
-        return len(m[0]) if m else 0
-    return len(m[0]) - rank(m)
-
-
-def solve(a_rows, b_col):
-    """One exact solution of A x = b with free variables set to zero.
-
-    Returns the solution as a list of Fractions, or None when the system
-    is inconsistent.
-    """
-    a = as_matrix(a_rows)
-    b = [Fraction(x) for x in b_col]
-    if len(a) != len(b):
-        raise ValueError("A and b row counts differ")
-    if not a:
-        return []
-    ncols = len(a[0])
-    aug = [row + [rhs] for row, rhs in zip(a, b)]
-    red, pivots = rref(aug)
-    if ncols in pivots:
-        return None
-    x = [Fraction(0)] * ncols
-    for r, c in enumerate(pivots):
-        x[c] = red[r][-1]
-    return x
 
 
 def inverse(rows):

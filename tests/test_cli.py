@@ -64,6 +64,21 @@ def test_cocycle_abelian_infeasible(tmp_path):
     assert report["h2_dimension"] == 1
 
 
+def test_cocycle_one_generator_file(tmp_path):
+    # a cocycle file with no entries on a 1-generator algebra: the zero form
+    one = tmp_path / "one.txt"
+    one.write_text("basis P1\n")
+    code = main(["cocycle", "--builtin", "abelian1", "--cocycle-file", str(one),
+                 "--outdir", str(tmp_path)])
+    assert code == 0
+    report = json.loads(_read(tmp_path / "cocycle_report.json"))
+    assert report["feasible"] is True
+    assert report["kernel_dim"] == 1
+    assert report["rank_deficit"] == 0
+    assert report["certificate"] == {"P1": "0/1"}
+    assert report["h2_dimension"] == 0
+
+
 def test_cocycle_algebra_only_report(tmp_path):
     code = main(["cocycle", "--builtin", "heisenberg1", "--outdir", str(tmp_path)])
     assert code == 0
@@ -395,8 +410,13 @@ def test_config_malformed_file(tmp_path):
     ["adiabatic", "--L0", "1", "--L1", "2", "--k", "inf"],
     ["adiabatic", "--L0", "1e-310", "--L1", "2"],  # omega overflows
     ["adiabatic", "--L0", "1", "--L1", "2", "--n", "1" + "0" * 400],
+    ["cocycle", "--builtin", "abelian65"],  # more than 64 generators
+    ["cocycle", "--builtin", "abelian" + "9" * 400],
+    ["cocycle", "--algebra-file", "{tmp}/wide.txt"],  # 65 basis labels
 ])
 def test_bad_values_exit_2(tmp_path, capsys, argv):
+    (tmp_path / "wide.txt").write_text("basis " + " ".join(f"X{i}" for i in range(65)) + "\n")
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
     assert _exit_code([*argv, "--outdir", str(tmp_path)]) == 2
     assert "PASS" not in capsys.readouterr().out
 
