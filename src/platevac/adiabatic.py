@@ -63,11 +63,7 @@ _NOISE_FLOOR = 1e-20  # |beta|^2 below this is integrator noise, not signal
 
 
 class IntegrationFailure(RuntimeError):
-    """The integrator did not converge within its step cap; `time` is where it stopped."""
-
-    def __init__(self, message: str, time: float):
-        super().__init__(message)
-        self.time = time
+    """The integrator did not converge within its step cap."""
 
 
 class WronskianViolation(RuntimeError):
@@ -198,7 +194,7 @@ def evolve_mode(
                     first_step=2.0 * math.pi / (_STEPS_PER_PERIOD * max(w_in, w_out)),
                     rtol=rtol)
     if not sol.success:
-        raise IntegrationFailure(f"mode (n={n}, k={k}): {sol.message}", time=schedule.T)
+        raise IntegrationFailure(f"mode (n={n}, k={k}): {sol.message}")
     drift = sol.drift
     if drift > wronskian_tol:
         raise WronskianViolation(

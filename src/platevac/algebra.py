@@ -9,8 +9,12 @@ Structure constants are indexed as f[c][a][b], meaning
 
 An algebra stores only its nonzero brackets, {(a, b): {c: f[c][a][b]}}
 with a < b, at most MAX_DIM generators, and every check loops over those
-brackets alone. The dense table `LieAlgebraSpec.f` is a read-only view,
-built on first access, for independent oracles.
+brackets alone. A two-cocycle likewise stores only its nonzero central
+terms, {(a, b): C[a][b]} with a < b, over at most MAX_DIM labels. Both
+tables are folded by one rule: a (b, a) key comes in negated and must
+agree with any (a, b) key. The dense tables `LieAlgebraSpec.f` and
+`TwoCocycle.c` are read-only views, built on first access, for
+independent oracles.
 
 Planar Poincare conventions (generator order H, P1, P2, J, K1, K2, with
 eps_12 = +1):
@@ -37,6 +41,7 @@ alpha; such charges are removable by the redefinition X_c -> X_c - alpha[c].
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -82,8 +87,20 @@ def _check_dim(n: int) -> None:
         raise ValueError(f"{n} generators, more than the {MAX_DIM} allowed")
 
 
-def _freeze2(c):
-    return tuple(tuple(Fraction(x) for x in row) for row in c)
+def _fold(pairs, n, negate) -> dict:
+    """{(a, b): v} with a < b, in index order and without zero values.
+
+    `pairs` yields ((a, b), v) over indices below n; a (b, a) pair comes in
+    as negate(v) and must agree with any (a, b) pair.
+    """
+    table = {}
+    for (a, b), v in pairs:
+        if a == b or not (0 <= a < n and 0 <= b < n):
+            raise ValueError(f"pair ({a}, {b}) is diagonal or out of range")
+        key, w = ((a, b), v) if a < b else ((b, a), negate(v))
+        if table.setdefault(key, w) != w:
+            raise ValueError(f"antisymmetry violated at ({a}, {b})")
+    return {key: table[key] for key in sorted(table) if table[key]}
 
 
 @dataclass(frozen=True)
@@ -102,17 +119,14 @@ class LieAlgebraSpec:
         _check_dim(n)
         if len(set(self.labels)) != n:
             raise ValueError("duplicate basis labels")
-        table = {}
-        for (a, b), comps in self.brackets.items():
-            if a == b or not all(0 <= i < n for i in (a, b, *comps)):
-                raise ValueError(f"bracket ({a}, {b}) is diagonal or out of range")
-            row = {c: Fraction(v) if a < b else -Fraction(v) for c, v in comps.items()}
-            row = {c: v for c, v in row.items() if v}
-            if table.setdefault((min(a, b), max(a, b)), row) != row:
-                raise ValueError(f"antisymmetry violated at bracket ({a}, {b})")
-        object.__setattr__(self, "brackets", {
-            ab: dict(sorted(table[ab].items())) for ab in sorted(table) if table[ab]
-        })
+        rows = []
+        for ab, comps in self.brackets.items():
+            if not all(0 <= c < n for c in comps):
+                raise ValueError(f"bracket {ab} has a component out of range")
+            row = ((c, Fraction(comps[c])) for c in sorted(comps))
+            rows.append((ab, {c: v for c, v in row if v}))
+        object.__setattr__(self, "brackets", _fold(
+            rows, n, lambda row: {c: -v for c, v in row.items()}))
 
     @property
     def dim(self) -> int:
@@ -127,12 +141,6 @@ class LieAlgebraSpec:
             for c, v in comps.items():
                 f[c][a][b], f[c][b][a] = v, -v
         return tuple(tuple(tuple(row) for row in plane) for plane in f)
-
-    def index(self, label: str) -> int:
-        try:
-            return self.labels.index(label)
-        except ValueError:
-            raise KeyError(f"unknown generator label {label!r}") from None
 
     def terms(self, a: int, b: int):
         """(c, f[c][a][b]) pairs of the nonzero components of <<X_a, X_b>>."""
@@ -218,40 +226,39 @@ def builtin_algebra(name: str) -> LieAlgebraSpec:
 
 @dataclass(frozen=True)
 class TwoCocycle:
-    """Antisymmetric central-term matrix C[a][b] over exact rationals."""
+    """Ordered basis labels plus the nonzero central terms {(a, b): C[a][b]}.
+
+    A (b, a) key is folded in negated and must agree with any (a, b) entry.
+    The stored table has a < b, Fraction values and no zeros, in index order.
+    """
 
     labels: tuple[str, ...]
-    c: tuple  # C[a][b], nested tuples of Fraction
+    entries: dict
 
     def __post_init__(self):
         n = len(self.labels)
-        object.__setattr__(self, "c", _freeze2(self.c))
-        if len(self.c) != n or any(len(row) != n for row in self.c):
-            raise ValueError("cocycle matrix must be n x n")
-        for a in range(n):
-            for b in range(a, n):
-                if self.c[a][b] != -self.c[b][a]:
-                    raise ValueError(f"antisymmetry violated at C[{a}][{b}]")
+        _check_dim(n)
+        pairs = ((ab, Fraction(v)) for ab, v in self.entries.items())
+        object.__setattr__(self, "entries", _fold(pairs, n, operator.neg))
+
+    @cached_property
+    def c(self) -> tuple:
+        """Dense C[a][b] as nested tuples of Fraction, for oracles only."""
+        n = len(self.labels)
+        c = [[Fraction(0)] * n for _ in range(n)]
+        for (a, b), v in self.entries.items():
+            c[a][b], c[b][a] = v, -v
+        return tuple(tuple(row) for row in c)
 
     @classmethod
     def from_entries(cls, labels, entries) -> "TwoCocycle":
-        """entries: {(a_label, b_label): value}; antisymmetric completion applied."""
-        n = len(labels)
+        """entries: {(a_label, b_label): value}; a (b, a) key is folded in negated."""
         idx = {lab: i for i, lab in enumerate(labels)}
-        c = [[Fraction(0)] * n for _ in range(n)]
-        for (la, lb), v in entries.items():
-            a, b = idx[la], idx[lb]
-            if a == b:
-                raise ValueError(f"diagonal entry ({la}, {lb}) not allowed")
-            v = Fraction(v)
-            c[a][b] += v
-            c[b][a] -= v
-        return cls(tuple(labels), c)
-
-    def entry(self, la: str, lb: str) -> Fraction:
-        i = self.labels.index(la)
-        j = self.labels.index(lb)
-        return self.c[i][j]
+        try:
+            table = {(idx[la], idx[lb]): v for (la, lb), v in entries.items()}
+        except KeyError as exc:
+            raise ValueError(f"unknown generator label {exc.args[0]!r}") from None
+        return cls(tuple(labels), table)
 
 
 @dataclass(frozen=True)
@@ -269,12 +276,10 @@ class CoboundaryCertificate:
     def induced_cocycle(self, algebra: LieAlgebraSpec) -> TwoCocycle:
         if algebra.labels != self.labels:
             raise ValueError("certificate labels do not match algebra")
-        n = algebra.dim
-        c = [[Fraction(0)] * n for _ in range(n)]
-        for (a, b), comps in algebra.brackets.items():
-            v = sum((w * self.alpha[k] for k, w in comps.items()), Fraction(0))
-            c[a][b], c[b][a] = v, -v
-        return TwoCocycle(self.labels, c)
+        return TwoCocycle(self.labels, {
+            ab: sum((w * self.alpha[k] for k, w in comps.items()), Fraction(0))
+            for ab, comps in algebra.brackets.items()
+        })
 
 
 @dataclass(frozen=True)
@@ -326,11 +331,15 @@ def cocycle_check(algebra: LieAlgebraSpec, cocycle: TwoCocycle) -> Fraction:
     """Max absolute residual of the cyclic cocycle condition, exact."""
     if algebra.labels != cocycle.labels:
         raise ValueError("cocycle labels do not match algebra labels")
-    C = cocycle.c
+    C = cocycle.entries
+
+    def at(a, b):
+        return C.get((a, b), 0) if a < b else -C.get((b, a), 0)
+
     worst = Fraction(0)
     for triple in _touched_triples(algebra):
         r = sum(
-            (v * C[d][z] for x, y, z in _cyclic(*triple) for d, v in algebra.terms(x, y)),
+            (v * at(d, z) for x, y, z in _cyclic(*triple) for d, v in algebra.terms(x, y)),
             Fraction(0),
         )
         worst = max(worst, abs(r))
@@ -377,9 +386,8 @@ def coboundary_solve(algebra: LieAlgebraSpec, cocycle: TwoCocycle) -> Coboundary
         raise ValueError(f"input is not a cocycle, max residual {residual}")
     n = algebra.dim
     rows = [
-        [*algebra.bracket(a, b), cocycle.c[a][b]]
-        for a, b in _pair_slots(n)
-        if (a, b) in algebra.brackets or cocycle.c[a][b]
+        [*algebra.bracket(a, b), cocycle.entries.get((a, b), Fraction(0))]
+        for a, b in sorted(algebra.brackets.keys() | cocycle.entries.keys())
     ]
     red, pivots = exactlin.rref(rows)
     infeasible = n in pivots
@@ -464,15 +472,10 @@ def save_algebra(algebra: LieAlgebraSpec, path) -> None:
 
 def save_cocycle(cocycle: TwoCocycle, path) -> None:
     lines = [_HEADER, "basis " + " ".join(cocycle.labels)]
-    n = len(cocycle.labels)
-    for a in range(n):
-        for b in range(a + 1, n):
-            v = cocycle.c[a][b]
-            if v != 0:
-                lines.append(
-                    f"c {cocycle.labels[a]} {cocycle.labels[b]} "
-                    f"{v.numerator} {v.denominator}"
-                )
+    for (a, b), v in cocycle.entries.items():
+        lines.append(
+            f"c {cocycle.labels[a]} {cocycle.labels[b]} {v.numerator} {v.denominator}"
+        )
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -556,8 +559,7 @@ def load_cocycle(path) -> TwoCocycle:
             f"line {f_entries[0][0]}: structure-constant record in a cocycle file"
         )
     idx = {lab: i for i, lab in enumerate(basis)}
-    n = len(basis)
-    c = [[None] * n for _ in range(n)]
+    table = {}
     for lineno, la, lb, num, den in c_entries:
         for lab in (la, lb):
             if lab not in idx:
@@ -566,12 +568,8 @@ def load_cocycle(path) -> TwoCocycle:
         if a == b:
             raise AlgebraFormatError(f"line {lineno}: diagonal entry {la},{lb}")
         v = _to_fraction(lineno, num, den)
-        for (i, j, w) in ((a, b, v), (b, a, -v)):
-            prev = c[i][j]
-            if prev is not None and prev != w:
-                raise AlgebraFormatError(
-                    f"line {lineno}: conflicting value for C[{la}][{lb}]"
-                )
-            c[i][j] = w
-    filled = [[Fraction(0) if x is None else x for x in row] for row in c]
-    return TwoCocycle(basis, filled)
+        if a > b:
+            a, b, v = b, a, -v
+        if table.setdefault((a, b), v) != v:
+            raise AlgebraFormatError(f"line {lineno}: conflicting value for C[{la}][{lb}]")
+    return TwoCocycle(basis, table)

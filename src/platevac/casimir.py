@@ -219,14 +219,6 @@ def casimir_force_per_area(length: float) -> float:
     return -(math.pi**2) / (480.0 * length**4)
 
 
-def central_charge_difference(l0: float, l1: float, single_mode_n: int | None = None) -> float:
-    """E(L0) - E(L1), the constant separating the two plate Hamiltonians.
-
-    With `single_mode_n` the difference is restricted to one tower level,
-    using the per-mode regularized density instead of the full sum.
-    """
-    if single_mode_n is not None:
-        return mode_energy_density(mode_mass(single_mode_n, l0)) - mode_energy_density(
-            mode_mass(single_mode_n, l1)
-        )
+def central_charge_difference(l0: float, l1: float) -> float:
+    """E(L0) - E(L1), the constant separating the two plate Hamiltonians."""
     return casimir_energy_per_area(l0).value - casimir_energy_per_area(l1).value

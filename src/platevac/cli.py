@@ -253,7 +253,9 @@ def _resolve_cocycle(algebra, builtin, opts):
             labels = [x.strip() for x in head.split(",")]
             if len(labels) != 2 or not value:
                 raise ValueError(f"bad --charges-raw entry {item!r}, want A,B=value")
-            entries[(labels[0], labels[1])] = _rational(value)
+            value = _rational(value)
+            if entries.setdefault((labels[0], labels[1]), value) != value:
+                raise ValueError(f"conflicting values for --charges-raw {head.strip()}")
         return alg.TwoCocycle.from_entries(algebra.labels, entries)
     if opts["cocycle_file"]:
         cocycle = alg.load_cocycle(opts["cocycle_file"])
@@ -281,7 +283,7 @@ def _selftest(algebra, trials, seed):
         if not result.feasible:
             failures += 1
             continue
-        if result.certificate.induced_cocycle(algebra).c != cocycle.c:
+        if result.certificate.induced_cocycle(algebra) != cocycle:
             failures += 1
     return {"trials": trials, "failures": failures}
 
@@ -306,13 +308,11 @@ def cmd_cocycle(opts) -> int:
 
     cocycle = _resolve_cocycle(algebra, builtin, opts)
     if cocycle is not None:
-        entries = {}
-        for i, a in enumerate(algebra.labels):
-            for j in range(i + 1, algebra.dim):
-                value = cocycle.c[i][j]
-                if value != 0:
-                    entries[f"{a},{algebra.labels[j]}"] = _fraction_str(value)
-        report["cocycle"] = entries
+        labels = cocycle.labels
+        report["cocycle"] = {
+            f"{labels[a]},{labels[b]}": _fraction_str(value)
+            for (a, b), value in cocycle.entries.items()
+        }
         residual = alg.cocycle_check(algebra, cocycle)
         report["cocycle_residual"] = _fraction_str(residual)
         if residual == 0:

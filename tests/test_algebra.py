@@ -1,5 +1,6 @@
 """Exact algebra layer: structure constants, cocycles, coboundaries, H^2."""
 
+import dataclasses
 import itertools
 import math
 import random
@@ -76,7 +77,7 @@ def test_poincare_bracket_table():
         ("P1", "P2"): {},
     }
     for (la, lb), comps in want.items():
-        vec = poi.bracket(poi.index(la), poi.index(lb))
+        vec = poi.bracket(poi.labels.index(la), poi.labels.index(lb))
         got = {poi.labels[c]: v for c, v in enumerate(vec) if v != 0}
         assert got == {k: Fraction(v) for k, v in comps.items()}, (la, lb)
 
@@ -89,7 +90,7 @@ def test_jacobi_zero_for_all_builtins():
 def _bent_poincare():
     """Poincare with <<K1, P2>> = H added: breaks the Jacobi identity."""
     poi = al.build_poincare_2plus1()
-    h, p2, k1 = poi.index("H"), poi.index("P2"), poi.index("K1")
+    h, p2, k1 = poi.labels.index("H"), poi.labels.index("P2"), poi.labels.index("K1")
     return al.LieAlgebraSpec(poi.labels, {**poi.brackets, (k1, p2): {h: 1}})
 
 
@@ -120,6 +121,49 @@ def test_bad_bracket_indices_rejected(brackets):
         al.LieAlgebraSpec(("A", "B"), brackets)
 
 
+def test_cocycle_folds_mirrors_and_drops_zeros():
+    C = al.TwoCocycle(("A", "B", "C"), {(2, 0): Fraction(1, 2), (0, 2): "-1/2", (1, 2): 0})
+    assert C.entries == {(0, 2): Fraction(-1, 2)}
+    assert C == al.TwoCocycle.from_entries(("A", "B", "C"), {("C", "A"): Fraction(1, 2)})
+
+
+@pytest.mark.parametrize("entries", [
+    {(0, 1): 1, (1, 0): 1},  # the mirror disagrees
+    {(1, 1): 1},  # diagonal pair
+    {(0, 3): 1},  # no label 3
+    {(-1, 1): 1},
+])
+def test_bad_cocycle_entries_rejected(entries):
+    with pytest.raises(ValueError):
+        al.TwoCocycle(("A", "B", "C"), entries)
+
+
+def test_cocycle_labels_checked():
+    with pytest.raises(ValueError, match="unknown generator label 'Q'"):
+        al.TwoCocycle.from_entries(("P1", "P2"), {("P1", "Q"): 1})
+    with pytest.raises(ValueError, match="antisymmetry"):
+        al.TwoCocycle.from_entries(("P1", "P2"), {("P1", "P2"): 1, ("P2", "P1"): 1})
+    labels = tuple(f"X{i}" for i in range(al.MAX_DIM + 1))
+    with pytest.raises(ValueError, match="more than"):
+        al.TwoCocycle(labels, {})
+    with pytest.raises(ValueError, match="more than"):
+        al.TwoCocycle.from_entries(labels, {})
+
+
+def test_dense_cocycle_view_is_read_only_and_cached():
+    C = al.shift_cocycle(1, Fraction(-2, 3), 5)
+    view = C.c
+    assert C.c is view
+    assert isinstance(view, tuple) and all(isinstance(row, tuple) for row in view)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        C.c = ()
+    with pytest.raises(TypeError):
+        view[0][1] = Fraction(1)
+    n = len(C.labels)
+    assert {(a, b): view[a][b] for a, b in _pairs(n) if view[a][b]} == C.entries
+    assert all(view[a][b] == -view[b][a] for a in range(n) for b in range(n))
+
+
 def test_dimension_capped():
     labels = tuple(f"X{i}" for i in range(al.MAX_DIM + 1))
     with pytest.raises(ValueError, match="more than"):
@@ -145,14 +189,18 @@ def test_abelian_labels():
 def test_shift_cocycle_entries():
     poi = al.build_poincare_2plus1()
     C = al.shift_cocycle(Fraction(3, 7), Fraction(-2, 5), Fraction(1, 3))
-    assert C.entry("K1", "H") == Fraction(2, 5)
-    assert C.entry("K2", "H") == Fraction(-1, 3)
-    assert C.entry("K1", "P1") == Fraction(-3, 7)
-    assert C.entry("K2", "P2") == Fraction(-3, 7)
-    assert C.entry("J", "P1") == Fraction(1, 3)
-    assert C.entry("J", "P2") == Fraction(2, 5)
-    assert C.entry("K1", "P2") == 0
-    assert C.entry("K2", "P1") == 0
+
+    def entry(la, lb):
+        return C.c[C.labels.index(la)][C.labels.index(lb)]
+
+    assert entry("K1", "H") == Fraction(2, 5)
+    assert entry("K2", "H") == Fraction(-1, 3)
+    assert entry("K1", "P1") == Fraction(-3, 7)
+    assert entry("K2", "P2") == Fraction(-3, 7)
+    assert entry("J", "P1") == Fraction(1, 3)
+    assert entry("J", "P2") == Fraction(2, 5)
+    assert entry("K1", "P2") == 0
+    assert entry("K2", "P1") == 0
     assert al.cocycle_check(poi, C) == 0
 
 
@@ -238,7 +286,7 @@ def test_abelian_every_antisymmetric_matrix_is_infeasible_cocycle():
 def test_one_dimensional_zero_cocycle_is_coboundary():
     # no slot a < b at all: the empty system has every alpha as a solution
     g = al.abelian_algebra(1)
-    res = al.coboundary_solve(g, al.TwoCocycle(g.labels, [[0]]))
+    res = al.coboundary_solve(g, al.TwoCocycle(g.labels, {}))
     assert res.feasible
     assert res.kernel_dim == 1
     assert res.rank_deficit == 0
@@ -431,7 +479,7 @@ def test_scaling_energy_momentum_rescales_shift_certificate():
     gp = al.change_basis(poi, p)
     assert al.jacobi_check(gp) == 0
     # <<K1', P1'>> = <<K1, P1>> = H = H'/2
-    assert gp.bracket(gp.index("K1"), gp.index("P1"))[0] == Fraction(1, 2)
+    assert gp.bracket(gp.labels.index("K1"), gp.labels.index("P1"))[0] == Fraction(1, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -454,6 +502,21 @@ def test_cocycle_file_roundtrip(tmp_path):
     back = al.load_cocycle(path)
     assert back.labels == C.labels
     assert back.c == C.c
+
+
+def test_sparse_cocycle_file_roundtrip_is_byte_identical(tmp_path):
+    g = al.abelian_algebra(al.MAX_DIM)
+    C = al.TwoCocycle.from_entries(g.labels, {
+        ("P64", "P1"): Fraction(-5, 3), ("P2", "P40"): 7, ("P10", "P11"): Fraction(1, 9),
+    })
+    assert C.entries == {(0, 63): Fraction(5, 3), (1, 39): 7, (9, 10): Fraction(1, 9)}
+    first, second = tmp_path / "first.coc", tmp_path / "second.coc"
+    al.save_cocycle(C, first)
+    back = al.load_cocycle(first)
+    assert back == C
+    al.save_cocycle(back, second)
+    assert second.read_bytes() == first.read_bytes()
+    assert len(first.read_text().splitlines()) == 2 + len(C.entries)
 
 
 def test_load_algebra_reports_line_numbers(tmp_path):

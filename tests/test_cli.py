@@ -131,6 +131,16 @@ def test_cocycle_input_errors(tmp_path, capsys):
                  "--outdir", str(tmp_path)]) == 2
 
 
+def test_charges_raw_agreeing_mirror_accepted(tmp_path):
+    # a pair and its mirror with the negated value, as in a cocycle file
+    args = ["cocycle", "--builtin", "abelian2", "--outdir", str(tmp_path)]
+    assert main([*args, "--charges-raw", "P1,P2=1", "--charges-raw", "P2,P1=-1",
+                 "--charges-raw", "P1,P2=1"]) == 0
+    report = json.loads(_read(tmp_path / "cocycle_report.json"))
+    assert report["cocycle"] == {"P1,P2": "1/1"}
+    assert report["feasible"] is False
+
+
 def test_cocycle_source_flags_mutually_exclusive(tmp_path):
     with pytest.raises(SystemExit) as err:
         main(["cocycle", "--builtin", "poincare21", "--algebra-file", "x",
@@ -413,9 +423,17 @@ def test_config_malformed_file(tmp_path):
     ["cocycle", "--builtin", "abelian65"],  # more than 64 generators
     ["cocycle", "--builtin", "abelian" + "9" * 400],
     ["cocycle", "--algebra-file", "{tmp}/wide.txt"],  # 65 basis labels
+    ["cocycle", "--builtin", "abelian2", "--charges-raw", "P1,Q=1"],  # unknown label
+    ["cocycle", "--builtin", "abelian2",  # the mirror disagrees
+     "--charges-raw", "P1,P2=1", "--charges-raw", "P2,P1=1"],
+    ["cocycle", "--builtin", "abelian2",  # one pair, two values
+     "--charges-raw", "P1,P2=1", "--charges-raw", "P1,P2=2"],
+    ["cocycle", "--builtin", "abelian2", "--cocycle-file", "{tmp}/widec.txt"],  # 65 labels
 ])
 def test_bad_values_exit_2(tmp_path, capsys, argv):
-    (tmp_path / "wide.txt").write_text("basis " + " ".join(f"X{i}" for i in range(65)) + "\n")
+    wide = "basis " + " ".join(f"X{i}" for i in range(65)) + "\n"
+    (tmp_path / "wide.txt").write_text(wide)
+    (tmp_path / "widec.txt").write_text(wide)
     argv = [arg.format(tmp=tmp_path) for arg in argv]
     assert _exit_code([*argv, "--outdir", str(tmp_path)]) == 2
     assert "PASS" not in capsys.readouterr().out

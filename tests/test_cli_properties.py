@@ -1,7 +1,9 @@
 """Property checks of the command line: every input ends in a documented exit code."""
 
+import itertools
 import math
 from datetime import timedelta
+from fractions import Fraction
 
 import pytest
 
@@ -26,6 +28,40 @@ _SETTINGS = settings(
     database=None,
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
+_ABELIAN3 = ("P1", "P2", "P3")
+# pairs of abelian3 labels three times as often as diagonal, unknown or empty ones
+_RAW_PAIRS = st.sampled_from([
+    *itertools.permutations(_ABELIAN3, 2), *itertools.permutations(_ABELIAN3, 2),
+    ("P1", "P1"), ("P2", "P4"), ("Q", "P3"), ("", "P1"),
+])
+# rationals and zero three times as often as a zero denominator or junk
+_RAW_VALUES = st.one_of(
+    st.fractions(max_denominator=9).map(str),
+    st.fractions(max_denominator=9).map(str),
+    st.sampled_from(["0", "-1", "1e3", " 2/3 "]),
+    st.sampled_from(["1/0", "abc", "", "nan", "1=2"]),
+)
+
+
+def _negated(text):
+    try:
+        return str(-Fraction(text.strip()))
+    except (ValueError, ZeroDivisionError):
+        return text
+
+
+@st.composite
+def _raw_charges(draw):
+    """Entries (A, B, value), some repeating or mirroring an earlier pair."""
+    entries = [(*pair, text) for pair, text in draw(
+        st.lists(st.tuples(_RAW_PAIRS, _RAW_VALUES), min_size=1, max_size=3))]
+    for _ in range(draw(st.integers(0, 2))):
+        la, lb, text = draw(st.sampled_from(entries))
+        if draw(st.booleans()):
+            la, lb = lb, la
+        text = draw(st.one_of(st.sampled_from([text, _negated(text)]), _RAW_VALUES))
+        entries.append((la, lb, text))
+    return entries
 
 
 def _exit_code(argv):
@@ -57,3 +93,30 @@ def test_tolerance_is_finite_and_nonnegative(name, value):
         with pytest.raises(SystemExit) as err:
             parse_options(argv)
         assert err.value.code == 2
+
+
+def _raw_charges_valid(entries):
+    """The rule of a cocycle file: known labels, no diagonal, one value per pair."""
+    table = {}
+    for la, lb, text in entries:
+        if la not in _ABELIAN3 or lb not in _ABELIAN3 or la == lb:
+            return False
+        try:
+            value = Fraction(text.strip())
+        except (ValueError, ZeroDivisionError):
+            return False
+        a, b = _ABELIAN3.index(la), _ABELIAN3.index(lb)
+        key, value = ((a, b), value) if a < b else ((b, a), -value)
+        if table.setdefault(key, value) != value:
+            return False
+    return True
+
+
+@_SETTINGS
+@given(entries=_raw_charges())
+def test_charges_raw_exit_code_is_documented(tmp_path, entries):
+    argv = ["cocycle", "--builtin", "abelian3", "--outdir", str(tmp_path)]
+    argv += [f"--charges-raw={la},{lb}={text}" for la, lb, text in entries]
+    code = _exit_code(argv)
+    assert code in (0, 2)
+    assert code == (0 if _raw_charges_valid(entries) else 2)
