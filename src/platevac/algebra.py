@@ -82,24 +82,28 @@ class AlgebraFormatError(ValueError):
 MAX_DIM = 64  # generators; exact H^2 of a dense table grows steeply with dim
 
 
-def _check_dim(n: int) -> None:
+def _check_dim(n: int, what: str = "generators") -> None:
     if n > MAX_DIM:
-        raise ValueError(f"{n} generators, more than the {MAX_DIM} allowed")
+        raise ValueError(f"{n} {what}, more than the {MAX_DIM} allowed")
 
 
-def _fold(pairs, n, negate) -> dict:
+def _fold(pairs, labels, negate) -> dict:
     """{(a, b): v} with a < b, in index order and without zero values.
 
-    `pairs` yields ((a, b), v) over indices below n; a (b, a) pair comes in
-    as negate(v) and must agree with any (a, b) pair.
+    `pairs` yields ((a, b), v) over indices into `labels`; a (b, a) pair
+    comes in as negate(v) and must agree with any (a, b) pair. Errors name
+    the pair by its labels.
     """
+    n = len(labels)
     table = {}
     for (a, b), v in pairs:
-        if a == b or not (0 <= a < n and 0 <= b < n):
-            raise ValueError(f"pair ({a}, {b}) is diagonal or out of range")
+        if not (0 <= a < n and 0 <= b < n):
+            raise ValueError(f"pair ({a}, {b}) is out of range for {n} labels")
+        if a == b:
+            raise ValueError(f"pair ({labels[a]}, {labels[b]}) is diagonal")
         key, w = ((a, b), v) if a < b else ((b, a), negate(v))
         if table.setdefault(key, w) != w:
-            raise ValueError(f"antisymmetry violated at ({a}, {b})")
+            raise ValueError(f"antisymmetry violated at ({labels[a]}, {labels[b]})")
     return {key: table[key] for key in sorted(table) if table[key]}
 
 
@@ -126,7 +130,7 @@ class LieAlgebraSpec:
             row = ((c, Fraction(comps[c])) for c in sorted(comps))
             rows.append((ab, {c: v for c, v in row if v}))
         object.__setattr__(self, "brackets", _fold(
-            rows, n, lambda row: {c: -v for c, v in row.items()}))
+            rows, self.labels, lambda row: {c: -v for c, v in row.items()}))
 
     @property
     def dim(self) -> int:
@@ -236,10 +240,9 @@ class TwoCocycle:
     entries: dict
 
     def __post_init__(self):
-        n = len(self.labels)
-        _check_dim(n)
+        _check_dim(len(self.labels), "labels")
         pairs = ((ab, Fraction(v)) for ab, v in self.entries.items())
-        object.__setattr__(self, "entries", _fold(pairs, n, operator.neg))
+        object.__setattr__(self, "entries", _fold(pairs, self.labels, operator.neg))
 
     @cached_property
     def c(self) -> tuple:

@@ -7,11 +7,12 @@ omega the exact +-1 block matrix [[0, I], [-I, 0]].
 
 Observables are at most quadratic, O = 1/2 xi^T Q xi + lin^T xi + scalar,
 with Q symmetric; a symmetric Q is automatically Weyl (symmetric) ordered.
-Q is stored as its three M x M blocks,
+`QuadraticObservable(n_modes, phi, coupling, pi, lin, scalar)` stores Q as
+its three M x M blocks,
 
     Q = [[phi, C^T], [C, pi]],
 
-with phi and pi symmetric, C the pi-phi coupling, and a block that is all
+with phi and pi symmetrized, C the pi-phi coupling, and a block that is all
 zero stored as None. The dense 2M x 2M matrix `quad` is a read-only view,
 built on first access; no computation here reads it except the spectral
 norm of a quad with all three blocks present. Every generator is
@@ -35,8 +36,8 @@ two pure Weyl quadratics carries no central term; central scalars only enter
 through the normal-ordering bookkeeping handled by `verify_central_relation`.
 
 The vacuum covariance Sigma is block-diagonal, so a vacuum expectation
-needs only phi and pi. Residual norms are spectral norms of symmetric quads,
-computed by `spectral_norm` from the blocks: the largest |eigenvalue| of
+needs only phi and pi. Both residual norms take an observable: `spectral_norm`
+works from the blocks of its quad, the largest |eigenvalue| of
 phi and pi, the top singular value of a lone coupling block, or the largest
 |eigenvalue| of the whole matrix when both kinds are present.
 
@@ -45,7 +46,8 @@ in the Hamiltonian uses forward differences (keeps the potential matrix
 positive semidefinite), while the momentum generator uses centered
 differences (keeps its matrix an exact generator, antisymmetric in the site
 indices). Their mismatch is an O(a^2) discretization effect that the
-convergence report measures instead of hiding.
+convergence report measures instead of hiding. The boost weights the
+Hamiltonian's stencil by the site coordinate, each bond at its midpoint.
 """
 
 from __future__ import annotations
@@ -114,10 +116,6 @@ class LatticeGeometry:
         return self.sites_per_dim**self.dims
 
     @property
-    def n_canonical(self) -> int:
-        return 2 * self.n_sites
-
-    @property
     def physical_size(self) -> float:
         return self.sites_per_dim * self.spacing
 
@@ -140,19 +138,6 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _assemble(phi, coupling, pi, m: int) -> np.ndarray:
-    """The dense 2M x 2M matrix [[phi, C^T], [C, pi]], None blocks as zeros."""
-    out = np.zeros((2 * m, 2 * m))
-    if phi is not None:
-        out[:m, :m] = phi
-    if pi is not None:
-        out[m:, m:] = pi
-    if coupling is not None:
-        out[m:, :m] = coupling
-        out[:m, m:] = coupling.T
-    return _readonly(out)
-
-
 def _blockwise(op, x, y):
     """op(x, y) for M x M blocks, None standing for an all-zero block."""
     if x is None and y is None:
@@ -164,38 +149,24 @@ def _transpose(x):
     return None if x is None else x.T
 
 
-@dataclass(frozen=True, init=False, eq=False)
+@dataclass(frozen=True, eq=False)
 class QuadraticObservable:
     """O = 1/2 xi^T Q xi + lin^T xi + scalar, Q = [[phi, C^T], [C, pi]] symmetric (Weyl order).
 
-    `QuadraticObservable(quad, lin, scalar)` takes the dense 2M x 2M matrix
-    and keeps the blocks of its symmetric part; `from_blocks` takes the
-    blocks. phi and pi are symmetrized, and an all-zero block becomes None.
+    A block left None is zero. phi and pi are symmetrized, an all-zero block
+    becomes None, and a None `lin` becomes the zero vector.
     """
 
     n_modes: int
-    phi: np.ndarray | None
-    coupling: np.ndarray | None
-    pi: np.ndarray | None
-    lin: np.ndarray
-    scalar: float
+    phi: np.ndarray | None = None
+    coupling: np.ndarray | None = None
+    pi: np.ndarray | None = None
+    lin: np.ndarray | None = None
+    scalar: float = 0.0
 
-    def __init__(self, quad, lin=None, scalar: float = 0.0):
-        q = np.asarray(quad, dtype=float)
-        if q.ndim != 2 or q.shape[0] != q.shape[1] or q.shape[0] % 2:
-            raise ValueError("quad must be a square 2M x 2M matrix")
-        m = q.shape[0] // 2
-        self._set_blocks(m, q[:m, :m], 0.5 * (q[m:, :m] + q[:m, m:].T), q[m:, m:], lin, scalar)
+    def __post_init__(self):
+        m = self.n_modes
 
-    @classmethod
-    def from_blocks(cls, n_modes: int, phi=None, coupling=None, pi=None, lin=None,
-                    scalar: float = 0.0) -> "QuadraticObservable":
-        """The observable with Q = [[phi, C^T], [C, pi]]; a block left None is zero."""
-        obs = cls.__new__(cls)
-        obs._set_blocks(n_modes, phi, coupling, pi, lin, scalar)
-        return obs
-
-    def _set_blocks(self, m, phi, coupling, pi, lin, scalar):
         def block(x, symmetric):
             if x is None:
                 return None
@@ -207,12 +178,12 @@ class QuadraticObservable:
                 x *= 0.5
             return _readonly(x) if x.any() else None
 
-        lin = np.zeros(2 * m) if lin is None else np.asarray(lin, dtype=float)
+        lin = np.zeros(2 * m) if self.lin is None else np.asarray(self.lin, dtype=float)
         if lin.shape != (2 * m,):
             raise ValueError("lin length must match quad dimension")
-        for name, value in (("n_modes", m), ("phi", block(phi, True)),
-                            ("coupling", block(coupling, False)), ("pi", block(pi, True)),
-                            ("lin", _readonly(lin)), ("scalar", float(scalar))):
+        for name, value in (("phi", block(self.phi, True)), ("coupling", block(self.coupling, False)),
+                            ("pi", block(self.pi, True)), ("lin", _readonly(lin)),
+                            ("scalar", float(self.scalar))):
             object.__setattr__(self, name, value)
 
     @property
@@ -221,8 +192,17 @@ class QuadraticObservable:
 
     @cached_property
     def quad(self) -> np.ndarray:
-        """Read-only dense 2M x 2M view of Q, built on first access."""
-        return _assemble(*self.blocks, self.n_modes)
+        """Read-only dense 2M x 2M view of Q, None blocks as zeros, built on first access."""
+        m = self.n_modes
+        out = np.zeros((2 * m, 2 * m))
+        if self.phi is not None:
+            out[:m, :m] = self.phi
+        if self.pi is not None:
+            out[m:, m:] = self.pi
+        if self.coupling is not None:
+            out[m:, :m] = self.coupling
+            out[:m, m:] = self.coupling.T
+        return _readonly(out)
 
     def shifted(self, delta_scalar: float) -> "QuadraticObservable":
         out = copy.copy(self)  # the blocks are read-only, so the copy shares them
@@ -232,9 +212,7 @@ class QuadraticObservable:
     def _combine(self, other: "QuadraticObservable", op) -> "QuadraticObservable":
         m = _same_modes(self, other)
         blocks = [_blockwise(op, x, y) for x, y in zip(self.blocks, other.blocks)]
-        return QuadraticObservable.from_blocks(
-            m, *blocks, op(self.lin, other.lin), op(self.scalar, other.scalar)
-        )
+        return QuadraticObservable(m, *blocks, op(self.lin, other.lin), op(self.scalar, other.scalar))
 
     def __add__(self, other: "QuadraticObservable") -> "QuadraticObservable":
         return self._combine(other, operator.add)
@@ -245,9 +223,7 @@ class QuadraticObservable:
     def __mul__(self, factor: float) -> "QuadraticObservable":
         factor = float(factor)
         scaled = [None if x is None else factor * x for x in self.blocks]
-        return QuadraticObservable.from_blocks(
-            self.n_modes, *scaled, factor * self.lin, factor * self.scalar
-        )
+        return QuadraticObservable(self.n_modes, *scaled, factor * self.lin, factor * self.scalar)
 
     __rmul__ = __mul__
 
@@ -278,16 +254,21 @@ def _all_bonds(geom: LatticeGeometry) -> list[tuple[int, int]]:
     return [b for d in range(geom.dims) for b in _bonds(geom, d)]
 
 
-def _potential_matrix(geom: LatticeGeometry, mass: float) -> np.ndarray:
-    """m^2 I plus the forward-difference gradient coupling, positive semidefinite."""
-    m_sites = geom.n_sites
-    v = (mass * mass) * np.eye(m_sites)
+def _potential_matrix(geom: LatticeGeometry, mass: float, weight: np.ndarray) -> np.ndarray:
+    """Site terms m^2 w_x plus forward-difference bonds, each weighted at its midpoint.
+
+    All-ones weights give the potential matrix of H; the centered coordinate
+    gives the weighted potential of a boost.
+    """
+    v = np.diag((mass * mass) * weight)
     inv_a2 = 1.0 / (geom.spacing * geom.spacing)
+    weight = weight.tolist()  # the same IEEE arithmetic as numpy scalars, cheaper per bond
     for u, w in _all_bonds(geom):
-        v[u, u] += inv_a2
-        v[w, w] += inv_a2
-        v[u, w] -= inv_a2
-        v[w, u] -= inv_a2
+        bond = 0.5 * (weight[u] + weight[w]) * inv_a2
+        v[u, u] += bond
+        v[w, w] += bond
+        v[u, w] -= bond
+        v[w, u] -= bond
     return v
 
 
@@ -335,26 +316,14 @@ def build_hamiltonian(geom: LatticeGeometry, mass: float) -> QuadraticObservable
     if mass == 0 and geom.boundary == "periodic":
         raise DegenerateVacuumError("massless periodic lattice has an exact zero mode")
     m = geom.n_sites
-    return QuadraticObservable.from_blocks(m, phi=_potential_matrix(geom, mass), pi=np.eye(m))
+    return QuadraticObservable(m, phi=_potential_matrix(geom, mass, np.ones(m)), pi=np.eye(m))
 
 
-def build_momentum(geom: LatticeGeometry, direction: int, ordering="weyl") -> QuadraticObservable:
-    """Weyl-symmetrized pi * (centered difference of phi), summed over sites.
-
-    `ordering` is either the string "weyl" or a ModeBasis, in which case the
-    scalar slot is set to minus the Weyl-form vacuum expectation so the
-    observable annihilates that vacuum on average.
-    """
+def build_momentum(geom: LatticeGeometry, direction: int) -> QuadraticObservable:
+    """Weyl-symmetrized pi * (centered difference of phi), summed over sites."""
     if not 0 <= direction < geom.dims:
         raise ValueError("direction out of range")
-    obs = QuadraticObservable.from_blocks(
-        geom.n_sites, coupling=_difference_matrix(geom, direction)
-    )
-    if isinstance(ordering, str):
-        if ordering != "weyl":
-            raise ValueError("ordering must be 'weyl' or a ModeBasis")
-        return obs
-    return normal_ordered(obs, ordering)
+    return QuadraticObservable(geom.n_sites, coupling=_difference_matrix(geom, direction))
 
 
 def build_boost(
@@ -371,18 +340,9 @@ def build_boost(
         raise ValueError("direction out of range")
     _check_mass(mass)
     coord = geom.centered_coordinate(direction)
-    m_sites = geom.n_sites
-    inv_a2 = 1.0 / (geom.spacing * geom.spacing)
-    v_w = np.zeros((m_sites, m_sites))
-    v_w[np.arange(m_sites), np.arange(m_sites)] = (mass * mass) * coord
-    for u, w in _all_bonds(geom):
-        mid = 0.5 * (coord[u] + coord[w])
-        v_w[u, u] += mid * inv_a2
-        v_w[w, w] += mid * inv_a2
-        v_w[u, w] -= mid * inv_a2
-        v_w[w, u] -= mid * inv_a2
     coupling = t * _difference_matrix(geom, direction) if t != 0.0 else None
-    return QuadraticObservable.from_blocks(m_sites, -v_w, coupling, -np.diag(coord))
+    return QuadraticObservable(geom.n_sites, -_potential_matrix(geom, mass, coord), coupling,
+                               -np.diag(coord))
 
 
 def build_rotation(geom: LatticeGeometry) -> QuadraticObservable:
@@ -396,7 +356,7 @@ def build_rotation(geom: LatticeGeometry) -> QuadraticObservable:
     x1 = geom.centered_coordinate(0)
     x2 = geom.centered_coordinate(1)
     b = x1[:, None] * _difference_matrix(geom, 1) - x2[:, None] * _difference_matrix(geom, 0)
-    return QuadraticObservable.from_blocks(geom.n_sites, coupling=b)
+    return QuadraticObservable(geom.n_sites, coupling=b)
 
 
 # ---------------------------------------------------------------------------
@@ -409,9 +369,8 @@ class ModeBasis:
 
     The vacuum covariance Sigma[a][b] = <0| {xi_a, xi_b}/2 |0> is
     block-diagonal, stored as covariance_phi = U diag(1/omega) U^T / 2 and
-    covariance_pi = U diag(omega) U^T / 2. The dense 2M x 2M views, built on
-    first access, are vacuum_covariance and transform: S = diag(omega^{1/2}
-    U^T, omega^{-1/2} U^T) satisfies S^T omega S = omega and maps xi to mode
+    covariance_pi = U diag(omega) U^T / 2. S = diag(omega^{1/2} U^T,
+    omega^{-1/2} U^T) satisfies S^T omega S = omega and maps xi to mode
     variables in which H is sum_k omega_k (q_k^2 + p_k^2)/2.
     """
 
@@ -433,21 +392,15 @@ class ModeBasis:
         """Ground-state energy 1/2 sum_k omega_k."""
         return 0.5 * float(np.sum(self.frequencies))
 
-    @cached_property
-    def transform(self) -> np.ndarray:
-        root = np.sqrt(self.frequencies)[:, None]
-        return _assemble(root * self.modes.T, None, (1.0 / root) * self.modes.T, self.n_modes)
 
-    @cached_property
-    def vacuum_covariance(self) -> np.ndarray:
-        return _assemble(self.covariance_phi, None, self.covariance_pi, self.n_modes)
+_DEGENERACY_TOL = 1e-10
 
 
-def build_mode_basis(hamiltonian: QuadraticObservable, degeneracy_tol: float = 1e-10) -> ModeBasis:
+def build_mode_basis(hamiltonian: QuadraticObservable) -> ModeBasis:
     """Diagonalize a Hamiltonian of the block form [[V, 0], [0, I]].
 
     Raises DegenerateVacuumError when the smallest potential eigenvalue
-    drops to `degeneracy_tol` (no normalizable vacuum).
+    drops to 1e-10 (no normalizable vacuum).
     """
     m = hamiltonian.n_modes
     pi = hamiltonian.pi
@@ -455,7 +408,7 @@ def build_mode_basis(hamiltonian: QuadraticObservable, degeneracy_tol: float = 1
         raise ValueError("mode basis needs a Hamiltonian with unit pi block and no cross terms")
     v = np.zeros((m, m)) if hamiltonian.phi is None else hamiltonian.phi
     lam, u = np.linalg.eigh(v)
-    if lam[0] <= degeneracy_tol:
+    if lam[0] <= _DEGENERACY_TOL:
         raise DegenerateVacuumError(f"smallest potential eigenvalue {lam[0]:.3e}")
     omega = np.sqrt(lam)
     return ModeBasis(omega, u, 0.5 * ((u * (1.0 / omega)) @ u.T), 0.5 * ((u * omega) @ u.T))
@@ -524,32 +477,20 @@ def commutator(a: QuadraticObservable, b: QuadraticObservable) -> QuadraticObser
     scalar = float(a.lin[:m] @ b.lin[m:] - a.lin[m:] @ b.lin[:m])
     pairs = ((x00, x00), (x10, x01), (x11, x11))  # phi, C, pi of X + X^T
     quad = [_blockwise(operator.add, x, _transpose(y)) for x, y in pairs]
-    return QuadraticObservable.from_blocks(m, *quad, lin, scalar)
+    return QuadraticObservable(m, *quad, lin, scalar)
 
 
 # ---------------------------------------------------------------------------
 # residual norms
 
 
-def _as_observable(quad) -> QuadraticObservable:
-    """An observable as it is; a dense 2M x 2M array, which must be symmetric, as its blocks."""
-    if isinstance(quad, QuadraticObservable):
-        return quad
-    quad = np.asarray(quad, dtype=float)
-    if not np.array_equal(quad, quad.T):
-        raise ValueError("need a symmetric quad")
-    return QuadraticObservable(quad)
+def spectral_norm(obs: QuadraticObservable) -> float:
+    """Largest singular value of the symmetric quad Q of `obs`, from its blocks.
 
-
-def spectral_norm(quad) -> float:
-    """Largest singular value of a symmetric quad, from its blocks.
-
-    `quad` is an observable (its Q is used) or a dense symmetric 2M x 2M array.
     Block-diagonal: the largest |eigenvalue| of phi and pi.
     Off-diagonal [[0, C^T], [C, 0]]: the top singular value of C.
     Otherwise: the largest |eigenvalue| of the whole matrix.
     """
-    obs = _as_observable(quad)
     if obs.coupling is None:
         return max(_max_abs_eigenvalue(blk) for blk in (obs.phi, obs.pi))
     if obs.phi is None and obs.pi is None:
@@ -564,18 +505,28 @@ def _max_abs_eigenvalue(sym: np.ndarray | None) -> float:
     return float(max(-eig[0], eig[-1]))
 
 
-def _bulk_sites(geom: LatticeGeometry, window: int) -> np.ndarray:
-    """Flat indices of sites at least `window` sites from every edge or seam."""
+def _bulk_window(geom: LatticeGeometry) -> int:
+    """Sites kept clear of every edge or seam: a quarter of each direction.
+
+    2 * (N // 4) < N for every N >= 3, so the bulk is never empty.
+    """
+    return geom.sites_per_dim // 4
+
+
+def _bulk_sites(geom: LatticeGeometry) -> np.ndarray:
+    """Flat indices of the sites at least one bulk window from every edge or seam."""
     n = geom.sites_per_dim
-    if 2 * window >= n:
-        raise ValueError(f"lattice too small for bulk window {window}")
+    window = _bulk_window(geom)
     keep1d = np.arange(window, n - window)
     if geom.dims == 1:
         return keep1d
     return (keep1d[:, None] * n + keep1d[None, :]).ravel()
 
 
-def _bump_profiles(geom: LatticeGeometry, window: int, count: int) -> list[np.ndarray]:
+_N_PROFILES = 3
+
+
+def _bump_profiles(geom: LatticeGeometry) -> list[np.ndarray]:
     """Smooth compactly-supported site profiles living strictly inside the bulk.
 
     The shapes are fixed functions of the physical coordinate, so refining
@@ -583,6 +534,7 @@ def _bump_profiles(geom: LatticeGeometry, window: int, count: int) -> list[np.nd
     them expose the discretization order cleanly.
     """
     n = geom.sites_per_dim
+    window = _bulk_window(geom)
     j = np.arange(window, n - window)
     y = (2.0 * j - (n - 1)) / (n - 2 * window)  # strictly inside (-1, 1)
     # polynomial window: C^3 at the support edge with moderate derivative
@@ -590,7 +542,7 @@ def _bump_profiles(geom: LatticeGeometry, window: int, count: int) -> list[np.nd
     envelope = (1.0 - y * y) ** 4
     d_envelope = -8.0 * y * (1.0 - y * y) ** 3
     profiles = []
-    for nu in range(1, count + 1):
+    for nu in range(1, _N_PROFILES + 1):
         rate = 0.3 * math.pi * nu
         phase = rate * y + 0.3 * nu
         f = envelope * np.cos(phase)
@@ -608,21 +560,17 @@ def _bump_profiles(geom: LatticeGeometry, window: int, count: int) -> list[np.nd
     return profiles
 
 
-def bulk_residual_norm(quad_residual, geom: LatticeGeometry, window: int, n_profiles: int = 3) -> float:
-    """max over smooth bulk test vectors v of |R v|_2 / |v|_2.
+def bulk_residual_norm(residual: QuadraticObservable, geom: LatticeGeometry) -> float:
+    """max over smooth bulk test vectors v of |R v|_2 / |v|_2, R the quad of `residual`.
 
-    `quad_residual` is an observable (R is its Q) or a dense symmetric
-    2M x 2M array; R v is taken block by block.
-
-    The raw operator norm of a finite-difference residual does not shrink
-    with the spacing (the residual acts like a^2 times a second difference,
-    an O(1) matrix); measuring against fixed smooth profiles recovers the
-    continuum convergence order.
+    R v is taken block by block. The raw operator norm of a finite-difference
+    residual does not shrink with the spacing (the residual acts like a^2
+    times a second difference, an O(1) matrix); measuring against fixed
+    smooth profiles recovers the continuum convergence order.
     """
-    obs = _as_observable(quad_residual)
     m = geom.n_sites
     worst = 0.0
-    for f, df in _bump_profiles(geom, window, n_profiles):
+    for f, df in _bump_profiles(geom):
         for v in (
             np.concatenate([f, np.zeros(m)]),
             np.concatenate([np.zeros(m), f]),
@@ -631,16 +579,16 @@ def bulk_residual_norm(quad_residual, geom: LatticeGeometry, window: int, n_prof
             norm_v = float(np.linalg.norm(v))
             if norm_v == 0.0:
                 continue
-            worst = max(worst, float(np.linalg.norm(_quad_apply(obs, v))) / norm_v)
+            worst = max(worst, float(np.linalg.norm(_quad_apply(residual, v))) / norm_v)
     return worst
 
 
-def _masked_operator_norm(obs: QuadraticObservable, geom: LatticeGeometry, window: int) -> float:
+def _masked_operator_norm(obs: QuadraticObservable, geom: LatticeGeometry) -> float:
     """Spectral norm of Q restricted to the bulk sites, in both the phi and the pi half."""
-    keep = _bulk_sites(geom, window)
+    keep = _bulk_sites(geom)
     sub = np.ix_(keep, keep)
     blocks = [None if x is None else x[sub] for x in obs.blocks]
-    return spectral_norm(QuadraticObservable.from_blocks(keep.size, *blocks))
+    return spectral_norm(QuadraticObservable(keep.size, *blocks))
 
 
 def _check_spacings(spacings) -> None:
@@ -666,7 +614,6 @@ def verify_central_relation(
     mass_pair,
     direction: int = 0,
     t: float = 0.0,
-    bulk_window: int | None = None,
 ) -> dict:
     """Check (1/i)[K(L), P] against H(L) - E(L) on one open lattice.
 
@@ -693,12 +640,9 @@ def verify_central_relation(
         raise ValueError("central-relation check needs an open boundary")
     if len(mass_pair) != 2:
         raise ValueError("mass_pair must hold exactly two masses")
-    window = geom.sites_per_dim // 4 if bulk_window is None else bulk_window
-    _bulk_sites(geom, window)  # validate early
-
     h0 = build_hamiltonian(geom, mass_pair[0])
     basis0 = build_mode_basis(h0)
-    momentum = build_momentum(geom, direction, ordering=basis0)
+    momentum = normal_ordered(build_momentum(geom, direction), basis0)
 
     per_label = []
     energies = []
@@ -716,12 +660,12 @@ def verify_central_relation(
                 "mass": float(mass),
                 "sites": geom.sites_per_dim,
                 "spacing": geom.spacing,
-                "bulk_window": window,
+                "bulk_window": _bulk_window(geom),
                 "scalar_slot": -e_trace,
                 "ground_energy_trace": e_trace,
                 "ground_energy_eigensum": e_eig,
                 "scalar_discrepancy_rel": abs(e_trace - e_eig) / abs(e_eig),
-                "bulk_residual_norm": bulk_residual_norm(residual, geom, window),
+                "bulk_residual_norm": bulk_residual_norm(residual, geom),
                 "full_residual_norm": spectral_norm(residual),
                 "commutator_scalar_raw": comm.scalar,
                 "commutator_vev": vacuum_expectation(comm, basis),
@@ -744,12 +688,22 @@ def central_relation_convergence(
 ) -> dict:
     """Run verify_central_relation over a spacing sweep at fixed physical size.
 
-    Site counts are physical_size / a rounded to the nearest integer; the
-    report adds fitted convergence orders of the bulk residual norms.
+    Each spacing must divide physical_size into a whole number of sites: a
+    realized size sites * a more than 1e-9 relative away from physical_size
+    is a ValueError, since an order fitted across different sizes measures
+    the size change too. The report adds fitted convergence orders of the
+    bulk residual norms.
     """
     _check_spacings(spacings)
+    if not (math.isfinite(physical_size) and physical_size > 0):
+        raise ValueError(f"physical size must be finite and positive, got {physical_size!r}")
     geoms = [LatticeGeometry(dims=1, sites_per_dim=round(physical_size / a), spacing=a,
                              boundary="open") for a in spacings]  # reject bad sizes up front
+    for geom in geoms:
+        if abs(geom.physical_size - physical_size) > 1e-9 * abs(physical_size):
+            raise ValueError(
+                f"spacing {geom.spacing:g} gives {geom.sites_per_dim} sites of size "
+                f"{geom.physical_size:.12g}, not the physical size {physical_size:g}")
     rows = [verify_central_relation(geom, mass_pair, direction, t) for geom in geoms]
     orders = []
     for label in range(2):
@@ -758,17 +712,16 @@ def central_relation_convergence(
     return {"spacings": list(spacings), "reports": rows, "bulk_orders": orders}
 
 
-def verify_poincare_closure(geom: LatticeGeometry, mass: float, bulk_window: int | None = None) -> dict:
+def verify_poincare_closure(geom: LatticeGeometry, mass: float) -> dict:
     """Residual norms of the vanishing brackets on a periodic lattice.
 
     [P_1, P_2] and [H, P_i] are translation-invariant statements and get the
     plain spectral norm. [J, H] holds in the bulk but not across the
     coordinate seam of the torus, so its norm is restricted to rows and
-    columns supported `bulk_window` sites away from the seam.
+    columns supported N // 4 sites away from the seam.
     """
     if geom.boundary != "periodic":
         raise ValueError("closure check is defined on periodic lattices")
-    window = geom.sites_per_dim // 4 if bulk_window is None else bulk_window
     h = build_hamiltonian(geom, mass)
     momenta = [build_momentum(geom, d) for d in range(geom.dims)]
     out = {}
@@ -778,7 +731,7 @@ def verify_poincare_closure(geom: LatticeGeometry, mass: float, bulk_window: int
         out["P1,P2"] = spectral_norm(commutator(momenta[0], momenta[1]))
         rot = build_rotation(geom)
         comm_jh = commutator(rot, h)
-        out["J,H bulk"] = _masked_operator_norm(comm_jh, geom, window)
+        out["J,H bulk"] = _masked_operator_norm(comm_jh, geom)
         out["J,H full"] = spectral_norm(comm_jh)
     return out
 

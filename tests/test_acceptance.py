@@ -85,13 +85,15 @@ def test_criterion_4_normal_ordering_shifts_only_the_scalar():
     geom = lat.LatticeGeometry(1, 6, 0.7, boundary="open")
     basis = lat.build_mode_basis(lat.build_hamiltonian(geom, 1.3))
     rng = np.random.default_rng(353)
-    m = geom.n_canonical
+    m = geom.n_sites
 
     ok = True
     for _ in range(50):
-        def rand_obs():
+        def rand_obs():  # the symmetric part of a random dense 2M x 2M quad
+            q = rng.standard_normal((2 * m, 2 * m))
+            coupling = 0.5 * (q[m:, :m] + q[:m, m:].T)
             return lat.QuadraticObservable(
-                rng.standard_normal((m, m)), rng.standard_normal(m),
+                m, q[:m, :m], coupling, q[m:, m:], rng.standard_normal(2 * m),
                 float(rng.standard_normal()),
             )
         a, b = rand_obs(), rand_obs()

@@ -174,6 +174,9 @@ def test_algebra_verify_order_gate_fails(tmp_path, capsys):
     ["--mass1", "inf"],
     ["--spacings", "0.1,0.1,0.1"],
     ["--spacings", "0.2"],
+    ["--spacings", "0.3,0.15"],  # 27 * 0.3 = 8.1 and 53 * 0.15 = 7.95, not 8
+    ["--physical-size", "inf"],
+    ["--physical-size", "nan"],
 ])
 def test_algebra_verify_bad_input_exit_code(tmp_path, capsys, argv):
     code = main(["algebra-verify", *argv, "--outdir", str(tmp_path)])
@@ -181,6 +184,13 @@ def test_algebra_verify_bad_input_exit_code(tmp_path, capsys, argv):
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ")
     assert "FAIL" not in captured.out
+
+
+def test_spacing_that_misses_the_physical_size_names_it(tmp_path, capsys):
+    argv = ["algebra-verify", "--spacings", "0.2,0.3", "--outdir", str(tmp_path)]
+    assert main(argv) == 2
+    assert "spacing 0.3 gives 27 sites of size 8.1" in capsys.readouterr().err
+    assert not (tmp_path / "central_relation.csv").exists()
 
 
 def test_algebra_verify_poincare_check(tmp_path, capsys):
@@ -437,6 +447,18 @@ def test_bad_values_exit_2(tmp_path, capsys, argv):
     argv = [arg.format(tmp=tmp_path) for arg in argv]
     assert _exit_code([*argv, "--outdir", str(tmp_path)]) == 2
     assert "PASS" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["--charges-raw", "P1,P1=1"], "pair (P1, P1) is diagonal"),
+    (["--charges-raw", "P1,P2=1", "--charges-raw", "P2,P1=1"], "antisymmetry violated at (P2, P1)"),
+    (["--cocycle-file", "{tmp}/widec.txt"], "65 labels, more than the 64 allowed"),
+])
+def test_cocycle_errors_name_labels(tmp_path, capsys, argv, message):
+    (tmp_path / "widec.txt").write_text("basis " + " ".join(f"X{i}" for i in range(65)) + "\n")
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
+    assert main(["cocycle", "--builtin", "abelian2", *argv, "--outdir", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 _COMMANDS = ("cocycle", "algebra-verify", "casimir", "adiabatic")

@@ -9,17 +9,43 @@ import pytest
 from platevac import lattice as lat
 
 
+def _from_dense(q, lin=None, scalar=0.0):
+    """The observable whose Q is the symmetric part of the dense 2M x 2M matrix q."""
+    q = np.asarray(q, dtype=float)
+    m = q.shape[0] // 2
+    coupling = 0.5 * (q[m:, :m] + q[:m, m:].T)
+    return lat.QuadraticObservable(m, q[:m, :m], coupling, q[m:, m:], lin, scalar)
+
+
 def _rand_obs(rng, n_modes, with_lin=True):
     dim = 2 * n_modes
     quad = rng.standard_normal((dim, dim))
     lin = rng.standard_normal(dim) if with_lin else None
-    return lat.QuadraticObservable(quad + quad.T, lin, rng.standard_normal())
+    return _from_dense(quad + quad.T, lin, rng.standard_normal())
 
 
 def _omega(n_modes):
     eye = np.eye(n_modes)
     zero = np.zeros((n_modes, n_modes))
     return np.block([[zero, eye], [-eye, zero]])
+
+
+def _block_diag(top, bottom):
+    m = top.shape[0]
+    out = np.zeros((2 * m, 2 * m))
+    out[:m, :m], out[m:, m:] = top, bottom
+    return out
+
+
+def _covariance(basis):
+    """The dense vacuum covariance Sigma = diag(covariance_phi, covariance_pi)."""
+    return _block_diag(basis.covariance_phi, basis.covariance_pi)
+
+
+def _mode_transform(basis):
+    """S = diag(omega^{1/2} U^T, omega^{-1/2} U^T), which maps xi to mode variables."""
+    root = np.sqrt(basis.frequencies)[:, None]
+    return _block_diag(root * basis.modes.T, basis.modes.T / root)
 
 
 def _dense_commutator(a, b):
@@ -60,7 +86,6 @@ def test_geometry_validation():
 def test_geometry_counts():
     g = lat.LatticeGeometry(2, 5, 0.25, "periodic")
     assert g.n_sites == 25
-    assert g.n_canonical == 50
     assert g.physical_size == 1.25
 
 
@@ -74,17 +99,25 @@ def test_centered_coordinate_sums_to_zero():
 
 def test_quad_symmetrized_and_readonly():
     upper = np.array([[1.0, 2.0], [0.0, 3.0]])
-    obs = lat.QuadraticObservable(upper)
-    assert np.array_equal(obs.quad, np.array([[1.0, 1.0], [1.0, 3.0]]))
-    with pytest.raises(ValueError):
-        obs.quad[0, 0] = 5.0
-    with pytest.raises(ValueError):
-        lat.QuadraticObservable(np.zeros((2, 2)), lin=[1.0, 2.0, 3.0])
+    obs = lat.QuadraticObservable(2, phi=upper, coupling=upper, pi=-upper)
+    assert np.array_equal(obs.phi, np.array([[1.0, 1.0], [1.0, 3.0]]))
+    assert np.array_equal(obs.pi, -obs.phi)
+    assert np.array_equal(obs.coupling, upper)  # the coupling is not symmetrized
+    assert np.array_equal(obs.lin, np.zeros(4)) and obs.scalar == 0.0
+    assert lat.QuadraticObservable(2, phi=np.zeros((2, 2))).phi is None
+    for view in (obs.quad, obs.phi, obs.coupling, obs.pi, obs.lin):
+        with pytest.raises(ValueError):
+            view[0, ...] = 5.0
+    with pytest.raises(ValueError, match="lin length"):
+        lat.QuadraticObservable(1, lin=[1.0, 2.0, 3.0])
+    for block in ("phi", "coupling", "pi"):
+        with pytest.raises(ValueError, match="M x M"):
+            lat.QuadraticObservable(2, **{block: np.eye(3)})
 
 
 def test_observable_arithmetic():
-    a = lat.QuadraticObservable(np.eye(2), [1.0, 0.0], 2.0)
-    b = lat.QuadraticObservable(2 * np.eye(2), [0.0, 1.0], -1.0)
+    a = _from_dense(np.eye(2), [1.0, 0.0], 2.0)
+    b = _from_dense(2 * np.eye(2), [0.0, 1.0], -1.0)
     s = a + b
     assert np.array_equal(s.quad, 3 * np.eye(2))
     assert s.scalar == 1.0
@@ -98,15 +131,15 @@ def test_observable_arithmetic():
 
 def test_commutator_canonical_pair_examples():
     # A = q^2/2, B = p^2/2 on one pair: (1/i)[A, B] = (qp + pq)/2
-    q2 = lat.QuadraticObservable(np.diag([1.0, 0.0]))
-    p2 = lat.QuadraticObservable(np.diag([0.0, 1.0]))
+    q2 = lat.QuadraticObservable(1, phi=[[1.0]])
+    p2 = lat.QuadraticObservable(1, pi=[[1.0]])
     c = lat.commutator(q2, p2)
     assert np.array_equal(c.quad, np.array([[0.0, 1.0], [1.0, 0.0]]))
     assert c.scalar == 0.0
     assert np.all(c.lin == 0.0)
 
-    q = lat.QuadraticObservable(np.zeros((2, 2)), lin=[1.0, 0.0])
-    p = lat.QuadraticObservable(np.zeros((2, 2)), lin=[0.0, 1.0])
+    q = lat.QuadraticObservable(1, lin=[1.0, 0.0])
+    p = lat.QuadraticObservable(1, lin=[0.0, 1.0])
     c = lat.commutator(q, p)
     assert c.scalar == 1.0
     assert np.all(c.quad == 0.0)
@@ -178,10 +211,10 @@ def test_commutator_of_generators_matches_explicit_omega():
     g = lat.LatticeGeometry(1, 12, 0.5, "open")
     basis = lat.build_mode_basis(lat.build_hamiltonian(g, 1.0))
     h = lat.build_hamiltonian(g, 1.0)
-    p = lat.build_momentum(g, 0, ordering=basis)
+    p = lat.normal_ordered(lat.build_momentum(g, 0), basis)
     k0 = lat.build_boost(g, 0, 0.0, 1.0)
     kt = lat.build_boost(g, 0, 0.7, 1.0)
-    shifted = lat.QuadraticObservable(kt.quad, np.linspace(-1.0, 1.0, g.n_canonical), 0.3)
+    shifted = lat.QuadraticObservable(g.n_sites, *kt.blocks, np.linspace(-1.0, 1.0, 2 * g.n_sites), 0.3)
     obs = (h, p, k0, kt, shifted)
     for a in obs:
         for b in obs:
@@ -194,8 +227,8 @@ def test_commutator_of_generators_matches_explicit_omega():
 
 
 def test_commutator_dimension_mismatch():
-    a = lat.QuadraticObservable(np.zeros((2, 2)))
-    b = lat.QuadraticObservable(np.zeros((4, 4)))
+    a = lat.QuadraticObservable(1)
+    b = lat.QuadraticObservable(2)
     with pytest.raises(ValueError):
         lat.commutator(a, b)
 
@@ -292,11 +325,11 @@ def _pattern_quad(rng, m, pattern):
 def test_zero_block_patterns_match_dense_oracles(m):
     rng = np.random.default_rng(43 + m)
     basis = lat.build_mode_basis(lat.build_hamiltonian(lat.LatticeGeometry(1, m, 0.5), 1.0))
-    sigma = basis.vacuum_covariance
+    sigma = _covariance(basis)
     obs = {}
     for pattern, on in _PATTERNS.items():
         q = _pattern_quad(rng, m, pattern)
-        a = lat.QuadraticObservable(q, rng.standard_normal(2 * m), rng.standard_normal())
+        a = _from_dense(q, rng.standard_normal(2 * m), rng.standard_normal())
         assert [x is not None for x in (a.phi, a.coupling, a.pi)] == list(on), pattern
         assert np.array_equal(a.quad, q) and a.quad is a.quad
         obs[pattern] = a
@@ -327,14 +360,13 @@ def test_dense_views_read_only_and_cached():
     g = lat.LatticeGeometry(1, 6, 0.5)
     h = lat.build_hamiltonian(g, 1.0)
     basis = lat.build_mode_basis(h)
-    for view in (h.quad, basis.transform, basis.vacuum_covariance):
+    for view in (h.quad, basis.frequencies, basis.modes, basis.covariance_phi, basis.covariance_pi):
         with pytest.raises(ValueError):
-            view[0, 0] = 1.0
-    assert basis.transform is basis.transform
-    assert basis.vacuum_covariance is basis.vacuum_covariance
+            view[0, ...] = 1.0
+    assert h.quad is h.quad
     assert h.coupling is None and np.array_equal(h.pi, np.eye(6))
-    assert np.array_equal(basis.vacuum_covariance[:6, :6], basis.covariance_phi)
-    assert np.array_equal(basis.vacuum_covariance[6:, 6:], basis.covariance_pi)
+    assert np.array_equal(h.quad[:6, :6], h.phi) and np.array_equal(h.quad[6:, 6:], h.pi)
+    assert not h.quad[:6, 6:].any() and not h.quad[6:, :6].any()
 
 
 def test_central_relation_peak_memory_stays_blockwise():
@@ -380,9 +412,9 @@ def test_mode_basis_symplectic_and_energy():
     h = lat.build_hamiltonian(g, 0.7)
     basis = lat.build_mode_basis(h)
     om = _omega(basis.n_modes)
-    s = basis.transform
+    s = _mode_transform(basis)
     assert np.abs(s.T @ om @ s - om).max() < 1e-10
-    assert np.linalg.eigvalsh(basis.vacuum_covariance).min() > 0
+    assert np.linalg.eigvalsh(_covariance(basis)).min() > 0
     trace_route = lat.vacuum_expectation(h, basis)
     assert abs(trace_route - basis.energy) < 1e-12 * basis.energy
 
@@ -408,14 +440,9 @@ def test_mode_basis_diagonal_scaling_matches_diagonal_products():
     basis = lat.build_mode_basis(lat.build_hamiltonian(g, 0.9))
     lam, u = np.linalg.eigh(lat.build_hamiltonian(g, 0.9).quad[:20, :20])
     omega = np.sqrt(lam)
-    s = np.zeros((40, 40))
-    s[:20, :20] = np.diag(np.sqrt(omega)) @ u.T
-    s[20:, 20:] = np.diag(1.0 / np.sqrt(omega)) @ u.T
-    assert np.array_equal(basis.transform, s)
-    sigma = np.zeros((40, 40))
-    sigma[:20, :20] = u @ np.diag(1.0 / omega) @ u.T
-    sigma[20:, 20:] = u @ np.diag(omega) @ u.T
-    assert np.array_equal(basis.vacuum_covariance, 0.5 * sigma)
+    assert np.array_equal(basis.frequencies, omega) and np.array_equal(basis.modes, u)
+    assert np.array_equal(basis.covariance_phi, 0.5 * (u @ np.diag(1.0 / omega) @ u.T))
+    assert np.array_equal(basis.covariance_pi, 0.5 * (u @ np.diag(omega) @ u.T))
 
 
 def test_negative_mass_rejected():
@@ -444,12 +471,10 @@ def test_momentum_vacuum_expectation_exactly_zero():
 def test_momentum_normal_ordering_and_metadata():
     g = lat.LatticeGeometry(1, 14, 0.5, "open")
     basis = lat.build_mode_basis(lat.build_hamiltonian(g, 1.1))
-    p = lat.build_momentum(g, 0, ordering=basis)
+    p = lat.normal_ordered(lat.build_momentum(g, 0), basis)
     assert p.scalar == 0.0  # Weyl expectation already vanished
     with pytest.raises(ValueError):
         lat.build_momentum(g, 1)
-    with pytest.raises(ValueError):
-        lat.build_momentum(g, 0, ordering="normal")
 
 
 def test_boost_structure():
@@ -464,6 +489,47 @@ def test_boost_structure():
     assert np.allclose(kt.quad - k0.quad, 0.7 * p.quad, atol=1e-14)
     with pytest.raises(ValueError):
         lat.build_boost(lat.LatticeGeometry(1, 12, 0.5, "periodic"), 0, 0.0, 1.0)
+
+
+def _chain_potential(n, a, mass, weight):
+    """phi block of sum_x w_x h_x on a 1-D open chain, written out as a tridiagonal.
+
+    Site x carries m^2 w_x; the bond (x, x + 1) carries its midpoint weight
+    (w_x + w_{x+1}) / 2 over a^2, on both diagonal ends and negated off the
+    diagonal.
+    """
+    mid = (weight[:-1] + weight[1:]) / 2.0
+    diagonal = mass**2 * weight + (np.append(mid, 0.0) + np.insert(mid, 0, 0.0)) / a**2
+    return np.diag(diagonal) - np.diag(mid / a**2, 1) - np.diag(mid / a**2, -1)
+
+
+@pytest.mark.parametrize("mass", [0.0, 1.0, math.pi, math.pi / 2])
+def test_potential_blocks_match_hand_written_stencil(mass):
+    # H: diagonal m^2 + (bond count) / a^2, off-diagonal -1 / a^2; the boost
+    # -K: diagonal m^2 x_i + adjacent bond midpoints / a^2, off-diagonal -mid / a^2
+    n, a = 9, 0.4
+    ones = np.ones(n)
+    x = a * (np.arange(n) - (n - 1) / 2.0)
+    g = lat.LatticeGeometry(1, n, a, "open")
+    hand_h = _chain_potential(n, a, mass, ones)
+    assert np.array_equal(np.diag(hand_h), mass**2 + np.r_[1, [2] * (n - 2), 1] / a**2)
+    assert np.allclose(lat.build_hamiltonian(g, mass).phi, hand_h, rtol=1e-14, atol=0)
+    boost = lat.build_boost(g, 0, 0.0, mass)
+    assert np.allclose(-boost.phi, _chain_potential(n, a, mass, x), rtol=1e-14, atol=1e-13)
+    assert np.array_equal(-boost.pi, np.diag(x))
+
+    # 2-D open, site (i, j) at flat index i * n + j: each direction adds its
+    # chain, and a boost weights the bonds across its direction by the
+    # (constant) coordinate of their line
+    g2 = lat.LatticeGeometry(2, n, a, "open")
+    eye, plain = np.eye(n), _chain_potential(n, a, 0.0, ones)
+    hand_h2 = np.kron(_chain_potential(n, a, mass, ones), eye) + np.kron(eye, plain)
+    assert np.allclose(lat.build_hamiltonian(g2, mass).phi, hand_h2, rtol=1e-14, atol=0)
+    hand_k2 = (np.kron(_chain_potential(n, a, mass, x), eye) + np.kron(np.diag(x), plain),
+               np.kron(eye, _chain_potential(n, a, mass, x)) + np.kron(plain, np.diag(x)))
+    for direction, hand in enumerate(hand_k2):
+        got = -lat.build_boost(g2, direction, 0.0, mass).phi
+        assert np.allclose(got, hand, rtol=1e-14, atol=1e-13), direction
 
 
 def test_rotation_requires_two_dims():
@@ -511,7 +577,7 @@ def test_closure_report_matches_dense_svd():
         "J,H full": _dense_norm(jh),
     }
     assert report.keys() == dense.keys()
-    scale = np.abs(h.quad).max() * np.abs(rot.quad).max() * g.n_canonical
+    scale = np.abs(h.quad).max() * np.abs(rot.quad).max() * 2 * g.n_sites
     for pair, value in dense.items():
         assert abs(report[pair] - value) <= 1e-12 * max(value, scale), pair
 
@@ -554,6 +620,7 @@ def test_central_relation_report_small_lattice():
     rep = lat.verify_central_relation(g, (math.pi, math.pi / 2))
     assert len(rep["per_label"]) == 2
     for row in rep["per_label"]:
+        assert row["bulk_window"] == 4  # a quarter of the sites
         assert row["commutator_scalar_raw"] == 0.0  # pure quadratics
         assert row["scalar_discrepancy_rel"] < 1e-12
         assert row["scalar_slot"] == -row["ground_energy_trace"]
@@ -588,8 +655,6 @@ def test_central_relation_input_validation():
         lat.verify_central_relation(lat.LatticeGeometry(1, 16, 0.5, "periodic"), (1.0, 2.0))
     with pytest.raises(ValueError):
         lat.verify_central_relation(open_g, (1.0, 2.0, 3.0))
-    with pytest.raises(ValueError):
-        lat.verify_central_relation(open_g, (1.0, 2.0), bulk_window=8)
 
 
 def test_central_relation_report_matches_dense_svd():
@@ -598,7 +663,7 @@ def test_central_relation_report_matches_dense_svd():
     masses = (math.pi, math.pi / 2)
     rep = lat.verify_central_relation(g, masses)
     basis0 = lat.build_mode_basis(lat.build_hamiltonian(g, masses[0]))
-    p = lat.build_momentum(g, 0, ordering=basis0)
+    p = lat.normal_ordered(lat.build_momentum(g, 0), basis0)
     for row, mass in zip(rep["per_label"], masses):
         h = lat.build_hamiltonian(g, mass)
         basis = lat.build_mode_basis(h)
@@ -611,7 +676,7 @@ def test_central_relation_report_matches_dense_svd():
         assert row["commutator_scalar_raw"] == scalar == 0.0
         full = _dense_norm(residual)
         assert abs(row["full_residual_norm"] - full) <= 1e-12 * full
-        bulk = lat.bulk_residual_norm(residual, g, row["bulk_window"])
+        bulk = lat.bulk_residual_norm(_from_dense(residual), g)
         assert abs(row["bulk_residual_norm"] - bulk) <= 1e-12 * full
 
 
@@ -667,17 +732,8 @@ def test_spectral_norm_matches_dense_svd(m, shape):
             q[m:, :m] = c
             q[:m, m:] = c.T
         want = _dense_norm(q)
-        got = lat.spectral_norm(q)
+        got = lat.spectral_norm(_from_dense(q))
         assert abs(got - want) <= 1e-12 * want if want else got == 0.0
-
-
-def test_spectral_norm_input_checks():
-    with pytest.raises(ValueError):
-        lat.spectral_norm(np.array([[0.0, 1.0], [2.0, 0.0]]))
-    with pytest.raises(ValueError):
-        lat.spectral_norm(np.eye(3))
-    with pytest.raises(ValueError):
-        lat.spectral_norm(np.zeros((2, 4)))
 
 
 # ---------------------------------------------------------------------------
