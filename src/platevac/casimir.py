@@ -193,8 +193,8 @@ def _cutoff_route(length: float) -> tuple[float, float, dict]:
 
 def casimir_energy_per_area(length: float, method: str = "zeta") -> RegularizedSum:
     """Regularized plate energy per unit area at gap `length`."""
-    _check_gap(length)
-    prefactor = -(math.pi**2) / (12.0 * length**3)
+    # the tower sum_n -(n pi / L)^3 / (12 pi) is the n = 1 density times sum_n n^3
+    prefactor = mode_energy_density(mode_mass(1, length))
     if method == "zeta":
         zeta3 = zeta_negative_odd(3)  # exact 1/120
         value = prefactor * float(zeta3)

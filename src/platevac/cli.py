@@ -361,9 +361,9 @@ def cmd_algebra_verify(opts) -> int:
         print(f"vacuum energy (trace route):     {_fmt(demo['vev_trace_route'])}")
         print(f"vacuum energy (mode sum):        {_fmt(demo['ground_energy'])}")
         print(f"positive lower bound M*m_min/2:  {_fmt(demo['lower_bound'])}")
-        print("vacuum energy > 0: PASS" if demo["ground_energy"] >= demo["lower_bound"]
-              else "vacuum energy > 0: FAIL")
-        return 0
+        ok = demo["ground_energy"] >= demo["lower_bound"]
+        print(f"vacuum energy > 0: {'PASS' if ok else 'FAIL'}")
+        return 0 if ok else 3
 
     if opts["check"] == "poincare":
         geom = lat.LatticeGeometry(2, opts["closure_size"], 0.5, boundary="periodic")

@@ -41,6 +41,10 @@ works from the blocks of its quad, the largest |eigenvalue| of
 phi and pi, the top singular value of a lone coupling block, or the largest
 |eigenvalue| of the whole matrix when both kinds are present.
 
+Sites are laid out once, by `_grid`: the N^dims sites in the C order of an
+N x ... x N array, so site (i, j) is i * N + j. Bonds, difference stencils,
+coordinates and the bulk window are index arrays derived from that grid.
+
 Spatial derivatives follow two deliberate conventions: the gradient energy
 in the Hamiltonian uses forward differences (keeps the potential matrix
 positive semidefinite), while the momentum generator uses centered
@@ -56,7 +60,7 @@ import copy
 import math
 import operator
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -125,11 +129,7 @@ class LatticeGeometry:
             raise ValueError("direction out of range")
         n = self.sites_per_dim
         line = self.spacing * (np.arange(n) - (n - 1) / 2.0)
-        if self.dims == 1:
-            return line
-        if direction == 0:
-            return np.repeat(line, n)
-        return np.tile(line, n)
+        return line[np.unravel_index(np.arange(self.n_sites), (n,) * self.dims)[direction]]
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
@@ -238,20 +238,22 @@ def _same_modes(a: QuadraticObservable, b: QuadraticObservable) -> int:
 # lattice matrix assembly
 
 
-def _bonds(geom: LatticeGeometry, direction: int) -> list[tuple[int, int]]:
-    """Nearest-neighbor pairs (u, v) with v one step from u along `direction`."""
-    n = geom.sites_per_dim
-    wrap = geom.boundary == "periodic"
-    steps = range(n) if wrap else range(n - 1)
-    if geom.dims == 1:
-        return [(i, (i + 1) % n) for i in steps]
-    if direction == 0:
-        return [(i * n + j, ((i + 1) % n) * n + j) for i in steps for j in range(n)]
-    return [(i * n + j, i * n + (j + 1) % n) for i in range(n) for j in steps]
+def _grid(geom: LatticeGeometry) -> np.ndarray:
+    """Flat index of every site, laid out as an N x ... x N array in C order."""
+    return np.arange(geom.n_sites).reshape((geom.sites_per_dim,) * geom.dims)
 
 
-def _all_bonds(geom: LatticeGeometry) -> list[tuple[int, int]]:
-    return [b for d in range(geom.dims) for b in _bonds(geom, d)]
+def _bonds(geom: LatticeGeometry, direction: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest-neighbor pairs as index arrays (u, v), v one step from u along `direction`.
+
+    An open lattice drops the bonds that wrap around.
+    """
+    u = _grid(geom)
+    v = np.roll(u, -1, axis=direction)
+    if geom.boundary == "open":
+        inner = (slice(None),) * direction + (slice(0, -1),)
+        u, v = u[inner], v[inner]
+    return u.ravel(), v.ravel()
 
 
 def _potential_matrix(geom: LatticeGeometry, mass: float, weight: np.ndarray) -> np.ndarray:
@@ -260,50 +262,39 @@ def _potential_matrix(geom: LatticeGeometry, mass: float, weight: np.ndarray) ->
     All-ones weights give the potential matrix of H; the centered coordinate
     gives the weighted potential of a boost.
     """
+    u, w = (np.concatenate(x) for x in zip(*(_bonds(geom, d) for d in range(geom.dims))))
+    bond = 0.5 * (weight[u] + weight[w]) * (1.0 / (geom.spacing * geom.spacing))
+    # bond by bond: (u,u) += b, (w,w) += b, (u,w) -= b, (w,u) -= b; np.add.at
+    # adds in index order, so every diagonal sums its bonds in bond order
+    rows = np.stack([u, w, u, w], axis=1).ravel()
+    cols = np.stack([u, w, w, u], axis=1).ravel()
     v = np.diag((mass * mass) * weight)
-    inv_a2 = 1.0 / (geom.spacing * geom.spacing)
-    weight = weight.tolist()  # the same IEEE arithmetic as numpy scalars, cheaper per bond
-    for u, w in _all_bonds(geom):
-        bond = 0.5 * (weight[u] + weight[w]) * inv_a2
-        v[u, u] += bond
-        v[w, w] += bond
-        v[u, w] -= bond
-        v[w, u] -= bond
+    np.add.at(v, (rows, cols), np.stack([bond, bond, -bond, -bond], axis=1).ravel())
     return v
 
 
-def _centered_difference_1d(n: int, spacing: float, periodic: bool) -> np.ndarray:
-    d = np.zeros((n, n))
-    half = 1.0 / (2.0 * spacing)
-    for i in range(n):
-        if periodic:
-            d[i, (i + 1) % n] += half
-            d[i, (i - 1) % n] -= half
-        else:
-            if 0 < i < n - 1:
-                d[i, i + 1] += half
-                d[i, i - 1] -= half
-            elif i == 0:  # one-sided at the edges
-                d[0, 1] += 1.0 / spacing
-                d[0, 0] -= 1.0 / spacing
-            else:
-                d[n - 1, n - 1] += 1.0 / spacing
-                d[n - 1, n - 2] -= 1.0 / spacing
+def _difference_matrix(geom: LatticeGeometry, direction: int) -> np.ndarray:
+    """Centered difference along `direction`, one-sided at the edges of an open lattice."""
+    d = np.zeros((geom.n_sites, geom.n_sites))
+    u, v = _bonds(geom, direction)
+    d[u, v] = 1.0 / (2.0 * geom.spacing)
+    d[v, u] = -1.0 / (2.0 * geom.spacing)
+    if geom.boundary == "open":
+        layer = np.moveaxis(_grid(geom), direction, 0)  # layer[k]: the sites k steps in
+        d[layer[0], layer[1]] = d[layer[-1], layer[-1]] = 1.0 / geom.spacing
+        d[layer[0], layer[0]] = d[layer[-1], layer[-2]] = -1.0 / geom.spacing
     return d
 
 
-def _difference_matrix(geom: LatticeGeometry, direction: int) -> np.ndarray:
-    n = geom.sites_per_dim
-    d1 = _centered_difference_1d(n, geom.spacing, geom.boundary == "periodic")
-    if geom.dims == 1:
-        return d1
-    eye = np.eye(n)
-    return np.kron(d1, eye) if direction == 0 else np.kron(eye, d1)
+# the residual norms square entries of order m^2 N; at physical size 8 they
+# overflow from m = 1e78, so this leaves a wide margin
+_MAX_MASS = 1e50
 
 
 def _check_mass(mass: float) -> None:
-    if not (math.isfinite(mass) and mass >= 0):
-        raise ValueError(f"mass must be finite and nonnegative, got {mass!r}")
+    if not 0 <= mass <= _MAX_MASS:
+        raise ValueError(f"mass must be finite, nonnegative and at most {_MAX_MASS:g}, "
+                         f"got {mass!r}")
 
 
 def build_hamiltonian(geom: LatticeGeometry, mass: float) -> QuadraticObservable:
@@ -508,19 +499,19 @@ def _max_abs_eigenvalue(sym: np.ndarray | None) -> float:
 def _bulk_window(geom: LatticeGeometry) -> int:
     """Sites kept clear of every edge or seam: a quarter of each direction.
 
-    2 * (N // 4) < N for every N >= 3, so the bulk is never empty.
+    A window of 0 would take in the edges and the seam, so N < 4 raises
+    ValueError; 2 * (N // 4) < N keeps the bulk itself nonempty.
     """
+    if geom.sites_per_dim < 4:
+        raise ValueError(f"a bulk window needs at least 4 sites per direction, "
+                         f"got {geom.sites_per_dim}")
     return geom.sites_per_dim // 4
 
 
 def _bulk_sites(geom: LatticeGeometry) -> np.ndarray:
     """Flat indices of the sites at least one bulk window from every edge or seam."""
-    n = geom.sites_per_dim
     window = _bulk_window(geom)
-    keep1d = np.arange(window, n - window)
-    if geom.dims == 1:
-        return keep1d
-    return (keep1d[:, None] * n + keep1d[None, :]).ravel()
+    return _grid(geom)[(slice(window, geom.sites_per_dim - window),) * geom.dims].ravel()
 
 
 _N_PROFILES = 3
@@ -535,6 +526,7 @@ def _bump_profiles(geom: LatticeGeometry) -> list[np.ndarray]:
     """
     n = geom.sites_per_dim
     window = _bulk_window(geom)
+    keep = _bulk_sites(geom)
     j = np.arange(window, n - window)
     y = (2.0 * j - (n - 1)) / (n - 2 * window)  # strictly inside (-1, 1)
     # polynomial window: C^3 at the support edge with moderate derivative
@@ -549,13 +541,9 @@ def _bump_profiles(geom: LatticeGeometry) -> list[np.ndarray]:
         df = d_envelope * np.cos(phase) - envelope * rate * np.sin(phase)
         full = np.zeros(geom.n_sites)
         dfull = np.zeros(geom.n_sites)
-        if geom.dims == 1:
-            full[j] = f
-            dfull[j] = df
-        else:
-            idx = (j[:, None] * n + j[None, :]).ravel()
-            full[idx] = np.outer(f, f).ravel()
-            dfull[idx] = np.outer(df, f).ravel()
+        # f x ... x f and df x f x ... on the bulk sub-grid, in its C order
+        full[keep] = reduce(np.multiply.outer, [f] * geom.dims).ravel()
+        dfull[keep] = reduce(np.multiply.outer, [df] + [f] * (geom.dims - 1)).ravel()
         profiles.append((full, dfull))
     return profiles
 
@@ -592,6 +580,9 @@ def _masked_operator_norm(obs: QuadraticObservable, geom: LatticeGeometry) -> fl
 
 
 def _check_spacings(spacings) -> None:
+    for a in spacings:
+        if not (math.isfinite(a) and a > 0):
+            raise ValueError(f"spacings must be finite and positive, got {a!r}")
     if np.unique(np.asarray(spacings, dtype=float)).size < 2:
         raise ValueError("a convergence order needs at least two distinct spacings")
 
@@ -635,11 +626,15 @@ def verify_central_relation(
 
     The momentum generator is normal-ordered in the first label's vacuum;
     the final entry reports the central-charge difference E(L0) - E(L1).
+    The bulk window needs N >= 4; a smaller lattice is a ValueError.
     """
     if geom.boundary != "open":
         raise ValueError("central-relation check needs an open boundary")
     if len(mass_pair) != 2:
         raise ValueError("mass_pair must hold exactly two masses")
+    for mass in mass_pair:
+        _check_mass(mass)
+    window = _bulk_window(geom)
     h0 = build_hamiltonian(geom, mass_pair[0])
     basis0 = build_mode_basis(h0)
     momentum = normal_ordered(build_momentum(geom, direction), basis0)
@@ -660,7 +655,7 @@ def verify_central_relation(
                 "mass": float(mass),
                 "sites": geom.sites_per_dim,
                 "spacing": geom.spacing,
-                "bulk_window": _bulk_window(geom),
+                "bulk_window": window,
                 "scalar_slot": -e_trace,
                 "ground_energy_trace": e_trace,
                 "ground_energy_eigensum": e_eig,
@@ -700,6 +695,7 @@ def central_relation_convergence(
     geoms = [LatticeGeometry(dims=1, sites_per_dim=round(physical_size / a), spacing=a,
                              boundary="open") for a in spacings]  # reject bad sizes up front
     for geom in geoms:
+        _bulk_window(geom)
         if abs(geom.physical_size - physical_size) > 1e-9 * abs(physical_size):
             raise ValueError(
                 f"spacing {geom.spacing:g} gives {geom.sites_per_dim} sites of size "
@@ -718,10 +714,13 @@ def verify_poincare_closure(geom: LatticeGeometry, mass: float) -> dict:
     [P_1, P_2] and [H, P_i] are translation-invariant statements and get the
     plain spectral norm. [J, H] holds in the bulk but not across the
     coordinate seam of the torus, so its norm is restricted to rows and
-    columns supported N // 4 sites away from the seam.
+    columns supported N // 4 sites away from the seam; in 2-D that needs
+    N >= 4, and a smaller lattice is a ValueError.
     """
     if geom.boundary != "periodic":
         raise ValueError("closure check is defined on periodic lattices")
+    if geom.dims == 2:
+        _bulk_window(geom)
     h = build_hamiltonian(geom, mass)
     momenta = [build_momentum(geom, d) for d in range(geom.dims)]
     out = {}

@@ -177,6 +177,16 @@ def test_algebra_verify_order_gate_fails(tmp_path, capsys):
     ["--spacings", "0.3,0.15"],  # 27 * 0.3 = 8.1 and 53 * 0.15 = 7.95, not 8
     ["--physical-size", "inf"],
     ["--physical-size", "nan"],
+    ["--spacings", "0.2,0"],
+    ["--spacings", "0.2,nan"],
+    ["--spacings", "0.2,inf"],
+    ["--spacings", "0.2,-0.1"],
+    ["--check", "poincare", "--closure-size", "3"],  # bulk window 3 // 4 = 0
+    ["--physical-size", "0.3", "--spacings", "0.1,0.05"],  # 3 sites at 0.1
+    ["--mass0", "1e100"],
+    ["--check", "poincare", "--closure-mass", "1e200"],
+    ["--demo", "contradiction", "--closure-mass", "1e154"],
+    ["--demo", "contradiction", "--closure-mass", "1e200"],
 ])
 def test_algebra_verify_bad_input_exit_code(tmp_path, capsys, argv):
     code = main(["algebra-verify", *argv, "--outdir", str(tmp_path)])
@@ -208,6 +218,15 @@ def test_algebra_verify_contradiction_demo(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "lower bound" in out
     assert "PASS" in out
+
+
+def test_contradiction_demo_fail_exits_3(tmp_path, capsys):
+    # at m = 1e18 the smallest frequency can round below m, and the demo
+    # then prints FAIL
+    argv = ["algebra-verify", "--demo", "contradiction", "--closure-mass", "1e18"]
+    code = main([*argv, "--outdir", str(tmp_path)])
+    out = capsys.readouterr().out
+    assert code == (3 if "vacuum energy > 0: FAIL" in out else 0)
 
 
 # ---------------------------------------------------------------------------

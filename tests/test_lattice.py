@@ -532,6 +532,59 @@ def test_potential_blocks_match_hand_written_stencil(mass):
         assert np.allclose(got, hand, rtol=1e-14, atol=1e-13), direction
 
 
+def _chain_difference(n, a, periodic):
+    """Centered difference on a 1-D chain, written out row by row.
+
+    Interior rows are +-1/(2a) on the two neighbors. A periodic chain wraps
+    them around; an open one uses the one-sided +-1/a rows at its two ends.
+    """
+    d = np.zeros((n, n))
+    for i in range(n):
+        if periodic or 0 < i < n - 1:
+            d[i, (i + 1) % n], d[i, (i - 1) % n] = 1 / (2 * a), -1 / (2 * a)
+    if not periodic:
+        d[0, 0], d[0, 1] = -1 / a, 1 / a
+        d[n - 1, n - 2], d[n - 1, n - 1] = -1 / a, 1 / a
+    return d
+
+
+@pytest.mark.parametrize("boundary", ["open", "periodic"])
+def test_momentum_blocks_match_hand_written_stencil(boundary):
+    n, a = 7, 0.4
+    d1 = _chain_difference(n, a, boundary == "periodic")
+    if boundary == "open":
+        assert d1[3, 2] == -1.25 and d1[3, 4] == 1.25 and d1[0, 1] == 2.5 and d1[6, 6] == 2.5
+    else:
+        assert d1[0, 6] == -1.25 and d1[6, 0] == 1.25 and d1[0, 0] == 0.0
+    p = lat.build_momentum(lat.LatticeGeometry(1, n, a, boundary), 0)
+    assert p.phi is None and p.pi is None
+    assert np.array_equal(p.coupling, d1)
+    # 2-D, site (i, j) at flat index i * n + j: direction 0 steps i, direction 1 steps j
+    g2 = lat.LatticeGeometry(2, n, a, boundary)
+    eye = np.eye(n)
+    for direction, hand in enumerate((np.kron(d1, eye), np.kron(eye, d1))):
+        p = lat.build_momentum(g2, direction)
+        assert p.phi is None and p.pi is None
+        assert np.array_equal(p.coupling, hand), direction
+
+
+@pytest.mark.parametrize("mass", [1.0, math.pi])
+def test_periodic_potential_matches_hand_written_stencil(mass):
+    # a ring: every site has two bonds, and the wrap bond joins sites 0 and n - 1
+    n, a = 7, 0.4
+    ring = (np.diag(np.full(n, mass**2 + 2 / a**2))
+            - (np.roll(np.eye(n), 1, axis=1) + np.roll(np.eye(n), -1, axis=1)) / a**2)
+    assert ring[0, n - 1] == ring[n - 1, 0] == -1 / a**2
+    h = lat.build_hamiltonian(lat.LatticeGeometry(1, n, a, "periodic"), mass)
+    assert np.allclose(h.phi, ring, rtol=1e-14, atol=0)
+    # the torus: a Kronecker sum of two rings, the mass counted once
+    plain = ring - mass**2 * np.eye(n)
+    torus = np.kron(ring, np.eye(n)) + np.kron(np.eye(n), plain)
+    h2 = lat.build_hamiltonian(lat.LatticeGeometry(2, n, a, "periodic"), mass)
+    assert np.allclose(h2.phi, torus, rtol=1e-14, atol=0)
+    assert np.array_equal(h2.pi, np.eye(n * n))
+
+
 def test_rotation_requires_two_dims():
     with pytest.raises(ValueError):
         lat.build_rotation(lat.LatticeGeometry(1, 8, 0.5))
@@ -580,6 +633,52 @@ def test_closure_report_matches_dense_svd():
     scale = np.abs(h.quad).max() * np.abs(rot.quad).max() * 2 * g.n_sites
     for pair, value in dense.items():
         assert abs(report[pair] - value) <= 1e-12 * max(value, scale), pair
+
+
+def _forbid_norms(monkeypatch):
+    def fail(*args):
+        raise AssertionError("a norm was computed before the input was rejected")
+    for name in ("spectral_norm", "bulk_residual_norm", "_masked_operator_norm"):
+        monkeypatch.setattr(lat, name, fail)
+
+
+def test_bulk_window_needs_four_sites(monkeypatch):
+    # at N = 3 the window N // 4 is 0, so the "bulk" would take in the
+    # edges and the seam: rejected before any norm is computed
+    _forbid_norms(monkeypatch)
+    with pytest.raises(ValueError, match="at least 4 sites"):
+        lat.verify_poincare_closure(lat.LatticeGeometry(2, 3, 0.5, "periodic"), 1.0)
+    with pytest.raises(ValueError, match="at least 4 sites"):
+        lat.verify_central_relation(lat.LatticeGeometry(1, 3, 0.1), (1.0, 2.0))
+    # 0.6 / 0.1 = 6 sites, then 0.6 / 0.2 = 3: the whole sweep is refused up front
+    with pytest.raises(ValueError, match="at least 4 sites"):
+        lat.central_relation_convergence(0.6, [0.1, 0.2], (1.0, 2.0))
+    monkeypatch.undo()
+    # the 1-D closure and the demo use no bulk and keep N = 3
+    ring = lat.LatticeGeometry(1, 3, 0.5, "periodic")
+    assert lat.verify_poincare_closure(ring, 1.0) == {"H,P1": 0.0}
+    assert lat.contradiction_demo(ring, 1.0)["n_modes"] == 3
+    # N = 4 is the smallest bulk: one site off each edge
+    rep = lat.verify_central_relation(lat.LatticeGeometry(1, 4, 0.5), (1.0, 2.0))
+    assert rep["per_label"][0]["bulk_window"] == 1
+
+
+def test_mass_bound(monkeypatch):
+    # every lattice check stays finite up to m = 1e50; above it the mass is bad input
+    g1, torus = lat.LatticeGeometry(1, 16, 0.5), lat.LatticeGeometry(2, 8, 0.5, "periodic")
+    with np.errstate(over="raise", invalid="raise"):
+        rep = lat.verify_central_relation(g1, (1e50, 1.0))
+        assert all(math.isfinite(v) for row in rep["per_label"] for v in row.values())
+        assert all(math.isfinite(v) for v in lat.verify_poincare_closure(torus, 1e50).values())
+        assert all(math.isfinite(v) for v in lat.contradiction_demo(g1, 1e50).values())
+    _forbid_norms(monkeypatch)
+    for bad in (1e51, 1e154, 1e200, math.inf, math.nan, -1.0):
+        with pytest.raises(ValueError, match="mass"):
+            lat.build_hamiltonian(g1, bad)
+        with pytest.raises(ValueError, match="mass"):
+            lat.build_boost(g1, 0, 0.0, bad)
+        with pytest.raises(ValueError, match="mass"):
+            lat.verify_central_relation(g1, (1.0, bad))
 
 
 def test_closure_requires_periodic():
@@ -699,7 +798,8 @@ def test_fit_convergence_order_synthetic():
     assert abs(lat.fit_convergence_order(spacings, residuals) - 2.07) < 1e-10
 
 
-@pytest.mark.parametrize("spacings", [[0.1], [0.1, 0.1, 0.1], []])
+@pytest.mark.parametrize("spacings", [[0.1], [0.1, 0.1, 0.1], [], [0.2, 0.0], [0.2, math.nan],
+                                      [0.2, math.inf], [0.2, -0.1]])
 def test_convergence_order_needs_two_spacings(spacings):
     with pytest.raises(ValueError):
         lat.fit_convergence_order(spacings, [1.0] * len(spacings))
