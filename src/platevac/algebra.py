@@ -14,7 +14,9 @@ terms, {(a, b): C[a][b]} with a < b, over at most MAX_DIM labels. Both
 tables are folded by one rule: a (b, a) key comes in negated and must
 agree with any (a, b) key. The dense tables `LieAlgebraSpec.f` and
 `TwoCocycle.c` are read-only views, built on first access, for
-independent oracles.
+independent oracles. Every rank, solve and inverse is one `exactlin.rref`
+of sparse {column: value} rows: a bracket row {c: f[c][a][b]}, a cocycle
+condition over pair slots {(d, z): coefficient}, or a row of [P | I].
 
 Planar Poincare conventions (generator order H, P1, P2, J, K1, K2, with
 eps_12 = +1):
@@ -41,6 +43,8 @@ alpha; such charges are removable by the redefinition X_c -> X_c - alpha[c].
 
 from __future__ import annotations
 
+import itertools
+import math
 import operator
 import re
 from dataclasses import dataclass
@@ -79,7 +83,7 @@ class AlgebraFormatError(ValueError):
     """Malformed algebra or cocycle text file."""
 
 
-MAX_DIM = 64  # generators; exact H^2 of a dense table grows steeply with dim
+MAX_DIM = 64  # generators; H^2 of gl(8) takes under 1 s, of dense-coefficient tables far longer
 
 
 def _check_dim(n: int, what: str = "generators") -> None:
@@ -151,13 +155,6 @@ class LieAlgebraSpec:
         if a < b:
             return self.brackets.get((a, b), {}).items()
         return [(c, -v) for c, v in self.brackets.get((b, a), {}).items()]
-
-    def bracket(self, a: int, b: int) -> tuple[Fraction, ...]:
-        """Coefficient vector of <<X_a, X_b>> in the basis."""
-        vec = [Fraction(0)] * self.dim
-        for c, v in self.terms(a, b):
-            vec[c] = v
-        return tuple(vec)
 
 
 def _algebra_from_brackets(labels, brackets) -> LieAlgebraSpec:
@@ -371,26 +368,22 @@ def shift_cocycle(c0, c1, c2) -> TwoCocycle:
     )
 
 
-def _pair_slots(n: int) -> list[tuple[int, int]]:
-    return [(a, b) for a in range(n) for b in range(a + 1, n)]
-
-
 def coboundary_solve(algebra: LieAlgebraSpec, cocycle: TwoCocycle) -> CoboundaryResult:
     """Decide exactly whether `cocycle` is a coboundary.
 
     The input must pass cocycle_check with zero residual; a non-cocycle is a
     precondition violation and raises ValueError. One row reduction of
-    [A | C], with a row per slot a < b where the bracket or C is nonzero,
-    decides everything: the pivots left of the last column give rank(A),
-    and a pivot in the last column means C is not in the range of A.
+    [A | C], with a row {c: f[c][a][b], n: C[a][b]} per slot a < b where the
+    bracket or C is nonzero, decides everything: the pivots left of column n
+    give rank(A), and a pivot in column n means C is not in the range of A.
     """
     residual = cocycle_check(algebra, cocycle)
     if residual != 0:
         raise ValueError(f"input is not a cocycle, max residual {residual}")
     n = algebra.dim
     rows = [
-        [*algebra.bracket(a, b), cocycle.entries.get((a, b), Fraction(0))]
-        for a, b in sorted(algebra.brackets.keys() | cocycle.entries.keys())
+        {**algebra.brackets.get(ab, {}), n: cocycle.entries.get(ab, 0)}
+        for ab in sorted(algebra.brackets.keys() | cocycle.entries.keys())
     ]
     red, pivots = exactlin.rref(rows)
     infeasible = n in pivots
@@ -398,8 +391,8 @@ def coboundary_solve(algebra: LieAlgebraSpec, cocycle: TwoCocycle) -> Coboundary
     if infeasible:
         return CoboundaryResult(False, None, kernel_dim, 1)
     alpha = [Fraction(0)] * n  # free components set to zero
-    for r, c in enumerate(pivots):
-        alpha[c] = red[r][n]
+    for row, c in zip(red, pivots):
+        alpha[c] = row.get(n, 0)
     return CoboundaryResult(True, CoboundaryCertificate(algebra.labels, alpha), kernel_dim, 0)
 
 
@@ -407,21 +400,18 @@ def h2_dimension(algebra: LieAlgebraSpec) -> int:
     """dim H^2(g, R) = dim(cocycles) - dim(coboundaries), by exact ranks."""
     if jacobi_check(algebra) != 0:
         raise ValueError("structure constants do not satisfy the Jacobi identity")
-    slots = _pair_slots(algebra.dim)
-    slot_index = {ab: i for i, ab in enumerate(slots)}
     z_rows = []
     for triple in _touched_triples(algebra):
-        row = [Fraction(0)] * len(slots)
+        row = {}
         for x, y, z in _cyclic(*triple):
             for d, v in algebra.terms(x, y):
                 # C[d][z] expressed through upper-triangle unknowns
-                if d < z:
-                    row[slot_index[(d, z)]] += v
-                elif d > z:
-                    row[slot_index[(z, d)]] -= v
+                if d != z:
+                    slot, w = ((d, z), v) if d < z else ((z, d), -v)
+                    row[slot] = row.get(slot, 0) + w
         z_rows.append(row)
-    dim_cocycles = len(slots) - exactlin.rank(z_rows)
-    dim_coboundaries = exactlin.rank([algebra.bracket(a, b) for a, b in algebra.brackets])
+    dim_cocycles = math.comb(algebra.dim, 2) - len(exactlin.rref(z_rows)[1])
+    dim_coboundaries = len(exactlin.rref(list(algebra.brackets.values()))[1])
     return dim_cocycles - dim_coboundaries
 
 
@@ -429,17 +419,19 @@ def change_basis(algebra: LieAlgebraSpec, p_cols) -> LieAlgebraSpec:
     """Structure constants in the basis X'_a = sum_b P[b][a] X_b.
 
     P is given by columns (new basis vectors in old components) and must be
-    invertible over the rationals.
+    invertible over the rationals; its inverse is columns n.. of rref([P | I]).
     """
-    p = exactlin.as_matrix(p_cols)
+    p = [[Fraction(x) for x in row] for row in p_cols]
     n = algebra.dim
     if len(p) != n or any(len(row) != n for row in p):
         raise ValueError("basis-change matrix must be n x n")
-    pinv = exactlin.inverse(p)
-    if pinv is None:
+    rows = [{j: x for j, x in enumerate(row) if x} | {n + i: 1} for i, row in enumerate(p)]
+    red, pivots = exactlin.rref(rows)
+    if pivots != list(range(n)):
         raise ValueError("basis-change matrix is singular")
+    pinv = [{k - n: v for k, v in row.items() if k >= n} for row in red]
     brackets = {}
-    for a, b in _pair_slots(n):
+    for a, b in itertools.combinations(range(n), 2):
         # bracket of the new pair, in old components
         vec = {}
         for (c, d), comps in algebra.brackets.items():
@@ -448,8 +440,8 @@ def change_basis(algebra: LieAlgebraSpec, p_cols) -> LieAlgebraSpec:
                 for e, v in comps.items():
                     vec[e] = vec.get(e, 0) + w * v
         brackets[(a, b)] = {
-            ep: sum((pinv[ep][e] * v for e, v in vec.items()), Fraction(0))
-            for ep in range(n)
+            ep: sum((row.get(e, 0) * v for e, v in vec.items()), Fraction(0))
+            for ep, row in enumerate(pinv)
         }
     return LieAlgebraSpec(algebra.labels, brackets)
 

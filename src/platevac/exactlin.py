@@ -1,10 +1,12 @@
-"""Exact linear algebra over fractions.Fraction for small dense systems.
+"""Exact sparse row reduction over fractions.Fraction.
 
-Everything here works on lists of lists of Fraction and is meant for
-matrices with at most a few dozen rows: `rref` (and `rank` from it) and
-`inverse`. Rank decisions are exact, so any nonzero entry is an
-acceptable pivot. A linear system A x = b is solved by reducing [A | b]
-once with `rref`: b is consistent unless the last column is a pivot.
+`rref` is the one elimination routine of the package: ranks, solutions of
+A x = b (reduce [A | b]; b is consistent unless its column is a pivot) and
+inverses (reduce [P | I]) are all read off it. A row is a dict {column:
+value}; absent columns are zero and column keys need only sort among
+themselves (ints, or pair slots (a, b)). Rows stay sparse, so fill-in stays
+inside each independent block of a system. Rank decisions are exact, so
+any nonzero entry is an acceptable pivot.
 """
 
 from __future__ import annotations
@@ -12,59 +14,38 @@ from __future__ import annotations
 from fractions import Fraction
 
 
-def as_matrix(rows) -> list[list[Fraction]]:
-    """Deep-copy `rows` into a rectangular list of Fractions."""
-    out = [[Fraction(x) for x in row] for row in rows]
-    if out:
-        width = len(out[0])
-        if any(len(row) != width for row in out):
-            raise ValueError("ragged matrix")
-    return out
+def _subtract(row: dict, factor, other: dict) -> None:
+    """row -= factor * other in place, dropping the entries that cancel."""
+    for k, v in other.items():
+        w = row.get(k, 0) - factor * v
+        if w:
+            row[k] = w
+        else:
+            del row[k]
 
 
-def rref(rows) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form of a copy of `rows`.
+def rref(rows) -> tuple[list[dict], list]:
+    """(reduced rows in pivot order, sorted pivot columns) of `rows`, left unchanged.
 
-    Returns (matrix, pivot_columns). Pivot search scans the remaining
-    submatrix for the first nonzero entry, which over exact rationals
-    is as rank-revealing as any pivoting strategy.
+    This is the unique RREF of the row space, whatever the row order. Each
+    row joins a basis keyed by its pivot, its smallest column, once the basis
+    rows of its leading columns are subtracted; one back-substitution then
+    clears each pivot column from the other rows. Zero rows leave no trace.
     """
-    m = as_matrix(rows)
-    if not m or not m[0]:
-        return m, []
-    nrows, ncols = len(m), len(m[0])
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, nrows) if m[i][c] != 0), None)
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        inv = Fraction(1) / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return m, pivots
-
-
-def rank(rows) -> int:
-    return len(rref(rows)[1])
-
-
-def inverse(rows):
-    """Exact inverse, or None when the matrix is singular."""
-    a = as_matrix(rows)
-    n = len(a)
-    if any(len(row) != n for row in a):
-        raise ValueError("inverse needs a square matrix")
-    aug = [row + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(a)]
-    red, pivots = rref(aug)
-    if pivots != list(range(n)):
-        return None
-    return [row[n:] for row in red]
+    basis: dict = {}  # pivot column -> row scaled to 1 at the pivot
+    for row in rows:
+        row = {k: Fraction(v) for k, v in row.items() if v}
+        while row:
+            pivot = min(row)
+            if pivot not in basis:
+                basis[pivot] = {k: v / row[pivot] for k, v in row.items()}
+                break
+            _subtract(row, row[pivot], basis[pivot])
+    pivots = sorted(basis)
+    # a basis row holds no column left of its pivot, so clearing from the
+    # right subtracts only rows that are already fully reduced
+    for pivot in reversed(pivots):
+        row = basis[pivot]
+        for k in [k for k in row if k != pivot and k in basis]:
+            _subtract(row, row[k], basis[k])
+    return [basis[p] for p in pivots], pivots

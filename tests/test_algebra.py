@@ -28,29 +28,110 @@ def _matmul(a, b):
 
 
 # ---------------------------------------------------------------------------
-# exactlin sanity
+# exact elimination: the sparse rref against the dense Gauss-Jordan it replaced
+
+
+def _dense_rref(rows):
+    """Dense Gauss-Jordan on lists of rows, first nonzero pivot; the oracle."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    if not m or not m[0]:
+        return m, []
+    nrows, ncols = len(m), len(m[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pr = next((i for i in range(r, nrows) if m[i][c] != 0), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        inv = Fraction(1) / m[r][c]
+        m[r] = [x * inv for x in m[r]]
+        for i in range(nrows):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return m, pivots
+
+
+def _dense_inverse(a):
+    """Exact inverse by the dense oracle, or None when `a` is singular."""
+    n = len(a)
+    aug = [[*row, *(Fraction(int(i == j)) for j in range(n))] for i, row in enumerate(a)]
+    red, pivots = _dense_rref(aug)
+    if pivots != list(range(n)):
+        return None
+    return [row[n:] for row in red]
+
+
+def _sparse(dense_rows, keys):
+    return [{k: x for k, x in zip(keys, row) if x} for row in dense_rows]
 
 
 def test_rref_rank_known_matrix():
-    m = [[1, 2, 3], [2, 4, 6], [1, 0, 1]]
-    assert exactlin.rank(m) == 2
+    rows = _sparse([[1, 2, 3], [2, 4, 6], [1, 0, 1]], range(3))
+    red, pivots = exactlin.rref(rows)
+    assert pivots == [0, 1]
+    assert red == [{0: 1, 2: 1}, {1: 1, 2: 1}]
+    assert rows[1] == {0: 2, 1: 4, 2: 6}  # the input rows are left as they were
+
+
+def test_rref_of_nothing():
+    assert exactlin.rref([]) == ([], [])
+    assert exactlin.rref([{}, {3: 0}]) == ([], [])
 
 
 def test_inverse_roundtrip_random():
     rng = random.Random(11)
     for _ in range(20):
         n = rng.randint(1, 5)
-        # unit lower-triangular times unit upper-triangular: invertible by construction
-        lo = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-        up = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-        for i in range(n):
-            for j in range(i):
-                lo[i][j] = _rand_fraction(rng)
-                up[j][i] = _rand_fraction(rng)
-        a = _matmul(lo, up)
-        inv = exactlin.inverse(a)
+        a = _random_invertible(rng, n, span=9)
         ident = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+        rows = [{j: x for j, x in enumerate(row) if x} | {n + i: 1} for i, row in enumerate(a)]
+        red, pivots = exactlin.rref(rows)
+        assert pivots == list(range(n))  # [P | I] reduces to [I | P^-1]
+        inv = [[row.get(n + j, 0) for j in range(n)] for row in red]
         assert _matmul(a, inv) == ident
+        assert inv == _dense_inverse(a)
+
+
+def _random_sparse_system(rng):
+    """Sparse rows with zero rows and repeated rows, over int or tuple keys."""
+    ncols = rng.randint(1, 9)
+    keys = sorted(rng.sample([(i, j) for i in range(4) for j in range(4)], ncols))
+    if rng.random() < 0.5:
+        keys = [4 * i + j for i, j in keys]  # plain int columns as well as tuples
+    rows = []
+    for _ in range(rng.randint(0, 10)):
+        kind = rng.random()
+        if kind < 0.15:
+            rows.append({k: 0 for k in rng.sample(keys, rng.randint(0, ncols))})
+        elif kind < 0.35 and rows:
+            rows.append(dict(rng.choice(rows)))
+        else:
+            rows.append({k: _rand_fraction(rng, span=3)
+                         for k in rng.sample(keys, rng.randint(1, min(3, ncols)))})
+    return keys, rows
+
+
+def test_sparse_rref_matches_dense_oracle_and_sympy_rank():
+    rng = random.Random(53)
+    ranks = []
+    for _ in range(150):
+        keys, rows = _random_sparse_system(rng)
+        dense = [[row.get(k, 0) for k in keys] for row in rows]
+        red, pivots = exactlin.rref(rows)
+        oracle, oracle_pivots = _dense_rref(dense)
+        assert pivots == [keys[c] for c in oracle_pivots]
+        assert _sparse(oracle[:len(pivots)], keys) == red
+        assert len(pivots) == (sympy.Matrix(dense).rank() if rows else 0)
+        rng.shuffle(rows)
+        assert exactlin.rref(rows) == (red, pivots)  # the RREF does not depend on row order
+        ranks.append(len(pivots))
+    assert min(ranks) == 0 and max(ranks) >= 5
 
 
 # ---------------------------------------------------------------------------
@@ -77,8 +158,7 @@ def test_poincare_bracket_table():
         ("P1", "P2"): {},
     }
     for (la, lb), comps in want.items():
-        vec = poi.bracket(poi.labels.index(la), poi.labels.index(lb))
-        got = {poi.labels[c]: v for c, v in enumerate(vec) if v != 0}
+        got = {poi.labels[c]: v for c, v in poi.terms(poi.labels.index(la), poi.labels.index(lb))}
         assert got == {k: Fraction(v) for k, v in comps.items()}, (la, lb)
 
 
@@ -414,18 +494,58 @@ def test_h2_requires_jacobi():
         al.h2_dimension(_bent_poincare())
 
 
+def _gl(n):
+    """gl(n) on the matrix units E_ij: [E_ij, E_kl] = delta_jk E_il - delta_li E_kj."""
+    labels = tuple(f"E{i}{j}" for i in range(n) for j in range(n))
+    brackets = {}
+    for (a, (i, j)), (b, (k, l)) in itertools.combinations(
+            enumerate(itertools.product(range(n), repeat=2)), 2):
+        comps = {}
+        if j == k:
+            comps[i * n + l] = 1
+        if l == i:
+            comps[k * n + j] = comps.get(k * n + j, 0) - 1
+        brackets[(a, b)] = comps
+    return al.LieAlgebraSpec(labels, brackets)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_h2_of_gl_vanishes(n):
+    # Whitehead's second lemma gives H^2(sl(n)) = 0, and with H^1(sl(n)) = 0
+    # the Kunneth formula gives H^2(sl(n) + R) = 0
+    g = _gl(n)
+    assert al.jacobi_check(g) == 0
+    assert al.h2_dimension(g) == 0
+    if n == 3:
+        assert _h2_oracle(g) == 0
+
+
 # ---------------------------------------------------------------------------
 # basis changes
 
 
-def _random_invertible(rng, n):
+def _random_invertible(rng, n, span=3):
+    """Unit lower-triangular times unit upper-triangular: invertible by construction."""
     lo = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
     up = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
     for i in range(n):
         for j in range(i):
-            lo[i][j] = _rand_fraction(rng, span=3)
-            up[j][i] = _rand_fraction(rng, span=3)
+            lo[i][j] = _rand_fraction(rng, span)
+            up[j][i] = _rand_fraction(rng, span)
     return _matmul(lo, up)
+
+
+def test_change_basis_rejects_singular_and_misshapen_p():
+    poi = al.build_poincare_2plus1()
+    singular = _random_invertible(random.Random(5), 6)
+    singular[4] = [x + 2 * y for x, y in zip(singular[1], singular[3])]  # row 4 from rows 1, 3
+    assert _dense_inverse(singular) is None
+    with pytest.raises(ValueError, match="singular"):
+        al.change_basis(poi, singular)
+    with pytest.raises(ValueError, match="singular"):
+        al.change_basis(poi, [[0] * 6] * 6)
+    with pytest.raises(ValueError, match="n x n"):
+        al.change_basis(poi, singular[:5])
 
 
 def test_change_basis_identity_is_noop():
@@ -479,7 +599,7 @@ def test_scaling_energy_momentum_rescales_shift_certificate():
     gp = al.change_basis(poi, p)
     assert al.jacobi_check(gp) == 0
     # <<K1', P1'>> = <<K1, P1>> = H = H'/2
-    assert gp.bracket(gp.labels.index("K1"), gp.labels.index("P1"))[0] == Fraction(1, 2)
+    assert dict(gp.terms(gp.labels.index("K1"), gp.labels.index("P1")))[0] == Fraction(1, 2)
 
 
 # ---------------------------------------------------------------------------

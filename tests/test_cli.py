@@ -187,6 +187,7 @@ def test_algebra_verify_order_gate_fails(tmp_path, capsys):
     ["--check", "poincare", "--closure-mass", "1e200"],
     ["--demo", "contradiction", "--closure-mass", "1e154"],
     ["--demo", "contradiction", "--closure-mass", "1e200"],
+    ["--physical-size", "1e-7", "--spacings", "1e-8,5e-9"],  # mass lost to eigh rounding
 ])
 def test_algebra_verify_bad_input_exit_code(tmp_path, capsys, argv):
     code = main(["algebra-verify", *argv, "--outdir", str(tmp_path)])
@@ -194,6 +195,21 @@ def test_algebra_verify_bad_input_exit_code(tmp_path, capsys, argv):
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ")
     assert "FAIL" not in captured.out
+
+
+def test_spacing_too_fine_for_the_mass_names_the_bound(tmp_path, capsys):
+    argv = ["algebra-verify", "--physical-size", "1e-7", "--spacings", "1e-8,5e-9"]
+    assert main([*argv, "--outdir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "mass 3.14159 is lost to eigh rounding at spacing 1e-08" in err
+    assert "exceeds 0.01" in err
+    assert not (tmp_path / "central_relation.csv").exists()
+
+
+def test_ten_and_twenty_sites_fail_the_order_at_any_size(tmp_path):
+    # not a rounding floor: the bulk order reads 0.074 at physical sizes 1e-1 to 1e-4
+    argv = ["algebra-verify", "--physical-size", "1e-4", "--spacings", "1e-5,5e-6"]
+    assert main([*argv, "--outdir", str(tmp_path)]) == 3
 
 
 def test_spacing_that_misses_the_physical_size_names_it(tmp_path, capsys):

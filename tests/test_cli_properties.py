@@ -1,6 +1,7 @@
 """Property checks of the command line: every input ends in a documented exit code."""
 
 import itertools
+import json
 import math
 from datetime import timedelta
 from fractions import Fraction
@@ -11,6 +12,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from platevac.algebra import builtin_algebra, change_basis, save_algebra  # noqa: E402
 from platevac.cli import main, parse_options  # noqa: E402
 
 # finite and non-finite floats, with the edges of the float range drawn often
@@ -120,3 +122,49 @@ def test_charges_raw_exit_code_is_documented(tmp_path, entries):
     code = _exit_code(argv)
     assert code in (0, 2)
     assert code == (0 if _raw_charges_valid(entries) else 2)
+
+
+# dim H^2 of the builtins, as frozen in test_algebra; a basis change keeps it
+_H2_OF = {"poincare21": 0, "heisenberg1": 2, "galilei11": 2, "abelian3": 3}
+
+
+@st.composite
+def _integer_basis_change(draw):
+    """A builtin and an integer P = L U with unit-triangular L, U: invertible."""
+    name = draw(st.sampled_from(sorted(_H2_OF)))
+    n = builtin_algebra(name).dim
+    entry = st.integers(-3, 3)
+    lo = [[int(i == j) if j >= i else draw(entry) for j in range(n)] for i in range(n)]
+    up = [[int(i == j) if j <= i else draw(entry) for j in range(n)] for i in range(n)]
+    p = [[sum(lo[i][k] * up[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+    return name, p
+
+
+@_SETTINGS
+@given(case=_integer_basis_change())
+def test_cocycle_algebra_file_keeps_h2_under_basis_change(tmp_path, case):
+    name, p = case
+    path = tmp_path / "changed.txt"
+    save_algebra(change_basis(builtin_algebra(name), p), path)
+    assert _exit_code(["cocycle", "--algebra-file", str(path), "--outdir", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "cocycle_report.json").read_text())
+    assert report["h2_dimension"] == _H2_OF[name]
+
+
+@st.composite
+def _raw_table(draw):
+    """An algebra file of up to 4 labels with arbitrary `f A B C num den` lines."""
+    labels = ("A", "B", "C", "D")[:draw(st.integers(1, 4))]
+    label = st.sampled_from(labels)
+    lines = draw(st.lists(
+        st.tuples(label, label, label, st.integers(-3, 3), st.integers(-2, 3)), max_size=8))
+    return "".join([f"basis {' '.join(labels)}\n",
+                    *(f"f {a} {b} {c} {num} {den}\n" for a, b, c, num, den in lines)])
+
+
+@_SETTINGS
+@given(text=_raw_table())
+def test_cocycle_raw_algebra_file_exit_code_is_documented(tmp_path, text):
+    path = tmp_path / "raw.txt"
+    path.write_text(text)
+    assert _exit_code(["cocycle", "--algebra-file", str(path), "--outdir", str(tmp_path)]) in (0, 2)

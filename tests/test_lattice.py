@@ -681,6 +681,22 @@ def test_mass_bound(monkeypatch):
             lat.verify_central_relation(g1, (1.0, bad))
 
 
+def test_mass_lost_to_eigh_rounding_is_bad_input(monkeypatch):
+    # eps (m^2 + 4 / a^2) / m^2 is 7.3e-3 at a = 3.5e-7 and 1.4e-2 at a = 2.5e-7, m = 1
+    fine = lat.LatticeGeometry(1, 8, 3.5e-7)
+    assert lat.contradiction_demo(fine, 1.0)["min_frequency"] == pytest.approx(1.0, rel=1e-2)
+    _forbid_norms(monkeypatch)
+    finer = lat.LatticeGeometry(1, 8, 2.5e-7)
+    with pytest.raises(ValueError, match="mass 1 is lost to eigh rounding at spacing 2.5e-07"):
+        lat.verify_central_relation(finer, (2.0, 1.0))
+    with pytest.raises(ValueError, match="eigh rounding"):
+        lat.contradiction_demo(finer, 1.0)
+    with pytest.raises(ValueError, match="spacing 1e-07"):  # the whole sweep, before any work
+        lat.central_relation_convergence(8e-6, [1e-6, 1e-7], (1.0, 2.0))
+    with pytest.raises(lat.DegenerateVacuumError):  # a zero mass keeps its own error
+        lat.contradiction_demo(finer, 0.0)
+
+
 def test_closure_requires_periodic():
     with pytest.raises(ValueError):
         lat.verify_poincare_closure(lat.LatticeGeometry(2, 8, 0.5, "open"), 1.0)
