@@ -109,14 +109,16 @@ def mode_frequency(n: int, k: float, length: float) -> float:
         raise ValueError(f"mode index must be >= 1, got {n}")
     if not 0.0 <= k < math.inf:
         raise ValueError(f"transverse momentum must be finite and >= 0, got {k}")
-    if not length > 0.0:
-        raise ValueError(f"length must be positive, got {length}")
+    if not 0.0 < length < math.inf:
+        raise ValueError(f"length must be positive and finite, got {length}")
     try:
         omega = math.hypot(k, n * math.pi / length)
     except OverflowError:  # an int n past float range
         omega = math.inf
     if omega == math.inf:
         raise ValueError(f"frequency overflows at n={n}, k={k}, length={length}")
+    if omega * omega == 0.0:  # from a length of about 2e162 at k = 0
+        raise ValueError(f"frequency squared underflows at n={n}, k={k}, length={length}")
     return omega
 
 

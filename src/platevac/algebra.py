@@ -8,15 +8,14 @@ Structure constants are indexed as f[c][a][b], meaning
     <<X_a, X_b>> = sum_c f[c][a][b] X_c.
 
 An algebra stores only its nonzero brackets, {(a, b): {c: f[c][a][b]}}
-with a < b, at most MAX_DIM generators, and every check loops over those
-brackets alone. A two-cocycle likewise stores only its nonzero central
-terms, {(a, b): C[a][b]} with a < b, over at most MAX_DIM labels. Both
-tables are folded by one rule: a (b, a) key comes in negated and must
-agree with any (a, b) key. The dense tables `LieAlgebraSpec.f` and
-`TwoCocycle.c` are read-only views, built on first access, for
-independent oracles. Every rank, solve and inverse is one `exactlin.rref`
-of sparse {column: value} rows: a bracket row {c: f[c][a][b]}, a cocycle
-condition over pair slots {(d, z): coefficient}, or a row of [P | I].
+with a < b, at most MAX_DIM generators. A two-cocycle likewise stores
+only its nonzero central terms, {(a, b): C[a][b]} with a < b, over at
+most MAX_DIM labels. Both tables are folded by one rule: a (b, a) key
+comes in negated and must agree with any (a, b) key. The dense tables
+`LieAlgebraSpec.f` and `TwoCocycle.c` are read-only views, built on first
+access, for independent oracles. Every rank, solve and inverse is one
+`exactlin.rref` of sparse {column: value} rows: a bracket row
+{c: f[c][a][b]}, a cocycle row, or a row of [P | I].
 
 Planar Poincare conventions (generator order H, P1, P2, J, K1, K2, with
 eps_12 = +1):
@@ -36,6 +35,11 @@ A two-cocycle C adds central terms, <<X_a, X_b>> -> ... + C[a][b] * 1, and
 must satisfy, for all triples (a, b, c),
 
     sum_d ( f[d][a][b] C[d][c] + f[d][b][c] C[d][a] + f[d][c][a] C[d][b] ) = 0.
+
+The condition is stated once, in one row table cached per algebra: a
+sparse row {(d, z): coefficient} (d < z) per triple that touches a nonzero
+bracket. `cocycle_check` evaluates the rows at C, `jacobi_check` at
+C[d][z] = f[e][d][z] for each component e, and `h2_dimension` reduces them.
 
 A coboundary is C[a][b] = sum_c f[c][a][b] alpha[c] for some linear form
 alpha; such charges are removable by the redefinition X_c -> X_c - alpha[c].
@@ -155,6 +159,27 @@ class LieAlgebraSpec:
         if a < b:
             return self.brackets.get((a, b), {}).items()
         return [(c, -v) for c, v in self.brackets.get((b, a), {}).items()]
+
+    @cached_property
+    def _cocycle_rows(self) -> tuple:
+        """One row {(d, z): coefficient} per triple a < b < c that touches a bracket.
+
+        The row is the cyclic sum of f[d][x][y] C[d][z], each C[d][z] read
+        through its d < z slot and the d = z terms dropped; over any other
+        triple that sum is zero term by term.
+        """
+        touched = {tuple(sorted((*ab, c))) for ab in self.brackets
+                   for c in range(self.dim) if c not in ab}
+        rows = []
+        for a, b, c in sorted(touched):
+            row = {}
+            for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
+                for d, v in self.terms(x, y):
+                    if d != z:
+                        slot, w = ((d, z), v) if d < z else ((z, d), -v)
+                        row[slot] = row.get(slot, 0) + w
+            rows.append(row)
+        return tuple(rows)
 
 
 def _algebra_from_brackets(labels, brackets) -> LieAlgebraSpec:
@@ -298,31 +323,18 @@ class CoboundaryResult:
     rank_deficit: int
 
 
-def _touched_triples(algebra: LieAlgebraSpec) -> list[tuple[int, int, int]]:
-    """Triples a < b < c with a nonzero bracket among their pairs.
-
-    Every cyclic sum over any other triple is zero term by term.
-    """
-    n = algebra.dim
-    return sorted(
-        {tuple(sorted((*ab, c))) for ab in algebra.brackets for c in range(n) if c not in ab}
-    )
-
-
-def _cyclic(a, b, c):
-    return ((a, b, c), (b, c, a), (c, a, b))
-
-
 def jacobi_check(algebra: LieAlgebraSpec) -> Fraction:
-    """Max absolute Jacobi residual, exactly zero for a genuine Lie algebra."""
+    """Max absolute Jacobi residual, exactly zero for a genuine Lie algebra.
+
+    Component e of the cyclic sum of <<<<X_x, X_y>>, X_z>> is the cocycle
+    row of (x, y, z) at C[d][z] = f[e][d][z], which is antisymmetric.
+    """
     worst = Fraction(0)
-    for triple in _touched_triples(algebra):
-        # <<<<X_x, X_y>>, X_z>> summed cyclically, component by component
+    for row in algebra._cocycle_rows:
         r = {}
-        for x, y, z in _cyclic(*triple):
-            for d, v in algebra.terms(x, y):
-                for e, w in algebra.terms(d, z):
-                    r[e] = r.get(e, 0) + v * w
+        for dz, v in row.items():
+            for e, w in algebra.brackets.get(dz, {}).items():
+                r[e] = r.get(e, 0) + v * w
         worst = max([worst, *map(abs, r.values())])
     return worst
 
@@ -332,18 +344,8 @@ def cocycle_check(algebra: LieAlgebraSpec, cocycle: TwoCocycle) -> Fraction:
     if algebra.labels != cocycle.labels:
         raise ValueError("cocycle labels do not match algebra labels")
     C = cocycle.entries
-
-    def at(a, b):
-        return C.get((a, b), 0) if a < b else -C.get((b, a), 0)
-
-    worst = Fraction(0)
-    for triple in _touched_triples(algebra):
-        r = sum(
-            (v * at(d, z) for x, y, z in _cyclic(*triple) for d, v in algebra.terms(x, y)),
-            Fraction(0),
-        )
-        worst = max(worst, abs(r))
-    return worst
+    return max((abs(sum((v * C.get(dz, 0) for dz, v in row.items()), Fraction(0)))
+                for row in algebra._cocycle_rows), default=Fraction(0))
 
 
 def shift_cocycle(c0, c1, c2) -> TwoCocycle:
@@ -400,17 +402,7 @@ def h2_dimension(algebra: LieAlgebraSpec) -> int:
     """dim H^2(g, R) = dim(cocycles) - dim(coboundaries), by exact ranks."""
     if jacobi_check(algebra) != 0:
         raise ValueError("structure constants do not satisfy the Jacobi identity")
-    z_rows = []
-    for triple in _touched_triples(algebra):
-        row = {}
-        for x, y, z in _cyclic(*triple):
-            for d, v in algebra.terms(x, y):
-                # C[d][z] expressed through upper-triangle unknowns
-                if d != z:
-                    slot, w = ((d, z), v) if d < z else ((z, d), -v)
-                    row[slot] = row.get(slot, 0) + w
-        z_rows.append(row)
-    dim_cocycles = math.comb(algebra.dim, 2) - len(exactlin.rref(z_rows)[1])
+    dim_cocycles = math.comb(algebra.dim, 2) - len(exactlin.rref(algebra._cocycle_rows)[1])
     dim_coboundaries = len(exactlin.rref(list(algebra.brackets.values()))[1])
     return dim_cocycles - dim_coboundaries
 

@@ -9,6 +9,8 @@ Four subcommands expose the computational layers:
 
 Exit codes: 0 success, 2 bad input (malformed files, invalid parameters),
 3 numerical cross-check failure, 4 integrator or scan-quality failure.
+Each handler returns whether its checks passed and prints its PASS/FAIL
+lines through `_verdict`; `main` alone maps every outcome to an exit code.
 
 Every subcommand accepts --outdir, --seed, and --config.  The config file
 is INI-style with one section per subcommand; keys are the long flag
@@ -39,6 +41,7 @@ from . import lattice as lat
 
 _FLOAT_FMT = "%.11e"
 _SELFTEST_MAX = 10_000  # exact solves: about a minute
+_SUDDEN_TOL = 1e-3  # relative deviation of the sudden-limit |beta|
 
 
 def _rational(text: str) -> Fraction:
@@ -62,6 +65,11 @@ def _write_csv(path: Path, header, rows):
 
 def _fmt(value: float) -> str:
     return _FLOAT_FMT % value
+
+
+def _verdict(label: str, ok: bool) -> bool:
+    print(f"{label}: {'PASS' if ok else 'FAIL'}")
+    return ok
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +296,7 @@ def _selftest(algebra, trials, seed):
     return {"trials": trials, "failures": failures}
 
 
-def cmd_cocycle(opts) -> int:
+def cmd_cocycle(opts) -> bool:
     algebra, builtin = _resolve_algebra(opts)
     report = {
         "algebra": {
@@ -326,14 +334,12 @@ def cmd_cocycle(opts) -> int:
                     for label, value in zip(algebra.labels, solved.certificate.alpha)
                 }
 
-    status = 0
+    passed = True
     if opts["selftest"]:
         if builtin != "poincare21":
             raise ValueError("--selftest runs on the poincare21 algebra only")
-        outcome = _selftest(algebra, opts["selftest"], opts["seed"])
-        report["selftest"] = outcome
-        if outcome["failures"]:
-            status = 3
+        report["selftest"] = _selftest(algebra, opts["selftest"], opts["seed"])
+        passed = not report["selftest"]["failures"]
 
     out = opts["outdir"] / "cocycle_report.json"
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -345,14 +351,14 @@ def cmd_cocycle(opts) -> int:
     if verdict is not None:
         print(f"cocycle: {'coboundary (removable)' if verdict else 'not a coboundary'}")
     print(f"report written to {out}")
-    return status
+    return passed
 
 
 # ---------------------------------------------------------------------------
 # algebra-verify subcommand
 
 
-def cmd_algebra_verify(opts) -> int:
+def cmd_algebra_verify(opts) -> bool:
     outdir = opts["outdir"]
     if opts["demo"] == "contradiction":
         geom = lat.LatticeGeometry(1, opts["closure_size"], 0.5, boundary="periodic")
@@ -361,9 +367,7 @@ def cmd_algebra_verify(opts) -> int:
         print(f"vacuum energy (trace route):     {_fmt(demo['vev_trace_route'])}")
         print(f"vacuum energy (mode sum):        {_fmt(demo['ground_energy'])}")
         print(f"positive lower bound M*m_min/2:  {_fmt(demo['lower_bound'])}")
-        ok = demo["ground_energy"] >= demo["lower_bound"]
-        print(f"vacuum energy > 0: {'PASS' if ok else 'FAIL'}")
-        return 0 if ok else 3
+        return _verdict("vacuum energy > 0", demo["ground_energy"] >= demo["lower_bound"])
 
     if opts["check"] == "poincare":
         geom = lat.LatticeGeometry(2, opts["closure_size"], 0.5, boundary="periodic")
@@ -372,11 +376,10 @@ def cmd_algebra_verify(opts) -> int:
         _write_csv(outdir / "closure_residuals.csv", ("pair", "residual_norm"), rows)
         gated = ["H,P1", "H,P2", "P1,P2", "J,H bulk"]
         worst = max(residuals[p] for p in gated)
-        ok = worst < opts["closure_tol"]
         for pair, value in residuals.items():
             print(f"  [{pair}] residual norm {_fmt(value)}")
-        print(f"closure residuals < {opts['closure_tol']:g}: {'PASS' if ok else 'FAIL'}")
-        return 0 if ok else 3
+        return _verdict(f"closure residuals < {opts['closure_tol']:g}",
+                        worst < opts["closure_tol"])
 
     masses = (opts["mass0"], opts["mass1"])
     sweep = lat.central_relation_convergence(opts["physical_size"], opts["spacings"], masses)
@@ -401,17 +404,15 @@ def cmd_algebra_verify(opts) -> int:
     for mass, order in zip(masses, orders):
         print(f"  bulk convergence order (mass {mass:g}): {order:.4f}")
     print(f"  worst scalar-slot relative discrepancy: {_fmt(worst_scalar)}")
-    verdict = "PASS" if (order_ok and scalar_ok) else "FAIL"
-    print(f"central relation (order >= {opts['order_min']:g}, "
-          f"scalar tol {opts['scalar_tol']:g}): {verdict}")
-    return 0 if verdict == "PASS" else 3
+    return _verdict(f"central relation (order >= {opts['order_min']:g}, "
+                    f"scalar tol {opts['scalar_tol']:g})", order_ok and scalar_ok)
 
 
 # ---------------------------------------------------------------------------
 # casimir subcommand
 
 
-def cmd_casimir(opts) -> int:
+def cmd_casimir(opts) -> bool:
     header = ["L", "method", "energy_per_area", "error_estimate", "force_per_area"]
     if opts["diff"]:
         header.append("central_charge_diff_vs_first")
@@ -441,20 +442,19 @@ def cmd_casimir(opts) -> int:
             cross_ok = False
 
     _write_csv(opts["outdir"] / "casimir.csv", header, rows)
-    print(f"routes agree within tolerance: {'PASS' if cross_ok else 'FAIL'}")
-    return 0 if cross_ok else 3
+    return _verdict("routes agree within tolerance", cross_ok)
 
 
 # ---------------------------------------------------------------------------
 # adiabatic subcommand
 
 
-def cmd_adiabatic(opts) -> int:
+def cmd_adiabatic(opts) -> bool:
     if opts["L0"] is None or opts["L1"] is None:
         raise ValueError("adiabatic requires --L0 and --L1")
     times, n, k = opts["T"], opts["n"], opts["k"]
 
-    status = 0
+    ok = True
     if opts["sudden_check"]:
         closed = ad.sudden_beta_magnitude(n, k, opts["L0"], opts["L1"])
         run = ad.evolve_mode(ad.Schedule(opts["L0"], opts["L1"], 1e-4), n, k,
@@ -463,9 +463,7 @@ def cmd_adiabatic(opts) -> int:
         print(f"sudden |beta| closed form:  {_fmt(closed)}")
         print(f"sudden |beta| integrator:   {_fmt(abs(run.beta))}")
         print(f"relative deviation:         {_fmt(dev)}")
-        print(f"sudden-limit check: {'PASS' if dev <= 1e-3 else 'FAIL'}")
-        if dev > 1e-3:
-            status = 3
+        ok = _verdict("sudden-limit check", dev <= _SUDDEN_TOL)
 
     if len(times) >= 3:
         scan = ad.adiabatic_scan(opts["L0"], opts["L1"], times, n=n, k=k,
@@ -493,7 +491,7 @@ def cmd_adiabatic(opts) -> int:
     out = opts["outdir"] / "adiabatic_scan.csv"
     _write_csv(out, header, rows)
     print(f"scan written to {out}")
-    return status
+    return ok
 
 
 # ---------------------------------------------------------------------------
@@ -502,7 +500,7 @@ def cmd_adiabatic(opts) -> int:
 def main(argv=None) -> int:
     try:
         opts = parse_options(argv)
-        return opts["handler"](opts)
+        return 0 if opts["handler"](opts) else 3
     except (ad.IntegrationFailure, ad.WronskianViolation, ad.ScanQualityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4

@@ -220,13 +220,6 @@ class QuadraticObservable:
     def __sub__(self, other: "QuadraticObservable") -> "QuadraticObservable":
         return self._combine(other, operator.sub)
 
-    def __mul__(self, factor: float) -> "QuadraticObservable":
-        factor = float(factor)
-        scaled = [None if x is None else factor * x for x in self.blocks]
-        return QuadraticObservable(self.n_modes, *scaled, factor * self.lin, factor * self.scalar)
-
-    __rmul__ = __mul__
-
 
 def _same_modes(a: QuadraticObservable, b: QuadraticObservable) -> int:
     if a.n_modes != b.n_modes:
@@ -619,13 +612,11 @@ def fit_convergence_order(spacings, residuals) -> float:
 # verification reports
 
 
-def verify_central_relation(
-    geom: LatticeGeometry,
-    mass_pair,
-    direction: int = 0,
-    t: float = 0.0,
-) -> dict:
+def verify_central_relation(geom: LatticeGeometry, mass_pair) -> dict:
     """Check (1/i)[K(L), P] against H(L) - E(L) on one open lattice.
+
+    K and P act along direction 0, and K is the t = 0 boost: t drops out of
+    the bracket because [P, P] = 0.
 
     The raw commutator of the pure quadratic generators has scalar slot
     exactly zero; the central constant lives in the bookkeeping that splits
@@ -639,9 +630,7 @@ def verify_central_relation(
     - bulk_residual_norm: smooth-profile norm of the quadratic residual
       R = (1/i)[K, P] - (H - E), restricted to the bulk window,
     - full_residual_norm: spectral norm of R over the whole lattice
-      (edge-dominated, not expected to shrink with the spacing),
-    - commutator_vev: vacuum expectation of the raw commutator, a
-      discretization diagnostic.
+      (edge-dominated, not expected to shrink with the spacing).
 
     The momentum generator is normal-ordered in the first label's vacuum;
     the final entry reports the central-charge difference E(L0) - E(L1).
@@ -656,7 +645,7 @@ def verify_central_relation(
     window = _bulk_window(geom)
     h0 = build_hamiltonian(geom, mass_pair[0])
     basis0 = build_mode_basis(h0)
-    momentum = normal_ordered(build_momentum(geom, direction), basis0)
+    momentum = normal_ordered(build_momentum(geom, 0), basis0)
 
     per_label = []
     energies = []
@@ -665,7 +654,7 @@ def verify_central_relation(
         basis = basis0 if label == 0 else build_mode_basis(h)
         e_trace = vacuum_expectation(h, basis)
         e_eig = basis.energy
-        boost = build_boost(geom, direction, t, mass)
+        boost = build_boost(geom, 0, 0.0, mass)
         comm = commutator(boost, momentum)
         residual = comm - h.shifted(-e_trace)
         per_label.append(
@@ -682,24 +671,13 @@ def verify_central_relation(
                 "bulk_residual_norm": bulk_residual_norm(residual, geom),
                 "full_residual_norm": spectral_norm(residual),
                 "commutator_scalar_raw": comm.scalar,
-                "commutator_vev": vacuum_expectation(comm, basis),
             }
         )
         energies.append(e_trace)
-    return {
-        "direction": direction,
-        "per_label": per_label,
-        "central_charge_difference": energies[0] - energies[1],
-    }
+    return {"per_label": per_label, "central_charge_difference": energies[0] - energies[1]}
 
 
-def central_relation_convergence(
-    physical_size: float,
-    spacings,
-    mass_pair,
-    direction: int = 0,
-    t: float = 0.0,
-) -> dict:
+def central_relation_convergence(physical_size: float, spacings, mass_pair) -> dict:
     """Run verify_central_relation over a spacing sweep at fixed physical size.
 
     Each spacing must divide physical_size into a whole number of sites: a
@@ -721,7 +699,7 @@ def central_relation_convergence(
             raise ValueError(
                 f"spacing {geom.spacing:g} gives {geom.sites_per_dim} sites of size "
                 f"{geom.physical_size:.12g}, not the physical size {physical_size:g}")
-    rows = [verify_central_relation(geom, mass_pair, direction, t) for geom in geoms]
+    rows = [verify_central_relation(geom, mass_pair) for geom in geoms]
     orders = []
     for label in range(2):
         norms = [r["per_label"][label]["bulk_residual_norm"] for r in rows]

@@ -66,6 +66,10 @@ def test_mode_frequency():
         ad.mode_frequency(1, 0.0, 1e-310)
     with pytest.raises(ValueError, match="overflows"):
         ad.mode_frequency(10**400, 0.0, 1.0)
+    with pytest.raises(ValueError, match="finite"):
+        ad.mode_frequency(1, 0.0, math.inf)  # a zero frequency
+    with pytest.raises(ValueError, match="underflows"):
+        ad.mode_frequency(1, 0.0, 1e300)
 
 
 # ---------------------------------------------------------------------------

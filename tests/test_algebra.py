@@ -434,6 +434,25 @@ def test_sparse_checks_match_dense_loops():
     assert sum(1 for r in jacobi if r != 0) >= 4  # the bent tables really are bent
 
 
+@pytest.mark.parametrize("name,cocycle", [
+    ("poincare21", al.shift_cocycle(1, Fraction(-2, 3), 5)),  # removable
+    ("galilei11", al.TwoCocycle(("H", "P", "K"), {(1, 2): Fraction(5, 3)})),  # mass: not
+    ("heisenberg1", al.TwoCocycle(("Q1", "P1", "Z"), {(0, 2): 1})),  # not removable
+])
+def test_cached_cocycle_rows_survive_every_check(name, cocycle):
+    # every check of one algebra reads one cached row table, so none may edit it
+    g = al.builtin_algebra(name)
+    rows = g._cocycle_rows
+    assert rows
+    before = [dict(row) for row in rows]
+    al.h2_dimension(g)
+    assert al.cocycle_check(g, cocycle) == 0
+    al.coboundary_solve(g, cocycle)
+    exactlin.rref(rows)
+    assert g._cocycle_rows is rows
+    assert list(rows) == before
+
+
 # ---------------------------------------------------------------------------
 # second cohomology, with an independent sympy rank oracle
 

@@ -464,6 +464,8 @@ def test_config_malformed_file(tmp_path):
     ["adiabatic", "--L0", "1", "--L1", "2", "--k", "nan"],
     ["adiabatic", "--L0", "1", "--L1", "2", "--k", "inf"],
     ["adiabatic", "--L0", "1e-310", "--L1", "2"],  # omega overflows
+    ["adiabatic", "--L0", "1", "--L1", "inf", "--sudden-check"],  # omega_out = 0
+    ["adiabatic", "--L0", "1e300", "--L1", "1e300", "--sudden-check"],  # omega^2 underflows
     ["adiabatic", "--L0", "1", "--L1", "2", "--n", "1" + "0" * 400],
     ["cocycle", "--builtin", "abelian65"],  # more than 64 generators
     ["cocycle", "--builtin", "abelian" + "9" * 400],
@@ -482,6 +484,38 @@ def test_bad_values_exit_2(tmp_path, capsys, argv):
     argv = [arg.format(tmp=tmp_path) for arg in argv]
     assert _exit_code([*argv, "--outdir", str(tmp_path)]) == 2
     assert "PASS" not in capsys.readouterr().out
+
+
+def _sudden_off(monkeypatch):
+    closed_form = ad.sudden_beta_magnitude
+    monkeypatch.setattr(ad, "sudden_beta_magnitude", lambda *args: 2 * closed_form(*args))
+
+
+def _coboundaries_infeasible(monkeypatch):
+    monkeypatch.setattr(alg, "coboundary_solve",
+                        lambda algebra, cocycle: alg.CoboundaryResult(False, None, 0, 1))
+
+
+@pytest.mark.parametrize("argv,patch,verdict,output", [
+    (["algebra-verify", "--check", "poincare", "--closure-tol", "0"], None,
+     "closure residuals < 0: FAIL", "closure_residuals.csv"),  # a norm is never below 0
+    (["adiabatic", "--L0", "1", "--L1", "2", "--sudden-check"], _sudden_off,
+     "sudden-limit check: FAIL", "adiabatic_scan.csv"),
+    (["cocycle", "--selftest", "5"], _coboundaries_infeasible, None, "cocycle_report.json"),
+])
+def test_failed_check_exits_3_and_still_writes(tmp_path, capsys, monkeypatch,
+                                               argv, patch, verdict, output):
+    if patch:
+        patch(monkeypatch)
+    assert main([*argv, "--outdir", str(tmp_path)]) == 3
+    lines = capsys.readouterr().out.splitlines()
+    if verdict:
+        assert verdict in lines
+    else:  # the selftest counts its failures in the report instead
+        assert not [line for line in lines if "PASS" in line or "FAIL" in line]
+        report = json.loads(_read(tmp_path / output))
+        assert report["selftest"] == {"trials": 5, "failures": 5}
+    assert (tmp_path / output).stat().st_size > 0
 
 
 @pytest.mark.parametrize("argv,message", [

@@ -168,3 +168,65 @@ def test_cocycle_raw_algebra_file_exit_code_is_documented(tmp_path, text):
     path = tmp_path / "raw.txt"
     path.write_text(text)
     assert _exit_code(["cocycle", "--algebra-file", str(path), "--outdir", str(tmp_path)]) in (0, 2)
+
+
+# junk for any numeric option: zero, negative, non-finite and the edges of the float range
+_JUNK = st.sampled_from(["0", "-1", "-2.5", "nan", "inf", "-inf", "1e300", "-1e300", "1e-300"])
+
+
+def _or_junk(text):
+    """A draw of `text`, or junk one time in eight."""
+    return st.integers(0, 7).flatmap(lambda i: text if i else _JUNK)
+
+
+def _options(draw, argv, options):
+    """Append a drawn subset of `options`, {name: valid values}, each maybe junk."""
+    for name, valid in options.items():
+        if draw(st.booleans()):
+            argv.append(f"--{name}={draw(_or_junk(valid.map(repr)))}")
+    return argv
+
+
+@st.composite
+def _algebra_verify_argv(draw):
+    """The sweep, the closure check or the demo, on lattices of at most 40 sites a side."""
+    mass = st.floats(0.1, 4)
+    closure = {"closure-size": st.integers(3, 12), "closure-mass": mass}
+    mode = draw(st.sampled_from(["sweep", "closure", "demo"]))
+    if mode == "closure":
+        return _options(draw, ["algebra-verify", "--check", "poincare"],
+                        {**closure, "closure-tol": st.floats(0, 1e-6)})
+    if mode == "demo":
+        return _options(draw, ["algebra-verify", "--demo", "contradiction"], closure)
+    size = draw(st.floats(1, 16))
+    ks = draw(st.lists(st.integers(4, 40), min_size=2, max_size=3))
+    spacings = ",".join(repr(size / k) for k in ks)
+    argv = ["algebra-verify", f"--physical-size={draw(_or_junk(st.just(repr(size))))}",
+            f"--spacings={draw(_or_junk(st.just(spacings)))}"]
+    return _options(draw, argv, {"mass0": mass, "mass1": mass, "order-min": st.floats(-1, 5),
+                                 "scalar-tol": st.floats(0, 1e-6)})
+
+
+@_SETTINGS
+@given(argv=_algebra_verify_argv())
+def test_algebra_verify_exit_code_is_documented(tmp_path, argv):
+    assert _exit_code([*argv, "--outdir", str(tmp_path)]) in (0, 2, 3, 4)
+
+
+@st.composite
+def _adiabatic_argv(draw):
+    """Schedules with T <= 20, n <= 3 and k <= 5, any option maybe junk."""
+    lengths = st.floats(0.5, 4).map(repr)
+    times = st.lists(st.floats(0.1, 20), min_size=1, max_size=3, unique=True)
+    argv = ["adiabatic", f"--L0={draw(_or_junk(lengths))}", f"--L1={draw(_or_junk(lengths))}",
+            f"--T={draw(_or_junk(times.map(lambda ts: ','.join(map(repr, sorted(ts))))))}"]
+    if draw(st.booleans()):
+        argv.append("--sudden-check")
+    return _options(draw, argv, {"n": st.integers(1, 3), "k": st.floats(0, 5),
+                                 "wronskian-tol": st.floats(1e-12, 1e-6)})
+
+
+@_SETTINGS
+@given(argv=_adiabatic_argv())
+def test_adiabatic_exit_code_is_documented(tmp_path, argv):
+    assert _exit_code([*argv, "--outdir", str(tmp_path)]) in (0, 2, 3, 4)

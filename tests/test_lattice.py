@@ -121,7 +121,6 @@ def test_observable_arithmetic():
     s = a + b
     assert np.array_equal(s.quad, 3 * np.eye(2))
     assert s.scalar == 1.0
-    assert (2.0 * a).scalar == 4.0
     assert a.shifted(-2.0).scalar == 0.0
 
 
