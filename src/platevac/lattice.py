@@ -12,12 +12,13 @@ its three M x M blocks,
 
     Q = [[phi, C^T], [C, pi]],
 
-with phi and pi symmetrized, C the pi-phi coupling, and a block that is all
-zero stored as None. The dense 2M x 2M matrix `quad` is a read-only view,
-built on first access; no computation here reads it except the spectral
-norm of a quad with all three blocks present. Every generator is
-block-diagonal (H, the t = 0 boost) or purely off-diagonal (P, J), so most
-brackets cost a few M x M products.
+with phi and pi of outside input symmetrized (the builders, `commutator`,
+`+` and `-` make symmetric blocks and skip that copy), C the pi-phi
+coupling, and a block that is all zero stored as None. The dense 2M x 2M
+matrix `quad` is a read-only view, built on first access; no computation
+here reads it except the spectral norm of a quad with all three blocks
+present. Every generator is block-diagonal (H, the t = 0 boost) or purely
+off-diagonal (P, J), so most brackets cost a few M x M products.
 
 `commutator` returns the rescaled product (1/i)[A, B], which is again
 quadratic with real coefficients:
@@ -36,10 +37,17 @@ two pure Weyl quadratics carries no central term; central scalars only enter
 through the normal-ordering bookkeeping handled by `verify_central_relation`.
 
 The vacuum covariance Sigma is block-diagonal, so a vacuum expectation
-needs only phi and pi. Both residual norms take an observable: `spectral_norm`
-works from the blocks of its quad, the largest |eigenvalue| of
-phi and pi, the top singular value of a lone coupling block, or the largest
-|eigenvalue| of the whole matrix when both kinds are present.
+needs only phi and pi. `build_hamiltonian` records its geometry and mass on
+the H it returns, and `build_mode_basis` reads that record: the spectrum and
+both covariance blocks of a lattice H come in closed form, from DCT-II
+(free ends) or Fourier (periodic) modes per axis and one length-2N (or N)
+FFT cosine sum per axis, with no eigendecomposition and no M x M product.
+Any other [[V, 0], [0, I]] goes through a dense eigh.
+
+Both residual norms take an observable: `spectral_norm` works from the
+blocks of its quad, the largest |eigenvalue| of phi and pi, the top
+singular value of a lone coupling block, or the largest |eigenvalue| of the
+whole matrix when both kinds are present.
 
 Sites are laid out once, by `_grid`: the N^dims sites in the C order of an
 N x ... x N array, so site (i, j) is i * N + j. Bonds, difference stencils,
@@ -59,10 +67,13 @@ from __future__ import annotations
 import copy
 import math
 import operator
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, field
 from functools import cached_property, reduce
+from itertools import product
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = [
     "DegenerateVacuumError",
@@ -176,15 +187,29 @@ class QuadraticObservable:
             if symmetric:
                 x = x + x.T
                 x *= 0.5
-            return _readonly(x) if x.any() else None
+            return x
 
         lin = np.zeros(2 * m) if self.lin is None else np.asarray(self.lin, dtype=float)
         if lin.shape != (2 * m,):
             raise ValueError("lin length must match quad dimension")
-        for name, value in (("phi", block(self.phi, True)), ("coupling", block(self.coupling, False)),
-                            ("pi", block(self.pi, True)), ("lin", _readonly(lin)),
-                            ("scalar", float(self.scalar))):
-            object.__setattr__(self, name, value)
+        self._store(block(self.phi, True), block(self.coupling, False), block(self.pi, True),
+                    lin, self.scalar)
+
+    @classmethod
+    def _exact(cls, n_modes, phi=None, coupling=None, pi=None, lin=None, scalar=0.0):
+        """The constructor for M x M blocks with phi and pi symmetric by construction
+        (builders, `commutator`, `+`, `-`): only the all-zero -> None scan is left."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "n_modes", n_modes)
+        out._store(phi, coupling, pi, np.zeros(2 * n_modes) if lin is None else lin, scalar)
+        return out
+
+    def _store(self, phi, coupling, pi, lin, scalar):
+        for name, value in (("phi", phi), ("coupling", coupling), ("pi", pi)):
+            object.__setattr__(self, name, None if value is None or not value.any()
+                               else _readonly(value))
+        object.__setattr__(self, "lin", _readonly(lin))
+        object.__setattr__(self, "scalar", float(scalar))
 
     @property
     def blocks(self) -> tuple:
@@ -212,7 +237,8 @@ class QuadraticObservable:
     def _combine(self, other: "QuadraticObservable", op) -> "QuadraticObservable":
         m = _same_modes(self, other)
         blocks = [_blockwise(op, x, y) for x, y in zip(self.blocks, other.blocks)]
-        return QuadraticObservable(m, *blocks, op(self.lin, other.lin), op(self.scalar, other.scalar))
+        return QuadraticObservable._exact(m, *blocks, op(self.lin, other.lin),
+                                          op(self.scalar, other.scalar))
 
     def __add__(self, other: "QuadraticObservable") -> "QuadraticObservable":
         return self._combine(other, operator.add)
@@ -290,15 +316,18 @@ def _check_mass(mass: float) -> None:
                          f"got {mass!r}")
 
 
-# eigh finds the smallest eigenvalue of V, m^2, only to about eps ||V|| =
-# eps (m^2 + 4 dims / a^2). Measured on open 1-D lattices (N = 10 to 160, a down to
-# 3e-9), its relative error stayed below that over m^2, and at 3.6 it was off by
-# 44-124 %. The bound keeps m^2 to 1 %; tests and benchmark jobs reach 2.3e-12.
+# V is assembled in floats, so it holds m^2 only to about eps ||V|| =
+# eps (m^2 + 4 dims / a^2), and the trace route 1/2 tr(V Sigma) reads that V;
+# the closed-form spectrum does not see the rounding, a dense eigh of V does.
+# Measured with eigh on open 1-D lattices (N = 10 to 160, a down to 3e-9), the
+# smallest eigenvalue's relative error stayed below that over m^2, and at 3.6 it
+# was off by 44-124 %. The bound keeps m^2 to 1 %; tests and benchmark jobs reach
+# 2.3e-12.
 _MAX_ROUNDING_RATIO = 1e-2
 
 
 def _check_vacuum_mass(geom: LatticeGeometry, mass: float) -> None:
-    """_check_mass, and a positive mass must survive eigh rounding at this spacing."""
+    """_check_mass, and a positive mass must survive the rounding of V at this spacing."""
     _check_mass(mass)
     ma2 = (mass * geom.spacing) ** 2
     rounding = np.finfo(float).eps * (ma2 + 4 * geom.dims)
@@ -319,14 +348,16 @@ def build_hamiltonian(geom: LatticeGeometry, mass: float) -> QuadraticObservable
     if mass == 0 and geom.boundary == "periodic":
         raise DegenerateVacuumError("massless periodic lattice has an exact zero mode")
     m = geom.n_sites
-    return QuadraticObservable(m, phi=_potential_matrix(geom, mass, np.ones(m)), pi=np.eye(m))
+    h = QuadraticObservable._exact(m, phi=_potential_matrix(geom, mass, np.ones(m)), pi=np.eye(m))
+    object.__setattr__(h, "_lattice", (geom, mass))  # read by build_mode_basis
+    return h
 
 
 def build_momentum(geom: LatticeGeometry, direction: int) -> QuadraticObservable:
     """Weyl-symmetrized pi * (centered difference of phi), summed over sites."""
     if not 0 <= direction < geom.dims:
         raise ValueError("direction out of range")
-    return QuadraticObservable(geom.n_sites, coupling=_difference_matrix(geom, direction))
+    return QuadraticObservable._exact(geom.n_sites, coupling=_difference_matrix(geom, direction))
 
 
 def build_boost(
@@ -344,8 +375,8 @@ def build_boost(
     _check_mass(mass)
     coord = geom.centered_coordinate(direction)
     coupling = t * _difference_matrix(geom, direction) if t != 0.0 else None
-    return QuadraticObservable(geom.n_sites, -_potential_matrix(geom, mass, coord), coupling,
-                               -np.diag(coord))
+    return QuadraticObservable._exact(geom.n_sites, -_potential_matrix(geom, mass, coord),
+                                      coupling, -np.diag(coord))
 
 
 def build_rotation(geom: LatticeGeometry) -> QuadraticObservable:
@@ -359,7 +390,7 @@ def build_rotation(geom: LatticeGeometry) -> QuadraticObservable:
     x1 = geom.centered_coordinate(0)
     x2 = geom.centered_coordinate(1)
     b = x1[:, None] * _difference_matrix(geom, 1) - x2[:, None] * _difference_matrix(geom, 0)
-    return QuadraticObservable(geom.n_sites, coupling=b)
+    return QuadraticObservable._exact(geom.n_sites, coupling=b)
 
 
 # ---------------------------------------------------------------------------
@@ -372,19 +403,24 @@ class ModeBasis:
 
     The vacuum covariance Sigma[a][b] = <0| {xi_a, xi_b}/2 |0> is
     block-diagonal, stored as covariance_phi = U diag(1/omega) U^T / 2 and
-    covariance_pi = U diag(omega) U^T / 2. S = diag(omega^{1/2} U^T,
-    omega^{-1/2} U^T) satisfies S^T omega S = omega and maps xi to mode
-    variables in which H is sum_k omega_k (q_k^2 + p_k^2)/2.
+    covariance_pi = U diag(omega) U^T / 2. `frequencies` ascend, and `modes`
+    is U, its columns in the same order, built on first access.
+    S = diag(omega^{1/2} U^T, omega^{-1/2} U^T) satisfies S^T omega S = omega
+    and maps xi to mode variables in which H is sum_k omega_k (q_k^2 + p_k^2)/2.
     """
 
     frequencies: np.ndarray
-    modes: np.ndarray
     covariance_phi: np.ndarray
     covariance_pi: np.ndarray
+    _build_modes: Callable[[], np.ndarray] = field(repr=False)
 
     def __post_init__(self):
-        for name in ("frequencies", "modes", "covariance_phi", "covariance_pi"):
+        for name in ("frequencies", "covariance_phi", "covariance_pi"):
             object.__setattr__(self, name, _readonly(getattr(self, name)))
+
+    @cached_property
+    def modes(self) -> np.ndarray:
+        return _readonly(self._build_modes())
 
     @property
     def n_modes(self) -> int:
@@ -402,19 +438,102 @@ _DEGENERACY_TOL = 1e-10
 def build_mode_basis(hamiltonian: QuadraticObservable) -> ModeBasis:
     """Diagonalize a Hamiltonian of the block form [[V, 0], [0, I]].
 
-    Raises DegenerateVacuumError when the smallest potential eigenvalue
-    drops to 1e-10 (no normalizable vacuum).
+    A Hamiltonian made by `build_hamiltonian` (or a `shifted` copy of one)
+    gets its spectrum and covariance in closed form, see `_lattice_mode_basis`;
+    any other V goes through a dense `eigh`. Raises DegenerateVacuumError
+    when the smallest potential eigenvalue drops to 1e-10 (no normalizable
+    vacuum).
     """
     m = hamiltonian.n_modes
     pi = hamiltonian.pi
-    if hamiltonian.coupling is not None or pi is None or not np.array_equal(pi, np.eye(m)):
+    if (hamiltonian.coupling is not None or pi is None or np.count_nonzero(pi) != m
+            or not (np.diagonal(pi) == 1.0).all()):
         raise ValueError("mode basis needs a Hamiltonian with unit pi block and no cross terms")
+    lattice = getattr(hamiltonian, "_lattice", None)
+    if lattice is not None:
+        return _lattice_mode_basis(*lattice)
     v = np.zeros((m, m)) if hamiltonian.phi is None else hamiltonian.phi
     lam, u = np.linalg.eigh(v)
+    omega = _frequencies(lam)
+    return ModeBasis(omega, 0.5 * ((u * (1.0 / omega)) @ u.T), 0.5 * ((u * omega) @ u.T),
+                     lambda: u)
+
+
+def _frequencies(lam: np.ndarray) -> np.ndarray:
+    """omega = sqrt(lam) of ascending potential eigenvalues, refusing a (near) zero mode."""
     if lam[0] <= _DEGENERACY_TOL:
         raise DegenerateVacuumError(f"smallest potential eigenvalue {lam[0]:.3e}")
-    omega = np.sqrt(lam)
-    return ModeBasis(omega, u, 0.5 * ((u * (1.0 / omega)) @ u.T), 0.5 * ((u * omega) @ u.T))
+    return np.sqrt(lam)
+
+
+def _lattice_mode_basis(geom: LatticeGeometry, mass: float) -> ModeBasis:
+    """The ModeBasis of build_hamiltonian(geom, mass), with no eigendecomposition.
+
+    V is m^2 plus one second difference per axis, so its eigenvectors are
+    products of one orthonormal basis per axis. With period P = 2N for free
+    ends (DCT-II columns c_k cos(pi k (j + 1/2) / N)) and P = N for a
+    periodic axis (real Fourier columns: cos(2 pi k j / N) for 2k <= N, sin
+    above), axis mode k has the eigenvalue mu_k = (4/a^2) sin^2(pi k / P),
+    and lambda = m^2 + sum over axes of mu.
+
+    A covariance block U diag(F) U^T then depends on each axis through
+    the offset i - j, and for free ends also i + j + 1: per axis, the block
+    is the cosine sum g(d) = sum_k w_k F_k cos(2 pi k d / P) at those
+    offsets, Toeplitz (circulant when periodic) plus Hankel. One length-P
+    rfft per axis gives g for every offset; the blocks are filled from
+    strided views of it, with no M x M product.
+    """
+    from numpy.fft import rfft  # loaded on first use: importing lattice stays cheap
+
+    n, dims = geom.sites_per_dim, geom.dims
+    free = geom.boundary == "open"
+    period = 2 * n if free else n
+    k = np.arange(n)
+    # k and P - k share a periodic eigenvalue; the min makes the pair bit-equal
+    mu = (4.0 / geom.spacing**2) * np.sin(np.pi / period * np.minimum(k, period - k)) ** 2
+    lam = mass * mass + reduce(np.add.outer, [mu] * dims)
+    order = np.argsort(lam, axis=None, kind="stable")
+    omega = _frequencies(lam.ravel()[order])
+
+    # Free ends: c_k^2 cos(pi k (2i + 1) / P) cos(pi k (2j + 1) / P) is
+    # (c_k^2 / 2) [cos(2 pi k (i - j) / P) + cos(2 pi k (i + j + 1) / P)], with
+    # c_k^2 / 2 = 1/(2N) at k = 0 and 1/N above. Periodic: the cos and sin columns
+    # of k and N - k give (1/N) cos(2 pi k (i - j) / N) for each of the two.
+    weight = np.full(n, 1.0 / n)
+    offsets = [np.arange(1 - n, n)]  # i - j, read through a reversed window
+    if free:
+        weight[0] *= 0.5
+        offsets.append(np.arange(1, 2 * n))  # i + j + 1
+    # g(d) = g(P - d), and rfft returns d = 0 .. P // 2
+    folded = [np.minimum(d % period, -d % period) for d in offsets]
+    flips = [slice(None, None, -1), slice(None)]
+
+    def covariance(f):
+        g = f * reduce(np.multiply.outer, [weight] * dims)
+        for axis in range(dims):
+            g = rfft(g, period, axis=axis).real
+        out = None
+        for terms in product(range(len(offsets)), repeat=dims):
+            table = g[np.ix_(*(folded[t] for t in terms))]
+            window = sliding_window_view(table, (n,) * dims)[tuple(flips[t] for t in terms)]
+            if out is None:
+                out = window.copy()  # C order, axes i_1 i_2 .. j_1 j_2 ..
+            else:
+                out += window
+        return out.reshape(geom.n_sites, geom.n_sites)
+
+    def modes():
+        # the integer k (2j + 1) (free) or k 2j (periodic) is reduced mod 2P
+        # before it becomes an angle, so large N loses no digits
+        angle = (np.pi / period) * ((2 * np.arange(n)[:, None] + free) * k % (2 * period))
+        u = np.where(2 * k > period, np.sin(angle), np.cos(angle))
+        u *= np.sqrt(np.where(2 * k % period == 0, 1.0, 2.0) / n)
+        full = reduce(np.multiply.outer, [u] * dims)  # axes i_1 k_1 i_2 k_2 ..
+        full = full.transpose(list(range(0, 2 * dims, 2)) + list(range(1, 2 * dims, 2)))
+        return full.reshape(geom.n_sites, geom.n_sites)[:, order]
+
+    root = np.sqrt(lam)
+    return ModeBasis(omega, covariance(0.5 / root), covariance(0.5 * root), modes)
 
 
 def vacuum_expectation(obs: QuadraticObservable, basis: ModeBasis) -> float:
@@ -480,7 +599,7 @@ def commutator(a: QuadraticObservable, b: QuadraticObservable) -> QuadraticObser
     scalar = float(a.lin[:m] @ b.lin[m:] - a.lin[m:] @ b.lin[:m])
     pairs = ((x00, x00), (x10, x01), (x11, x11))  # phi, C, pi of X + X^T
     quad = [_blockwise(operator.add, x, _transpose(y)) for x, y in pairs]
-    return QuadraticObservable(m, *quad, lin, scalar)
+    return QuadraticObservable._exact(m, *quad, lin, scalar)
 
 
 # ---------------------------------------------------------------------------
@@ -588,7 +707,7 @@ def _masked_operator_norm(obs: QuadraticObservable, geom: LatticeGeometry) -> fl
     keep = _bulk_sites(geom)
     sub = np.ix_(keep, keep)
     blocks = [None if x is None else x[sub] for x in obs.blocks]
-    return spectral_norm(QuadraticObservable(keep.size, *blocks))
+    return spectral_norm(QuadraticObservable._exact(keep.size, *blocks))
 
 
 def _check_spacings(spacings) -> None:

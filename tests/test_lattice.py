@@ -387,12 +387,19 @@ def test_central_relation_peak_memory_stays_blockwise():
 # Hamiltonian, spectrum, vacuum
 
 
+def _eigh_frequencies(h):
+    """sqrt of the eigenvalues of the phi block by dense eigh (reference)."""
+    return np.sqrt(np.linalg.eigvalsh(h.phi))
+
+
 def test_periodic_dispersion():
     n, a, m = 16, 0.5, 1.0
     g = lat.LatticeGeometry(1, n, a, "periodic")
-    basis = lat.build_mode_basis(lat.build_hamiltonian(g, m))
+    h = lat.build_hamiltonian(g, m)
+    basis = lat.build_mode_basis(h)
     expected = np.sort(np.sqrt(m * m + (4 / a**2) * np.sin(np.pi * np.arange(n) / n) ** 2))
     assert np.abs(np.sort(basis.frequencies) - expected).max() < 1e-12
+    assert np.abs(basis.frequencies - _eigh_frequencies(h)).max() < 1e-12
     assert abs(basis.frequencies.min() - m) < 1e-10  # zero-momentum mode
 
 
@@ -401,9 +408,74 @@ def test_open_dispersion_free_end_chain():
     # half-angle cosine basis: omega_k^2 = m^2 + (4/a^2) sin^2(pi k / 2N)
     n, a, m = 16, 0.5, 1.0
     g = lat.LatticeGeometry(1, n, a, "open")
-    basis = lat.build_mode_basis(lat.build_hamiltonian(g, m))
+    h = lat.build_hamiltonian(g, m)
+    basis = lat.build_mode_basis(h)
     expected = np.sort(np.sqrt(m * m + (4 / a**2) * np.sin(np.pi * np.arange(n) / (2 * n)) ** 2))
     assert np.abs(np.sort(basis.frequencies) - expected).max() < 1e-12
+    assert np.abs(basis.frequencies - _eigh_frequencies(h)).max() < 1e-12
+
+
+def _no_eigh(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigh called on a lattice Hamiltonian")
+
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+
+
+@pytest.mark.parametrize("dims,n", [(1, 7), (1, 8), (1, 640), (2, 7), (2, 8)])
+@pytest.mark.parametrize("boundary", ["open", "periodic"])
+def test_closed_form_mode_basis_matches_dense_eigh(monkeypatch, dims, n, boundary):
+    g = lat.LatticeGeometry(dims, n, 8.0 / n, boundary)
+    h = lat.build_hamiltonian(g, 1.3)
+    lam, u = np.linalg.eigh(h.phi)
+    omega = np.sqrt(lam)
+    _no_eigh(monkeypatch)
+    basis = lat.build_mode_basis(h)
+    assert np.abs(basis.frequencies - omega).max() <= 1e-14 * omega.max()
+    energy = 0.5 * math.fsum(omega)
+    assert abs(basis.energy - energy) <= 1e-14 * energy
+    # trace route: 1/2 tr(V Sigma_phi) + 1/2 tr(Sigma_pi) with the eigh covariance
+    sigma_phi = 0.5 * ((u / omega) @ u.T)
+    sigma_pi = 0.5 * ((u * omega) @ u.T)
+    trace = 0.5 * (float(np.sum(h.phi * sigma_phi)) + float(np.trace(sigma_pi)))
+    assert abs(lat.vacuum_expectation(h, basis) - trace) <= 1e-14 * trace
+    for got, want in ((basis.covariance_phi, sigma_phi), (basis.covariance_pi, sigma_pi)):
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    modes = basis.modes
+    assert np.abs(modes.T @ modes - np.eye(g.n_sites)).max() < 1e-13
+    assert np.abs(h.phi @ modes - modes * basis.frequencies**2).max() <= 1e-14 * lam.max()
+
+
+def test_mode_basis_dense_fallback_and_closed_form_dispatch(monkeypatch):
+    g = lat.LatticeGeometry(1, 9, 0.5, "open")
+    h = lat.build_hamiltonian(g, 1.3)
+    lam, u = np.linalg.eigh(h.phi)
+    omega = np.sqrt(lam)
+    rng = np.random.default_rng(353)
+    q = rng.standard_normal((9, 9))
+    fallback = [
+        lat.QuadraticObservable(9, h.phi, None, h.pi),  # H rebuilt by hand
+        h + (lat.build_momentum(g, 0) - lat.build_momentum(g, 0)),  # H + 0 P
+    ]
+    for obs in fallback:
+        basis = lat.build_mode_basis(obs)
+        assert np.array_equal(basis.frequencies, omega) and np.array_equal(basis.modes, u)
+        assert np.array_equal(basis.covariance_phi, 0.5 * ((u * (1.0 / omega)) @ u.T))
+        assert np.array_equal(basis.covariance_pi, 0.5 * ((u * omega) @ u.T))
+    # a random potential, and criterion 4's random observables (cross terms)
+    random_v = lat.QuadraticObservable(9, q @ q.T + np.eye(9), None, np.eye(9))
+    lam_v, u_v = np.linalg.eigh(random_v.phi)
+    basis = lat.build_mode_basis(random_v)
+    assert np.array_equal(basis.frequencies, np.sqrt(lam_v)) and np.array_equal(basis.modes, u_v)
+    with pytest.raises(ValueError):
+        lat.build_mode_basis(_rand_obs(rng, 9))
+    closed = lat.build_mode_basis(h)
+    _no_eigh(monkeypatch)
+    shifted = lat.build_mode_basis(h.shifted(2.5))
+    for name in ("frequencies", "covariance_phi", "covariance_pi", "modes"):
+        assert np.array_equal(getattr(shifted, name), getattr(closed, name)), name
+    with pytest.raises(AssertionError, match="eigh called"):
+        lat.build_mode_basis(fallback[0])
 
 
 def test_mode_basis_symplectic_and_energy():
@@ -418,13 +490,21 @@ def test_mode_basis_symplectic_and_energy():
     assert abs(trace_route - basis.energy) < 1e-12 * basis.energy
 
 
-def test_degenerate_vacuum_errors():
+def test_degenerate_vacuum_errors(monkeypatch):
     with pytest.raises(lat.DegenerateVacuumError):
         lat.build_hamiltonian(lat.LatticeGeometry(1, 8, 0.5, "periodic"), 0.0)
-    # massless open chain: the constant field is an exact zero mode too
-    h = lat.build_hamiltonian(lat.LatticeGeometry(1, 8, 0.5, "open"), 0.0)
-    with pytest.raises(lat.DegenerateVacuumError):
-        lat.build_mode_basis(h)
+    # massless open chain or plane: the constant field is an exact zero mode
+    # too, found in closed form (no eigh) and by the dense path alike
+    for dims in (1, 2):
+        h = lat.build_hamiltonian(lat.LatticeGeometry(dims, 8, 0.5, "open"), 0.0)
+        with pytest.raises(lat.DegenerateVacuumError, match="eigenvalue 0.000e"):
+            lat.build_mode_basis(h)
+        with pytest.raises(lat.DegenerateVacuumError):
+            lat.build_mode_basis(lat.QuadraticObservable(h.n_modes, h.phi, None, h.pi))
+        with monkeypatch.context() as patch:
+            _no_eigh(patch)
+            with pytest.raises(lat.DegenerateVacuumError):
+                lat.build_mode_basis(h.shifted(1.0))
 
 
 def test_mode_basis_rejects_wrong_block_form():
@@ -432,11 +512,19 @@ def test_mode_basis_rejects_wrong_block_form():
     p = lat.build_momentum(g, 0)
     with pytest.raises(ValueError):
         lat.build_mode_basis(p)
+    # the pi block must be exactly I: unit diagonal with an off-diagonal entry,
+    # or a scaled identity, is refused
+    v = lat.build_hamiltonian(g, 1.0).phi
+    for pi in (np.eye(8) + np.diag(np.full(7, 0.1), 1), 2.0 * np.eye(8)):
+        with pytest.raises(ValueError, match="unit pi block"):
+            lat.build_mode_basis(lat.QuadraticObservable(8, v, None, pi))
 
 
 def test_mode_basis_diagonal_scaling_matches_diagonal_products():
+    # the dense path: the blocks of H on an observable built by hand
     g = lat.LatticeGeometry(1, 20, 0.4, "open")
-    basis = lat.build_mode_basis(lat.build_hamiltonian(g, 0.9))
+    h = lat.build_hamiltonian(g, 0.9)
+    basis = lat.build_mode_basis(lat.QuadraticObservable(20, h.phi, None, h.pi))
     lam, u = np.linalg.eigh(lat.build_hamiltonian(g, 0.9).quad[:20, :20])
     omega = np.sqrt(lam)
     assert np.array_equal(basis.frequencies, omega) and np.array_equal(basis.modes, u)
