@@ -36,13 +36,12 @@ Input scalar slots never contribute (constants commute), so a commutator of
 two pure Weyl quadratics carries no central term; central scalars only enter
 through the normal-ordering bookkeeping handled by `verify_central_relation`.
 
-The vacuum covariance Sigma is block-diagonal, so a vacuum expectation
-needs only phi and pi. `build_hamiltonian` records its geometry and mass on
-the H it returns, and `build_mode_basis` reads that record: the spectrum and
-both covariance blocks of a lattice H come in closed form, from DCT-II
-(free ends) or Fourier (periodic) modes per axis and one length-2N (or N)
-FFT cosine sum per axis, with no eigendecomposition and no M x M product.
-Any other [[V, 0], [0, I]] goes through a dense eigh.
+The vacuum is fixed by the geometry and the mass alone:
+`build_mode_basis(geom, mass)` gives the spectrum and the vacuum covariance
+Sigma of build_hamiltonian(geom, mass) in closed form, from a DCT-II (free
+ends) or Fourier (periodic) basis per axis and one length-2N (or N) FFT
+cosine sum per axis, with no eigendecomposition and no M x M product.
+Sigma is block-diagonal, so a vacuum expectation needs only phi and pi.
 
 Both residual norms take an observable: `spectral_norm` works from the
 blocks of its quad, the largest |eigenvalue| of phi and pi, the top
@@ -67,8 +66,7 @@ from __future__ import annotations
 import copy
 import math
 import operator
-from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import product
 
@@ -318,10 +316,10 @@ def _check_mass(mass: float) -> None:
 
 # V is assembled in floats, so it holds m^2 only to about eps ||V|| =
 # eps (m^2 + 4 dims / a^2), and the trace route 1/2 tr(V Sigma) reads that V;
-# the closed-form spectrum does not see the rounding, a dense eigh of V does.
-# Measured with eigh on open 1-D lattices (N = 10 to 160, a down to 3e-9), the
-# smallest eigenvalue's relative error stayed below that over m^2, and at 3.6 it
-# was off by 44-124 %. The bound keeps m^2 to 1 %; tests and benchmark jobs reach
+# the closed-form spectrum does not see the rounding. Measured with a dense
+# eigenvalue solve on open 1-D lattices (N = 10 to 160, a down to 3e-9), the
+# smallest eigenvalue of the rounded V was off by at most that over m^2, and at
+# 3.6 by 44-124 %. The bound keeps m^2 to 1 %; tests and benchmark jobs reach
 # 2.3e-12.
 _MAX_ROUNDING_RATIO = 1e-2
 
@@ -333,7 +331,7 @@ def _check_vacuum_mass(geom: LatticeGeometry, mass: float) -> None:
     rounding = np.finfo(float).eps * (ma2 + 4 * geom.dims)
     if mass > 0 and rounding > _MAX_ROUNDING_RATIO * ma2:
         raise ValueError(
-            f"mass {mass:g} is lost to eigh rounding at spacing {geom.spacing:g}: eps (m^2 + "
+            f"mass {mass:g} is lost to the rounding of V at spacing {geom.spacing:g}: eps (m^2 + "
             f"4 dims / a^2) / m^2 = {rounding / ma2 if ma2 else math.inf:.3g} exceeds "
             f"{_MAX_ROUNDING_RATIO:g}")
 
@@ -341,16 +339,12 @@ def _check_vacuum_mass(geom: LatticeGeometry, mass: float) -> None:
 def build_hamiltonian(geom: LatticeGeometry, mass: float) -> QuadraticObservable:
     """H = 1/2 sum_x [pi_x^2 + sum_i ((phi_{x+e_i} - phi_x)/a)^2 + m^2 phi_x^2].
 
-    Scalar slot is 0 (plain Weyl form). A massless periodic lattice has an
-    exact zero mode (the constant field) and is rejected outright.
+    Scalar slot is 0 (plain Weyl form). A massless H is a valid operator; its
+    constant field is a zero mode, so `build_mode_basis` refuses its vacuum.
     """
     _check_mass(mass)
-    if mass == 0 and geom.boundary == "periodic":
-        raise DegenerateVacuumError("massless periodic lattice has an exact zero mode")
     m = geom.n_sites
-    h = QuadraticObservable._exact(m, phi=_potential_matrix(geom, mass, np.ones(m)), pi=np.eye(m))
-    object.__setattr__(h, "_lattice", (geom, mass))  # read by build_mode_basis
-    return h
+    return QuadraticObservable._exact(m, phi=_potential_matrix(geom, mass, np.ones(m)), pi=np.eye(m))
 
 
 def build_momentum(geom: LatticeGeometry, direction: int) -> QuadraticObservable:
@@ -399,28 +393,22 @@ def build_rotation(geom: LatticeGeometry) -> QuadraticObservable:
 
 @dataclass(frozen=True)
 class ModeBasis:
-    """Eigenmode data of a Hamiltonian [[V, 0], [0, I]] with V = U diag(omega^2) U^T.
+    """Vacuum of a lattice Hamiltonian [[V, 0], [0, I]] with V = U diag(omega^2) U^T.
 
-    The vacuum covariance Sigma[a][b] = <0| {xi_a, xi_b}/2 |0> is
-    block-diagonal, stored as covariance_phi = U diag(1/omega) U^T / 2 and
-    covariance_pi = U diag(omega) U^T / 2. `frequencies` ascend, and `modes`
-    is U, its columns in the same order, built on first access.
-    S = diag(omega^{1/2} U^T, omega^{-1/2} U^T) satisfies S^T omega S = omega
-    and maps xi to mode variables in which H is sum_k omega_k (q_k^2 + p_k^2)/2.
+    `frequencies` are the omega, ascending. The vacuum covariance
+    Sigma[a][b] = <0| {xi_a, xi_b}/2 |0> is block-diagonal, stored as
+    covariance_phi = U diag(1/omega) U^T / 2 and covariance_pi =
+    U diag(omega) U^T / 2; their product is I / 4, the minimum uncertainty
+    of a pure Gaussian state.
     """
 
     frequencies: np.ndarray
     covariance_phi: np.ndarray
     covariance_pi: np.ndarray
-    _build_modes: Callable[[], np.ndarray] = field(repr=False)
 
     def __post_init__(self):
         for name in ("frequencies", "covariance_phi", "covariance_pi"):
             object.__setattr__(self, name, _readonly(getattr(self, name)))
-
-    @cached_property
-    def modes(self) -> np.ndarray:
-        return _readonly(self._build_modes())
 
     @property
     def n_modes(self) -> int:
@@ -435,39 +423,8 @@ class ModeBasis:
 _DEGENERACY_TOL = 1e-10
 
 
-def build_mode_basis(hamiltonian: QuadraticObservable) -> ModeBasis:
-    """Diagonalize a Hamiltonian of the block form [[V, 0], [0, I]].
-
-    A Hamiltonian made by `build_hamiltonian` (or a `shifted` copy of one)
-    gets its spectrum and covariance in closed form, see `_lattice_mode_basis`;
-    any other V goes through a dense `eigh`. Raises DegenerateVacuumError
-    when the smallest potential eigenvalue drops to 1e-10 (no normalizable
-    vacuum).
-    """
-    m = hamiltonian.n_modes
-    pi = hamiltonian.pi
-    if (hamiltonian.coupling is not None or pi is None or np.count_nonzero(pi) != m
-            or not (np.diagonal(pi) == 1.0).all()):
-        raise ValueError("mode basis needs a Hamiltonian with unit pi block and no cross terms")
-    lattice = getattr(hamiltonian, "_lattice", None)
-    if lattice is not None:
-        return _lattice_mode_basis(*lattice)
-    v = np.zeros((m, m)) if hamiltonian.phi is None else hamiltonian.phi
-    lam, u = np.linalg.eigh(v)
-    omega = _frequencies(lam)
-    return ModeBasis(omega, 0.5 * ((u * (1.0 / omega)) @ u.T), 0.5 * ((u * omega) @ u.T),
-                     lambda: u)
-
-
-def _frequencies(lam: np.ndarray) -> np.ndarray:
-    """omega = sqrt(lam) of ascending potential eigenvalues, refusing a (near) zero mode."""
-    if lam[0] <= _DEGENERACY_TOL:
-        raise DegenerateVacuumError(f"smallest potential eigenvalue {lam[0]:.3e}")
-    return np.sqrt(lam)
-
-
-def _lattice_mode_basis(geom: LatticeGeometry, mass: float) -> ModeBasis:
-    """The ModeBasis of build_hamiltonian(geom, mass), with no eigendecomposition.
+def build_mode_basis(geom: LatticeGeometry, mass: float) -> ModeBasis:
+    """The vacuum of build_hamiltonian(geom, mass), with no eigendecomposition.
 
     V is m^2 plus one second difference per axis, so its eigenvectors are
     products of one orthonormal basis per axis. With period P = 2N for free
@@ -482,7 +439,12 @@ def _lattice_mode_basis(geom: LatticeGeometry, mass: float) -> ModeBasis:
     offsets, Toeplitz (circulant when periodic) plus Hankel. One length-P
     rfft per axis gives g for every offset; the blocks are filled from
     strided views of it, with no M x M product.
+
+    Raises DegenerateVacuumError when the smallest lambda is at most 1e-10
+    (no normalizable vacuum): a zero mass on any lattice, since the constant
+    field is then a zero mode.
     """
+    _check_mass(mass)
     from numpy.fft import rfft  # loaded on first use: importing lattice stays cheap
 
     n, dims = geom.sites_per_dim, geom.dims
@@ -492,8 +454,9 @@ def _lattice_mode_basis(geom: LatticeGeometry, mass: float) -> ModeBasis:
     # k and P - k share a periodic eigenvalue; the min makes the pair bit-equal
     mu = (4.0 / geom.spacing**2) * np.sin(np.pi / period * np.minimum(k, period - k)) ** 2
     lam = mass * mass + reduce(np.add.outer, [mu] * dims)
-    order = np.argsort(lam, axis=None, kind="stable")
-    omega = _frequencies(lam.ravel()[order])
+    ascending = np.sort(lam, axis=None)
+    if ascending[0] <= _DEGENERACY_TOL:
+        raise DegenerateVacuumError(f"smallest potential eigenvalue {ascending[0]:.3e}")
 
     # Free ends: c_k^2 cos(pi k (2i + 1) / P) cos(pi k (2j + 1) / P) is
     # (c_k^2 / 2) [cos(2 pi k (i - j) / P) + cos(2 pi k (i + j + 1) / P)], with
@@ -522,18 +485,8 @@ def _lattice_mode_basis(geom: LatticeGeometry, mass: float) -> ModeBasis:
                 out += window
         return out.reshape(geom.n_sites, geom.n_sites)
 
-    def modes():
-        # the integer k (2j + 1) (free) or k 2j (periodic) is reduced mod 2P
-        # before it becomes an angle, so large N loses no digits
-        angle = (np.pi / period) * ((2 * np.arange(n)[:, None] + free) * k % (2 * period))
-        u = np.where(2 * k > period, np.sin(angle), np.cos(angle))
-        u *= np.sqrt(np.where(2 * k % period == 0, 1.0, 2.0) / n)
-        full = reduce(np.multiply.outer, [u] * dims)  # axes i_1 k_1 i_2 k_2 ..
-        full = full.transpose(list(range(0, 2 * dims, 2)) + list(range(1, 2 * dims, 2)))
-        return full.reshape(geom.n_sites, geom.n_sites)[:, order]
-
     root = np.sqrt(lam)
-    return ModeBasis(omega, covariance(0.5 / root), covariance(0.5 * root), modes)
+    return ModeBasis(np.sqrt(ascending), covariance(0.5 / root), covariance(0.5 * root))
 
 
 def vacuum_expectation(obs: QuadraticObservable, basis: ModeBasis) -> float:
@@ -543,7 +496,7 @@ def vacuum_expectation(obs: QuadraticObservable, basis: ModeBasis) -> float:
     # Sigma is symmetric and block-diagonal, so tr(Q Sigma) is the
     # elementwise contraction of phi and pi with their covariance blocks
     pairs = ((obs.phi, basis.covariance_phi), (obs.pi, basis.covariance_pi))
-    return 0.5 * sum(float(np.sum(q * s)) for q, s in pairs if q is not None) + obs.scalar
+    return 0.5 * sum(float(np.vdot(q, s)) for q, s in pairs if q is not None) + obs.scalar
 
 
 def normal_ordered(obs: QuadraticObservable, basis: ModeBasis) -> QuadraticObservable:
@@ -762,15 +715,13 @@ def verify_central_relation(geom: LatticeGeometry, mass_pair) -> dict:
     for mass in mass_pair:
         _check_vacuum_mass(geom, mass)
     window = _bulk_window(geom)
-    h0 = build_hamiltonian(geom, mass_pair[0])
-    basis0 = build_mode_basis(h0)
-    momentum = normal_ordered(build_momentum(geom, 0), basis0)
-
     per_label = []
     energies = []
     for label, mass in enumerate(mass_pair):
-        h = h0 if label == 0 else build_hamiltonian(geom, mass)
-        basis = basis0 if label == 0 else build_mode_basis(h)
+        h = build_hamiltonian(geom, mass)
+        basis = build_mode_basis(geom, mass)
+        if label == 0:
+            momentum = normal_ordered(build_momentum(geom, 0), basis)
         e_trace = vacuum_expectation(h, basis)
         e_eig = basis.energy
         boost = build_boost(geom, 0, 0.0, mass)
@@ -862,9 +813,8 @@ def contradiction_demo(geom: LatticeGeometry, mass: float) -> dict:
     that fix the 1/2 per mode.
     """
     _check_vacuum_mass(geom, mass)
-    h = build_hamiltonian(geom, mass)
-    basis = build_mode_basis(h)
-    vev = vacuum_expectation(h, basis)
+    basis = build_mode_basis(geom, mass)
+    vev = vacuum_expectation(build_hamiltonian(geom, mass), basis)
     return {
         "n_modes": basis.n_modes,
         "mass": float(mass),

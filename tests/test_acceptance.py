@@ -83,7 +83,7 @@ def test_criterion_3_central_relation_scalar_and_convergence():
 def test_criterion_4_normal_ordering_shifts_only_the_scalar():
     start = time.perf_counter()
     geom = lat.LatticeGeometry(1, 6, 0.7, boundary="open")
-    basis = lat.build_mode_basis(lat.build_hamiltonian(geom, 1.3))
+    basis = lat.build_mode_basis(geom, 1.3)
     rng = np.random.default_rng(353)
     m = geom.n_sites
 

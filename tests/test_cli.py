@@ -187,7 +187,8 @@ def test_algebra_verify_order_gate_fails(tmp_path, capsys):
     ["--check", "poincare", "--closure-mass", "1e200"],
     ["--demo", "contradiction", "--closure-mass", "1e154"],
     ["--demo", "contradiction", "--closure-mass", "1e200"],
-    ["--physical-size", "1e-7", "--spacings", "1e-8,5e-9"],  # mass lost to eigh rounding
+    ["--demo", "contradiction", "--closure-mass", "0"],  # zero mode: no vacuum
+    ["--physical-size", "1e-7", "--spacings", "1e-8,5e-9"],  # mass lost to the rounding of V
 ])
 def test_algebra_verify_bad_input_exit_code(tmp_path, capsys, argv):
     code = main(["algebra-verify", *argv, "--outdir", str(tmp_path)])
@@ -201,7 +202,7 @@ def test_spacing_too_fine_for_the_mass_names_the_bound(tmp_path, capsys):
     argv = ["algebra-verify", "--physical-size", "1e-7", "--spacings", "1e-8,5e-9"]
     assert main([*argv, "--outdir", str(tmp_path)]) == 2
     err = capsys.readouterr().err
-    assert "mass 3.14159 is lost to eigh rounding at spacing 1e-08" in err
+    assert "mass 3.14159 is lost to the rounding of V at spacing 1e-08" in err
     assert "exceeds 0.01" in err
     assert not (tmp_path / "central_relation.csv").exists()
 
@@ -226,6 +227,16 @@ def test_algebra_verify_poincare_check(tmp_path, capsys):
     lines = _read(tmp_path / "closure_residuals.csv").splitlines()
     assert lines[0] == "pair,residual_norm"
     assert len(lines) == 6  # header + five generator pairs
+
+
+def test_massless_poincare_check_passes(tmp_path, capsys):
+    # the paper's massless field: H is valid, and every gated residual is 0
+    argv = ["algebra-verify", "--check", "poincare", "--closure-mass", "0"]
+    assert main([*argv, "--outdir", str(tmp_path)]) == 0
+    assert "PASS" in capsys.readouterr().out
+    for line in _read(tmp_path / "closure_residuals.csv").splitlines()[1:]:
+        pair, value = line.rsplit(",", 1)  # the pair is a quoted "A,B"
+        assert pair == '"J,H full"' or float(value) == 0.0, line
 
 
 def test_algebra_verify_contradiction_demo(tmp_path, capsys):

@@ -42,12 +42,6 @@ def _covariance(basis):
     return _block_diag(basis.covariance_phi, basis.covariance_pi)
 
 
-def _mode_transform(basis):
-    """S = diag(omega^{1/2} U^T, omega^{-1/2} U^T), which maps xi to mode variables."""
-    root = np.sqrt(basis.frequencies)[:, None]
-    return _block_diag(root * basis.modes.T, basis.modes.T / root)
-
-
 def _dense_commutator(a, b):
     """The commutator formulas with an explicit dense omega (reference)."""
     om = _omega(a.n_modes)
@@ -208,7 +202,7 @@ def test_commutator_of_generators_matches_explicit_omega():
     # block-diagonal, off-diagonal and mixed quads, so every zero-block skip
     # in the block product is taken
     g = lat.LatticeGeometry(1, 12, 0.5, "open")
-    basis = lat.build_mode_basis(lat.build_hamiltonian(g, 1.0))
+    basis = lat.build_mode_basis(g, 1.0)
     h = lat.build_hamiltonian(g, 1.0)
     p = lat.normal_ordered(lat.build_momentum(g, 0), basis)
     k0 = lat.build_boost(g, 0, 0.0, 1.0)
@@ -323,7 +317,7 @@ def _pattern_quad(rng, m, pattern):
 @pytest.mark.parametrize("m", [3, 8])
 def test_zero_block_patterns_match_dense_oracles(m):
     rng = np.random.default_rng(43 + m)
-    basis = lat.build_mode_basis(lat.build_hamiltonian(lat.LatticeGeometry(1, m, 0.5), 1.0))
+    basis = lat.build_mode_basis(lat.LatticeGeometry(1, m, 0.5), 1.0)
     sigma = _covariance(basis)
     obs = {}
     for pattern, on in _PATTERNS.items():
@@ -358,8 +352,8 @@ def test_zero_block_patterns_match_dense_oracles(m):
 def test_dense_views_read_only_and_cached():
     g = lat.LatticeGeometry(1, 6, 0.5)
     h = lat.build_hamiltonian(g, 1.0)
-    basis = lat.build_mode_basis(h)
-    for view in (h.quad, basis.frequencies, basis.modes, basis.covariance_phi, basis.covariance_pi):
+    basis = lat.build_mode_basis(g, 1.0)
+    for view in (h.quad, basis.frequencies, basis.covariance_phi, basis.covariance_pi):
         with pytest.raises(ValueError):
             view[0, ...] = 1.0
     assert h.quad is h.quad
@@ -396,7 +390,7 @@ def test_periodic_dispersion():
     n, a, m = 16, 0.5, 1.0
     g = lat.LatticeGeometry(1, n, a, "periodic")
     h = lat.build_hamiltonian(g, m)
-    basis = lat.build_mode_basis(h)
+    basis = lat.build_mode_basis(g, m)
     expected = np.sort(np.sqrt(m * m + (4 / a**2) * np.sin(np.pi * np.arange(n) / n) ** 2))
     assert np.abs(np.sort(basis.frequencies) - expected).max() < 1e-12
     assert np.abs(basis.frequencies - _eigh_frequencies(h)).max() < 1e-12
@@ -409,7 +403,7 @@ def test_open_dispersion_free_end_chain():
     n, a, m = 16, 0.5, 1.0
     g = lat.LatticeGeometry(1, n, a, "open")
     h = lat.build_hamiltonian(g, m)
-    basis = lat.build_mode_basis(h)
+    basis = lat.build_mode_basis(g, m)
     expected = np.sort(np.sqrt(m * m + (4 / a**2) * np.sin(np.pi * np.arange(n) / (2 * n)) ** 2))
     assert np.abs(np.sort(basis.frequencies) - expected).max() < 1e-12
     assert np.abs(basis.frequencies - _eigh_frequencies(h)).max() < 1e-12
@@ -430,7 +424,7 @@ def test_closed_form_mode_basis_matches_dense_eigh(monkeypatch, dims, n, boundar
     lam, u = np.linalg.eigh(h.phi)
     omega = np.sqrt(lam)
     _no_eigh(monkeypatch)
-    basis = lat.build_mode_basis(h)
+    basis = lat.build_mode_basis(g, 1.3)
     assert np.abs(basis.frequencies - omega).max() <= 1e-14 * omega.max()
     energy = 0.5 * math.fsum(omega)
     assert abs(basis.energy - energy) <= 1e-14 * energy
@@ -441,95 +435,58 @@ def test_closed_form_mode_basis_matches_dense_eigh(monkeypatch, dims, n, boundar
     assert abs(lat.vacuum_expectation(h, basis) - trace) <= 1e-14 * trace
     for got, want in ((basis.covariance_phi, sigma_phi), (basis.covariance_pi, sigma_pi)):
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
-    modes = basis.modes
-    assert np.abs(modes.T @ modes - np.eye(g.n_sites)).max() < 1e-13
-    assert np.abs(h.phi @ modes - modes * basis.frequencies**2).max() <= 1e-14 * lam.max()
-
-
-def test_mode_basis_dense_fallback_and_closed_form_dispatch(monkeypatch):
-    g = lat.LatticeGeometry(1, 9, 0.5, "open")
-    h = lat.build_hamiltonian(g, 1.3)
-    lam, u = np.linalg.eigh(h.phi)
-    omega = np.sqrt(lam)
-    rng = np.random.default_rng(353)
-    q = rng.standard_normal((9, 9))
-    fallback = [
-        lat.QuadraticObservable(9, h.phi, None, h.pi),  # H rebuilt by hand
-        h + (lat.build_momentum(g, 0) - lat.build_momentum(g, 0)),  # H + 0 P
-    ]
-    for obs in fallback:
-        basis = lat.build_mode_basis(obs)
-        assert np.array_equal(basis.frequencies, omega) and np.array_equal(basis.modes, u)
-        assert np.array_equal(basis.covariance_phi, 0.5 * ((u * (1.0 / omega)) @ u.T))
-        assert np.array_equal(basis.covariance_pi, 0.5 * ((u * omega) @ u.T))
-    # a random potential, and criterion 4's random observables (cross terms)
-    random_v = lat.QuadraticObservable(9, q @ q.T + np.eye(9), None, np.eye(9))
-    lam_v, u_v = np.linalg.eigh(random_v.phi)
-    basis = lat.build_mode_basis(random_v)
-    assert np.array_equal(basis.frequencies, np.sqrt(lam_v)) and np.array_equal(basis.modes, u_v)
-    with pytest.raises(ValueError):
-        lat.build_mode_basis(_rand_obs(rng, 9))
-    closed = lat.build_mode_basis(h)
-    _no_eigh(monkeypatch)
-    shifted = lat.build_mode_basis(h.shifted(2.5))
-    for name in ("frequencies", "covariance_phi", "covariance_pi", "modes"):
-        assert np.array_equal(getattr(shifted, name), getattr(closed, name)), name
-    with pytest.raises(AssertionError, match="eigh called"):
-        lat.build_mode_basis(fallback[0])
 
 
 def test_mode_basis_symplectic_and_energy():
     g = lat.LatticeGeometry(1, 12, 0.4, "open")
     h = lat.build_hamiltonian(g, 0.7)
-    basis = lat.build_mode_basis(h)
-    om = _omega(basis.n_modes)
-    s = _mode_transform(basis)
-    assert np.abs(s.T @ om @ s - om).max() < 1e-10
+    basis = lat.build_mode_basis(g, 0.7)
+    # a pure Gaussian state: (2 Sigma omega)^2 = -I, every symplectic eigenvalue 1/2
+    s = 2.0 * _covariance(basis) @ _omega(basis.n_modes)
+    assert np.abs(s @ s + np.eye(2 * basis.n_modes)).max() < 1e-10
     assert np.linalg.eigvalsh(_covariance(basis)).min() > 0
     trace_route = lat.vacuum_expectation(h, basis)
     assert abs(trace_route - basis.energy) < 1e-12 * basis.energy
 
 
 def test_degenerate_vacuum_errors(monkeypatch):
-    with pytest.raises(lat.DegenerateVacuumError):
-        lat.build_hamiltonian(lat.LatticeGeometry(1, 8, 0.5, "periodic"), 0.0)
-    # massless open chain or plane: the constant field is an exact zero mode
-    # too, found in closed form (no eigh) and by the dense path alike
+    # massless chain, ring, plane or torus: the constant field is an exact zero
+    # mode, found in closed form (no eigh); the massless H itself is valid
+    _no_eigh(monkeypatch)
     for dims in (1, 2):
-        h = lat.build_hamiltonian(lat.LatticeGeometry(dims, 8, 0.5, "open"), 0.0)
-        with pytest.raises(lat.DegenerateVacuumError, match="eigenvalue 0.000e"):
-            lat.build_mode_basis(h)
-        with pytest.raises(lat.DegenerateVacuumError):
-            lat.build_mode_basis(lat.QuadraticObservable(h.n_modes, h.phi, None, h.pi))
-        with monkeypatch.context() as patch:
-            _no_eigh(patch)
-            with pytest.raises(lat.DegenerateVacuumError):
-                lat.build_mode_basis(h.shifted(1.0))
+        for boundary in ("open", "periodic"):
+            g = lat.LatticeGeometry(dims, 8, 0.5, boundary)
+            assert lat.build_hamiltonian(g, 0.0).phi is not None
+            with pytest.raises(lat.DegenerateVacuumError, match="eigenvalue 0.000e"):
+                lat.build_mode_basis(g, 0.0)
 
 
-def test_mode_basis_rejects_wrong_block_form():
-    g = lat.LatticeGeometry(1, 8, 0.5, "open")
-    p = lat.build_momentum(g, 0)
-    with pytest.raises(ValueError):
-        lat.build_mode_basis(p)
-    # the pi block must be exactly I: unit diagonal with an off-diagonal entry,
-    # or a scaled identity, is refused
-    v = lat.build_hamiltonian(g, 1.0).phi
-    for pi in (np.eye(8) + np.diag(np.full(7, 0.1), 1), 2.0 * np.eye(8)):
-        with pytest.raises(ValueError, match="unit pi block"):
-            lat.build_mode_basis(lat.QuadraticObservable(8, v, None, pi))
+def test_lattice_vacua_need_no_eigh(monkeypatch):
+    # every vacuum in src comes in closed form: the central relation, the demo
+    # and 2-D vacua run with eigh refused
+    _no_eigh(monkeypatch)
+    rep = lat.verify_central_relation(lat.LatticeGeometry(1, 16, 0.5, "open"), (math.pi, 1.0))
+    assert all(row["scalar_discrepancy_rel"] < 1e-12 for row in rep["per_label"])
+    demo = lat.contradiction_demo(lat.LatticeGeometry(1, 16, 0.5, "periodic"), 1.0)
+    assert demo["min_frequency"] == 1.0 and demo["ground_energy"] > demo["lower_bound"]
+    for boundary in ("open", "periodic"):
+        basis = lat.build_mode_basis(lat.LatticeGeometry(2, 8, 0.5, boundary), 1.0)
+        assert basis.n_modes == 64 and basis.frequencies[0] == 1.0
 
 
-def test_mode_basis_diagonal_scaling_matches_diagonal_products():
-    # the dense path: the blocks of H on an observable built by hand
-    g = lat.LatticeGeometry(1, 20, 0.4, "open")
-    h = lat.build_hamiltonian(g, 0.9)
-    basis = lat.build_mode_basis(lat.QuadraticObservable(20, h.phi, None, h.pi))
-    lam, u = np.linalg.eigh(lat.build_hamiltonian(g, 0.9).quad[:20, :20])
-    omega = np.sqrt(lam)
-    assert np.array_equal(basis.frequencies, omega) and np.array_equal(basis.modes, u)
-    assert np.array_equal(basis.covariance_phi, 0.5 * (u @ np.diag(1.0 / omega) @ u.T))
-    assert np.array_equal(basis.covariance_pi, 0.5 * (u @ np.diag(omega) @ u.T))
+def test_vacuum_expectation_makes_no_block_temporary():
+    # one contraction per block: at N = 640 one M x M block is 3.3 MB, and the
+    # call allocates none
+    g = lat.LatticeGeometry(1, 640, 8.0 / 640, "open")
+    h = lat.build_hamiltonian(g, 1.0)
+    basis = lat.build_mode_basis(g, 1.0)
+    tracemalloc.start()
+    try:
+        lat.vacuum_expectation(h, basis)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_negative_mass_rejected():
@@ -540,6 +497,8 @@ def test_negative_mass_rejected():
             lat.build_hamiltonian(g, mass)
         with pytest.raises(ValueError):
             lat.build_boost(g, 0, 0.0, mass)
+        with pytest.raises(ValueError):
+            lat.build_mode_basis(g, mass)
 
 
 # ---------------------------------------------------------------------------
@@ -549,7 +508,7 @@ def test_negative_mass_rejected():
 def test_momentum_vacuum_expectation_exactly_zero():
     for boundary in ("open", "periodic"):
         g = lat.LatticeGeometry(1, 14, 0.5, boundary)
-        basis = lat.build_mode_basis(lat.build_hamiltonian(g, 1.1))
+        basis = lat.build_mode_basis(g, 1.1)
         p = lat.build_momentum(g, 0)
         # quad lives purely off-diagonal, Sigma purely block-diagonal
         assert lat.vacuum_expectation(p, basis) == 0.0
@@ -557,7 +516,7 @@ def test_momentum_vacuum_expectation_exactly_zero():
 
 def test_momentum_normal_ordering_and_metadata():
     g = lat.LatticeGeometry(1, 14, 0.5, "open")
-    basis = lat.build_mode_basis(lat.build_hamiltonian(g, 1.1))
+    basis = lat.build_mode_basis(g, 1.1)
     p = lat.normal_ordered(lat.build_momentum(g, 0), basis)
     assert p.scalar == 0.0  # Weyl expectation already vanished
     with pytest.raises(ValueError):
@@ -569,7 +528,7 @@ def test_boost_structure():
     k0 = lat.build_boost(g, 0, 0.0, 1.0)
     m = g.n_sites
     assert np.all(k0.quad[:m, m:] == 0.0)  # t = 0: no phi-pi coupling
-    basis = lat.build_mode_basis(lat.build_hamiltonian(g, 1.0))
+    basis = lat.build_mode_basis(g, 1.0)
     assert abs(lat.vacuum_expectation(k0, basis)) < 1e-12  # mirror symmetry
     kt = lat.build_boost(g, 0, 0.7, 1.0)
     p = lat.build_momentum(g, 0)
@@ -774,9 +733,9 @@ def test_mass_lost_to_eigh_rounding_is_bad_input(monkeypatch):
     assert lat.contradiction_demo(fine, 1.0)["min_frequency"] == pytest.approx(1.0, rel=1e-2)
     _forbid_norms(monkeypatch)
     finer = lat.LatticeGeometry(1, 8, 2.5e-7)
-    with pytest.raises(ValueError, match="mass 1 is lost to eigh rounding at spacing 2.5e-07"):
+    with pytest.raises(ValueError, match="mass 1 is lost to the rounding of V at spacing 2.5e-07"):
         lat.verify_central_relation(finer, (2.0, 1.0))
-    with pytest.raises(ValueError, match="eigh rounding"):
+    with pytest.raises(ValueError, match="rounding of V"):
         lat.contradiction_demo(finer, 1.0)
     with pytest.raises(ValueError, match="spacing 1e-07"):  # the whole sweep, before any work
         lat.central_relation_convergence(8e-6, [1e-6, 1e-7], (1.0, 2.0))
@@ -795,7 +754,7 @@ def test_closure_requires_periodic():
 
 def test_normal_ordering_scalar_mechanism():
     g = lat.LatticeGeometry(1, 8, 0.5, "open")
-    basis = lat.build_mode_basis(lat.build_hamiltonian(g, 1.0))
+    basis = lat.build_mode_basis(g, 1.0)
     rng = np.random.default_rng(29)
     for _ in range(20):
         a = _rand_obs(rng, g.n_sites)
@@ -864,11 +823,11 @@ def test_central_relation_report_matches_dense_svd():
     g = lat.LatticeGeometry(1, n, 8.0 / n, "open")
     masses = (math.pi, math.pi / 2)
     rep = lat.verify_central_relation(g, masses)
-    basis0 = lat.build_mode_basis(lat.build_hamiltonian(g, masses[0]))
+    basis0 = lat.build_mode_basis(g, masses[0])
     p = lat.normal_ordered(lat.build_momentum(g, 0), basis0)
     for row, mass in zip(rep["per_label"], masses):
         h = lat.build_hamiltonian(g, mass)
-        basis = lat.build_mode_basis(h)
+        basis = lat.build_mode_basis(g, mass)
         e = lat.vacuum_expectation(h, basis)
         assert row["ground_energy_trace"] == e
         assert row["scalar_slot"] == -e
