@@ -7,18 +7,23 @@ omega the exact +-1 block matrix [[0, I], [-I, 0]].
 
 Observables are at most quadratic, O = 1/2 xi^T Q xi + lin^T xi + scalar,
 with Q symmetric; a symmetric Q is automatically Weyl (symmetric) ordered.
-`QuadraticObservable(n_modes, phi, coupling, pi, lin, scalar)` stores Q as
+`QuadraticObservable(n_modes, phi, coupling, pi, lin, scalar)` takes Q as
 its three M x M blocks,
 
     Q = [[phi, C^T], [C, pi]],
 
 with phi and pi of outside input symmetrized (the builders, `commutator`,
-`+` and `-` make symmetric blocks and skip that copy), C the pi-phi
-coupling, and a block that is all zero stored as None. The dense 2M x 2M
-matrix `quad` is a read-only view, built on first access; no computation
-here reads it except the spectral norm of a quad with all three blocks
-present. Every generator is block-diagonal (H, the t = 0 boost) or purely
-off-diagonal (P, J), so most brackets cost a few M x M products.
+`+` and `-` make symmetric blocks and skip that copy) and C the pi-phi
+coupling. Each block is stored as a `DiagonalBlock`: a sorted offset array
+and one row per offset, row i of diagonal o holding entry (i, i + o); an
+all-zero diagonal is dropped and an all-zero block is None. Every generator
+is a nearest-neighbor stencil, so a block holds 3 diagonals in 1-d and
+about 9 in 2-d (the wrap bonds of a periodic axis sit at offsets
++-(N - 1) and +-(M - N)). The builders fill the diagonals from the bond
+index arrays, with no dense M x M array. A product of blocks with k_A and
+k_B diagonals costs O(M k_A k_B); sums, differences and transposes merge
+or shift offset arrays. The dense 2M x 2M matrix `quad` is a read-only
+view built on first access; no computation here reads it.
 
 `commutator` returns the rescaled product (1/i)[A, B], which is again
 quadratic with real coefficients:
@@ -30,7 +35,9 @@ quadratic with real coefficients:
 Omega is never built. With X = Q_A omega Q_B, block (i, j) of X is
 A_i0 B_1j - A_i1 B_0j, products against a None block are skipped, and the
 second quad term is -X^T because both Q are symmetric; so the result has
-phi = X_00 + X_00^T, pi = X_11 + X_11^T and C = X_10 + X_01^T.
+phi = X_00 + X_00^T, pi = X_11 + X_11^T and C = X_10 + X_01^T. Diagonals
+that cancel exactly are dropped, so a residual that vanishes exactly is a
+quad of None blocks.
 
 Input scalar slots never contribute (constants commute), so a commutator of
 two pure Weyl quadratics carries no central term; central scalars only enter
@@ -41,12 +48,15 @@ The vacuum is fixed by the geometry and the mass alone:
 Sigma of build_hamiltonian(geom, mass) in closed form, from a DCT-II (free
 ends) or Fourier (periodic) basis per axis and one length-2N (or N) FFT
 cosine sum per axis, with no eigendecomposition and no M x M product.
-Sigma is block-diagonal, so a vacuum expectation needs only phi and pi.
+Sigma is block-diagonal, so a vacuum expectation needs only phi and pi,
+and only the entries of Sigma on their stored diagonals.
 
-Both residual norms take an observable: `spectral_norm` works from the
+Both residual norms take an observable. `bulk_residual_norm` applies the
+blocks as banded matrix-vector products. `spectral_norm` works from the
 blocks of its quad, the largest |eigenvalue| of phi and pi, the top
 singular value of a lone coupling block, or the largest |eigenvalue| of the
-whole matrix when both kinds are present.
+whole matrix when both kinds are present; only the matrix that eigvalsh or
+svd reads is made dense, and a None block is 0 without a solve.
 
 Sites are laid out once, by `_grid`: the N^dims sites in the C order of an
 N x ... x N array, so site (i, j) is i * N + j. Bonds, difference stencils,
@@ -75,6 +85,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = [
     "DegenerateVacuumError",
+    "DiagonalBlock",
     "LatticeGeometry",
     "QuadraticObservable",
     "ModeBasis",
@@ -99,7 +110,9 @@ class DegenerateVacuumError(ValueError):
     """The Hamiltonian has a (numerically) zero-frequency mode."""
 
 
-# 2-d N = 64; one M x M block then takes 134 MB
+# 2-d N = 64. Generator blocks are a few diagonals, O(k M), but a ModeBasis
+# keeps two dense M x M covariance blocks and an exact norm makes its block
+# dense: 134 MB each at this cap
 _MAX_SITES = 4096
 
 
@@ -141,35 +154,180 @@ class LatticeGeometry:
         return line[np.unravel_index(np.arange(self.n_sites), (n,) * self.dims)[direction]]
 
 
-def _readonly(arr: np.ndarray) -> np.ndarray:
-    arr = np.ascontiguousarray(arr, dtype=float)
+def _readonly(arr: np.ndarray, dtype=float) -> np.ndarray:
+    arr = np.ascontiguousarray(arr, dtype=dtype)
     arr.setflags(write=False)
     return arr
 
 
-def _blockwise(op, x, y):
-    """op(x, y) for M x M blocks, None standing for an all-zero block."""
-    if x is None and y is None:
+def _columns(offsets: np.ndarray, m: int) -> np.ndarray:
+    """Column i + o of row i on every diagonal o, as a (k, M) array; may leave [0, M)."""
+    return np.arange(m) + offsets[:, None]
+
+
+@dataclass(frozen=True, eq=False)
+class DiagonalBlock:
+    """An M x M block stored as its nonzero diagonals (DIA form).
+
+    `offsets` is sorted; row i of `data[d]` holds the entry (i, i + offsets[d]),
+    and the entries that fall outside the matrix are zero. `_diagonals` drops
+    every all-zero diagonal and gives None for a block with none left, so a
+    stored diagonal has a nonzero entry; every operation here keeps that.
+    Blocks come from `QuadraticObservable` and the operations below; the
+    constructor itself checks none of these conditions.
+    """
+
+    offsets: np.ndarray
+    data: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "offsets", _readonly(self.offsets, np.int64))
+        object.__setattr__(self, "data", _readonly(self.data))
+
+    @property
+    def size(self) -> int:
+        return self.data.shape[1]
+
+    def dense(self, out: np.ndarray | None = None) -> np.ndarray:
+        """The M x M matrix, written into the zero array `out` when given."""
+        m = self.size
+        out = np.zeros((m, m)) if out is None else out
+        cols = _columns(self.offsets, m)
+        inside = (cols >= 0) & (cols < m)
+        out[np.nonzero(inside)[1], cols[inside]] = self.data[inside]
+        return out
+
+    @property
+    def T(self) -> "DiagonalBlock":
+        m, k = self.size, self.offsets.size
+        offsets = -self.offsets[::-1]
+        # entry (i, i - o) of the transpose is entry (i - o, i): row i - o of diagonal o
+        rows = _columns(offsets, m)
+        flat = rows + m * np.arange(k - 1, -1, -1)[:, None]
+        inside = (rows >= 0) & (rows < m)
+        return DiagonalBlock(offsets, np.where(inside, self.data.take(flat, mode="clip"), 0.0))
+
+    def dot(self, vec: np.ndarray) -> np.ndarray:
+        """B v, sum_d data[d, i] v[i + offsets[d]], for each vector v along vec's last axis."""
+        # a column outside [0, M) is clipped into it: its entry is zero
+        gathered = vec.take(_columns(self.offsets, self.size), axis=-1, mode="clip")
+        return (self.data * gathered).sum(-2)
+
+    def contract(self, full: np.ndarray) -> float:
+        """sum_ij B_ij F_ij against a dense M x M matrix F, read on the stored diagonals only."""
+        cols = np.clip(_columns(self.offsets, self.size), 0, self.size - 1)
+        return float(np.vdot(self.data, full[np.arange(self.size), cols]))
+
+    def scaled(self, factor) -> "DiagonalBlock | None":
+        """diag(factor) @ B for a length-M factor; a scalar factor scales every entry."""
+        return _diagonals(self.offsets, self.data * factor)
+
+    def __neg__(self) -> "DiagonalBlock":
+        return DiagonalBlock(self.offsets, -self.data)
+
+    def _merge(self, other: "DiagonalBlock", op) -> "DiagonalBlock | None":
+        offsets = np.union1d(self.offsets, other.offsets)
+        data = np.zeros((offsets.size, self.size))
+        data[np.searchsorted(offsets, self.offsets)] = self.data
+        mine = np.searchsorted(offsets, other.offsets)
+        data[mine] = op(data[mine], other.data)
+        return _diagonals(offsets, data)
+
+    def __add__(self, other: "DiagonalBlock") -> "DiagonalBlock | None":
+        return self._merge(other, operator.add)
+
+    def __sub__(self, other: "DiagonalBlock") -> "DiagonalBlock | None":
+        return self._merge(other, operator.sub)
+
+    def __matmul__(self, other: "DiagonalBlock") -> "DiagonalBlock | None":
+        """The product: entry (i, i + p + q) gathers A(i, i + p) B(i + p, i + p + q).
+
+        One gather makes every diagonal pair's row products, and one
+        bincount adds each pair's row into the diagonal p + q, pairs in order.
+        """
+        m = self.size
+        # rows of B at l = i + p; where l leaves [0, M), A's entry is zero
+        gathered = other.data.take(_columns(self.offsets, m), axis=1, mode="clip")
+        offsets, target = np.unique((other.offsets[:, None] + self.offsets).ravel(),
+                                    return_inverse=True)  # pair (q, p) at q * k_A + p
+        cells = _columns(target * m, m).ravel()
+        data = np.bincount(cells, (gathered * self.data).ravel(), offsets.size * m)
+        return _diagonals(offsets, data.reshape(offsets.size, m))
+
+
+def _diagonals(offsets: np.ndarray, data: np.ndarray) -> DiagonalBlock | None:
+    """The block of these diagonals without the all-zero ones, such as any with |offset| >= M."""
+    keep = data.any(axis=1)
+    if not keep.any():
         return None
-    return op(0.0 if x is None else x, 0.0 if y is None else y)
+    return DiagonalBlock(offsets, data) if keep.all() else DiagonalBlock(offsets[keep], data[keep])
+
+
+def _diagonal(values: np.ndarray) -> DiagonalBlock | None:
+    """diag(values) as a block."""
+    return _diagonals(np.zeros(1, np.int64), values[None])
+
+
+def _from_cells(m: int, cells, add: bool = False) -> DiagonalBlock | None:
+    """The M x M block with entry (rows, cols) = values, for (rows, cols, values) groups.
+
+    Groups are written in order, and a later one overwrites a cell an
+    earlier one wrote; with `add` every value is added instead, in order.
+    """
+    cells = [tuple(map(np.ravel, group)) for group in cells]  # a value may be one scalar
+    offsets = np.unique(np.concatenate([cols - rows for rows, cols, _ in cells]))
+    flat = [np.searchsorted(offsets, cols - rows) * m + rows for rows, cols, _ in cells]
+    if add:  # one pass over every group, in order, as np.add.at into zeros would add
+        data = np.bincount(np.concatenate(flat), np.concatenate([v for *_, v in cells]),
+                           offsets.size * m)
+    else:
+        data = np.zeros(offsets.size * m)
+        for at, (_, _, values) in zip(flat, cells):
+            data[at] = values
+    return _diagonals(offsets, data.reshape(offsets.size, m))
+
+
+def _from_dense(x: np.ndarray) -> DiagonalBlock | None:
+    rows, cols = np.nonzero(x)
+    return _from_cells(x.shape[0], [(rows, cols, x[rows, cols])])
+
+
+def _blockwise(op, x, y):
+    """op(x, y) for blocks, None standing for an all-zero block."""
+    if x is None or y is None:
+        return x if y is None else (y if op is operator.add else -y)
+    return op(x, y)
 
 
 def _transpose(x):
     return None if x is None else x.T
 
 
+def _dense_quad(obs: "QuadraticObservable") -> np.ndarray:
+    """The dense 2M x 2M matrix Q, None blocks as zeros."""
+    m = obs.n_modes
+    out = np.zeros((2 * m, 2 * m))
+    views = out[:m, :m], out[m:, :m], out[m:, m:]
+    for block, view in zip(obs.blocks, views):
+        if block is not None:
+            block.dense(view)
+    out[:m, m:] = out[m:, :m].T
+    return out
+
+
 @dataclass(frozen=True, eq=False)
 class QuadraticObservable:
     """O = 1/2 xi^T Q xi + lin^T xi + scalar, Q = [[phi, C^T], [C, pi]] symmetric (Weyl order).
 
-    A block left None is zero. phi and pi are symmetrized, an all-zero block
-    becomes None, and a None `lin` becomes the zero vector.
+    The constructor takes dense M x M blocks, a block left None being zero,
+    and stores each as a `DiagonalBlock`: phi and pi are symmetrized, an
+    all-zero block becomes None, and a None `lin` becomes the zero vector.
     """
 
     n_modes: int
-    phi: np.ndarray | None = None
-    coupling: np.ndarray | None = None
-    pi: np.ndarray | None = None
+    phi: DiagonalBlock | None = None
+    coupling: DiagonalBlock | None = None
+    pi: DiagonalBlock | None = None
     lin: np.ndarray | None = None
     scalar: float = 0.0
 
@@ -185,7 +343,7 @@ class QuadraticObservable:
             if symmetric:
                 x = x + x.T
                 x *= 0.5
-            return x
+            return _from_dense(x)
 
         lin = np.zeros(2 * m) if self.lin is None else np.asarray(self.lin, dtype=float)
         if lin.shape != (2 * m,):
@@ -195,19 +353,17 @@ class QuadraticObservable:
 
     @classmethod
     def _exact(cls, n_modes, phi=None, coupling=None, pi=None, lin=None, scalar=0.0):
-        """The constructor for M x M blocks with phi and pi symmetric by construction
-        (builders, `commutator`, `+`, `-`): only the all-zero -> None scan is left."""
+        """The constructor for `DiagonalBlock` blocks, phi and pi symmetric by construction
+        (builders, `commutator`, `+`, `-`), each with no all-zero diagonal."""
         out = object.__new__(cls)
         object.__setattr__(out, "n_modes", n_modes)
         out._store(phi, coupling, pi, np.zeros(2 * n_modes) if lin is None else lin, scalar)
         return out
 
     def _store(self, phi, coupling, pi, lin, scalar):
-        for name, value in (("phi", phi), ("coupling", coupling), ("pi", pi)):
-            object.__setattr__(self, name, None if value is None or not value.any()
-                               else _readonly(value))
-        object.__setattr__(self, "lin", _readonly(lin))
-        object.__setattr__(self, "scalar", float(scalar))
+        for name, value in (("phi", phi), ("coupling", coupling), ("pi", pi),
+                            ("lin", _readonly(lin)), ("scalar", float(scalar))):
+            object.__setattr__(self, name, value)
 
     @property
     def blocks(self) -> tuple:
@@ -216,16 +372,7 @@ class QuadraticObservable:
     @cached_property
     def quad(self) -> np.ndarray:
         """Read-only dense 2M x 2M view of Q, None blocks as zeros, built on first access."""
-        m = self.n_modes
-        out = np.zeros((2 * m, 2 * m))
-        if self.phi is not None:
-            out[:m, :m] = self.phi
-        if self.pi is not None:
-            out[m:, m:] = self.pi
-        if self.coupling is not None:
-            out[m:, :m] = self.coupling
-            out[:m, m:] = self.coupling.T
-        return _readonly(out)
+        return _readonly(_dense_quad(self))
 
     def shifted(self, delta_scalar: float) -> "QuadraticObservable":
         out = copy.copy(self)  # the blocks are read-only, so the copy shares them
@@ -273,7 +420,7 @@ def _bonds(geom: LatticeGeometry, direction: int) -> tuple[np.ndarray, np.ndarra
     return u.ravel(), v.ravel()
 
 
-def _potential_matrix(geom: LatticeGeometry, mass: float, weight: np.ndarray) -> np.ndarray:
+def _potential_matrix(geom: LatticeGeometry, mass: float, weight: np.ndarray) -> DiagonalBlock:
     """Site terms m^2 w_x plus forward-difference bonds, each weighted at its midpoint.
 
     All-ones weights give the potential matrix of H; the centered coordinate
@@ -281,26 +428,26 @@ def _potential_matrix(geom: LatticeGeometry, mass: float, weight: np.ndarray) ->
     """
     u, w = (np.concatenate(x) for x in zip(*(_bonds(geom, d) for d in range(geom.dims))))
     bond = 0.5 * (weight[u] + weight[w]) * (1.0 / (geom.spacing * geom.spacing))
-    # bond by bond: (u,u) += b, (w,w) += b, (u,w) -= b, (w,u) -= b; np.add.at
-    # adds in index order, so every diagonal sums its bonds in bond order
-    rows = np.stack([u, w, u, w], axis=1).ravel()
-    cols = np.stack([u, w, w, u], axis=1).ravel()
-    v = np.diag((mass * mass) * weight)
-    np.add.at(v, (rows, cols), np.stack([bond, bond, -bond, -bond], axis=1).ravel())
-    return v
+    # bond by bond: (u,u) += b, (w,w) += b, (u,w) -= b, (w,u) -= b, added in
+    # index order, so every diagonal entry sums its bonds in bond order
+    rows = np.stack([u, w, u, w], axis=1)
+    cols = np.stack([u, w, w, u], axis=1)
+    sites = np.arange(geom.n_sites)
+    return _from_cells(geom.n_sites, [(sites, sites, (mass * mass) * weight),
+                                      (rows, cols, np.stack([bond, bond, -bond, -bond], axis=1))],
+                       add=True)
 
 
-def _difference_matrix(geom: LatticeGeometry, direction: int) -> np.ndarray:
+def _difference_matrix(geom: LatticeGeometry, direction: int) -> DiagonalBlock:
     """Centered difference along `direction`, one-sided at the edges of an open lattice."""
-    d = np.zeros((geom.n_sites, geom.n_sites))
     u, v = _bonds(geom, direction)
-    d[u, v] = 1.0 / (2.0 * geom.spacing)
-    d[v, u] = -1.0 / (2.0 * geom.spacing)
+    cells = [(u, v, 1.0 / (2.0 * geom.spacing)), (v, u, -1.0 / (2.0 * geom.spacing))]
     if geom.boundary == "open":
         layer = np.moveaxis(_grid(geom), direction, 0)  # layer[k]: the sites k steps in
-        d[layer[0], layer[1]] = d[layer[-1], layer[-1]] = 1.0 / geom.spacing
-        d[layer[0], layer[0]] = d[layer[-1], layer[-2]] = -1.0 / geom.spacing
-    return d
+        edge = 1.0 / geom.spacing
+        cells += [(layer[0], layer[1], edge), (layer[-1], layer[-1], edge),
+                  (layer[0], layer[0], -edge), (layer[-1], layer[-2], -edge)]
+    return _from_cells(geom.n_sites, cells)
 
 
 # the residual norms square entries of order m^2 N; at physical size 8 they
@@ -323,9 +470,13 @@ def _check_mass(mass: float) -> None:
 # 2.3e-12.
 _MAX_ROUNDING_RATIO = 1e-2
 
+# a smallest potential eigenvalue at or below this leaves no normalizable vacuum
+_DEGENERACY_TOL = 1e-10
+
 
 def _check_vacuum_mass(geom: LatticeGeometry, mass: float) -> None:
-    """_check_mass, and a positive mass must survive the rounding of V at this spacing."""
+    """_check_mass; a positive mass must survive the rounding of V at this spacing, and
+    lambda_min = m^2 must leave a normalizable vacuum (DegenerateVacuumError otherwise)."""
     _check_mass(mass)
     ma2 = (mass * geom.spacing) ** 2
     rounding = np.finfo(float).eps * (ma2 + 4 * geom.dims)
@@ -334,6 +485,12 @@ def _check_vacuum_mass(geom: LatticeGeometry, mass: float) -> None:
             f"mass {mass:g} is lost to the rounding of V at spacing {geom.spacing:g}: eps (m^2 + "
             f"4 dims / a^2) / m^2 = {rounding / ma2 if ma2 else math.inf:.3g} exceeds "
             f"{_MAX_ROUNDING_RATIO:g}")
+    _refuse_zero_mode(mass * mass)  # the constant field's eigenvalue on every lattice
+
+
+def _refuse_zero_mode(smallest: float) -> None:
+    if smallest <= _DEGENERACY_TOL:
+        raise DegenerateVacuumError(f"smallest potential eigenvalue {smallest:.3e}")
 
 
 def build_hamiltonian(geom: LatticeGeometry, mass: float) -> QuadraticObservable:
@@ -344,7 +501,8 @@ def build_hamiltonian(geom: LatticeGeometry, mass: float) -> QuadraticObservable
     """
     _check_mass(mass)
     m = geom.n_sites
-    return QuadraticObservable._exact(m, phi=_potential_matrix(geom, mass, np.ones(m)), pi=np.eye(m))
+    return QuadraticObservable._exact(m, phi=_potential_matrix(geom, mass, np.ones(m)),
+                                      pi=_diagonal(np.ones(m)))
 
 
 def build_momentum(geom: LatticeGeometry, direction: int) -> QuadraticObservable:
@@ -368,9 +526,9 @@ def build_boost(
         raise ValueError("direction out of range")
     _check_mass(mass)
     coord = geom.centered_coordinate(direction)
-    coupling = t * _difference_matrix(geom, direction) if t != 0.0 else None
+    coupling = _difference_matrix(geom, direction).scaled(t) if t != 0.0 else None
     return QuadraticObservable._exact(geom.n_sites, -_potential_matrix(geom, mass, coord),
-                                      coupling, -np.diag(coord))
+                                      coupling, _diagonal(-coord))
 
 
 def build_rotation(geom: LatticeGeometry) -> QuadraticObservable:
@@ -383,7 +541,8 @@ def build_rotation(geom: LatticeGeometry) -> QuadraticObservable:
         raise ValueError("rotation generator needs dims = 2")
     x1 = geom.centered_coordinate(0)
     x2 = geom.centered_coordinate(1)
-    b = x1[:, None] * _difference_matrix(geom, 1) - x2[:, None] * _difference_matrix(geom, 0)
+    b = _blockwise(operator.sub, _difference_matrix(geom, 1).scaled(x1),
+                   _difference_matrix(geom, 0).scaled(x2))
     return QuadraticObservable._exact(geom.n_sites, coupling=b)
 
 
@@ -420,9 +579,6 @@ class ModeBasis:
         return 0.5 * float(np.sum(self.frequencies))
 
 
-_DEGENERACY_TOL = 1e-10
-
-
 def build_mode_basis(geom: LatticeGeometry, mass: float) -> ModeBasis:
     """The vacuum of build_hamiltonian(geom, mass), with no eigendecomposition.
 
@@ -455,8 +611,7 @@ def build_mode_basis(geom: LatticeGeometry, mass: float) -> ModeBasis:
     mu = (4.0 / geom.spacing**2) * np.sin(np.pi / period * np.minimum(k, period - k)) ** 2
     lam = mass * mass + reduce(np.add.outer, [mu] * dims)
     ascending = np.sort(lam, axis=None)
-    if ascending[0] <= _DEGENERACY_TOL:
-        raise DegenerateVacuumError(f"smallest potential eigenvalue {ascending[0]:.3e}")
+    _refuse_zero_mode(ascending[0])
 
     # Free ends: c_k^2 cos(pi k (2i + 1) / P) cos(pi k (2j + 1) / P) is
     # (c_k^2 / 2) [cos(2 pi k (i - j) / P) + cos(2 pi k (i + j + 1) / P)], with
@@ -494,9 +649,10 @@ def vacuum_expectation(obs: QuadraticObservable, basis: ModeBasis) -> float:
     if obs.n_modes != basis.n_modes:
         raise ValueError("observable and basis dimensions differ")
     # Sigma is symmetric and block-diagonal, so tr(Q Sigma) is the
-    # elementwise contraction of phi and pi with their covariance blocks
+    # elementwise contraction of phi and pi with their covariance blocks,
+    # read on the stored diagonals
     pairs = ((obs.phi, basis.covariance_phi), (obs.pi, basis.covariance_pi))
-    return 0.5 * sum(float(np.vdot(q, s)) for q, s in pairs if q is not None) + obs.scalar
+    return 0.5 * sum(q.contract(s) for q, s in pairs if q is not None) + obs.scalar
 
 
 def normal_ordered(obs: QuadraticObservable, basis: ModeBasis) -> QuadraticObservable:
@@ -516,16 +672,19 @@ def _product_difference(p, q, r, s):
 
 
 def _quad_apply(obs: QuadraticObservable, vec: np.ndarray) -> np.ndarray:
-    """Q v from the blocks: (phi v_phi + C^T v_pi, C v_phi + pi v_pi)."""
+    """Q v from the blocks, (phi v_phi + C^T v_pi, C v_phi + pi v_pi), along vec's last axis."""
     m = obs.n_modes
-    out = np.zeros(2 * m)
+    out = np.zeros(vec.shape)
+    if not vec.any():  # the zero lin of every generator: no block to read
+        return out
+    phi, pi = (..., slice(m)), (..., slice(m, None))
     if obs.phi is not None:
-        out[:m] += obs.phi @ vec[:m]
+        out[phi] += obs.phi.dot(vec[phi])
     if obs.coupling is not None:
-        out[:m] += obs.coupling.T @ vec[m:]
-        out[m:] += obs.coupling @ vec[:m]
+        out[phi] += obs.coupling.T.dot(vec[pi])
+        out[pi] += obs.coupling.dot(vec[phi])
     if obs.pi is not None:
-        out[m:] += obs.pi @ vec[m:]
+        out[pi] += obs.pi.dot(vec[pi])
     return out
 
 
@@ -565,17 +724,17 @@ def spectral_norm(obs: QuadraticObservable) -> float:
     Block-diagonal: the largest |eigenvalue| of phi and pi.
     Off-diagonal [[0, C^T], [C, 0]]: the top singular value of C.
     Otherwise: the largest |eigenvalue| of the whole matrix.
+    Only the matrix a solver reads is made dense; an all-zero block is 0.
     """
     if obs.coupling is None:
-        return max(_max_abs_eigenvalue(blk) for blk in (obs.phi, obs.pi))
+        return max((_max_abs_eigenvalue(b.dense()) for b in (obs.phi, obs.pi) if b is not None),
+                   default=0.0)
     if obs.phi is None and obs.pi is None:
-        return float(np.linalg.svd(obs.coupling, compute_uv=False)[0])
-    return _max_abs_eigenvalue(obs.quad)
+        return float(np.linalg.svd(obs.coupling.dense(), compute_uv=False)[0])
+    return _max_abs_eigenvalue(_dense_quad(obs))
 
 
-def _max_abs_eigenvalue(sym: np.ndarray | None) -> float:
-    if sym is None:
-        return 0.0
+def _max_abs_eigenvalue(sym: np.ndarray) -> float:
     eig = np.linalg.eigvalsh(sym)
     return float(max(-eig[0], eig[-1]))
 
@@ -640,27 +799,33 @@ def bulk_residual_norm(residual: QuadraticObservable, geom: LatticeGeometry) -> 
     times a second difference, an O(1) matrix); measuring against fixed
     smooth profiles recovers the continuum convergence order.
     """
-    m = geom.n_sites
+    zero = np.zeros(geom.n_sites)
+    vectors = np.array([np.concatenate(halves) for f, df in _bump_profiles(geom)
+                        for halves in ((f, zero), (zero, f), (f, df))])
     worst = 0.0
-    for f, df in _bump_profiles(geom):
-        for v in (
-            np.concatenate([f, np.zeros(m)]),
-            np.concatenate([np.zeros(m), f]),
-            np.concatenate([f, df]),
-        ):
-            norm_v = float(np.linalg.norm(v))
-            if norm_v == 0.0:
-                continue
-            worst = max(worst, float(np.linalg.norm(_quad_apply(residual, v))) / norm_v)
+    for v, image in zip(vectors, _quad_apply(residual, vectors)):  # one banded pass for all
+        norm_v = float(np.linalg.norm(v))
+        if norm_v == 0.0:
+            continue
+        worst = max(worst, float(np.linalg.norm(image)) / norm_v)
     return worst
 
 
 def _masked_operator_norm(obs: QuadraticObservable, geom: LatticeGeometry) -> float:
     """Spectral norm of Q restricted to the bulk sites, in both the phi and the pi half."""
     keep = _bulk_sites(geom)
-    sub = np.ix_(keep, keep)
-    blocks = [None if x is None else x[sub] for x in obs.blocks]
-    return spectral_norm(QuadraticObservable._exact(keep.size, *blocks))
+    position = np.full(geom.n_sites + 1, -1)  # bulk index of each site; -1 off the bulk
+    position[keep] = np.arange(keep.size)
+
+    def restrict(block):  # block[keep][:, keep], made from the stored diagonals
+        if block is None:
+            return None
+        cols = keep + block.offsets[:, None]
+        sub = position[np.where((cols >= 0) & (cols < geom.n_sites), cols, -1)]
+        hit = sub >= 0
+        return _from_cells(keep.size, [(np.nonzero(hit)[1], sub[hit], block.data[:, keep][hit])])
+
+    return spectral_norm(QuadraticObservable._exact(keep.size, *map(restrict, obs.blocks)))
 
 
 def _check_spacings(spacings) -> None:

@@ -220,6 +220,22 @@ def test_spacing_that_misses_the_physical_size_names_it(tmp_path, capsys):
     assert not (tmp_path / "central_relation.csv").exists()
 
 
+@pytest.mark.parametrize("masses", [["--mass1", "0"], ["--mass0", "0"]])
+def test_zero_mass_refused_before_any_commutator(tmp_path, capsys, monkeypatch, masses):
+    # lambda_min = m^2 in closed form, so a zero mass of either label is bad
+    # input before the first spacing's label-0 check starts
+    from platevac import lattice as lat
+
+    calls = []
+    commutator = lat.commutator
+    monkeypatch.setattr(lat, "commutator", lambda *a: calls.append(a) or commutator(*a))
+    argv = ["algebra-verify", *masses, "--spacings", "0.025,0.0125", "--outdir", str(tmp_path)]
+    assert main(argv) == 2
+    assert "smallest potential eigenvalue 0.000e+00" in capsys.readouterr().err
+    assert calls == []
+    assert not (tmp_path / "central_relation.csv").exists()
+
+
 def test_algebra_verify_poincare_check(tmp_path, capsys):
     code = main(["algebra-verify", "--check", "poincare", "--outdir", str(tmp_path)])
     assert code == 0

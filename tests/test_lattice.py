@@ -50,6 +50,19 @@ def _dense_commutator(a, b):
     return quad, lin, float(a.lin @ om @ b.lin)
 
 
+def _phi(obs):
+    """The dense phi block, a slice of the .quad view."""
+    return obs.quad[: obs.n_modes, : obs.n_modes]
+
+
+def _coupling(obs):
+    return obs.quad[obs.n_modes :, : obs.n_modes]
+
+
+def _pi(obs):
+    return obs.quad[obs.n_modes :, obs.n_modes :]
+
+
 def _dense_norm(quad):
     """Spectral norm by a full dense SVD (reference)."""
     return float(np.linalg.norm(quad, 2))
@@ -94,12 +107,13 @@ def test_centered_coordinate_sums_to_zero():
 def test_quad_symmetrized_and_readonly():
     upper = np.array([[1.0, 2.0], [0.0, 3.0]])
     obs = lat.QuadraticObservable(2, phi=upper, coupling=upper, pi=-upper)
-    assert np.array_equal(obs.phi, np.array([[1.0, 1.0], [1.0, 3.0]]))
-    assert np.array_equal(obs.pi, -obs.phi)
-    assert np.array_equal(obs.coupling, upper)  # the coupling is not symmetrized
+    assert np.array_equal(_phi(obs), np.array([[1.0, 1.0], [1.0, 3.0]]))
+    assert np.array_equal(_pi(obs), -_phi(obs))
+    assert np.array_equal(_coupling(obs), upper)  # the coupling is not symmetrized
     assert np.array_equal(obs.lin, np.zeros(4)) and obs.scalar == 0.0
     assert lat.QuadraticObservable(2, phi=np.zeros((2, 2))).phi is None
-    for view in (obs.quad, obs.phi, obs.coupling, obs.pi, obs.lin):
+    views = [obs.quad, obs.lin] + [x for block in obs.blocks for x in (block.offsets, block.data)]
+    for view in views:
         with pytest.raises(ValueError):
             view[0, ...] = 5.0
     with pytest.raises(ValueError, match="lin length"):
@@ -207,7 +221,8 @@ def test_commutator_of_generators_matches_explicit_omega():
     p = lat.normal_ordered(lat.build_momentum(g, 0), basis)
     k0 = lat.build_boost(g, 0, 0.0, 1.0)
     kt = lat.build_boost(g, 0, 0.7, 1.0)
-    shifted = lat.QuadraticObservable(g.n_sites, *kt.blocks, np.linspace(-1.0, 1.0, 2 * g.n_sites), 0.3)
+    shifted = lat.QuadraticObservable(g.n_sites, _phi(kt), _coupling(kt), _pi(kt),
+                                      np.linspace(-1.0, 1.0, 2 * g.n_sites), 0.3)
     obs = (h, p, k0, kt, shifted)
     for a in obs:
         for b in obs:
@@ -357,8 +372,8 @@ def test_dense_views_read_only_and_cached():
         with pytest.raises(ValueError):
             view[0, ...] = 1.0
     assert h.quad is h.quad
-    assert h.coupling is None and np.array_equal(h.pi, np.eye(6))
-    assert np.array_equal(h.quad[:6, :6], h.phi) and np.array_equal(h.quad[6:, 6:], h.pi)
+    assert h.coupling is None and np.array_equal(_pi(h), np.eye(6))
+    assert np.array_equal(_phi(h), h.phi.dense()) and np.array_equal(_pi(h), h.pi.dense())
     assert not h.quad[:6, 6:].any() and not h.quad[6:, :6].any()
 
 
@@ -378,12 +393,154 @@ def test_central_relation_peak_memory_stays_blockwise():
 
 
 # ---------------------------------------------------------------------------
+# diagonal (DIA) storage against dense arithmetic
+
+
+def _on_diagonals(rng, m, offsets):
+    """A dense M x M matrix with random entries on exactly these diagonals."""
+    x = np.zeros((m, m))
+    for o in offsets:
+        rows = np.arange(max(0, -o), min(m, m - o))
+        x[rows, rows + o] = rng.uniform(0.5, 1.5, rows.size) * rng.choice([-1.0, 1.0], rows.size)
+    return x
+
+
+def _as_block(x):
+    return lat.QuadraticObservable(x.shape[0], coupling=x).coupling
+
+
+def _dense_block(block, m):
+    return np.zeros((m, m)) if block is None else block.dense()
+
+
+@pytest.mark.parametrize("m", [1, 2, 5, 9])
+def test_diagonal_blocks_match_dense_matrices(m):
+    rng = np.random.default_rng(59 + m)
+    dense = [
+        rng.standard_normal((m, m)),  # every offset
+        _on_diagonals(rng, m, [m - 1]),  # the corner alone
+        _on_diagonals(rng, m, [-1, 0, 1]),
+        _on_diagonals(rng, m, [1 - m, 0, m - 1]),  # the wrap offsets of a ring
+    ]
+    for x in dense:
+        b = _as_block(x)
+        rows, cols = np.nonzero(x)
+        assert b.offsets.tolist() == sorted(set((cols - rows).tolist()))
+        assert np.array_equal(b.dense(), x) and np.array_equal(b.T.dense(), x.T)
+        assert np.array_equal((-b).dense(), -x)
+        v, s = rng.standard_normal(m), rng.standard_normal((m, m))
+        assert np.array_equal(b.scaled(v).dense(), v[:, None] * x)
+        assert np.abs(b.dot(v) - x @ v).max() <= 1e-14 * np.abs(x).sum() * np.abs(v).max()
+        assert abs(b.contract(s) - np.sum(x * s)) <= 1e-14 * np.abs(x * s).sum()
+        square = b @ b
+        assert b - b is None and (square is None or square - b @ b is None)  # exact cancellation
+        for y in dense:
+            c = _as_block(y)
+            assert np.array_equal(_dense_block(b + c, m), x + y)
+            assert np.array_equal(_dense_block(b - c, m), x - y)
+            got = b @ c
+            assert got is None or got.offsets.max() < m and got.offsets.min() > -m
+            got = _dense_block(got, m)
+            scale = np.abs(x).max() * np.abs(y).max() * m
+            assert np.abs(got - x @ y).max() <= 1e-14 * scale
+    if m > 1:
+        corner = _as_block(dense[1])
+        assert corner @ corner is None  # offset 2M - 2 leaves the matrix
+        assert (corner @ _as_block(dense[2])).offsets.tolist() == [m - 2, m - 1]  # M dropped
+
+
+def _generators(geom):
+    gens = {"H": lat.build_hamiltonian(geom, 1.3)}
+    for d in range(geom.dims):
+        gens[f"P{d + 1}"] = lat.build_momentum(geom, d)
+        if geom.boundary == "open":
+            gens[f"K{d + 1}"] = lat.build_boost(geom, d, 0.4, 1.3)
+    if geom.dims == 2:
+        gens["J"] = lat.build_rotation(geom)
+    return gens
+
+
+def _masked_dense_norm(quad, geom):
+    keep = lat._bulk_sites(geom)
+    idx = np.concatenate([keep, keep + geom.n_sites])
+    return _dense_norm(quad[np.ix_(idx, idx)])
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize("dims", [1, 2])
+@pytest.mark.parametrize("boundary", ["open", "periodic"])
+def test_generator_arithmetic_matches_dense_quads(boundary, dims, n):
+    g = lat.LatticeGeometry(dims, n, 0.7, boundary)
+    m = g.n_sites
+    gens = _generators(g)
+    # H's stencil: the bonds of each axis, and on a periodic axis its wrap bonds
+    steps = [1] if dims == 1 else [1, n]
+    wraps = [n - 1] if dims == 1 else [n - 1, m - n]
+    want = {0, *steps, *(-s for s in steps)}
+    if boundary == "periodic":
+        want |= {*wraps, *(-w for w in wraps)}
+    assert set(gens["H"].phi.offsets.tolist()) == want
+    basis = lat.build_mode_basis(g, 1.3)
+    sigma = _covariance(basis)
+    rng = np.random.default_rng(61 + 10 * n + dims)
+
+    def check_reads(obs, scale):
+        vec = rng.standard_normal(2 * m)
+        assert np.abs(lat._quad_apply(obs, vec) - obs.quad @ vec).max() <= 1e-13 * scale
+        vev = 0.5 * float(np.trace(obs.quad @ sigma)) + obs.scalar
+        assert abs(lat.vacuum_expectation(obs, basis) - vev) <= 1e-13 * scale
+        assert abs(lat.spectral_norm(obs) - _dense_norm(obs.quad)) <= 1e-12 * scale
+        if n >= 4:
+            got = lat._masked_operator_norm(obs, g)
+            assert abs(got - _masked_dense_norm(obs.quad, g)) <= 1e-12 * scale
+
+    for a in gens.values():
+        check_reads(a, np.abs(a.quad).max() * 2 * m)
+    for name_a, a in gens.items():
+        for name_b, b in gens.items():
+            pair = (name_a, name_b)
+            assert np.array_equal((a + b).quad, a.quad + b.quad), pair
+            assert np.array_equal((a - b).quad, a.quad - b.quad), pair
+            quad, lin, scalar = _dense_commutator(a, b)
+            got = lat.commutator(a, b)
+            scale = np.abs(a.quad).max() * np.abs(b.quad).max() * 2 * m
+            assert np.abs(got.quad - quad).max() <= 1e-13 * scale, pair
+            assert np.abs(got.lin - lin).max() <= 1e-13 * scale and got.scalar == scalar == 0.0
+            check_reads(got, scale)
+    if boundary == "periodic":  # translations commute exactly: every block cancels to None
+        pairs = [("H", "P1"), ("H", "P2"), ("P1", "P2")] if dims == 2 else [("H", "P1")]
+        for x, y in pairs:
+            assert lat.commutator(gens[x], gens[y]).blocks == (None, None, None), (x, y)
+
+
+def test_lattice_checks_never_read_the_dense_view(monkeypatch):
+    def refuse(self):
+        raise AssertionError("the dense .quad view was read")
+
+    monkeypatch.setattr(lat.QuadraticObservable, "quad", property(refuse))
+    rep = lat.verify_central_relation(lat.LatticeGeometry(1, 16, 0.5, "open"), (math.pi, 1.0))
+    assert rep["per_label"][0]["full_residual_norm"] > 0.0
+    torus = lat.LatticeGeometry(2, 8, 0.5, "periodic")
+    ring = lat.LatticeGeometry(1, 16, 0.5, "periodic")
+    assert lat.verify_poincare_closure(torus, 1.0)["J,H full"] > 1.0
+    assert lat.contradiction_demo(ring, 1.0)["n_modes"] == 16
+
+
+@pytest.mark.parametrize("n", range(8, 25))
+def test_gated_closure_residuals_exactly_zero(n):
+    # at the spacing the CLI and the benchmark use; J,H full is ungated
+    report = lat.verify_poincare_closure(lat.LatticeGeometry(2, n, 0.5, "periodic"), 1.0)
+    assert [report[p] for p in ("H,P1", "H,P2", "P1,P2", "J,H bulk")] == [0.0] * 4
+    assert report["J,H full"] > 1.0
+
+
+# ---------------------------------------------------------------------------
 # Hamiltonian, spectrum, vacuum
 
 
 def _eigh_frequencies(h):
     """sqrt of the eigenvalues of the phi block by dense eigh (reference)."""
-    return np.sqrt(np.linalg.eigvalsh(h.phi))
+    return np.sqrt(np.linalg.eigvalsh(_phi(h)))
 
 
 def test_periodic_dispersion():
@@ -421,7 +578,7 @@ def _no_eigh(monkeypatch):
 def test_closed_form_mode_basis_matches_dense_eigh(monkeypatch, dims, n, boundary):
     g = lat.LatticeGeometry(dims, n, 8.0 / n, boundary)
     h = lat.build_hamiltonian(g, 1.3)
-    lam, u = np.linalg.eigh(h.phi)
+    lam, u = np.linalg.eigh(_phi(h))
     omega = np.sqrt(lam)
     _no_eigh(monkeypatch)
     basis = lat.build_mode_basis(g, 1.3)
@@ -431,7 +588,7 @@ def test_closed_form_mode_basis_matches_dense_eigh(monkeypatch, dims, n, boundar
     # trace route: 1/2 tr(V Sigma_phi) + 1/2 tr(Sigma_pi) with the eigh covariance
     sigma_phi = 0.5 * ((u / omega) @ u.T)
     sigma_pi = 0.5 * ((u * omega) @ u.T)
-    trace = 0.5 * (float(np.sum(h.phi * sigma_phi)) + float(np.trace(sigma_pi)))
+    trace = 0.5 * (float(np.sum(_phi(h) * sigma_phi)) + float(np.trace(sigma_pi)))
     assert abs(lat.vacuum_expectation(h, basis) - trace) <= 1e-14 * trace
     for got, want in ((basis.covariance_phi, sigma_phi), (basis.covariance_pi, sigma_pi)):
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
@@ -559,10 +716,10 @@ def test_potential_blocks_match_hand_written_stencil(mass):
     g = lat.LatticeGeometry(1, n, a, "open")
     hand_h = _chain_potential(n, a, mass, ones)
     assert np.array_equal(np.diag(hand_h), mass**2 + np.r_[1, [2] * (n - 2), 1] / a**2)
-    assert np.allclose(lat.build_hamiltonian(g, mass).phi, hand_h, rtol=1e-14, atol=0)
+    assert np.allclose(_phi(lat.build_hamiltonian(g, mass)), hand_h, rtol=1e-14, atol=0)
     boost = lat.build_boost(g, 0, 0.0, mass)
-    assert np.allclose(-boost.phi, _chain_potential(n, a, mass, x), rtol=1e-14, atol=1e-13)
-    assert np.array_equal(-boost.pi, np.diag(x))
+    assert np.allclose(-_phi(boost), _chain_potential(n, a, mass, x), rtol=1e-14, atol=1e-13)
+    assert np.array_equal(-_pi(boost), np.diag(x))
 
     # 2-D open, site (i, j) at flat index i * n + j: each direction adds its
     # chain, and a boost weights the bonds across its direction by the
@@ -570,11 +727,11 @@ def test_potential_blocks_match_hand_written_stencil(mass):
     g2 = lat.LatticeGeometry(2, n, a, "open")
     eye, plain = np.eye(n), _chain_potential(n, a, 0.0, ones)
     hand_h2 = np.kron(_chain_potential(n, a, mass, ones), eye) + np.kron(eye, plain)
-    assert np.allclose(lat.build_hamiltonian(g2, mass).phi, hand_h2, rtol=1e-14, atol=0)
+    assert np.allclose(_phi(lat.build_hamiltonian(g2, mass)), hand_h2, rtol=1e-14, atol=0)
     hand_k2 = (np.kron(_chain_potential(n, a, mass, x), eye) + np.kron(np.diag(x), plain),
                np.kron(eye, _chain_potential(n, a, mass, x)) + np.kron(plain, np.diag(x)))
     for direction, hand in enumerate(hand_k2):
-        got = -lat.build_boost(g2, direction, 0.0, mass).phi
+        got = -_phi(lat.build_boost(g2, direction, 0.0, mass))
         assert np.allclose(got, hand, rtol=1e-14, atol=1e-13), direction
 
 
@@ -604,14 +761,14 @@ def test_momentum_blocks_match_hand_written_stencil(boundary):
         assert d1[0, 6] == -1.25 and d1[6, 0] == 1.25 and d1[0, 0] == 0.0
     p = lat.build_momentum(lat.LatticeGeometry(1, n, a, boundary), 0)
     assert p.phi is None and p.pi is None
-    assert np.array_equal(p.coupling, d1)
+    assert np.array_equal(_coupling(p), d1)
     # 2-D, site (i, j) at flat index i * n + j: direction 0 steps i, direction 1 steps j
     g2 = lat.LatticeGeometry(2, n, a, boundary)
     eye = np.eye(n)
     for direction, hand in enumerate((np.kron(d1, eye), np.kron(eye, d1))):
         p = lat.build_momentum(g2, direction)
         assert p.phi is None and p.pi is None
-        assert np.array_equal(p.coupling, hand), direction
+        assert np.array_equal(_coupling(p), hand), direction
 
 
 @pytest.mark.parametrize("mass", [1.0, math.pi])
@@ -622,13 +779,13 @@ def test_periodic_potential_matches_hand_written_stencil(mass):
             - (np.roll(np.eye(n), 1, axis=1) + np.roll(np.eye(n), -1, axis=1)) / a**2)
     assert ring[0, n - 1] == ring[n - 1, 0] == -1 / a**2
     h = lat.build_hamiltonian(lat.LatticeGeometry(1, n, a, "periodic"), mass)
-    assert np.allclose(h.phi, ring, rtol=1e-14, atol=0)
+    assert np.allclose(_phi(h), ring, rtol=1e-14, atol=0)
     # the torus: a Kronecker sum of two rings, the mass counted once
     plain = ring - mass**2 * np.eye(n)
     torus = np.kron(ring, np.eye(n)) + np.kron(np.eye(n), plain)
     h2 = lat.build_hamiltonian(lat.LatticeGeometry(2, n, a, "periodic"), mass)
-    assert np.allclose(h2.phi, torus, rtol=1e-14, atol=0)
-    assert np.array_equal(h2.pi, np.eye(n * n))
+    assert np.allclose(_phi(h2), torus, rtol=1e-14, atol=0)
+    assert np.array_equal(_pi(h2), np.eye(n * n))
 
 
 def test_rotation_requires_two_dims():
