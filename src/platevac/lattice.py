@@ -12,18 +12,17 @@ its three M x M blocks,
 
     Q = [[phi, C^T], [C, pi]],
 
-with phi and pi of outside input symmetrized (the builders, `commutator`,
-`+` and `-` make symmetric blocks and skip that copy) and C the pi-phi
-coupling. Each block is stored as a `DiagonalBlock`: a sorted offset array
-and one row per offset, row i of diagonal o holding entry (i, i + o); an
-all-zero diagonal is dropped and an all-zero block is None. Every generator
-is a nearest-neighbor stencil, so a block holds 3 diagonals in 1-d and
-about 9 in 2-d (the wrap bonds of a periodic axis sit at offsets
-+-(N - 1) and +-(M - N)). The builders fill the diagonals from the bond
-index arrays, with no dense M x M array. A product of blocks with k_A and
-k_B diagonals costs O(M k_A k_B); sums, differences and transposes merge
-or shift offset arrays. The dense 2M x 2M matrix `quad` is a read-only
-view built on first access; no computation here reads it.
+with phi and pi symmetric and C the pi-phi coupling. Each block is a
+`DiagonalBlock`: a sorted offset array and one row per offset, row i of
+diagonal o holding entry (i, i + o); an all-zero diagonal is dropped and
+an all-zero block is None. Every generator is a nearest-neighbor stencil,
+so a block holds 3 diagonals in 1-d and about 9 in 2-d (the wrap bonds of
+a periodic axis sit at offsets +-(N - 1) and +-(M - N)). The builders fill
+the diagonals from the bond index arrays, with no dense M x M array. A
+product of blocks with k_A and k_B diagonals costs O(M k_A k_B); sums,
+differences and transposes merge or shift offset arrays. The dense
+2M x 2M matrix `quad` is a read-only view built on first access; no
+computation here reads it.
 
 `commutator` returns the rescaled product (1/i)[A, B], which is again
 quadratic with real coefficients:
@@ -44,12 +43,13 @@ two pure Weyl quadratics carries no central term; central scalars only enter
 through the normal-ordering bookkeeping handled by `verify_central_relation`.
 
 The vacuum is fixed by the geometry and the mass alone:
-`build_mode_basis(geom, mass)` gives the spectrum and the vacuum covariance
-Sigma of build_hamiltonian(geom, mass) in closed form, from a DCT-II (free
-ends) or Fourier (periodic) basis per axis and one length-2N (or N) FFT
-cosine sum per axis, with no eigendecomposition and no M x M product.
+`build_mode_basis(geom, mass)` gives the spectrum of
+build_hamiltonian(geom, mass) in closed form, from a DCT-II (free ends) or
+Fourier (periodic) basis per axis, with no eigendecomposition. Of the
+vacuum covariance Sigma it keeps one FFT cosine-sum table per block, of
+length P // 2 + 1 per axis, and an entry of Sigma is a few reads of it.
 Sigma is block-diagonal, so a vacuum expectation needs only phi and pi,
-and only the entries of Sigma on their stored diagonals.
+and Sigma only on their stored diagonals; no M x M array is made.
 
 Both residual norms take an observable. `bulk_residual_norm` applies the
 blocks as banded matrix-vector products. `spectral_norm` works from the
@@ -81,7 +81,6 @@ from functools import cached_property, reduce
 from itertools import product
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = [
     "DegenerateVacuumError",
@@ -110,9 +109,8 @@ class DegenerateVacuumError(ValueError):
     """The Hamiltonian has a (numerically) zero-frequency mode."""
 
 
-# 2-d N = 64. Generator blocks are a few diagonals, O(k M), but a ModeBasis
-# keeps two dense M x M covariance blocks and an exact norm makes its block
-# dense: 134 MB each at this cap
+# 2-d N = 64. Generator blocks and the vacuum are O(k M), but an exact norm of
+# a quad with both kinds of block makes it a dense 2M x 2M matrix: 537 MB here
 _MAX_SITES = 4096
 
 
@@ -173,8 +171,8 @@ class DiagonalBlock:
     and the entries that fall outside the matrix are zero. `_diagonals` drops
     every all-zero diagonal and gives None for a block with none left, so a
     stored diagonal has a nonzero entry; every operation here keeps that.
-    Blocks come from `QuadraticObservable` and the operations below; the
-    constructor itself checks none of these conditions.
+    Blocks come from the builders and the operations below; the constructor
+    itself checks none of these conditions.
     """
 
     offsets: np.ndarray
@@ -212,11 +210,6 @@ class DiagonalBlock:
         # a column outside [0, M) is clipped into it: its entry is zero
         gathered = vec.take(_columns(self.offsets, self.size), axis=-1, mode="clip")
         return (self.data * gathered).sum(-2)
-
-    def contract(self, full: np.ndarray) -> float:
-        """sum_ij B_ij F_ij against a dense M x M matrix F, read on the stored diagonals only."""
-        cols = np.clip(_columns(self.offsets, self.size), 0, self.size - 1)
-        return float(np.vdot(self.data, full[np.arange(self.size), cols]))
 
     def scaled(self, factor) -> "DiagonalBlock | None":
         """diag(factor) @ B for a length-M factor; a scalar factor scales every entry."""
@@ -287,11 +280,6 @@ def _from_cells(m: int, cells, add: bool = False) -> DiagonalBlock | None:
     return _diagonals(offsets, data.reshape(offsets.size, m))
 
 
-def _from_dense(x: np.ndarray) -> DiagonalBlock | None:
-    rows, cols = np.nonzero(x)
-    return _from_cells(x.shape[0], [(rows, cols, x[rows, cols])])
-
-
 def _blockwise(op, x, y):
     """op(x, y) for blocks, None standing for an all-zero block."""
     if x is None or y is None:
@@ -319,9 +307,10 @@ def _dense_quad(obs: "QuadraticObservable") -> np.ndarray:
 class QuadraticObservable:
     """O = 1/2 xi^T Q xi + lin^T xi + scalar, Q = [[phi, C^T], [C, pi]] symmetric (Weyl order).
 
-    The constructor takes dense M x M blocks, a block left None being zero,
-    and stores each as a `DiagonalBlock`: phi and pi are symmetrized, an
-    all-zero block becomes None, and a None `lin` becomes the zero vector.
+    Each block is an M x M `DiagonalBlock`, or None for an all-zero block;
+    phi and pi must be symmetric, which is taken on trust (the builders,
+    `commutator`, `+` and `-` make them so). A None `lin` is the zero
+    vector. Any other block, or a `lin` not of length 2M, is a ValueError.
     """
 
     n_modes: int
@@ -333,37 +322,14 @@ class QuadraticObservable:
 
     def __post_init__(self):
         m = self.n_modes
-
-        def block(x, symmetric):
-            if x is None:
-                return None
-            x = np.asarray(x, dtype=float)
-            if x.shape != (m, m):
-                raise ValueError("quad blocks must be M x M")
-            if symmetric:
-                x = x + x.T
-                x *= 0.5
-            return _from_dense(x)
-
+        for block in self.blocks:
+            if block is not None and not (isinstance(block, DiagonalBlock) and block.size == m):
+                raise ValueError("quad blocks must be M x M DiagonalBlocks or None")
         lin = np.zeros(2 * m) if self.lin is None else np.asarray(self.lin, dtype=float)
         if lin.shape != (2 * m,):
             raise ValueError("lin length must match quad dimension")
-        self._store(block(self.phi, True), block(self.coupling, False), block(self.pi, True),
-                    lin, self.scalar)
-
-    @classmethod
-    def _exact(cls, n_modes, phi=None, coupling=None, pi=None, lin=None, scalar=0.0):
-        """The constructor for `DiagonalBlock` blocks, phi and pi symmetric by construction
-        (builders, `commutator`, `+`, `-`), each with no all-zero diagonal."""
-        out = object.__new__(cls)
-        object.__setattr__(out, "n_modes", n_modes)
-        out._store(phi, coupling, pi, np.zeros(2 * n_modes) if lin is None else lin, scalar)
-        return out
-
-    def _store(self, phi, coupling, pi, lin, scalar):
-        for name, value in (("phi", phi), ("coupling", coupling), ("pi", pi),
-                            ("lin", _readonly(lin)), ("scalar", float(scalar))):
-            object.__setattr__(self, name, value)
+        object.__setattr__(self, "lin", _readonly(lin))
+        object.__setattr__(self, "scalar", float(self.scalar))
 
     @property
     def blocks(self) -> tuple:
@@ -382,8 +348,8 @@ class QuadraticObservable:
     def _combine(self, other: "QuadraticObservable", op) -> "QuadraticObservable":
         m = _same_modes(self, other)
         blocks = [_blockwise(op, x, y) for x, y in zip(self.blocks, other.blocks)]
-        return QuadraticObservable._exact(m, *blocks, op(self.lin, other.lin),
-                                          op(self.scalar, other.scalar))
+        return QuadraticObservable(m, *blocks, op(self.lin, other.lin),
+                                   op(self.scalar, other.scalar))
 
     def __add__(self, other: "QuadraticObservable") -> "QuadraticObservable":
         return self._combine(other, operator.add)
@@ -501,15 +467,15 @@ def build_hamiltonian(geom: LatticeGeometry, mass: float) -> QuadraticObservable
     """
     _check_mass(mass)
     m = geom.n_sites
-    return QuadraticObservable._exact(m, phi=_potential_matrix(geom, mass, np.ones(m)),
-                                      pi=_diagonal(np.ones(m)))
+    return QuadraticObservable(m, phi=_potential_matrix(geom, mass, np.ones(m)),
+                               pi=_diagonal(np.ones(m)))
 
 
 def build_momentum(geom: LatticeGeometry, direction: int) -> QuadraticObservable:
     """Weyl-symmetrized pi * (centered difference of phi), summed over sites."""
     if not 0 <= direction < geom.dims:
         raise ValueError("direction out of range")
-    return QuadraticObservable._exact(geom.n_sites, coupling=_difference_matrix(geom, direction))
+    return QuadraticObservable(geom.n_sites, coupling=_difference_matrix(geom, direction))
 
 
 def build_boost(
@@ -526,9 +492,8 @@ def build_boost(
         raise ValueError("direction out of range")
     _check_mass(mass)
     coord = geom.centered_coordinate(direction)
-    coupling = _difference_matrix(geom, direction).scaled(t) if t != 0.0 else None
-    return QuadraticObservable._exact(geom.n_sites, -_potential_matrix(geom, mass, coord),
-                                      coupling, _diagonal(-coord))
+    return QuadraticObservable(geom.n_sites, -_potential_matrix(geom, mass, coord),
+                               _difference_matrix(geom, direction).scaled(t), _diagonal(-coord))
 
 
 def build_rotation(geom: LatticeGeometry) -> QuadraticObservable:
@@ -543,30 +508,33 @@ def build_rotation(geom: LatticeGeometry) -> QuadraticObservable:
     x2 = geom.centered_coordinate(1)
     b = _blockwise(operator.sub, _difference_matrix(geom, 1).scaled(x1),
                    _difference_matrix(geom, 0).scaled(x2))
-    return QuadraticObservable._exact(geom.n_sites, coupling=b)
+    return QuadraticObservable(geom.n_sites, coupling=b)
 
 
 # ---------------------------------------------------------------------------
 # vacuum structure
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ModeBasis:
     """Vacuum of a lattice Hamiltonian [[V, 0], [0, I]] with V = U diag(omega^2) U^T.
 
     `frequencies` are the omega, ascending. The vacuum covariance
-    Sigma[a][b] = <0| {xi_a, xi_b}/2 |0> is block-diagonal, stored as
-    covariance_phi = U diag(1/omega) U^T / 2 and covariance_pi =
-    U diag(omega) U^T / 2; their product is I / 4, the minimum uncertainty
-    of a pure Gaussian state.
+    Sigma[a][b] = <0| {xi_a, xi_b}/2 |0> is block-diagonal, Sigma_phi =
+    U diag(1/omega) U^T / 2 and Sigma_pi = U diag(omega) U^T / 2; their
+    product is I / 4, the minimum uncertainty of a pure Gaussian state.
+    Neither block is stored: `cosine_phi` and `cosine_pi` are their cosine
+    sums g on `geom` (see `build_mode_basis`), and `covariance` reads the
+    entries a block's diagonals need off them.
     """
 
     frequencies: np.ndarray
-    covariance_phi: np.ndarray
-    covariance_pi: np.ndarray
+    geom: LatticeGeometry
+    cosine_phi: np.ndarray
+    cosine_pi: np.ndarray
 
     def __post_init__(self):
-        for name in ("frequencies", "covariance_phi", "covariance_pi"):
+        for name in ("frequencies", "cosine_phi", "cosine_pi"):
             object.__setattr__(self, name, _readonly(getattr(self, name)))
 
     @property
@@ -577,6 +545,27 @@ class ModeBasis:
     def energy(self) -> float:
         """Ground-state energy 1/2 sum_k omega_k."""
         return 0.5 * float(np.sum(self.frequencies))
+
+    def covariance(self, block: str, offsets: np.ndarray) -> np.ndarray:
+        """Sigma_phi or Sigma_pi (`block` "phi" or "pi") at (i, i + o) for each offset o.
+
+        A (k, M) array; a column i + o outside [0, M) is clipped into it.
+        Per axis, the index into g is the folded i - j, and for free ends
+        also the folded i + j + 1; an entry sums g over every choice of one
+        index per axis, in `product` order.
+        """
+        geom = self.geom
+        n, m = geom.sites_per_dim, geom.n_sites
+        free = geom.boundary == "open"
+        period = 2 * n if free else n
+        rows = np.unravel_index(np.arange(m), (n,) * geom.dims)
+        cols = np.unravel_index(np.clip(_columns(offsets, m), 0, m - 1), (n,) * geom.dims)
+        # g(d) = g(P - d), and the table holds d = 0 .. P // 2
+        per_axis = [[np.minimum(d % period, -d % period)
+                     for d in ((i - j, i + j + 1) if free else (i - j,))]
+                    for i, j in zip(rows, cols)]
+        table = getattr(self, f"cosine_{block}")
+        return reduce(operator.add, (table[terms] for terms in product(*per_axis)))
 
 
 def build_mode_basis(geom: LatticeGeometry, mass: float) -> ModeBasis:
@@ -593,8 +582,7 @@ def build_mode_basis(geom: LatticeGeometry, mass: float) -> ModeBasis:
     the offset i - j, and for free ends also i + j + 1: per axis, the block
     is the cosine sum g(d) = sum_k w_k F_k cos(2 pi k d / P) at those
     offsets, Toeplitz (circulant when periodic) plus Hankel. One length-P
-    rfft per axis gives g for every offset; the blocks are filled from
-    strided views of it, with no M x M product.
+    rfft per axis gives g for every offset, and the basis keeps that table.
 
     Raises DegenerateVacuumError when the smallest lambda is at most 1e-10
     (no normalizable vacuum): a zero mass on any lattice, since the constant
@@ -618,30 +606,17 @@ def build_mode_basis(geom: LatticeGeometry, mass: float) -> ModeBasis:
     # c_k^2 / 2 = 1/(2N) at k = 0 and 1/N above. Periodic: the cos and sin columns
     # of k and N - k give (1/N) cos(2 pi k (i - j) / N) for each of the two.
     weight = np.full(n, 1.0 / n)
-    offsets = [np.arange(1 - n, n)]  # i - j, read through a reversed window
     if free:
         weight[0] *= 0.5
-        offsets.append(np.arange(1, 2 * n))  # i + j + 1
-    # g(d) = g(P - d), and rfft returns d = 0 .. P // 2
-    folded = [np.minimum(d % period, -d % period) for d in offsets]
-    flips = [slice(None, None, -1), slice(None)]
 
-    def covariance(f):
+    def cosine_sums(f):
         g = f * reduce(np.multiply.outer, [weight] * dims)
         for axis in range(dims):
             g = rfft(g, period, axis=axis).real
-        out = None
-        for terms in product(range(len(offsets)), repeat=dims):
-            table = g[np.ix_(*(folded[t] for t in terms))]
-            window = sliding_window_view(table, (n,) * dims)[tuple(flips[t] for t in terms)]
-            if out is None:
-                out = window.copy()  # C order, axes i_1 i_2 .. j_1 j_2 ..
-            else:
-                out += window
-        return out.reshape(geom.n_sites, geom.n_sites)
+        return g
 
     root = np.sqrt(lam)
-    return ModeBasis(np.sqrt(ascending), covariance(0.5 / root), covariance(0.5 * root))
+    return ModeBasis(np.sqrt(ascending), geom, cosine_sums(0.5 / root), cosine_sums(0.5 * root))
 
 
 def vacuum_expectation(obs: QuadraticObservable, basis: ModeBasis) -> float:
@@ -651,8 +626,9 @@ def vacuum_expectation(obs: QuadraticObservable, basis: ModeBasis) -> float:
     # Sigma is symmetric and block-diagonal, so tr(Q Sigma) is the
     # elementwise contraction of phi and pi with their covariance blocks,
     # read on the stored diagonals
-    pairs = ((obs.phi, basis.covariance_phi), (obs.pi, basis.covariance_pi))
-    return 0.5 * sum(q.contract(s) for q, s in pairs if q is not None) + obs.scalar
+    pairs = (("phi", obs.phi), ("pi", obs.pi))
+    return 0.5 * sum(float(np.vdot(q.data, basis.covariance(name, q.offsets)))
+                     for name, q in pairs if q is not None) + obs.scalar
 
 
 def normal_ordered(obs: QuadraticObservable, basis: ModeBasis) -> QuadraticObservable:
@@ -711,7 +687,7 @@ def commutator(a: QuadraticObservable, b: QuadraticObservable) -> QuadraticObser
     scalar = float(a.lin[:m] @ b.lin[m:] - a.lin[m:] @ b.lin[:m])
     pairs = ((x00, x00), (x10, x01), (x11, x11))  # phi, C, pi of X + X^T
     quad = [_blockwise(operator.add, x, _transpose(y)) for x, y in pairs]
-    return QuadraticObservable._exact(m, *quad, lin, scalar)
+    return QuadraticObservable(m, *quad, lin, scalar)
 
 
 # ---------------------------------------------------------------------------
@@ -825,7 +801,7 @@ def _masked_operator_norm(obs: QuadraticObservable, geom: LatticeGeometry) -> fl
         hit = sub >= 0
         return _from_cells(keep.size, [(np.nonzero(hit)[1], sub[hit], block.data[:, keep][hit])])
 
-    return spectral_norm(QuadraticObservable._exact(keep.size, *map(restrict, obs.blocks)))
+    return spectral_norm(QuadraticObservable(keep.size, *map(restrict, obs.blocks)))
 
 
 def _check_spacings(spacings) -> None:

@@ -80,6 +80,18 @@ def test_criterion_3_central_relation_scalar_and_convergence():
     _verdict(3, "boost-translation bracket gives H - E(L)", ok, time.perf_counter() - start, 60.0)
 
 
+def _dense_block(x):
+    """A dense M x M matrix as a DiagonalBlock on all its 2M - 1 diagonals.
+
+    Every diagonal is kept, so x must have no all-zero one; a random matrix has none.
+    """
+    m = x.shape[0]
+    offsets = np.arange(1 - m, m)
+    cols = np.arange(m) + offsets[:, None]
+    data = np.where((cols >= 0) & (cols < m), x[np.arange(m), np.clip(cols, 0, m - 1)], 0.0)
+    return lat.DiagonalBlock(offsets, data)
+
+
 def test_criterion_4_normal_ordering_shifts_only_the_scalar():
     start = time.perf_counter()
     geom = lat.LatticeGeometry(1, 6, 0.7, boundary="open")
@@ -91,9 +103,10 @@ def test_criterion_4_normal_ordering_shifts_only_the_scalar():
     for _ in range(50):
         def rand_obs():  # the symmetric part of a random dense 2M x 2M quad
             q = rng.standard_normal((2 * m, 2 * m))
+            phi, pi = (0.5 * (x + x.T) for x in (q[:m, :m], q[m:, m:]))
             coupling = 0.5 * (q[m:, :m] + q[:m, m:].T)
             return lat.QuadraticObservable(
-                m, q[:m, :m], coupling, q[m:, m:], rng.standard_normal(2 * m),
+                m, *map(_dense_block, (phi, coupling, pi)), rng.standard_normal(2 * m),
                 float(rng.standard_normal()),
             )
         a, b = rand_obs(), rand_obs()

@@ -3,6 +3,10 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +14,8 @@ from platevac import adiabatic as ad
 from platevac import algebra as alg
 from platevac import casimir as cas
 from platevac.cli import main, parse_options
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def _read(path):
@@ -261,6 +267,24 @@ def test_algebra_verify_contradiction_demo(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "lower bound" in out
     assert "PASS" in out
+
+
+def test_contradiction_demo_at_the_site_cap_stays_small(tmp_path):
+    # the vacuum keeps no M x M covariance block (134 MB each at 4096 sites):
+    # a fresh process running the demo at the cap peaks below 100 MB of RSS
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    argv = ["algebra-verify", "--demo", "contradiction", "--closure-size", "4096",
+            "--outdir", str(tmp_path)]
+    # a wrapper process, so that RUSAGE_CHILDREN holds this one run alone
+    wrapper = ("import resource, subprocess, sys\n"
+               "run = subprocess.run([sys.executable, '-m', 'platevac.cli', *sys.argv[1:]],"
+               " stdout=subprocess.DEVNULL)\n"
+               "print(run.returncode, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)")
+    out = subprocess.run([sys.executable, "-c", wrapper, *argv], env=env, check=True,
+                         capture_output=True, text=True).stdout.split()
+    assert out[0] == "0"
+    assert int(out[1]) * 1024 < 100e6  # ru_maxrss counts KiB on Linux
 
 
 def test_contradiction_demo_fail_exits_3(tmp_path, capsys):

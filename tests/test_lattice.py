@@ -9,12 +9,30 @@ import pytest
 from platevac import lattice as lat
 
 
+def _block(x):
+    """The DiagonalBlock of a dense M x M matrix: its nonzero diagonals, None if it has none."""
+    x = np.asarray(x, dtype=float)
+    m = x.shape[0]
+    offsets = np.arange(1 - m, m)
+    cols = np.arange(m) + offsets[:, None]
+    data = np.where((cols >= 0) & (cols < m), x[np.arange(m), np.clip(cols, 0, m - 1)], 0.0)
+    keep = data.any(axis=1)
+    return lat.DiagonalBlock(offsets[keep], data[keep]) if keep.any() else None
+
+
+def _sym_block(x):
+    """The DiagonalBlock of the symmetric part of a dense M x M matrix."""
+    x = np.asarray(x, dtype=float)
+    return _block(0.5 * (x + x.T))
+
+
 def _from_dense(q, lin=None, scalar=0.0):
     """The observable whose Q is the symmetric part of the dense 2M x 2M matrix q."""
     q = np.asarray(q, dtype=float)
     m = q.shape[0] // 2
-    coupling = 0.5 * (q[m:, :m] + q[:m, m:].T)
-    return lat.QuadraticObservable(m, q[:m, :m], coupling, q[m:, m:], lin, scalar)
+    coupling = _block(0.5 * (q[m:, :m] + q[:m, m:].T))
+    return lat.QuadraticObservable(m, _sym_block(q[:m, :m]), coupling, _sym_block(q[m:, m:]),
+                                   lin, scalar)
 
 
 def _rand_obs(rng, n_modes, with_lin=True):
@@ -37,9 +55,16 @@ def _block_diag(top, bottom):
     return out
 
 
+def _sigma(basis, block):
+    """The dense covariance block Sigma_phi or Sigma_pi, evaluated on every diagonal."""
+    m = basis.n_modes
+    offsets = np.arange(1 - m, m)
+    return lat.DiagonalBlock(offsets, basis.covariance(block, offsets)).dense()
+
+
 def _covariance(basis):
-    """The dense vacuum covariance Sigma = diag(covariance_phi, covariance_pi)."""
-    return _block_diag(basis.covariance_phi, basis.covariance_pi)
+    """The dense vacuum covariance Sigma = diag(Sigma_phi, Sigma_pi)."""
+    return _block_diag(_sigma(basis, "phi"), _sigma(basis, "pi"))
 
 
 def _dense_commutator(a, b):
@@ -106,21 +131,29 @@ def test_centered_coordinate_sums_to_zero():
 
 def test_quad_symmetrized_and_readonly():
     upper = np.array([[1.0, 2.0], [0.0, 3.0]])
-    obs = lat.QuadraticObservable(2, phi=upper, coupling=upper, pi=-upper)
+    obs = lat.QuadraticObservable(2, phi=_sym_block(upper), coupling=_block(upper),
+                                  pi=_sym_block(-upper))
     assert np.array_equal(_phi(obs), np.array([[1.0, 1.0], [1.0, 3.0]]))
     assert np.array_equal(_pi(obs), -_phi(obs))
     assert np.array_equal(_coupling(obs), upper)  # the coupling is not symmetrized
     assert np.array_equal(obs.lin, np.zeros(4)) and obs.scalar == 0.0
-    assert lat.QuadraticObservable(2, phi=np.zeros((2, 2))).phi is None
+    assert _block(np.zeros((2, 2))) is None
     views = [obs.quad, obs.lin] + [x for block in obs.blocks for x in (block.offsets, block.data)]
     for view in views:
         with pytest.raises(ValueError):
             view[0, ...] = 5.0
-    with pytest.raises(ValueError, match="lin length"):
-        lat.QuadraticObservable(1, lin=[1.0, 2.0, 3.0])
+    # an observable rebuilds from another's blocks, lin and scalar
+    lin = np.arange(4.0)
+    again = lat.QuadraticObservable(2, *obs.blocks, lin, 0.3)
+    assert again.blocks == obs.blocks and np.array_equal(again.quad, obs.quad)
+    assert np.array_equal(again.lin, lin) and again.scalar == 0.3
+    for bad in ([1.0, 2.0, 3.0], np.zeros(4), np.zeros((1, 2))):
+        with pytest.raises(ValueError, match="lin length"):
+            lat.QuadraticObservable(1, lin=bad)
     for block in ("phi", "coupling", "pi"):
-        with pytest.raises(ValueError, match="M x M"):
-            lat.QuadraticObservable(2, **{block: np.eye(3)})
+        for bad in (np.eye(2), np.eye(3), _block(np.eye(3)), [[1.0, 0.0], [0.0, 1.0]]):
+            with pytest.raises(ValueError, match="M x M"):
+                lat.QuadraticObservable(2, **{block: bad})
 
 
 def test_observable_arithmetic():
@@ -138,8 +171,8 @@ def test_observable_arithmetic():
 
 def test_commutator_canonical_pair_examples():
     # A = q^2/2, B = p^2/2 on one pair: (1/i)[A, B] = (qp + pq)/2
-    q2 = lat.QuadraticObservable(1, phi=[[1.0]])
-    p2 = lat.QuadraticObservable(1, pi=[[1.0]])
+    q2 = lat.QuadraticObservable(1, phi=_block([[1.0]]))
+    p2 = lat.QuadraticObservable(1, pi=_block([[1.0]]))
     c = lat.commutator(q2, p2)
     assert np.array_equal(c.quad, np.array([[0.0, 1.0], [1.0, 0.0]]))
     assert c.scalar == 0.0
@@ -221,7 +254,7 @@ def test_commutator_of_generators_matches_explicit_omega():
     p = lat.normal_ordered(lat.build_momentum(g, 0), basis)
     k0 = lat.build_boost(g, 0, 0.0, 1.0)
     kt = lat.build_boost(g, 0, 0.7, 1.0)
-    shifted = lat.QuadraticObservable(g.n_sites, _phi(kt), _coupling(kt), _pi(kt),
+    shifted = lat.QuadraticObservable(g.n_sites, *kt.blocks,
                                       np.linspace(-1.0, 1.0, 2 * g.n_sites), 0.3)
     obs = (h, p, k0, kt, shifted)
     for a in obs:
@@ -368,9 +401,11 @@ def test_dense_views_read_only_and_cached():
     g = lat.LatticeGeometry(1, 6, 0.5)
     h = lat.build_hamiltonian(g, 1.0)
     basis = lat.build_mode_basis(g, 1.0)
-    for view in (h.quad, basis.frequencies, basis.covariance_phi, basis.covariance_pi):
+    for view in (h.quad, basis.frequencies, basis.cosine_phi, basis.cosine_pi):
         with pytest.raises(ValueError):
             view[0, ...] = 1.0
+    # a basis compares and hashes by identity, as an observable does
+    assert basis == basis and len({basis, lat.build_mode_basis(g, 1.0)}) == 2
     assert h.quad is h.quad
     assert h.coupling is None and np.array_equal(_pi(h), np.eye(6))
     assert np.array_equal(_phi(h), h.phi.dense()) and np.array_equal(_pi(h), h.pi.dense())
@@ -405,10 +440,6 @@ def _on_diagonals(rng, m, offsets):
     return x
 
 
-def _as_block(x):
-    return lat.QuadraticObservable(x.shape[0], coupling=x).coupling
-
-
 def _dense_block(block, m):
     return np.zeros((m, m)) if block is None else block.dense()
 
@@ -423,19 +454,18 @@ def test_diagonal_blocks_match_dense_matrices(m):
         _on_diagonals(rng, m, [1 - m, 0, m - 1]),  # the wrap offsets of a ring
     ]
     for x in dense:
-        b = _as_block(x)
+        b = _block(x)
         rows, cols = np.nonzero(x)
         assert b.offsets.tolist() == sorted(set((cols - rows).tolist()))
         assert np.array_equal(b.dense(), x) and np.array_equal(b.T.dense(), x.T)
         assert np.array_equal((-b).dense(), -x)
-        v, s = rng.standard_normal(m), rng.standard_normal((m, m))
+        v = rng.standard_normal(m)
         assert np.array_equal(b.scaled(v).dense(), v[:, None] * x)
         assert np.abs(b.dot(v) - x @ v).max() <= 1e-14 * np.abs(x).sum() * np.abs(v).max()
-        assert abs(b.contract(s) - np.sum(x * s)) <= 1e-14 * np.abs(x * s).sum()
         square = b @ b
         assert b - b is None and (square is None or square - b @ b is None)  # exact cancellation
         for y in dense:
-            c = _as_block(y)
+            c = _block(y)
             assert np.array_equal(_dense_block(b + c, m), x + y)
             assert np.array_equal(_dense_block(b - c, m), x - y)
             got = b @ c
@@ -444,9 +474,9 @@ def test_diagonal_blocks_match_dense_matrices(m):
             scale = np.abs(x).max() * np.abs(y).max() * m
             assert np.abs(got - x @ y).max() <= 1e-14 * scale
     if m > 1:
-        corner = _as_block(dense[1])
+        corner = _block(dense[1])
         assert corner @ corner is None  # offset 2M - 2 leaves the matrix
-        assert (corner @ _as_block(dense[2])).offsets.tolist() == [m - 2, m - 1]  # M dropped
+        assert (corner @ _block(dense[2])).offsets.tolist() == [m - 2, m - 1]  # M dropped
 
 
 def _generators(geom):
@@ -590,8 +620,8 @@ def test_closed_form_mode_basis_matches_dense_eigh(monkeypatch, dims, n, boundar
     sigma_pi = 0.5 * ((u * omega) @ u.T)
     trace = 0.5 * (float(np.sum(_phi(h) * sigma_phi)) + float(np.trace(sigma_pi)))
     assert abs(lat.vacuum_expectation(h, basis) - trace) <= 1e-14 * trace
-    for got, want in ((basis.covariance_phi, sigma_phi), (basis.covariance_pi, sigma_pi)):
-        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    for block, want in (("phi", sigma_phi), ("pi", sigma_pi)):
+        assert np.abs(_sigma(basis, block) - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_mode_basis_symplectic_and_energy():
@@ -631,19 +661,27 @@ def test_lattice_vacua_need_no_eigh(monkeypatch):
         assert basis.n_modes == 64 and basis.frequencies[0] == 1.0
 
 
+def _peak_bytes(run):
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_vacuum_expectation_makes_no_block_temporary():
-    # one contraction per block: at N = 640 one M x M block is 3.3 MB, and the
-    # call allocates none
+    # Sigma is read on the stored diagonals only: at N = 640 one M x M block
+    # is 3.3 MB, and the call allocates none
     g = lat.LatticeGeometry(1, 640, 8.0 / 640, "open")
     h = lat.build_hamiltonian(g, 1.0)
     basis = lat.build_mode_basis(g, 1.0)
-    tracemalloc.start()
-    try:
-        lat.vacuum_expectation(h, basis)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1_000_000
+    assert _peak_bytes(lambda: lat.vacuum_expectation(h, basis)) < 1_000_000
+    # the vacuum itself keeps no M x M block either: at the 4096-site cap one
+    # is 134 MB, and building the vacuum and reading E(L) stays below 5 MB
+    g = lat.LatticeGeometry(2, 64, 8.0 / 64, "open")
+    h = lat.build_hamiltonian(g, 1.0)
+    assert _peak_bytes(lambda: lat.vacuum_expectation(h, lat.build_mode_basis(g, 1.0))) < 5_000_000
 
 
 def test_negative_mass_rejected():
