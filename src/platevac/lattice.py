@@ -14,13 +14,14 @@ its three M x M blocks,
 
 with phi and pi symmetric and C the pi-phi coupling. Each block is a
 `DiagonalBlock`: a sorted offset array and one row per offset, row i of
-diagonal o holding entry (i, i + o); an all-zero diagonal is dropped and
-an all-zero block is None. Every generator is a nearest-neighbor stencil,
-so a block holds 3 diagonals in 1-d and about 9 in 2-d (the wrap bonds of
-a periodic axis sit at offsets +-(N - 1) and +-(M - N)). The builders fill
-the diagonals from the bond index arrays, with no dense M x M array. A
-product of blocks with k_A and k_B diagonals costs O(M k_A k_B); sums,
-differences and transposes merge or shift offset arrays. The dense
+diagonal o holding entry (i, i + o); an all-zero diagonal is dropped, so
+the all-zero block is the empty block, which stores none and is false.
+Every generator is a nearest-neighbor stencil, so a block holds 3
+diagonals in 1-d and about 9 in 2-d (the wrap bonds of a periodic axis
+sit at offsets +-(N - 1) and +-(M - N)). The builders fill the diagonals
+from the bond index arrays, with no dense M x M array. A product of
+blocks with k_A and k_B diagonals costs O(M k_A k_B); sums, differences
+and transposes merge or shift offset arrays. The dense
 2M x 2M matrix `quad` is a read-only view built on first access; no
 computation here reads it.
 
@@ -32,11 +33,11 @@ quadratic with real coefficients:
     scalar = lin_A^T omega lin_B
 
 Omega is never built. With X = Q_A omega Q_B, block (i, j) of X is
-A_i0 B_1j - A_i1 B_0j, products against a None block are skipped, and the
-second quad term is -X^T because both Q are symmetric; so the result has
+A_i0 B_1j - A_i1 B_0j, a product with an empty block is empty at once, and
+the second quad term is -X^T because both Q are symmetric; so the result has
 phi = X_00 + X_00^T, pi = X_11 + X_11^T and C = X_10 + X_01^T. Diagonals
 that cancel exactly are dropped, so a residual that vanishes exactly is a
-quad of None blocks.
+quad of empty blocks.
 
 Input scalar slots never contribute (constants commute), so a commutator of
 two pure Weyl quadratics carries no central term; central scalars only enter
@@ -56,7 +57,7 @@ blocks as banded matrix-vector products. `spectral_norm` works from the
 blocks of its quad, the largest |eigenvalue| of phi and pi, the top
 singular value of a lone coupling block, or the largest |eigenvalue| of the
 whole matrix when both kinds are present; only the matrix that eigvalsh or
-svd reads is made dense, and a None block is 0 without a solve.
+svd reads is made dense, and an empty block is 0 without a solve.
 
 Sites are laid out once, by `_grid`: the N^dims sites in the C order of an
 N x ... x N array, so site (i, j) is i * N + j. Bonds, difference stencils,
@@ -73,11 +74,10 @@ Hamiltonian's stencil by the site coordinate, each bond at its midpoint.
 
 from __future__ import annotations
 
-import copy
 import math
 import operator
-from dataclasses import dataclass
-from functools import cached_property, reduce
+from dataclasses import dataclass, replace
+from functools import cache, cached_property, reduce
 from itertools import product
 
 import numpy as np
@@ -169,10 +169,12 @@ class DiagonalBlock:
 
     `offsets` is sorted; row i of `data[d]` holds the entry (i, i + offsets[d]),
     and the entries that fall outside the matrix are zero. `_diagonals` drops
-    every all-zero diagonal and gives None for a block with none left, so a
-    stored diagonal has a nonzero entry; every operation here keeps that.
-    Blocks come from the builders and the operations below; the constructor
-    itself checks none of these conditions.
+    every all-zero diagonal, so a stored diagonal has a nonzero entry; every
+    operation here keeps that. The all-zero block stores no diagonal (offsets
+    of shape (0,), data of shape (0, M)) and is false; `@`, `+`, `-` and `.T`
+    return at once when an operand is empty. Blocks come from the builders
+    and the operations below; the constructor itself checks none of these
+    conditions.
     """
 
     offsets: np.ndarray
@@ -186,6 +188,9 @@ class DiagonalBlock:
     def size(self) -> int:
         return self.data.shape[1]
 
+    def __bool__(self) -> bool:
+        return self.offsets.size > 0
+
     def dense(self, out: np.ndarray | None = None) -> np.ndarray:
         """The M x M matrix, written into the zero array `out` when given."""
         m = self.size
@@ -197,6 +202,8 @@ class DiagonalBlock:
 
     @property
     def T(self) -> "DiagonalBlock":
+        if not self:
+            return self
         m, k = self.size, self.offsets.size
         offsets = -self.offsets[::-1]
         # entry (i, i - o) of the transpose is entry (i - o, i): row i - o of diagonal o
@@ -211,14 +218,18 @@ class DiagonalBlock:
         gathered = vec.take(_columns(self.offsets, self.size), axis=-1, mode="clip")
         return (self.data * gathered).sum(-2)
 
-    def scaled(self, factor) -> "DiagonalBlock | None":
+    def scaled(self, factor) -> "DiagonalBlock":
         """diag(factor) @ B for a length-M factor; a scalar factor scales every entry."""
         return _diagonals(self.offsets, self.data * factor)
 
     def __neg__(self) -> "DiagonalBlock":
         return DiagonalBlock(self.offsets, -self.data)
 
-    def _merge(self, other: "DiagonalBlock", op) -> "DiagonalBlock | None":
+    def _merge(self, other: "DiagonalBlock", op) -> "DiagonalBlock":
+        if not other:
+            return self
+        if not self:
+            return other if op is operator.add else -other
         offsets = np.union1d(self.offsets, other.offsets)
         data = np.zeros((offsets.size, self.size))
         data[np.searchsorted(offsets, self.offsets)] = self.data
@@ -226,18 +237,20 @@ class DiagonalBlock:
         data[mine] = op(data[mine], other.data)
         return _diagonals(offsets, data)
 
-    def __add__(self, other: "DiagonalBlock") -> "DiagonalBlock | None":
+    def __add__(self, other: "DiagonalBlock") -> "DiagonalBlock":
         return self._merge(other, operator.add)
 
-    def __sub__(self, other: "DiagonalBlock") -> "DiagonalBlock | None":
+    def __sub__(self, other: "DiagonalBlock") -> "DiagonalBlock":
         return self._merge(other, operator.sub)
 
-    def __matmul__(self, other: "DiagonalBlock") -> "DiagonalBlock | None":
+    def __matmul__(self, other: "DiagonalBlock") -> "DiagonalBlock":
         """The product: entry (i, i + p + q) gathers A(i, i + p) B(i + p, i + p + q).
 
         One gather makes every diagonal pair's row products, and one
         bincount adds each pair's row into the diagonal p + q, pairs in order.
         """
+        if not (self and other):
+            return _zero(self.size)
         m = self.size
         # rows of B at l = i + p; where l leaves [0, M), A's entry is zero
         gathered = other.data.take(_columns(self.offsets, m), axis=1, mode="clip")
@@ -248,57 +261,44 @@ class DiagonalBlock:
         return _diagonals(offsets, data.reshape(offsets.size, m))
 
 
-def _diagonals(offsets: np.ndarray, data: np.ndarray) -> DiagonalBlock | None:
+def _diagonals(offsets: np.ndarray, data: np.ndarray) -> DiagonalBlock:
     """The block of these diagonals without the all-zero ones, such as any with |offset| >= M."""
     keep = data.any(axis=1)
-    if not keep.any():
-        return None
     return DiagonalBlock(offsets, data) if keep.all() else DiagonalBlock(offsets[keep], data[keep])
 
 
-def _diagonal(values: np.ndarray) -> DiagonalBlock | None:
+@cache
+def _zero(m: int) -> DiagonalBlock:
+    """The all-zero M x M block."""
+    return DiagonalBlock(np.zeros(0, np.int64), np.zeros((0, m)))
+
+
+def _diagonal(values: np.ndarray) -> DiagonalBlock:
     """diag(values) as a block."""
     return _diagonals(np.zeros(1, np.int64), values[None])
 
 
-def _from_cells(m: int, cells, add: bool = False) -> DiagonalBlock | None:
-    """The M x M block with entry (rows, cols) = values, for (rows, cols, values) groups.
+def _from_cells(m: int, cells) -> DiagonalBlock:
+    """The M x M block that adds each value into its cell, for (rows, cols, values) groups.
 
-    Groups are written in order, and a later one overwrites a cell an
-    earlier one wrote; with `add` every value is added instead, in order.
+    The three arrays of a group have one shape. One pass over every group,
+    in order, as np.add.at into zeros would add.
     """
-    cells = [tuple(map(np.ravel, group)) for group in cells]  # a value may be one scalar
+    cells = [tuple(map(np.ravel, group)) for group in cells]
     offsets = np.unique(np.concatenate([cols - rows for rows, cols, _ in cells]))
-    flat = [np.searchsorted(offsets, cols - rows) * m + rows for rows, cols, _ in cells]
-    if add:  # one pass over every group, in order, as np.add.at into zeros would add
-        data = np.bincount(np.concatenate(flat), np.concatenate([v for *_, v in cells]),
-                           offsets.size * m)
-    else:
-        data = np.zeros(offsets.size * m)
-        for at, (_, _, values) in zip(flat, cells):
-            data[at] = values
+    flat = np.concatenate([np.searchsorted(offsets, cols - rows) * m + rows
+                           for rows, cols, _ in cells])
+    data = np.bincount(flat, np.concatenate([v for *_, v in cells]), offsets.size * m)
     return _diagonals(offsets, data.reshape(offsets.size, m))
 
 
-def _blockwise(op, x, y):
-    """op(x, y) for blocks, None standing for an all-zero block."""
-    if x is None or y is None:
-        return x if y is None else (y if op is operator.add else -y)
-    return op(x, y)
-
-
-def _transpose(x):
-    return None if x is None else x.T
-
-
 def _dense_quad(obs: "QuadraticObservable") -> np.ndarray:
-    """The dense 2M x 2M matrix Q, None blocks as zeros."""
+    """The dense 2M x 2M matrix Q."""
     m = obs.n_modes
     out = np.zeros((2 * m, 2 * m))
     views = out[:m, :m], out[m:, :m], out[m:, m:]
     for block, view in zip(obs.blocks, views):
-        if block is not None:
-            block.dense(view)
+        block.dense(view)
     out[:m, m:] = out[m:, :m].T
     return out
 
@@ -307,10 +307,11 @@ def _dense_quad(obs: "QuadraticObservable") -> np.ndarray:
 class QuadraticObservable:
     """O = 1/2 xi^T Q xi + lin^T xi + scalar, Q = [[phi, C^T], [C, pi]] symmetric (Weyl order).
 
-    Each block is an M x M `DiagonalBlock`, or None for an all-zero block;
-    phi and pi must be symmetric, which is taken on trust (the builders,
-    `commutator`, `+` and `-` make them so). A None `lin` is the zero
-    vector. Any other block, or a `lin` not of length 2M, is a ValueError.
+    Each block is an M x M `DiagonalBlock`; an omitted (None) block is stored
+    as the empty one. phi and pi must be symmetric, which is taken on trust
+    (the builders, `commutator`, `+` and `-` make them so). A None `lin` is
+    the zero vector. Any other block, or a `lin` not of length 2M, is a
+    ValueError.
     """
 
     n_modes: int
@@ -322,8 +323,10 @@ class QuadraticObservable:
 
     def __post_init__(self):
         m = self.n_modes
-        for block in self.blocks:
-            if block is not None and not (isinstance(block, DiagonalBlock) and block.size == m):
+        for name, block in zip(("phi", "coupling", "pi"), self.blocks):
+            if block is None:
+                object.__setattr__(self, name, _zero(m))
+            elif not (isinstance(block, DiagonalBlock) and block.size == m):
                 raise ValueError("quad blocks must be M x M DiagonalBlocks or None")
         lin = np.zeros(2 * m) if self.lin is None else np.asarray(self.lin, dtype=float)
         if lin.shape != (2 * m,):
@@ -337,17 +340,15 @@ class QuadraticObservable:
 
     @cached_property
     def quad(self) -> np.ndarray:
-        """Read-only dense 2M x 2M view of Q, None blocks as zeros, built on first access."""
+        """Read-only dense 2M x 2M view of Q, built on first access."""
         return _readonly(_dense_quad(self))
 
     def shifted(self, delta_scalar: float) -> "QuadraticObservable":
-        out = copy.copy(self)  # the blocks are read-only, so the copy shares them
-        object.__setattr__(out, "scalar", float(self.scalar + delta_scalar))
-        return out
+        return replace(self, scalar=self.scalar + delta_scalar)  # shares the read-only blocks
 
     def _combine(self, other: "QuadraticObservable", op) -> "QuadraticObservable":
         m = _same_modes(self, other)
-        blocks = [_blockwise(op, x, y) for x, y in zip(self.blocks, other.blocks)]
+        blocks = [op(x, y) for x, y in zip(self.blocks, other.blocks)]
         return QuadraticObservable(m, *blocks, op(self.lin, other.lin),
                                    op(self.scalar, other.scalar))
 
@@ -400,19 +401,21 @@ def _potential_matrix(geom: LatticeGeometry, mass: float, weight: np.ndarray) ->
     cols = np.stack([u, w, w, u], axis=1)
     sites = np.arange(geom.n_sites)
     return _from_cells(geom.n_sites, [(sites, sites, (mass * mass) * weight),
-                                      (rows, cols, np.stack([bond, bond, -bond, -bond], axis=1))],
-                       add=True)
+                                      (rows, cols, np.stack([bond, bond, -bond, -bond], axis=1))])
 
 
 def _difference_matrix(geom: LatticeGeometry, direction: int) -> DiagonalBlock:
     """Centered difference along `direction`, one-sided at the edges of an open lattice."""
     u, v = _bonds(geom, direction)
-    cells = [(u, v, 1.0 / (2.0 * geom.spacing)), (v, u, -1.0 / (2.0 * geom.spacing))]
+    step = 1.0 / (2.0 * geom.spacing)
+    cells = [(u, v, np.full(u.shape, step)), (v, u, np.full(u.shape, -step))]
+    # an open edge row adds a half step to its bond, one-sided: 2 * step is
+    # exactly fl(1/a) while step is a normal float (a below about 2e307)
     if geom.boundary == "open":
         layer = np.moveaxis(_grid(geom), direction, 0)  # layer[k]: the sites k steps in
-        edge = 1.0 / geom.spacing
-        cells += [(layer[0], layer[1], edge), (layer[-1], layer[-1], edge),
-                  (layer[0], layer[0], -edge), (layer[-1], layer[-2], -edge)]
+        half = np.full(layer[0].shape, step)
+        cells += [(layer[0], layer[1], half), (layer[-1], layer[-1], 2 * half),
+                  (layer[0], layer[0], -2 * half), (layer[-1], layer[-2], -half)]
     return _from_cells(geom.n_sites, cells)
 
 
@@ -506,8 +509,7 @@ def build_rotation(geom: LatticeGeometry) -> QuadraticObservable:
         raise ValueError("rotation generator needs dims = 2")
     x1 = geom.centered_coordinate(0)
     x2 = geom.centered_coordinate(1)
-    b = _blockwise(operator.sub, _difference_matrix(geom, 1).scaled(x1),
-                   _difference_matrix(geom, 0).scaled(x2))
+    b = _difference_matrix(geom, 1).scaled(x1) - _difference_matrix(geom, 0).scaled(x2)
     return QuadraticObservable(geom.n_sites, coupling=b)
 
 
@@ -625,10 +627,10 @@ def vacuum_expectation(obs: QuadraticObservable, basis: ModeBasis) -> float:
         raise ValueError("observable and basis dimensions differ")
     # Sigma is symmetric and block-diagonal, so tr(Q Sigma) is the
     # elementwise contraction of phi and pi with their covariance blocks,
-    # read on the stored diagonals
+    # read on the stored diagonals; an empty block adds nothing
     pairs = (("phi", obs.phi), ("pi", obs.pi))
     return 0.5 * sum(float(np.vdot(q.data, basis.covariance(name, q.offsets)))
-                     for name, q in pairs if q is not None) + obs.scalar
+                     for name, q in pairs if q) + obs.scalar
 
 
 def normal_ordered(obs: QuadraticObservable, basis: ModeBasis) -> QuadraticObservable:
@@ -640,28 +642,13 @@ def normal_ordered(obs: QuadraticObservable, basis: ModeBasis) -> QuadraticObser
 # commutators
 
 
-def _product_difference(p, q, r, s):
-    """p @ q - r @ s, skipping a product with a None (all-zero) factor."""
-    first = None if p is None or q is None else p @ q
-    second = None if r is None or s is None else r @ s
-    return _blockwise(operator.sub, first, second)
-
-
 def _quad_apply(obs: QuadraticObservable, vec: np.ndarray) -> np.ndarray:
     """Q v from the blocks, (phi v_phi + C^T v_pi, C v_phi + pi v_pi), along vec's last axis."""
-    m = obs.n_modes
-    out = np.zeros(vec.shape)
     if not vec.any():  # the zero lin of every generator: no block to read
-        return out
-    phi, pi = (..., slice(m)), (..., slice(m, None))
-    if obs.phi is not None:
-        out[phi] += obs.phi.dot(vec[phi])
-    if obs.coupling is not None:
-        out[phi] += obs.coupling.T.dot(vec[pi])
-        out[pi] += obs.coupling.dot(vec[phi])
-    if obs.pi is not None:
-        out[pi] += obs.pi.dot(vec[pi])
-    return out
+        return np.zeros(vec.shape)
+    v_phi, v_pi = vec[..., :obs.n_modes], vec[..., obs.n_modes:]
+    return np.concatenate([obs.phi.dot(v_phi) + obs.coupling.T.dot(v_pi),
+                           obs.coupling.dot(v_phi) + obs.pi.dot(v_pi)], axis=-1)
 
 
 def commutator(a: QuadraticObservable, b: QuadraticObservable) -> QuadraticObservable:
@@ -672,13 +659,13 @@ def commutator(a: QuadraticObservable, b: QuadraticObservable) -> QuadraticObser
     Q_B omega Q_A = -(Q_A omega Q_B)^T, so one block product X gives the quad.
     """
     m = _same_modes(a, b)
-    ca, cb = _transpose(a.coupling), _transpose(b.coupling)
+    ca, cb = a.coupling.T, b.coupling.T
     # X = Q_A omega Q_B, block (i, j) = A_i0 B_1j - A_i1 B_0j, where
     # Q_00 = phi, Q_01 = C^T, Q_10 = C and Q_11 = pi
-    x00 = _product_difference(a.phi, b.coupling, ca, b.phi)
-    x01 = _product_difference(a.phi, b.pi, ca, cb)
-    x10 = _product_difference(a.coupling, b.coupling, a.pi, b.phi)
-    x11 = _product_difference(a.coupling, b.pi, a.pi, cb)
+    x00 = a.phi @ b.coupling - ca @ b.phi
+    x01 = a.phi @ b.pi - ca @ cb
+    x10 = a.coupling @ b.coupling - a.pi @ b.phi
+    x11 = a.coupling @ b.pi - a.pi @ cb
 
     def omega(vec):  # omega v = (v_pi, -v_phi)
         return np.concatenate([vec[m:], -vec[:m]])
@@ -686,7 +673,7 @@ def commutator(a: QuadraticObservable, b: QuadraticObservable) -> QuadraticObser
     lin = _quad_apply(a, omega(b.lin)) - _quad_apply(b, omega(a.lin))
     scalar = float(a.lin[:m] @ b.lin[m:] - a.lin[m:] @ b.lin[:m])
     pairs = ((x00, x00), (x10, x01), (x11, x11))  # phi, C, pi of X + X^T
-    quad = [_blockwise(operator.add, x, _transpose(y)) for x, y in pairs]
+    quad = [x + y.T for x, y in pairs]
     return QuadraticObservable(m, *quad, lin, scalar)
 
 
@@ -702,10 +689,9 @@ def spectral_norm(obs: QuadraticObservable) -> float:
     Otherwise: the largest |eigenvalue| of the whole matrix.
     Only the matrix a solver reads is made dense; an all-zero block is 0.
     """
-    if obs.coupling is None:
-        return max((_max_abs_eigenvalue(b.dense()) for b in (obs.phi, obs.pi) if b is not None),
-                   default=0.0)
-    if obs.phi is None and obs.pi is None:
+    if not obs.coupling:
+        return max((_max_abs_eigenvalue(b.dense()) for b in (obs.phi, obs.pi) if b), default=0.0)
+    if not (obs.phi or obs.pi):
         return float(np.linalg.svd(obs.coupling.dense(), compute_uv=False)[0])
     return _max_abs_eigenvalue(_dense_quad(obs))
 
@@ -787,21 +773,19 @@ def bulk_residual_norm(residual: QuadraticObservable, geom: LatticeGeometry) -> 
     return worst
 
 
-def _masked_operator_norm(obs: QuadraticObservable, geom: LatticeGeometry) -> float:
-    """Spectral norm of Q restricted to the bulk sites, in both the phi and the pi half."""
+def _bulk_restriction(obs: QuadraticObservable, geom: LatticeGeometry) -> QuadraticObservable:
+    """The quad Q restricted to the bulk sites, in both the phi and the pi half."""
     keep = _bulk_sites(geom)
     position = np.full(geom.n_sites + 1, -1)  # bulk index of each site; -1 off the bulk
     position[keep] = np.arange(keep.size)
 
     def restrict(block):  # block[keep][:, keep], made from the stored diagonals
-        if block is None:
-            return None
         cols = keep + block.offsets[:, None]
         sub = position[np.where((cols >= 0) & (cols < geom.n_sites), cols, -1)]
         hit = sub >= 0
         return _from_cells(keep.size, [(np.nonzero(hit)[1], sub[hit], block.data[:, keep][hit])])
 
-    return spectral_norm(QuadraticObservable(keep.size, *map(restrict, obs.blocks)))
+    return QuadraticObservable(keep.size, *map(restrict, obs.blocks))
 
 
 def _check_spacings(spacings) -> None:
@@ -940,7 +924,7 @@ def verify_poincare_closure(geom: LatticeGeometry, mass: float) -> dict:
         out["P1,P2"] = spectral_norm(commutator(momenta[0], momenta[1]))
         rot = build_rotation(geom)
         comm_jh = commutator(rot, h)
-        out["J,H bulk"] = _masked_operator_norm(comm_jh, geom)
+        out["J,H bulk"] = spectral_norm(_bulk_restriction(comm_jh, geom))
         out["J,H full"] = spectral_norm(comm_jh)
     return out
 

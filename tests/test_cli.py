@@ -120,6 +120,22 @@ def test_cocycle_selftest_deterministic(tmp_path):
     assert report["selftest"] == {"trials": 25, "failures": 0}
 
 
+def test_cocycle_condition_checked_once_per_cocycle(tmp_path, monkeypatch):
+    # coboundary_solve checks the cocycle condition itself; the report's
+    # residual is computed again only for a non-cocycle, which it refuses
+    calls = []
+    check = alg.cocycle_check
+    monkeypatch.setattr(alg, "cocycle_check", lambda *a: calls.append(a) or check(*a))
+    base = ["cocycle", "--builtin", "poincare21", "--outdir", str(tmp_path)]
+    for extra, want in ((["--charges", "1,2,3"], 1), (["--selftest", "5"], 5),
+                        (["--charges-raw", "H,P1=1"], 2)):
+        calls.clear()
+        assert main([*base, *extra]) == 0
+        assert len(calls) == want, extra
+    report = json.loads(_read(tmp_path / "cocycle_report.json"))
+    assert report["cocycle_residual"] == "1/1" and report["feasible"] is None
+
+
 def test_cocycle_input_errors(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("basis H P1\nf H P1 H 1 0\n")

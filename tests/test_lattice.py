@@ -10,14 +10,14 @@ from platevac import lattice as lat
 
 
 def _block(x):
-    """The DiagonalBlock of a dense M x M matrix: its nonzero diagonals, None if it has none."""
+    """The DiagonalBlock of a dense M x M matrix: its nonzero diagonals, empty if it has none."""
     x = np.asarray(x, dtype=float)
     m = x.shape[0]
     offsets = np.arange(1 - m, m)
     cols = np.arange(m) + offsets[:, None]
     data = np.where((cols >= 0) & (cols < m), x[np.arange(m), np.clip(cols, 0, m - 1)], 0.0)
     keep = data.any(axis=1)
-    return lat.DiagonalBlock(offsets[keep], data[keep]) if keep.any() else None
+    return lat.DiagonalBlock(offsets[keep], data[keep])
 
 
 def _sym_block(x):
@@ -46,6 +46,11 @@ def _omega(n_modes):
     eye = np.eye(n_modes)
     zero = np.zeros((n_modes, n_modes))
     return np.block([[zero, eye], [-eye, zero]])
+
+
+def _all_blocks(obs, size):
+    """Whether every block of `obs` is a size x size DiagonalBlock."""
+    return all(isinstance(x, lat.DiagonalBlock) and x.size == size for x in obs.blocks)
 
 
 def _block_diag(top, bottom):
@@ -137,7 +142,8 @@ def test_quad_symmetrized_and_readonly():
     assert np.array_equal(_pi(obs), -_phi(obs))
     assert np.array_equal(_coupling(obs), upper)  # the coupling is not symmetrized
     assert np.array_equal(obs.lin, np.zeros(4)) and obs.scalar == 0.0
-    assert _block(np.zeros((2, 2))) is None
+    zero = _block(np.zeros((2, 2)))
+    assert not zero and zero.offsets.shape == (0,) and zero.data.shape == (0, 2)
     views = [obs.quad, obs.lin] + [x for block in obs.blocks for x in (block.offsets, block.data)]
     for view in views:
         with pytest.raises(ValueError):
@@ -371,7 +377,7 @@ def test_zero_block_patterns_match_dense_oracles(m):
     for pattern, on in _PATTERNS.items():
         q = _pattern_quad(rng, m, pattern)
         a = _from_dense(q, rng.standard_normal(2 * m), rng.standard_normal())
-        assert [x is not None for x in (a.phi, a.coupling, a.pi)] == list(on), pattern
+        assert [bool(x) for x in a.blocks] == list(on), pattern
         assert np.array_equal(a.quad, q) and a.quad is a.quad
         obs[pattern] = a
     for name_a, a in obs.items():
@@ -382,11 +388,12 @@ def test_zero_block_patterns_match_dense_oracles(m):
         vev = 0.5 * float(np.trace(a.quad @ sigma)) + a.scalar
         assert lat.vacuum_expectation(a, basis) == pytest.approx(vev, rel=1e-13, abs=1e-13)
         zero = a - a
-        assert (zero.phi, zero.coupling, zero.pi) == (None, None, None)
+        assert not any(zero.blocks) and all(x.size == m for x in zero.blocks)
         for name_b, b in obs.items():
             pair = (name_a, name_b)
             assert np.array_equal((a + b).quad, a.quad + b.quad), pair
             assert np.array_equal((a - b).quad, a.quad - b.quad), pair
+            assert _all_blocks(a + b, m) and _all_blocks(a - b, m), pair
             quad, lin, scalar = _dense_commutator(a, b)
             got = lat.commutator(a, b)
             scale = np.abs(a.quad).max() * np.abs(b.quad).max() * 2 * m
@@ -407,7 +414,7 @@ def test_dense_views_read_only_and_cached():
     # a basis compares and hashes by identity, as an observable does
     assert basis == basis and len({basis, lat.build_mode_basis(g, 1.0)}) == 2
     assert h.quad is h.quad
-    assert h.coupling is None and np.array_equal(_pi(h), np.eye(6))
+    assert not h.coupling and np.array_equal(_pi(h), np.eye(6))
     assert np.array_equal(_phi(h), h.phi.dense()) and np.array_equal(_pi(h), h.pi.dense())
     assert not h.quad[:6, 6:].any() and not h.quad[6:, :6].any()
 
@@ -440,10 +447,6 @@ def _on_diagonals(rng, m, offsets):
     return x
 
 
-def _dense_block(block, m):
-    return np.zeros((m, m)) if block is None else block.dense()
-
-
 @pytest.mark.parametrize("m", [1, 2, 5, 9])
 def test_diagonal_blocks_match_dense_matrices(m):
     rng = np.random.default_rng(59 + m)
@@ -463,19 +466,19 @@ def test_diagonal_blocks_match_dense_matrices(m):
         assert np.array_equal(b.scaled(v).dense(), v[:, None] * x)
         assert np.abs(b.dot(v) - x @ v).max() <= 1e-14 * np.abs(x).sum() * np.abs(v).max()
         square = b @ b
-        assert b - b is None and (square is None or square - b @ b is None)  # exact cancellation
+        assert not b - b and not square - b @ b  # exact cancellation
         for y in dense:
             c = _block(y)
-            assert np.array_equal(_dense_block(b + c, m), x + y)
-            assert np.array_equal(_dense_block(b - c, m), x - y)
+            assert np.array_equal((b + c).dense(), x + y)
+            assert np.array_equal((b - c).dense(), x - y)
             got = b @ c
-            assert got is None or got.offsets.max() < m and got.offsets.min() > -m
-            got = _dense_block(got, m)
+            assert got.size == m and (not got or got.offsets.max() < m and got.offsets.min() > -m)
+            got = got.dense()
             scale = np.abs(x).max() * np.abs(y).max() * m
             assert np.abs(got - x @ y).max() <= 1e-14 * scale
     if m > 1:
         corner = _block(dense[1])
-        assert corner @ corner is None  # offset 2M - 2 leaves the matrix
+        assert not corner @ corner and (corner @ corner).size == m  # offset 2M - 2 leaves it
         assert (corner @ _block(dense[2])).offsets.tolist() == [m - 2, m - 1]  # M dropped
 
 
@@ -510,18 +513,24 @@ def test_generator_arithmetic_matches_dense_quads(boundary, dims, n):
     if boundary == "periodic":
         want |= {*wraps, *(-w for w in wraps)}
     assert set(gens["H"].phi.offsets.tolist()) == want
+    # every block is a DiagonalBlock of the right size; an omitted one is empty
+    assert not gens["H"].coupling and not gens["P1"].phi and not gens["P1"].pi
+    assert not any(lat.QuadraticObservable(m).blocks)
     basis = lat.build_mode_basis(g, 1.3)
     sigma = _covariance(basis)
     rng = np.random.default_rng(61 + 10 * n + dims)
 
     def check_reads(obs, scale):
+        assert _all_blocks(obs, m)
         vec = rng.standard_normal(2 * m)
         assert np.abs(lat._quad_apply(obs, vec) - obs.quad @ vec).max() <= 1e-13 * scale
         vev = 0.5 * float(np.trace(obs.quad @ sigma)) + obs.scalar
         assert abs(lat.vacuum_expectation(obs, basis) - vev) <= 1e-13 * scale
         assert abs(lat.spectral_norm(obs) - _dense_norm(obs.quad)) <= 1e-12 * scale
         if n >= 4:
-            got = lat._masked_operator_norm(obs, g)
+            bulk = lat._bulk_restriction(obs, g)
+            assert _all_blocks(bulk, lat._bulk_sites(g).size)
+            got = lat.spectral_norm(bulk)
             assert abs(got - _masked_dense_norm(obs.quad, g)) <= 1e-12 * scale
 
     for a in gens.values():
@@ -531,16 +540,17 @@ def test_generator_arithmetic_matches_dense_quads(boundary, dims, n):
             pair = (name_a, name_b)
             assert np.array_equal((a + b).quad, a.quad + b.quad), pair
             assert np.array_equal((a - b).quad, a.quad - b.quad), pair
+            assert _all_blocks(a + b, m) and _all_blocks(a - b, m), pair
             quad, lin, scalar = _dense_commutator(a, b)
             got = lat.commutator(a, b)
             scale = np.abs(a.quad).max() * np.abs(b.quad).max() * 2 * m
             assert np.abs(got.quad - quad).max() <= 1e-13 * scale, pair
             assert np.abs(got.lin - lin).max() <= 1e-13 * scale and got.scalar == scalar == 0.0
             check_reads(got, scale)
-    if boundary == "periodic":  # translations commute exactly: every block cancels to None
+    if boundary == "periodic":  # translations commute exactly: every block cancels to empty
         pairs = [("H", "P1"), ("H", "P2"), ("P1", "P2")] if dims == 2 else [("H", "P1")]
         for x, y in pairs:
-            assert lat.commutator(gens[x], gens[y]).blocks == (None, None, None), (x, y)
+            assert not any(lat.commutator(gens[x], gens[y]).blocks), (x, y)
 
 
 def test_lattice_checks_never_read_the_dense_view(monkeypatch):
@@ -643,7 +653,7 @@ def test_degenerate_vacuum_errors(monkeypatch):
     for dims in (1, 2):
         for boundary in ("open", "periodic"):
             g = lat.LatticeGeometry(dims, 8, 0.5, boundary)
-            assert lat.build_hamiltonian(g, 0.0).phi is not None
+            assert lat.build_hamiltonian(g, 0.0).phi
             with pytest.raises(lat.DegenerateVacuumError, match="eigenvalue 0.000e"):
                 lat.build_mode_basis(g, 0.0)
 
@@ -791,22 +801,26 @@ def _chain_difference(n, a, periodic):
 
 @pytest.mark.parametrize("boundary", ["open", "periodic"])
 def test_momentum_blocks_match_hand_written_stencil(boundary):
-    n, a = 7, 0.4
-    d1 = _chain_difference(n, a, boundary == "periodic")
+    n = 7
+    d1 = _chain_difference(n, 0.4, boundary == "periodic")
     if boundary == "open":
         assert d1[3, 2] == -1.25 and d1[3, 4] == 1.25 and d1[0, 1] == 2.5 and d1[6, 6] == 2.5
     else:
         assert d1[0, 6] == -1.25 and d1[6, 0] == 1.25 and d1[0, 0] == 0.0
-    p = lat.build_momentum(lat.LatticeGeometry(1, n, a, boundary), 0)
-    assert p.phi is None and p.pi is None
-    assert np.array_equal(_coupling(p), d1)
-    # 2-D, site (i, j) at flat index i * n + j: direction 0 steps i, direction 1 steps j
-    g2 = lat.LatticeGeometry(2, n, a, boundary)
-    eye = np.eye(n)
-    for direction, hand in enumerate((np.kron(d1, eye), np.kron(eye, d1))):
-        p = lat.build_momentum(g2, direction)
-        assert p.phi is None and p.pi is None
-        assert np.array_equal(_coupling(p), hand), direction
+    # the open edge rows add a half step to the centered bond; 0.3 and 1/3 have
+    # no exact 1/a, so equality pins that the sum rounds as the one-sided 1/a does
+    for a in (0.4, 0.3, 1 / 3):
+        d1 = _chain_difference(n, a, boundary == "periodic")
+        p = lat.build_momentum(lat.LatticeGeometry(1, n, a, boundary), 0)
+        assert not p.phi and not p.pi
+        assert np.array_equal(_coupling(p), d1), a
+        # 2-D, site (i, j) at flat index i * n + j: direction 0 steps i, direction 1 steps j
+        g2 = lat.LatticeGeometry(2, n, a, boundary)
+        eye = np.eye(n)
+        for direction, hand in enumerate((np.kron(d1, eye), np.kron(eye, d1))):
+            p = lat.build_momentum(g2, direction)
+            assert not p.phi and not p.pi
+            assert np.array_equal(_coupling(p), hand), (a, direction)
 
 
 @pytest.mark.parametrize("mass", [1.0, math.pi])
@@ -879,7 +893,7 @@ def test_closure_report_matches_dense_svd():
 def _forbid_norms(monkeypatch):
     def fail(*args):
         raise AssertionError("a norm was computed before the input was rejected")
-    for name in ("spectral_norm", "bulk_residual_norm", "_masked_operator_norm"):
+    for name in ("spectral_norm", "bulk_residual_norm", "_bulk_restriction"):
         monkeypatch.setattr(lat, name, fail)
 
 
