@@ -54,10 +54,17 @@ and Sigma only on their stored diagonals; no M x M array is made.
 
 Both residual norms take an observable. `bulk_residual_norm` applies the
 blocks as banded matrix-vector products. `spectral_norm` works from the
-blocks of its quad, the largest |eigenvalue| of phi and pi, the top
-singular value of a lone coupling block, or the largest |eigenvalue| of the
-whole matrix when both kinds are present; only the matrix that eigvalsh or
-svd reads is made dense, and an empty block is 0 without a solve.
+blocks of its quad: the largest |eigenvalue| of phi and pi, the square root
+of the largest eigenvalue of C^T C for a lone coupling block C, or the
+largest |eigenvalue| of the dense 2M x 2M matrix when both kinds are
+present. A block first keeps only the rows that hold a stored entry, since
+the rest only add zero eigenvalues (the 2-d [J, H] seam residual keeps
+4N - 4 of its N^2 rows). A band of at most 2 diagonals per side (every
+1-d central residual is one) with at least 100 rows gets its extreme
+eigenvalue from Lanczos, certified to 1e-13 relative by the Ritz residual
+and two banded LDL^T inertia checks. Any other block, or a band whose
+certificate fails, goes to a dense eigvalsh of the rows it keeps. An empty
+block is 0 without a solve.
 
 Sites are laid out once, by `_grid`: the N^dims sites in the C order of an
 N x ... x N array, so site (i, j) is i * N + j. Bonds, difference stencils,
@@ -682,23 +689,133 @@ def commutator(a: QuadraticObservable, b: QuadraticObservable) -> QuadraticObser
 
 
 def spectral_norm(obs: QuadraticObservable) -> float:
-    """Largest singular value of the symmetric quad Q of `obs`, from its blocks.
+    """Largest singular value of the symmetric quad Q of `obs`, a float, from its blocks.
 
     Block-diagonal: the largest |eigenvalue| of phi and pi.
-    Off-diagonal [[0, C^T], [C, 0]]: the top singular value of C.
-    Otherwise: the largest |eigenvalue| of the whole matrix.
-    Only the matrix a solver reads is made dense; an all-zero block is 0.
+    Off-diagonal [[0, C^T], [C, 0]]: the square root of that of C^T C.
+    Otherwise: the largest |eigenvalue| of the whole matrix, made dense.
+    A block's value is certified Lanczos on a narrow band, else a dense
+    eigvalsh of the rows that hold an entry (`_max_abs_eigenvalue`).
     """
     if not obs.coupling:
-        return max((_max_abs_eigenvalue(b.dense()) for b in (obs.phi, obs.pi) if b), default=0.0)
+        return max(_max_abs_eigenvalue(obs.phi), _max_abs_eigenvalue(obs.pi))
     if not (obs.phi or obs.pi):
-        return float(np.linalg.svd(obs.coupling.dense(), compute_uv=False)[0])
-    return _max_abs_eigenvalue(_dense_quad(obs))
+        return math.sqrt(_max_abs_eigenvalue(obs.coupling.T @ obs.coupling))
+    return _dense_max_abs_eigenvalue(_dense_quad(obs))
 
 
-def _max_abs_eigenvalue(sym: np.ndarray) -> float:
+def _dense_max_abs_eigenvalue(sym: np.ndarray) -> float:
     eig = np.linalg.eigvalsh(sym)
     return float(max(-eig[0], eig[-1]))
+
+
+# A band of at most _NARROW_BAND diagonals per side (the LDL^T loop of
+# `_positive_definite` reads two below the main one) takes Lanczos from
+# _LANCZOS_MIN_ROWS rows on. On the 1-d central residuals (a 2-vCPU Xeon,
+# one BLAS thread) Lanczos and its certificate cost as much as a dense
+# eigvalsh at 96-112 rows; a block takes 0.5 ms against 1.0 ms at 160 rows
+# and 6 ms against 2 s at 2560. They certify in 6 to 12 steps, a lone
+# momentum coupling in 18 or 19. A band that needs more than _LANCZOS_STEPS,
+# such as H's phi with its clustered top, falls back to eigvalsh after at
+# most about 5 ms.
+_NARROW_BAND = 2
+_LANCZOS_MIN_ROWS = 100
+_LANCZOS_STEPS = 32
+_CERTIFIED_REL = 1e-13
+
+
+def _max_abs_eigenvalue(block: DiagonalBlock) -> float:
+    """Largest |eigenvalue| of a symmetric block; 0 for the empty block.
+
+    The rows with no stored entry are dropped first: they only add zero
+    eigenvalues. A narrow band above the crossover gets a certified Lanczos
+    value; anything else, or a band whose certificate fails, a dense eigvalsh.
+    """
+    keep = np.flatnonzero(block.data.any(axis=0))
+    if not keep.size:
+        return 0.0
+    if keep.size < block.size:
+        block = _restrict(block, keep)
+    width = max(-block.offsets[0], block.offsets[-1])
+    if keep.size >= _LANCZOS_MIN_ROWS and width <= _NARROW_BAND:
+        value = _certified_max_abs_eigenvalue(block)
+        if value is not None:
+            return value
+    return _dense_max_abs_eigenvalue(block.dense())
+
+
+def _certified_max_abs_eigenvalue(block: DiagonalBlock) -> float | None:
+    """The largest |eigenvalue| of a band by Lanczos, when `_certified` accepts it; else None.
+
+    Lanczos with full reorthogonalisation (Paige 1972) runs from a fixed
+    start vector for at most _LANCZOS_STEPS steps. The first extreme Ritz
+    pair whose estimated residual is below half of delta = 1e-13 |theta|
+    goes to `_certified`, and its verdict is final.
+    """
+    m = block.size
+    steps = min(m, _LANCZOS_STEPS)
+    basis = np.empty((steps, m))
+    # a Weyl sequence, not a random draw: importing numpy.random takes about
+    # 10 ms in a fresh process
+    start = np.arange(1, m + 1) * 0.6180339887498949 % 1.0 - 0.5
+    basis[0] = start / math.sqrt(start @ start)
+    tridiagonal = np.zeros((steps, steps))  # the Lanczos T, upper triangle
+    for j in range(steps):
+        done = basis[:j + 1]
+        w = block.dot(done[-1])
+        tridiagonal[j, j] = done[-1] @ w
+        for _ in range(2):  # classical Gram-Schmidt, twice
+            w -= (done @ w) @ done
+        beta = math.sqrt(w @ w)
+        ritz, vectors = np.linalg.eigh(tridiagonal[:j + 1, :j + 1], "U")
+        pick = 0 if -ritz[0] > ritz[-1] else -1
+        # |beta s_j| is the Ritz pair's residual while the basis stays
+        # orthonormal; half of delta leaves room for the explicit one
+        if abs(beta * vectors[-1, pick]) <= 0.5 * _CERTIFIED_REL * abs(ritz[pick]):
+            return _certified(block, ritz[pick], vectors[:, pick] @ done)
+        if j + 1 < steps:
+            basis[j + 1] = w / beta
+            tridiagonal[j, j + 1] = beta
+    return None
+
+
+def _certified(block: DiagonalBlock, theta: float, y: np.ndarray) -> float | None:
+    """nu = |theta| if the Ritz pair (theta, y) of the band A certifies it as the norm; else None.
+
+    With delta = 1e-13 nu, ||A y - theta y|| <= delta ||y|| puts an
+    eigenvalue within delta of theta, and positive LDL^T pivots of
+    (nu + delta) I - A and (nu + delta) I + A put every eigenvalue inside
+    +-(nu + delta), by Sylvester's law of inertia; so nu is the norm to 1e-13.
+    """
+    nu = abs(theta)
+    delta = _CERTIFIED_REL * nu
+    r = block.dot(y) - theta * y
+    if not math.sqrt(r @ r) <= delta * math.sqrt(y @ y):
+        return None
+    lower = np.zeros((_NARROW_BAND + 1, block.size))  # row k: the entries (i, i - k)
+    below = block.offsets <= 0
+    lower[-block.offsets[below]] = block.data[below]
+    bounded = all(_positive_definite(sign * lower, nu + delta) for sign in (1, -1))
+    return float(nu) if bounded else None
+
+
+def _positive_definite(lower: np.ndarray, shift: float) -> bool:
+    """Whether shift I - S is positive definite; S is symmetric with S(i, i - j) = lower[j][i].
+
+    S has at most two diagonals below the main one. The LDL^T pivots come
+    row by row: with k = -L(i, i - 1), v = S(i, i - 1) + S(i, i - 2) k_prev
+    gives k = v / d_(i - 1) and d_i = shift - S(i, i) - v k - S(i, i - 2)^2 / d_(i - 2).
+    """
+    d2 = d1 = 1.0  # the pivots of rows i - 2 and i - 1; rows before 0 are unit padding
+    k = 0.0
+    for s0, s1, s2 in zip(*lower.tolist()):
+        v = s1 + s2 * k
+        k = v / d1
+        d = shift - s0 - v * k - s2 * s2 / d2
+        if not d > 0:
+            return False
+        d2, d1 = d1, d
+    return True
 
 
 def _bulk_window(geom: LatticeGeometry) -> int:
@@ -773,19 +890,21 @@ def bulk_residual_norm(residual: QuadraticObservable, geom: LatticeGeometry) -> 
     return worst
 
 
+def _restrict(block: DiagonalBlock, keep: np.ndarray) -> DiagonalBlock:
+    """block[keep][:, keep] for the sorted indices `keep`, made from the stored diagonals."""
+    m = block.size
+    position = np.full(m + 1, -1)  # index in keep of each row; -1 off it
+    position[keep] = np.arange(keep.size)
+    cols = keep + block.offsets[:, None]
+    sub = position[np.where((cols >= 0) & (cols < m), cols, -1)]
+    hit = sub >= 0
+    return _from_cells(keep.size, [(np.nonzero(hit)[1], sub[hit], block.data[:, keep][hit])])
+
+
 def _bulk_restriction(obs: QuadraticObservable, geom: LatticeGeometry) -> QuadraticObservable:
     """The quad Q restricted to the bulk sites, in both the phi and the pi half."""
     keep = _bulk_sites(geom)
-    position = np.full(geom.n_sites + 1, -1)  # bulk index of each site; -1 off the bulk
-    position[keep] = np.arange(keep.size)
-
-    def restrict(block):  # block[keep][:, keep], made from the stored diagonals
-        cols = keep + block.offsets[:, None]
-        sub = position[np.where((cols >= 0) & (cols < geom.n_sites), cols, -1)]
-        hit = sub >= 0
-        return _from_cells(keep.size, [(np.nonzero(hit)[1], sub[hit], block.data[:, keep][hit])])
-
-    return QuadraticObservable(keep.size, *map(restrict, obs.blocks))
+    return QuadraticObservable(keep.size, *(_restrict(b, keep) for b in obs.blocks))
 
 
 def _check_spacings(spacings) -> None:

@@ -77,3 +77,16 @@ print(*vars(sys.modules["platevac.exactlin"]))
 """)
     casimir, exactlin = (line.split() for line in out.splitlines())
     assert "casimir_energy_per_area" in casimir and "rref" in exactlin
+
+
+def test_lattice_norms_load_no_numpy_random():
+    # importing numpy.random takes 10-12 ms in a fresh process; the Lanczos
+    # start vector of a certified norm is a fixed sequence, not a random draw
+    out = _fresh("""
+import sys, platevac.lattice as lat
+lat.verify_central_relation(lat.LatticeGeometry(1, 640, 8.0 / 640), (1.0, 2.0))
+lat.verify_poincare_closure(lat.LatticeGeometry(2, 16, 0.5, "periodic"), 1.0)
+print(*sorted(sys.modules))
+""")
+    assert "platevac.lattice" in out.split()
+    assert not [name for name in out.split() if name.startswith("numpy.random")]

@@ -1107,6 +1107,155 @@ def test_spectral_norm_matches_dense_svd(m, shape):
         assert abs(got - want) <= 1e-12 * want if want else got == 0.0
 
 
+def _eigvalsh_norm(x):
+    """Largest |eigenvalue| of a dense symmetric matrix by a full eigvalsh (reference)."""
+    return float(np.abs(np.linalg.eigvalsh(x)).max())
+
+
+def _record_eigvalsh(monkeypatch):
+    """The sizes of the matrices np.linalg.eigvalsh receives from now on."""
+    sizes = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def recorded(x, *args, **kwargs):
+        sizes.append(x.shape[0])
+        return eigvalsh(x, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recorded)
+    return sizes
+
+
+def _record_norm_inputs(monkeypatch):
+    """The observables spectral_norm receives from now on."""
+    seen = []
+    norm = lat.spectral_norm
+    monkeypatch.setattr(lat, "spectral_norm", lambda obs: seen.append(obs) or norm(obs))
+    return seen
+
+
+@pytest.mark.parametrize("n", [80, 160, 320, 640, 1280])
+def test_central_residual_norms_certified_without_eigvalsh(monkeypatch, n):
+    # the 1-d residual blocks are bands of at most two diagonals per side:
+    # above the crossover Lanczos and its LDL^T certificate give the norm
+    g = lat.LatticeGeometry(1, n, 8.0 / n, "open")
+    sizes = _record_eigvalsh(monkeypatch)
+    residuals = _record_norm_inputs(monkeypatch)
+    rep = lat.verify_central_relation(g, (math.pi, math.pi / 2))
+    monkeypatch.undo()
+    assert sizes == ([] if n >= lat._LANCZOS_MIN_ROWS else [n] * 4)
+    for row, residual in zip(rep["per_label"], residuals, strict=True):
+        assert not residual.coupling
+        assert max(abs(residual.phi.offsets).max(), abs(residual.pi.offsets).max()) <= 2
+        want = max(_eigvalsh_norm(residual.phi.dense()), _eigvalsh_norm(residual.pi.dense()))
+        assert abs(row["full_residual_norm"] - want) <= 1e-12 * want
+
+
+@pytest.mark.parametrize("n", [8, 12, 16, 24, 32])
+def test_seam_norm_solves_only_the_seam_rows(monkeypatch, n):
+    # [J, H] is nonzero on the 4N - 4 rows next to the coordinate seam, with
+    # wrap offsets: eigvalsh gets those rows only, the other residuals none
+    g = lat.LatticeGeometry(2, n, 0.5, "periodic")
+    sizes = _record_eigvalsh(monkeypatch)
+    seen = _record_norm_inputs(monkeypatch)
+    report = lat.verify_poincare_closure(g, 1.0)
+    monkeypatch.undo()
+    assert sizes == [4 * n - 4]
+    full = seen[-1]
+    assert not full.coupling and not full.pi
+    want = _eigvalsh_norm(full.phi.dense())
+    assert abs(report["J,H full"] - want) <= 1e-12 * want
+    assert report["J,H bulk"] == report["H,P1"] == report["H,P2"] == report["P1,P2"] == 0.0
+
+
+def _random_band(rng, m, width, empty_rows=0):
+    """A random symmetric band with `width` diagonals per side, some rows and columns zeroed."""
+    x = np.triu(np.tril(rng.standard_normal((m, m)), width))
+    x = x + x.T
+    gone = rng.choice(m, empty_rows, replace=False)
+    x[gone] = 0.0
+    x[:, gone] = 0.0
+    return x
+
+
+@pytest.mark.parametrize("width", [0, 1, 2])
+@pytest.mark.parametrize("m", [lat._LANCZOS_MIN_ROWS - 1, lat._LANCZOS_MIN_ROWS, 200])
+def test_banded_norm_matches_dense_eigvalsh(monkeypatch, width, m):
+    rng = np.random.default_rng(7 * m + width)
+    sizes = _record_eigvalsh(monkeypatch)
+    for empty_rows in (0, 1, m // 3):
+        for spike in (0.0, 50.0):
+            x = _random_band(rng, m, width, empty_rows)
+            x[0, 0] += spike  # an isolated extreme eigenvalue, as in the residuals
+            x[-1, -1] += spike
+            rows = np.count_nonzero(x.any(axis=1))
+            for scale in (1.0, -1.0, 1e-30, 1e30):
+                want = _eigvalsh_norm(scale * x)
+                sizes.clear()
+                got = lat._max_abs_eigenvalue(_block(scale * x))
+                assert abs(got - want) <= 1e-12 * want, (empty_rows, spike, scale)
+                # the dense solve reads only the rows that hold an entry
+                assert sizes in ([], [rows]), (empty_rows, spike, scale)
+                if spike and rows >= lat._LANCZOS_MIN_ROWS:
+                    assert sizes == [], (empty_rows, scale)
+
+
+def test_band_certificate_brackets_the_top_eigenvalue():
+    # shift I - A is positive definite exactly when shift exceeds lambda_max(A)
+    rng = np.random.default_rng(5)
+    for width in (0, 1, 2):
+        for m in (1, 2, 3, 50):
+            x = _random_band(rng, m, width)
+            block = _block(x)
+            lower = np.zeros((3, m))
+            below = block.offsets <= 0
+            lower[-block.offsets[below]] = block.data[below]
+            top = np.linalg.eigvalsh(x)[-1]
+            room = 1e-9 * max(1.0, abs(top))
+            assert lat._positive_definite(lower, top + room), (width, m)
+            assert not lat._positive_definite(lower, top - room), (width, m)
+
+
+def test_certificate_rejects_a_value_that_is_not_the_norm():
+    # the Ritz residual puts an eigenvalue within delta of theta, and the two
+    # inertia checks bound every |eigenvalue| by nu + delta; each alone
+    # accepts a wrong value
+    values = np.linspace(-1.0, 1.0, 150)
+    values[3], values[7] = 5.0, -9.0
+    unit = np.eye(150)
+    for sign in (1.0, -1.0):
+        block = _block(np.diag(sign * values))
+        assert lat._certified(block, sign * -9.0, unit[7]) == 9.0
+        assert lat._certified(block, sign * 5.0, unit[3]) is None  # an eigenpair, not the top
+        assert lat._certified(block, sign * 12.0, unit[3]) is None  # above the top, no eigenpair
+        assert lat._max_abs_eigenvalue(block) == 9.0
+
+
+@pytest.mark.parametrize("failure", ["one step", "inertia"])
+def test_uncertified_band_falls_back_to_eigvalsh(monkeypatch, failure):
+    g = lat.LatticeGeometry(1, 320, 8.0 / 320, "open")
+    want = lat.verify_central_relation(g, (math.pi, math.pi / 2))
+    if failure == "one step":
+        # the Ritz residual of one step is far above 1e-13 nu: no certificate is tried
+        monkeypatch.setattr(lat, "_LANCZOS_STEPS", 1)
+    else:
+        monkeypatch.setattr(lat, "_positive_definite", lambda lower, shift: False)
+    sizes = _record_eigvalsh(monkeypatch)
+    got = lat.verify_central_relation(g, (math.pi, math.pi / 2))
+    assert sizes == [320] * 4
+    for old, new in zip(want["per_label"], got["per_label"]):
+        value = old["full_residual_norm"]
+        assert abs(new["full_residual_norm"] - value) <= 1e-12 * value
+
+
+def test_spectral_norm_returns_a_float():
+    g = lat.LatticeGeometry(1, 160, 0.05, "open")
+    h = lat.build_hamiltonian(g, 1.0)
+    p = lat.build_momentum(g, 0)
+    k = lat.build_boost(g, 0, 0.3, 1.0)
+    for obs in (lat.QuadraticObservable(160), h, p, k, lat.commutator(k, p) - h):
+        assert type(lat.spectral_norm(obs)) is float
+
+
 # ---------------------------------------------------------------------------
 # contradiction demo
 
