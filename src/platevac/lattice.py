@@ -18,11 +18,13 @@ diagonal o holding entry (i, i + o); an all-zero diagonal is dropped, so
 the all-zero block is the empty block, which stores none and is false.
 Every generator is a nearest-neighbor stencil, so a block holds 3
 diagonals in 1-d and about 9 in 2-d (the wrap bonds of a periodic axis
-sit at offsets +-(N - 1) and +-(M - N)). The builders fill the diagonals
-from the bond index arrays, with no dense M x M array. A product of
-blocks with k_A and k_B diagonals costs O(M k_A k_B); sums, differences
-and transposes merge or shift offset arrays. The dense
-2M x 2M matrix `quad` is a read-only view built on first access; no
+sit at offsets +-(N - 1) and +-(M - N)). The builders write each axis's
+neighbor diagonals directly, with no dense M x M array. Offsets are kept
+on Python ints and numpy only sees the (k, M) data: a product of blocks
+with k_A and k_B diagonals is one gather and one bincount, O(M k_A k_B);
+a sum or difference adds rows on the union of the offsets; a transpose
+moves each diagonal's rows to the opposite offset, once per block. The
+dense 2M x 2M matrix `quad` is a read-only view built on first access; no
 computation here reads it.
 
 `commutator` returns the rescaled product (1/i)[A, B], which is again
@@ -181,7 +183,7 @@ class DiagonalBlock:
     of shape (0,), data of shape (0, M)) and is false; `@`, `+`, `-` and `.T`
     return at once when an operand is empty. Blocks come from the builders
     and the operations below; the constructor itself checks none of these
-    conditions.
+    conditions. A block is immutable, so `.T` is made once and kept.
     """
 
     offsets: np.ndarray
@@ -207,23 +209,27 @@ class DiagonalBlock:
         out[np.nonzero(inside)[1], cols[inside]] = self.data[inside]
         return out
 
-    @property
+    @cached_property
     def T(self) -> "DiagonalBlock":
         if not self:
             return self
-        m, k = self.size, self.offsets.size
-        offsets = -self.offsets[::-1]
-        # entry (i, i - o) of the transpose is entry (i - o, i): row i - o of diagonal o
-        rows = _columns(offsets, m)
-        flat = rows + m * np.arange(k - 1, -1, -1)[:, None]
-        inside = (rows >= 0) & (rows < m)
-        return DiagonalBlock(offsets, np.where(inside, self.data.take(flat, mode="clip"), 0.0))
+        m = self.size
+        data = np.zeros(self.data.shape)
+        # entry (i, i + o) is entry (i + o, i) of the transpose: row i + o of diagonal -o;
+        # rows lo .. hi - 1 of diagonal o lie inside the matrix
+        for row, o, out in zip(self.data, self.offsets.tolist(), data[::-1]):
+            lo, hi = max(0, -o), min(m, m - o)
+            out[lo + o:hi + o] = row[lo:hi]
+        return DiagonalBlock(-self.offsets[::-1], data)
 
     def dot(self, vec: np.ndarray) -> np.ndarray:
         """B v, sum_d data[d, i] v[i + offsets[d]], for each vector v along vec's last axis."""
-        # a column outside [0, M) is clipped into it: its entry is zero
-        gathered = vec.take(_columns(self.offsets, self.size), axis=-1, mode="clip")
-        return (self.data * gathered).sum(-2)
+        m = self.size
+        out = np.zeros(vec.shape)
+        for row, o in zip(self.data, self.offsets.tolist()):
+            lo, hi = max(0, -o), min(m, m - o)
+            out[..., lo:hi] += row[lo:hi] * vec[..., lo + o:hi + o]
+        return out
 
     def scaled(self, factor) -> "DiagonalBlock":
         """diag(factor) @ B for a length-M factor; a scalar factor scales every entry."""
@@ -237,12 +243,16 @@ class DiagonalBlock:
             return self
         if not self:
             return other if op is operator.add else -other
-        offsets = np.union1d(self.offsets, other.offsets)
-        data = np.zeros((offsets.size, self.size))
-        data[np.searchsorted(offsets, self.offsets)] = self.data
-        mine = np.searchsorted(offsets, other.offsets)
-        data[mine] = op(data[mine], other.data)
-        return _diagonals(offsets, data)
+        mine, theirs = self.offsets.tolist(), other.offsets.tolist()
+        if mine == theirs:
+            return _diagonals(self.offsets, op(self.data, other.data))
+        offsets = sorted({*mine, *theirs})
+        index = {o: d for d, o in enumerate(offsets)}
+        data = np.zeros((len(offsets), self.size))
+        data[[index[o] for o in mine]] = self.data
+        rows = [index[o] for o in theirs]
+        data[rows] = op(data[rows], other.data)
+        return _diagonals(np.array(offsets), data)
 
     def __add__(self, other: "DiagonalBlock") -> "DiagonalBlock":
         return self._merge(other, operator.add)
@@ -254,23 +264,28 @@ class DiagonalBlock:
         """The product: entry (i, i + p + q) gathers A(i, i + p) B(i + p, i + p + q).
 
         One gather makes every diagonal pair's row products, and one
-        bincount adds each pair's row into the diagonal p + q, pairs in order.
+        bincount adds each pair's row into the diagonal p + q, pairs in order;
+        the offset sums are sorted and numbered on Python ints.
         """
         if not (self and other):
             return _zero(self.size)
         m = self.size
+        ps, qs = self.offsets.tolist(), other.offsets.tolist()
+        offsets = sorted({q + p for q in qs for p in ps})
+        index = {o: d * m for d, o in enumerate(offsets)}
+        rows = np.arange(m)
         # rows of B at l = i + p; where l leaves [0, M), A's entry is zero
-        gathered = other.data.take(_columns(self.offsets, m), axis=1, mode="clip")
-        offsets, target = np.unique((other.offsets[:, None] + self.offsets).ravel(),
-                                    return_inverse=True)  # pair (q, p) at q * k_A + p
-        cells = _columns(target * m, m).ravel()
-        data = np.bincount(cells, (gathered * self.data).ravel(), offsets.size * m)
-        return _diagonals(offsets, data.reshape(offsets.size, m))
+        gathered = other.data.take(rows + self.offsets[:, None], axis=1, mode="clip")
+        cells = np.array([index[q + p] for q in qs for p in ps])[:, None] + rows  # pair (q, p)
+        data = np.bincount(cells.ravel(), (gathered * self.data).ravel(), len(offsets) * m)
+        return _diagonals(np.array(offsets), data.reshape(len(offsets), m))
 
 
 def _diagonals(offsets: np.ndarray, data: np.ndarray) -> DiagonalBlock:
     """The block of these diagonals without the all-zero ones, such as any with |offset| >= M."""
     keep = data.any(axis=1)
+    if not keep.any():
+        return _zero(data.shape[1])
     return DiagonalBlock(offsets, data) if keep.all() else DiagonalBlock(offsets[keep], data[keep])
 
 
@@ -283,20 +298,6 @@ def _zero(m: int) -> DiagonalBlock:
 def _diagonal(values: np.ndarray) -> DiagonalBlock:
     """diag(values) as a block."""
     return _diagonals(np.zeros(1, np.int64), values[None])
-
-
-def _from_cells(m: int, cells) -> DiagonalBlock:
-    """The M x M block that adds each value into its cell, for (rows, cols, values) groups.
-
-    The three arrays of a group have one shape. One pass over every group,
-    in order, as np.add.at into zeros would add.
-    """
-    cells = [tuple(map(np.ravel, group)) for group in cells]
-    offsets = np.unique(np.concatenate([cols - rows for rows, cols, _ in cells]))
-    flat = np.concatenate([np.searchsorted(offsets, cols - rows) * m + rows
-                           for rows, cols, _ in cells])
-    data = np.bincount(flat, np.concatenate([v for *_, v in cells]), offsets.size * m)
-    return _diagonals(offsets, data.reshape(offsets.size, m))
 
 
 def _dense_quad(obs: "QuadraticObservable") -> np.ndarray:
@@ -381,49 +382,82 @@ def _grid(geom: LatticeGeometry) -> np.ndarray:
     return np.arange(geom.n_sites).reshape((geom.sites_per_dim,) * geom.dims)
 
 
-def _bonds(geom: LatticeGeometry, direction: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nearest-neighbor pairs as index arrays (u, v), v one step from u along `direction`.
+def _layers(geom: LatticeGeometry, direction: int, site: np.ndarray) -> np.ndarray:
+    """A view of the site-indexed `site` with `direction` first: entry [k] is layer k."""
+    return site.reshape((geom.sites_per_dim,) * geom.dims).swapaxes(0, direction)
 
-    An open lattice drops the bonds that wrap around.
+
+def _neighbor_diagonals(geom: LatticeGeometry, direction: int, up, down) -> dict:
+    """The diagonals {offset: row} that put up[k] at (x, x + e) and down[k] at (x + e, x).
+
+    x runs over layer k along `direction` and e is one step along it; up and
+    down hold one layer per bond, the last one the wrap bond of a periodic
+    axis, whose entries sit on the offsets -+(N - 1) s instead of +-s.
     """
-    u = _grid(geom)
-    v = np.roll(u, -1, axis=direction)
-    if geom.boundary == "open":
-        inner = (slice(None),) * direction + (slice(0, -1),)
-        u, v = u[inner], v[inner]
-    return u.ravel(), v.ravel()
+    n, m = geom.sites_per_dim, geom.n_sites
+    stride = n ** (geom.dims - 1 - direction)
+
+    def row(layers, values):
+        out = np.zeros(m)
+        _layers(geom, direction, out)[layers] = values
+        return out
+
+    out = {stride: row(slice(0, n - 1), up[:n - 1]), -stride: row(slice(1, n), down[:n - 1])}
+    if geom.boundary == "periodic":
+        out[-(n - 1) * stride] = row(n - 1, up[n - 1])
+        out[(n - 1) * stride] = row(0, down[n - 1])
+    return out
+
+
+def _stencil(diagonals: dict) -> DiagonalBlock:
+    """The block of the diagonals {offset: row}."""
+    offsets = sorted(diagonals)
+    return _diagonals(np.array(offsets), np.stack([diagonals[o] for o in offsets]))
 
 
 def _potential_matrix(geom: LatticeGeometry, mass: float, weight: np.ndarray) -> DiagonalBlock:
     """Site terms m^2 w_x plus forward-difference bonds, each weighted at its midpoint.
 
     All-ones weights give the potential matrix of H; the centered coordinate
-    gives the weighted potential of a boost.
+    gives the weighted potential of a boost. A bond b between u and w adds b
+    to (u, u) and (w, w) and -b to (u, w) and (w, u); a diagonal entry adds
+    its site term, then its bonds axis by axis, the bond from the previous
+    layer before the one to the next except where the former wraps.
     """
-    u, w = (np.concatenate(x) for x in zip(*(_bonds(geom, d) for d in range(geom.dims))))
-    bond = 0.5 * (weight[u] + weight[w]) * (1.0 / (geom.spacing * geom.spacing))
-    # bond by bond: (u,u) += b, (w,w) += b, (u,w) -= b, (w,u) -= b, added in
-    # index order, so every diagonal entry sums its bonds in bond order
-    rows = np.stack([u, w, u, w], axis=1)
-    cols = np.stack([u, w, w, u], axis=1)
-    sites = np.arange(geom.n_sites)
-    return _from_cells(geom.n_sites, [(sites, sites, (mass * mass) * weight),
-                                      (rows, cols, np.stack([bond, bond, -bond, -bond], axis=1))])
+    diagonal = (mass * mass) * weight
+    inverse_a2 = 1.0 / (geom.spacing * geom.spacing)
+    neighbors = {}
+    for direction in range(geom.dims):
+        w, sites = _layers(geom, direction, weight), _layers(geom, direction, diagonal)
+        if geom.boundary == "open":
+            bond = 0.5 * (w[:-1] + w[1:]) * inverse_a2
+            sites[1:] += bond
+            sites[:-1] += bond
+        else:
+            bond = 0.5 * (w + np.roll(w, -1, axis=0)) * inverse_a2
+            sites[1:] += bond[:-1]
+            sites += bond
+            sites[0] += bond[-1]
+        # 0.0 - b, not -b, so that a bond of weight zero leaves +0.0 off the diagonal
+        neighbors |= _neighbor_diagonals(geom, direction, 0.0 - bond, 0.0 - bond)
+    return _stencil({0: diagonal, **neighbors})
 
 
 def _difference_matrix(geom: LatticeGeometry, direction: int) -> DiagonalBlock:
     """Centered difference along `direction`, one-sided at the edges of an open lattice."""
-    u, v = _bonds(geom, direction)
+    n = geom.sites_per_dim
     step = 1.0 / (2.0 * geom.spacing)
-    cells = [(u, v, np.full(u.shape, step)), (v, u, np.full(u.shape, -step))]
-    # an open edge row adds a half step to its bond, one-sided: 2 * step is
-    # exactly fl(1/a) while step is a normal float (a below about 2e307)
+    shape = (n - (geom.boundary == "open"),) + (n,) * (geom.dims - 1)
+    up, down = np.full(shape, step), np.full(shape, -step)
+    diagonal = np.zeros(geom.n_sites)  # all zero, so dropped, on a periodic lattice
     if geom.boundary == "open":
-        layer = np.moveaxis(_grid(geom), direction, 0)  # layer[k]: the sites k steps in
-        half = np.full(layer[0].shape, step)
-        cells += [(layer[0], layer[1], half), (layer[-1], layer[-1], 2 * half),
-                  (layer[0], layer[0], -2 * half), (layer[-1], layer[-2], -half)]
-    return _from_cells(geom.n_sites, cells)
+        # an open edge row adds a half step to its bond, one-sided: 2 * step is
+        # exactly fl(1/a) while step is a normal float (a below about 2e307)
+        up[0] += step
+        down[-1] -= step
+        edges = _layers(geom, direction, diagonal)
+        edges[0], edges[-1] = -2 * step, 2 * step
+    return _stencil({0: diagonal, **_neighbor_diagonals(geom, direction, up, down)})
 
 
 # the residual norms square entries of order m^2 N; at physical size 8 they
@@ -494,16 +528,20 @@ def build_boost(
     """K = t * P - sum_x x_i h_x with the bond terms weighted at bond midpoints.
 
     Position weights need a definite coordinate, so the lattice must be open;
-    coordinates are centered, x_i in {-(N-1)/2 .. (N-1)/2} * a.
+    coordinates are centered, x_i in {-(N-1)/2 .. (N-1)/2} * a. A t that is
+    not finite is a ValueError; at t = 0 the coupling block is empty.
     """
     if geom.boundary != "open":
         raise ValueError("boost generator needs an open boundary")
     if not 0 <= direction < geom.dims:
         raise ValueError("direction out of range")
+    if not math.isfinite(t):
+        raise ValueError(f"boost time t must be finite, got {t!r}")
     _check_mass(mass)
     coord = geom.centered_coordinate(direction)
+    coupling = _difference_matrix(geom, direction).scaled(t) if t else None
     return QuadraticObservable(geom.n_sites, -_potential_matrix(geom, mass, coord),
-                               _difference_matrix(geom, direction).scaled(t), _diagonal(-coord))
+                               coupling, _diagonal(-coord))
 
 
 def build_rotation(geom: LatticeGeometry) -> QuadraticObservable:
@@ -898,7 +936,11 @@ def _restrict(block: DiagonalBlock, keep: np.ndarray) -> DiagonalBlock:
     cols = keep + block.offsets[:, None]
     sub = position[np.where((cols >= 0) & (cols < m), cols, -1)]
     hit = sub >= 0
-    return _from_cells(keep.size, [(np.nonzero(hit)[1], sub[hit], block.data[:, keep][hit])])
+    rows, cols = np.nonzero(hit)[1], sub[hit]
+    offsets = np.unique(cols - rows)
+    flat = np.searchsorted(offsets, cols - rows) * keep.size + rows
+    data = np.bincount(flat, block.data[:, keep][hit], offsets.size * keep.size)
+    return _diagonals(offsets, data.reshape(offsets.size, keep.size))
 
 
 def _bulk_restriction(obs: QuadraticObservable, geom: LatticeGeometry) -> QuadraticObservable:

@@ -1,6 +1,7 @@
 """Lattice observables: commutator contract, vacuum structure, closure checks."""
 
 import math
+import operator
 import tracemalloc
 
 import numpy as np
@@ -482,6 +483,182 @@ def test_diagonal_blocks_match_dense_matrices(m):
         assert (corner @ _block(dense[2])).offsets.tolist() == [m - 2, m - 1]  # M dropped
 
 
+# ---------------------------------------------------------------------------
+# the array-only kernels and the cell-list builders, kept as oracles of the
+# kernels that number offsets on Python ints and of the direct stencil assembly
+
+
+def _oracle_matmul(a, b):
+    """A @ B: one gather, offsets numbered by np.unique, one bincount over the (q, p) pairs."""
+    if not (a and b):
+        return lat._zero(a.size)
+    m = a.size
+    gathered = b.data.take(lat._columns(a.offsets, m), axis=1, mode="clip")
+    offsets, target = np.unique((b.offsets[:, None] + a.offsets).ravel(), return_inverse=True)
+    cells = lat._columns(target * m, m).ravel()
+    data = np.bincount(cells, (gathered * a.data).ravel(), offsets.size * m)
+    return lat._diagonals(offsets, data.reshape(offsets.size, m))
+
+
+def _oracle_transpose(b):
+    """B^T by one np.where over a flat gather of B's rows."""
+    if not b:
+        return b
+    m, k = b.size, b.offsets.size
+    offsets = -b.offsets[::-1]
+    rows = lat._columns(offsets, m)
+    flat = rows + m * np.arange(k - 1, -1, -1)[:, None]
+    inside = (rows >= 0) & (rows < m)
+    return lat.DiagonalBlock(offsets, np.where(inside, b.data.take(flat, mode="clip"), 0.0))
+
+
+def _oracle_merge(a, b, op):
+    """A + B or A - B on the np.union1d of their offsets."""
+    if not b:
+        return a
+    if not a:
+        return b if op is operator.add else -b
+    offsets = np.union1d(a.offsets, b.offsets)
+    data = np.zeros((offsets.size, a.size))
+    data[np.searchsorted(offsets, a.offsets)] = a.data
+    rows = np.searchsorted(offsets, b.offsets)
+    data[rows] = op(data[rows], b.data)
+    return lat._diagonals(offsets, data)
+
+
+def _oracle_dot(b, vec):
+    """B v by a clipped take of every diagonal's columns."""
+    gathered = vec.take(lat._columns(b.offsets, b.size), axis=-1, mode="clip")
+    return (b.data * gathered).sum(-2)
+
+
+def _oracle_from_cells(m, cells):
+    """The M x M block that adds each value into its cell, (rows, cols, values) groups in order."""
+    cells = [tuple(map(np.ravel, group)) for group in cells]
+    offsets = np.unique(np.concatenate([cols - rows for rows, cols, _ in cells]))
+    flat = np.concatenate([np.searchsorted(offsets, cols - rows) * m + rows
+                           for rows, cols, _ in cells])
+    data = np.bincount(flat, np.concatenate([v for *_, v in cells]), offsets.size * m)
+    return lat._diagonals(offsets, data.reshape(offsets.size, m))
+
+
+def _oracle_bonds(geom, direction):
+    u = lat._grid(geom)
+    v = np.roll(u, -1, axis=direction)
+    if geom.boundary == "open":
+        inner = (slice(None),) * direction + (slice(0, -1),)
+        u, v = u[inner], v[inner]
+    return u.ravel(), v.ravel()
+
+
+def _oracle_potential(geom, mass, weight):
+    u, w = (np.concatenate(x) for x in zip(*(_oracle_bonds(geom, d) for d in range(geom.dims))))
+    bond = 0.5 * (weight[u] + weight[w]) * (1.0 / (geom.spacing * geom.spacing))
+    rows = np.stack([u, w, u, w], axis=1)
+    cols = np.stack([u, w, w, u], axis=1)
+    sites = np.arange(geom.n_sites)
+    return _oracle_from_cells(geom.n_sites, [
+        (sites, sites, (mass * mass) * weight),
+        (rows, cols, np.stack([bond, bond, -bond, -bond], axis=1))])
+
+
+def _oracle_difference(geom, direction):
+    u, v = _oracle_bonds(geom, direction)
+    step = 1.0 / (2.0 * geom.spacing)
+    cells = [(u, v, np.full(u.shape, step)), (v, u, np.full(u.shape, -step))]
+    if geom.boundary == "open":
+        layer = np.moveaxis(lat._grid(geom), direction, 0)
+        half = np.full(layer[0].shape, step)
+        cells += [(layer[0], layer[1], half), (layer[-1], layer[-1], 2 * half),
+                  (layer[0], layer[0], -2 * half), (layer[-1], layer[-2], -half)]
+    return _oracle_from_cells(geom.n_sites, cells)
+
+
+def _same(x, y):
+    return (x.size == y.size and np.array_equal(x.offsets, y.offsets)
+            and np.array_equal(x.data, y.data))
+
+
+def _random_diagonals(rng, m, k, reach):
+    """A block of k random diagonals (fewer if the band is narrower) with offsets in +-reach."""
+    window = np.arange(-reach, reach + 1)
+    offsets = np.sort(rng.choice(window, min(k, window.size), replace=False))
+    data = rng.standard_normal((offsets.size, m))
+    data[rng.random(data.shape) < 0.2] = 0.0
+    cols = lat._columns(offsets, m)
+    data[(cols < 0) | (cols >= m)] = 0.0
+    return lat._diagonals(offsets, data)
+
+
+def _check_kernels(rng, blocks):
+    for a in blocks:
+        assert _same(a.T, _oracle_transpose(a))
+        vec = rng.standard_normal((3, a.size))
+        assert np.array_equal(a.dot(vec), _oracle_dot(a, vec))
+        assert np.array_equal(a.dot(vec[0]), _oracle_dot(a, vec[0]))
+        same_offsets = a.scaled(rng.standard_normal(a.size))
+        for b in blocks + [a.T, same_offsets]:
+            assert _same(a @ b, _oracle_matmul(a, b))
+            assert _same(a + b, _oracle_merge(a, b, operator.add))
+            assert _same(a - b, _oracle_merge(a, b, operator.sub))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 64, 577])
+def test_block_kernels_match_their_oracles(m):
+    rng = np.random.default_rng(83 + m)
+    blocks = [lat._zero(m)] + [_random_diagonals(rng, m, k, reach)
+                               for k in range(10) for reach in (min(4, m - 1), m - 1)]
+    assert {b.offsets.size for b in blocks} >= set(range(min(10, 2 * m)))
+    _check_kernels(rng, blocks)
+
+
+@pytest.mark.parametrize("n", [3, 4, 8, 24])
+@pytest.mark.parametrize("dims", [1, 2])
+@pytest.mark.parametrize("boundary", ["open", "periodic"])
+def test_stencil_assembly_matches_the_cell_oracle(boundary, dims, n):
+    g = lat.LatticeGeometry(dims, n, 0.3, boundary)
+    m = g.n_sites
+    rng = np.random.default_rng(89 + 10 * n + dims)
+    coords = [g.centered_coordinate(d) for d in range(dims)]
+    for weight in [np.ones(m), *coords, rng.standard_normal(m)]:
+        for mass in (0.0, 1.3):
+            assert _same(lat._potential_matrix(g, mass, weight), _oracle_potential(g, mass, weight))
+    differences = [_oracle_difference(g, d) for d in range(dims)]
+    for d, oracle in enumerate(differences):
+        assert _same(lat._difference_matrix(g, d), oracle), d
+    h = lat.build_hamiltonian(g, 1.3)
+    assert _same(h.phi, _oracle_potential(g, 1.3, np.ones(m)))
+    gens = [h] + [lat.build_momentum(g, d) for d in range(dims)]
+    for d, p in enumerate(gens[1:]):
+        assert _same(p.coupling, differences[d])
+    if boundary == "open":
+        for d, coord in enumerate(coords):
+            k = lat.build_boost(g, d, 0.4, 1.3)
+            assert _same(k.phi, -_oracle_potential(g, 1.3, coord))
+            assert _same(k.coupling, differences[d].scaled(0.4))
+            gens.append(k)
+    if dims == 2:
+        j = lat.build_rotation(g)
+        want = _oracle_merge(differences[1].scaled(coords[0]), differences[0].scaled(coords[1]),
+                             operator.sub)
+        assert _same(j.coupling, want)
+        gens.append(j)
+    _check_kernels(rng, [b for gen in gens for b in gen.blocks if b])
+
+
+def test_transpose_is_made_once_and_read_only():
+    b = lat.build_rotation(lat.LatticeGeometry(2, 5, 0.5, "periodic")).coupling
+    assert b.T is b.T
+    # bit-equal as a matrix; an entry off the matrix comes back as +0.0
+    assert _same(b.T.T, b) and b.T.T.dense().tobytes() == b.dense().tobytes()
+    assert not b.T.data.flags.writeable and not b.T.offsets.flags.writeable
+    with pytest.raises(ValueError):
+        b.T.data[0, 0] = 1.0
+    made = lat.DiagonalBlock(np.zeros(0, np.int64), np.zeros((0, 3)))
+    for empty in (lat._zero(b.size), b - b, made):
+        assert not empty and empty.T is empty
+
+
 def _generators(geom):
     gens = {"H": lat.build_hamiltonian(geom, 1.3)}
     for d in range(geom.dims):
@@ -740,6 +917,23 @@ def test_boost_structure():
     assert np.allclose(kt.quad - k0.quad, 0.7 * p.quad, atol=1e-14)
     with pytest.raises(ValueError):
         lat.build_boost(lat.LatticeGeometry(1, 12, 0.5, "periodic"), 0, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+def test_boost_refuses_a_time_that_is_not_finite(t):
+    with pytest.raises(ValueError, match="finite"):
+        lat.build_boost(lat.LatticeGeometry(1, 12, 0.5, "open"), 0, t, 1.0)
+
+
+def test_boost_at_time_zero_has_an_empty_coupling(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a difference matrix was built for t = 0")
+
+    g = lat.LatticeGeometry(2, 6, 0.5, "open")
+    monkeypatch.setattr(lat, "_difference_matrix", refuse)
+    for direction in range(2):
+        k = lat.build_boost(g, direction, 0.0, 1.0)
+        assert not k.coupling and k.coupling.size == g.n_sites
 
 
 def _chain_potential(n, a, mass, weight):
