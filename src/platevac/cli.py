@@ -116,6 +116,17 @@ def _nonnegative(kind, most=math.inf):
     return convert
 
 
+def _finite(text: str) -> float:
+    """Argument type of thresholds that may take either sign: a finite float."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"need a finite float, got {text!r}")
+    return value
+
+
 def _flag(text: str) -> bool:
     """Argument type of on/off options: the INI boolean spellings."""
     states = configparser.ConfigParser.BOOLEAN_STATES
@@ -175,7 +186,7 @@ def build_parser(defaults: bool = True) -> argparse.ArgumentParser:
            help="comma-separated spacings")
     option(p, "--mass0", type=float, default=math.pi)
     option(p, "--mass1", type=float, default=math.pi / 2.0)
-    option(p, "--order-min", type=float, default=1.9,
+    option(p, "--order-min", type=_finite, default=1.9,
            help="minimum accepted convergence order")
     option(p, "--scalar-tol", type=_nonnegative(float), default=1e-9,
            help="relative tolerance on the scalar slot")

@@ -191,6 +191,23 @@ def test_algebra_verify_order_gate_fails(tmp_path, capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
+def test_order_threshold_that_is_not_finite_is_bad_input(tmp_path, capsys, value):
+    # a FAIL line reading "order >= nan" would blame the lattice for the input
+    argv = ["algebra-verify", f"--order-min={value}", "--outdir", str(tmp_path)]
+    assert _exit_code(argv) == 2
+    captured = capsys.readouterr()
+    assert "need a finite float" in captured.err
+    assert "FAIL" not in captured.out and "PASS" not in captured.out
+    (tmp_path / "run.ini").write_text(f"[algebra-verify]\norder-min = {value}\n")
+    assert _exit_code(["algebra-verify", "--config", str(tmp_path / "run.ini"),
+                       "--outdir", str(tmp_path)]) == 2
+
+
+def test_negative_order_threshold_is_accepted():
+    assert parse_options(["algebra-verify", "--order-min=-0.5"])["order_min"] == -0.5
+
+
 @pytest.mark.parametrize("argv", [
     ["--mass0", "nan"],
     ["--mass1", "inf"],

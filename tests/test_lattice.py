@@ -1336,7 +1336,7 @@ def test_central_residual_norms_certified_without_eigvalsh(monkeypatch, n):
     residuals = _record_norm_inputs(monkeypatch)
     rep = lat.verify_central_relation(g, (math.pi, math.pi / 2))
     monkeypatch.undo()
-    assert sizes == ([] if n >= lat._LANCZOS_MIN_ROWS else [n] * 4)
+    assert sizes == ([] if n >= lat._LANCZOS_MIN_ROWS else [n] * 2)  # phi only, pi pruned
     for row, residual in zip(rep["per_label"], residuals, strict=True):
         assert not residual.coupling
         assert max(abs(residual.phi.offsets).max(), abs(residual.pi.offsets).max()) <= 2
@@ -1393,16 +1393,21 @@ def test_banded_norm_matches_dense_eigvalsh(monkeypatch, width, m):
                     assert sizes == [], (empty_rows, scale)
 
 
+def _lower(block):
+    """The band's entries (i, i - k) as row k, the layout _positive_definite reads."""
+    lower = np.zeros((3, block.size))
+    below = block.offsets <= 0
+    lower[-block.offsets[below]] = block.data[below]
+    return lower
+
+
 def test_band_certificate_brackets_the_top_eigenvalue():
     # shift I - A is positive definite exactly when shift exceeds lambda_max(A)
     rng = np.random.default_rng(5)
     for width in (0, 1, 2):
         for m in (1, 2, 3, 50):
             x = _random_band(rng, m, width)
-            block = _block(x)
-            lower = np.zeros((3, m))
-            below = block.offsets <= 0
-            lower[-block.offsets[below]] = block.data[below]
+            lower = _lower(_block(x))
             top = np.linalg.eigvalsh(x)[-1]
             room = 1e-9 * max(1.0, abs(top))
             assert lat._positive_definite(lower, top + room), (width, m)
@@ -1435,10 +1440,132 @@ def test_uncertified_band_falls_back_to_eigvalsh(monkeypatch, failure):
         monkeypatch.setattr(lat, "_positive_definite", lambda lower, shift: False)
     sizes = _record_eigvalsh(monkeypatch)
     got = lat.verify_central_relation(g, (math.pi, math.pi / 2))
-    assert sizes == [320] * 4
+    assert sizes == [320] * 2  # phi of each label; pi is pruned by its Gershgorin bound
     for old, new in zip(want["per_label"], got["per_label"]):
         value = old["full_residual_norm"]
         assert abs(new["full_residual_norm"] - value) <= 1e-12 * value
+
+
+def _oracle_spectral_norm(obs):
+    """spectral_norm of a block-diagonal quad with both blocks solved, no pruning (reference)."""
+    assert not obs.coupling
+    return max(lat._max_abs_eigenvalue(obs.phi), lat._max_abs_eigenvalue(obs.pi))
+
+
+def _oracle_certified(block, theta, y):
+    """_certified with both LDL^T inertia checks always run, no Gershgorin shortcut (reference)."""
+    nu = abs(theta)
+    delta = lat._CERTIFIED_REL * nu
+    r = block.dot(y) - theta * y
+    if not math.sqrt(r @ r) <= delta * math.sqrt(y @ y):
+        return None
+    lower = _lower(block)
+    bounded = all(lat._positive_definite(sign * lower, nu + delta) for sign in (1, -1))
+    return float(nu) if bounded else None
+
+
+def _one_signed(x, sign):
+    """x shifted by its Gershgorin bound times `sign`: definite of that sign (semidefinite at worst)."""
+    bound = np.abs(x).sum(axis=1).max()
+    return x + sign * bound * np.eye(x.shape[0])
+
+
+def _band_pairs(rng, m):
+    """(phi, pi) pairs of bands: random, one-signed and diagonal, at scale ratios near and far."""
+    for width_phi, width_pi in ((0, 0), (1, 2), (2, 1), (2, 2)):
+        for kind in ("random", "positive", "negative", "diagonal"):
+            phi, pi = _random_band(rng, m, width_phi), _random_band(rng, m, width_pi)
+            if kind == "diagonal":
+                phi, pi = np.diag(np.diag(phi)), np.diag(np.diag(pi))
+            elif kind != "random":
+                phi, pi = (_one_signed(x, 1 if kind == "positive" else -1) for x in (phi, pi))
+            for ratio in (1e-3, 0.3, 1.0, 3.0, 1e3):
+                yield phi, ratio * pi
+
+
+@pytest.mark.parametrize("m", [7, lat._LANCZOS_MIN_ROWS + 20])
+def test_pruned_spectral_norm_is_bit_equal_to_both_blocks_solved(monkeypatch, m):
+    rng = np.random.default_rng(11 * m)
+    solves = []
+    max_abs = lat._max_abs_eigenvalue
+    monkeypatch.setattr(lat, "_max_abs_eigenvalue", lambda b: solves.append(b) or max_abs(b))
+    pruned = 0
+    for phi, pi in _band_pairs(rng, m):
+        for a, b in ((phi, pi), (pi, phi)):
+            obs = lat.QuadraticObservable(m, _block(a), None, _block(b))
+            solves.clear()
+            got = lat.spectral_norm(obs)
+            pruned += len(solves) == 1
+            assert got == _oracle_spectral_norm(obs)
+    assert pruned >= 40  # the ratios 1e-3 and 1e3 prune every kind
+
+
+@pytest.mark.parametrize("m", [30, lat._LANCZOS_MIN_ROWS + 20])
+def test_pruning_near_a_tie_returns_the_same_float(monkeypatch, m):
+    # on a diagonal block the Gershgorin bound is the norm itself, so pi's
+    # bound sits within 1e-13 of phi's value: pruned only below 1 - 4e-13
+    rng = np.random.default_rng(m)
+    values = rng.standard_normal(m)
+    values[m // 2] = -3.0  # a lone extreme eigenvalue
+    phi = _block(np.diag(values))
+    solves = []
+    max_abs = lat._max_abs_eigenvalue
+    monkeypatch.setattr(lat, "_max_abs_eigenvalue", lambda b: solves.append(b) or max_abs(b))
+    for factor in (1 - 1e-12, 1 - 5e-13, 1 - 4e-13, 1 - 1e-13, 1 - 1e-16, 1.0, 1 + 1e-16,
+                   1 + 1e-13, 1 + 5e-13):
+        pi = _block(np.diag(values * factor))
+        for obs in (lat.QuadraticObservable(m, phi, None, pi),
+                    lat.QuadraticObservable(m, pi, None, phi)):
+            solves.clear()
+            got = lat.spectral_norm(obs)
+            assert len(solves) == (1 if abs(factor - 1) > 4.5e-13 else 2), factor
+            assert got == _oracle_spectral_norm(obs), factor
+
+
+@pytest.mark.parametrize("m", [1, 5, 40, 150])
+def test_one_sided_certificate_agrees_with_both_sides_checked(monkeypatch, m):
+    rng = np.random.default_rng(3 * m)
+    sweeps = []
+    positive_definite = lat._positive_definite
+    monkeypatch.setattr(lat, "_positive_definite",
+                        lambda lower, shift: sweeps.append(shift) or positive_definite(lower, shift))
+    skipped = accepted = 0
+    for phi, pi in _band_pairs(rng, m):
+        for x in (phi, pi):
+            block = _block(x)
+            if not block:
+                continue
+            values, vectors = np.linalg.eigh(x)
+            for i in sorted({0, m // 2, m - 1}):
+                for theta in (values[i], values[i] * (1 + 3e-14), values[i] * (1 - 3e-14)):
+                    sweeps.clear()
+                    got = lat._certified(block, theta, vectors[:, i])
+                    run = len(sweeps)
+                    sweeps.clear()
+                    assert got == _oracle_certified(block, theta, vectors[:, i]), (m, i, theta)
+                    skipped += run < len(sweeps)
+                    accepted += got is not None
+    # one-signed and diagonal bands clear a side; the top pair is accepted
+    assert skipped >= 300 and accepted >= 100, (skipped, accepted)
+
+
+@pytest.mark.parametrize("n", [160, 640])
+def test_central_norm_sweeps_once_per_label_and_skips_pi(monkeypatch, n):
+    # phi of a 1-d central residual is negative definite, so its upper
+    # Gershgorin edge clears +A, and pi's bound is far below phi's value
+    g = lat.LatticeGeometry(1, n, 8.0 / n, "open")
+    sweeps, solves = [], []
+    positive_definite, max_abs = lat._positive_definite, lat._max_abs_eigenvalue
+    monkeypatch.setattr(lat, "_positive_definite",
+                        lambda lower, shift: sweeps.append(shift) or positive_definite(lower, shift))
+    monkeypatch.setattr(lat, "_max_abs_eigenvalue", lambda b: solves.append(b) or max_abs(b))
+    residuals = _record_norm_inputs(monkeypatch)
+    rep = lat.verify_central_relation(g, (math.pi, math.pi / 2))
+    monkeypatch.undo()
+    assert len(sweeps) == 2
+    assert len(solves) == 2 and all(b is r.phi for b, r in zip(solves, residuals, strict=True))
+    for row, residual in zip(rep["per_label"], residuals, strict=True):
+        assert row["full_residual_norm"] == _oracle_spectral_norm(residual)
 
 
 def test_spectral_norm_returns_a_float():
