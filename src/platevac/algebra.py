@@ -10,11 +10,14 @@ Structure constants are indexed as f[c][a][b], meaning
 An algebra stores only its nonzero brackets, {(a, b): {c: f[c][a][b]}}
 with a < b, at most MAX_DIM generators. A two-cocycle likewise stores
 only its nonzero central terms, {(a, b): C[a][b]} with a < b, over at
-most MAX_DIM labels. Both tables are folded by one rule: a (b, a) key
-comes in negated and must agree with any (a, b) key. The dense tables
-`LieAlgebraSpec.f` and `TwoCocycle.c` are read-only views, built on first
-access, for independent oracles. Every rank, solve and inverse is one
-`exactlin.rref` of sparse {column: value} rows: a bracket row
+most MAX_DIM labels. Every table (dict, file, builtin or command line)
+is folded by one rule, `_fold`: a (b, a) key comes in negated, and a
+diagonal pair, a mirror that is not the negation, or a key given twice
+with two values raises. A bracket dict folds per row (a, b), a bracket
+file per component (a, b, c); a file error names its line. The dense
+tables `LieAlgebraSpec.f` and `TwoCocycle.c` are read-only views, built
+on first access, for independent oracles. Every rank, solve and inverse
+is one `exactlin.rref` of sparse {column: value} rows: a bracket row
 {c: f[c][a][b]}, a cocycle row, or a row of [P | I].
 
 Planar Poincare conventions (generator order H, P1, P2, J, K1, K2, with
@@ -95,48 +98,68 @@ def _check_dim(n: int, what: str = "generators") -> None:
         raise ValueError(f"{n} {what}, more than the {MAX_DIM} allowed")
 
 
-def _fold(pairs, labels, negate) -> dict:
-    """{(a, b): v} with a < b, in index order and without zero values.
+def _index(labels, what: str = "labels") -> dict:
+    """{label: index} of a basis: at most MAX_DIM labels, none repeated."""
+    _check_dim(len(labels), what)
+    index = {lab: i for i, lab in enumerate(labels)}
+    if len(index) != len(labels):
+        raise ValueError("duplicate basis labels")
+    return index
 
-    `pairs` yields ((a, b), v) over indices into `labels`; a (b, a) pair
-    comes in as negate(v) and must agree with any (a, b) pair. Errors name
-    the pair by its labels.
+
+def _resolve(labels, entries):
+    """Yield the entries ((a, b, *rest), v) over `labels` as entries over indices.
+
+    An unknown label raises as its entry is read, so a file reader can name its line.
+    """
+    index = _index(labels)
+    for key, v in entries:
+        try:
+            key = tuple(index[lab] for lab in key)
+        except KeyError as exc:
+            raise ValueError(f"unknown label {exc.args[0]!r}") from None
+        yield key, v
+
+
+def _fold(entries, labels, negate=operator.neg) -> dict:
+    """{(a, b, *rest): v} with a < b, in key order and without zero values.
+
+    `entries` yields ((a, b, *rest), v) over indices into `labels`, in
+    order. A (b, a, *rest) key comes in as negate(v) and must agree with
+    an (a, b, *rest) key, and a key given twice must keep its value.
+    Errors name the pair by its labels, in the order it was given.
     """
     n = len(labels)
     table = {}
-    for (a, b), v in pairs:
+    for (a, b, *rest), v in entries:
         if not (0 <= a < n and 0 <= b < n):
             raise ValueError(f"pair ({a}, {b}) is out of range for {n} labels")
         if a == b:
             raise ValueError(f"pair ({labels[a]}, {labels[b]}) is diagonal")
-        key, w = ((a, b), v) if a < b else ((b, a), negate(v))
-        if table.setdefault(key, w) != w:
-            raise ValueError(f"antisymmetry violated at ({labels[a]}, {labels[b]})")
-    return {key: table[key] for key in sorted(table) if table[key]}
+        key, w = ((a, b, *rest), v) if a < b else ((b, a, *rest), negate(v))
+        ordered, u = table.setdefault(key, (a < b, w))
+        if u != w:
+            what = "conflicting values" if ordered == (a < b) else "antisymmetry violated"
+            raise ValueError(f"{what} at ({labels[a]}, {labels[b]})")
+    return {key: table[key][1] for key in sorted(table) if table[key][1]}
 
 
 @dataclass(frozen=True)
 class LieAlgebraSpec:
-    """Ordered basis labels plus the nonzero brackets {(a, b): {c: f[c][a][b]}}.
-
-    A (b, a) key is folded in negated and must agree with any (a, b) entry.
-    The stored table has a < b, Fraction values and no zeros, in index order.
-    """
+    """Ordered basis labels plus the nonzero brackets {(a, b): {c: f[c][a][b]}},
+    with a < b and Fraction values, folded per (a, b) by `_fold`."""
 
     labels: tuple[str, ...]
     brackets: dict
 
     def __post_init__(self):
-        n = len(self.labels)
-        _check_dim(n)
-        if len(set(self.labels)) != n:
-            raise ValueError("duplicate basis labels")
+        n = len(_index(self.labels, "generators"))
         rows = []
-        for ab, comps in self.brackets.items():
+        for (a, b), comps in self.brackets.items():
             if not all(0 <= c < n for c in comps):
-                raise ValueError(f"bracket {ab} has a component out of range")
+                raise ValueError(f"bracket {(a, b)} has a component out of range")
             row = ((c, Fraction(comps[c])) for c in sorted(comps))
-            rows.append((ab, {c: v for c, v in row if v}))
+            rows.append(((a, b), {c: v for c, v in row if v}))
         object.__setattr__(self, "brackets", _fold(
             rows, self.labels, lambda row: {c: -v for c, v in row.items()}))
 
@@ -182,13 +205,13 @@ class LieAlgebraSpec:
         return tuple(rows)
 
 
-def _algebra_from_brackets(labels, brackets) -> LieAlgebraSpec:
-    """brackets: {(a_label, b_label): {c_label: coefficient}}."""
-    idx = {lab: i for i, lab in enumerate(labels)}
-    return LieAlgebraSpec(tuple(labels), {
-        (idx[la], idx[lb]): {idx[lc]: v for lc, v in comps.items()}
-        for (la, lb), comps in brackets.items()
-    })
+def _algebra_from_brackets(labels, components) -> LieAlgebraSpec:
+    """components: ((a_label, b_label, c_label), f[c][a][b]) pairs, folded
+    per component in order and regrouped into rows."""
+    rows = {}
+    for (a, b, c), v in _fold(_resolve(labels, components), labels).items():
+        rows.setdefault((a, b), {})[c] = v
+    return LieAlgebraSpec(tuple(labels), rows)
 
 
 POINCARE_LABELS = ("H", "P1", "P2", "J", "K1", "K2")
@@ -196,20 +219,17 @@ POINCARE_LABELS = ("H", "P1", "P2", "J", "K1", "K2")
 
 def build_poincare_2plus1() -> LieAlgebraSpec:
     """Planar Poincare algebra in the conventions of the module docstring."""
-    return _algebra_from_brackets(
-        POINCARE_LABELS,
-        {
-            ("K1", "H"): {"P1": 1},
-            ("K2", "H"): {"P2": 1},
-            ("K1", "P1"): {"H": 1},
-            ("K2", "P2"): {"H": 1},
-            ("K1", "K2"): {"J": 1},
-            ("J", "P1"): {"P2": -1},
-            ("J", "P2"): {"P1": 1},
-            ("J", "K1"): {"K2": -1},
-            ("J", "K2"): {"K1": 1},
-        },
-    )
+    return _algebra_from_brackets(POINCARE_LABELS, {
+        ("K1", "H", "P1"): 1,
+        ("K2", "H", "P2"): 1,
+        ("K1", "P1", "H"): 1,
+        ("K2", "P2", "H"): 1,
+        ("K1", "K2", "J"): 1,
+        ("J", "P1", "P2"): -1,
+        ("J", "P2", "P1"): 1,
+        ("J", "K1", "K2"): -1,
+        ("J", "K2", "K1"): 1,
+    }.items())
 
 
 def abelian_algebra(n: int) -> LieAlgebraSpec:
@@ -217,12 +237,12 @@ def abelian_algebra(n: int) -> LieAlgebraSpec:
     if n < 1:
         raise ValueError("need n >= 1")
     _check_dim(n)
-    return _algebra_from_brackets(tuple(f"P{i + 1}" for i in range(n)), {})
+    return _algebra_from_brackets(tuple(f"P{i + 1}" for i in range(n)), ())
 
 
 def heisenberg_algebra() -> LieAlgebraSpec:
     """One canonical pair with its central element: <<Q1, P1>> = Z."""
-    return _algebra_from_brackets(("Q1", "P1", "Z"), {("Q1", "P1"): {"Z": 1}})
+    return _algebra_from_brackets(("Q1", "P1", "Z"), {("Q1", "P1", "Z"): 1}.items())
 
 
 def galilei_1plus1() -> LieAlgebraSpec:
@@ -231,7 +251,7 @@ def galilei_1plus1() -> LieAlgebraSpec:
     The classical algebra has <<K, P>> = 0; the mass cocycle C[K][P] = m
     is the standard nontrivial central extension.
     """
-    return _algebra_from_brackets(("H", "P", "K"), {("K", "H"): {"P": 1}})
+    return _algebra_from_brackets(("H", "P", "K"), {("K", "H", "P"): 1}.items())
 
 
 BUILTIN_NAMES = ("poincare21", "abelianN (e.g. abelian2)", "heisenberg1", "galilei11")
@@ -252,19 +272,16 @@ def builtin_algebra(name: str) -> LieAlgebraSpec:
 
 @dataclass(frozen=True)
 class TwoCocycle:
-    """Ordered basis labels plus the nonzero central terms {(a, b): C[a][b]}.
-
-    A (b, a) key is folded in negated and must agree with any (a, b) entry.
-    The stored table has a < b, Fraction values and no zeros, in index order.
-    """
+    """Ordered basis labels plus the nonzero central terms {(a, b): C[a][b]},
+    with a < b and Fraction values, folded by `_fold`."""
 
     labels: tuple[str, ...]
     entries: dict
 
     def __post_init__(self):
-        _check_dim(len(self.labels), "labels")
-        pairs = ((ab, Fraction(v)) for ab, v in self.entries.items())
-        object.__setattr__(self, "entries", _fold(pairs, self.labels, operator.neg))
+        _index(self.labels)
+        pairs = (((a, b), Fraction(v)) for (a, b), v in self.entries.items())
+        object.__setattr__(self, "entries", _fold(pairs, self.labels))
 
     @cached_property
     def c(self) -> tuple:
@@ -277,13 +294,10 @@ class TwoCocycle:
 
     @classmethod
     def from_entries(cls, labels, entries) -> "TwoCocycle":
-        """entries: {(a_label, b_label): value}; a (b, a) key is folded in negated."""
-        idx = {lab: i for i, lab in enumerate(labels)}
-        try:
-            table = {(idx[la], idx[lb]): v for (la, lb), v in entries.items()}
-        except KeyError as exc:
-            raise ValueError(f"unknown generator label {exc.args[0]!r}") from None
-        return cls(tuple(labels), table)
+        """entries: {(a_label, b_label): value}, or such pairs folded in order."""
+        pairs = entries.items() if isinstance(entries, dict) else entries
+        pairs = _resolve(labels, ((ab, Fraction(v)) for ab, v in pairs))
+        return cls(tuple(labels), _fold(pairs, labels))
 
 
 @dataclass(frozen=True)
@@ -467,96 +481,63 @@ def save_cocycle(cocycle: TwoCocycle, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _parse_lines(path):
-    basis = None
-    f_entries = []
-    c_entries = []
+_RECORDS = {  # kind: (record form, its message in a file of the other kind)
+    "f": ("f A B C num den", "structure-constant record in a cocycle file"),
+    "c": ("c A B num den", "cocycle record in an algebra file"),
+}
+
+
+def _load(path, kind, build):
+    """build(basis, entries) for the text file at `path` of `kind` "f" or "c".
+
+    `entries` yields one entry per record, in file order: `f A B C num den`
+    is ((A, B, C), num/den), so a bracket file folds per component, and
+    `c A B num den` is ((A, B), num/den). An error of a line, or one that
+    `build` raises while it reads the line's record, names that line.
+    """
+    basis, records, lineno = None, [], None
+
+    def entries():
+        nonlocal lineno
+        for lineno, (*key, num, den) in records:
+            try:
+                value = Fraction(int(num), int(den))
+            except (ValueError, ZeroDivisionError):
+                raise ValueError(
+                    f"bad rational {num}/{den}: want integers, nonzero denominator") from None
+            yield key, value
+
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            kind = parts[0]
-            if kind == "basis":
-                if basis is not None:
-                    raise AlgebraFormatError(f"line {lineno}: duplicate basis line")
-                if len(parts) < 2:
-                    raise AlgebraFormatError(f"line {lineno}: empty basis line")
-                basis = tuple(parts[1:])
-                if len(set(basis)) != len(basis):
-                    raise AlgebraFormatError(f"line {lineno}: repeated basis label")
-            elif kind == "f":
-                if len(parts) != 6:
-                    raise AlgebraFormatError(
-                        f"line {lineno}: expected 'f A B C num den', got {line!r}"
-                    )
-                f_entries.append((lineno, parts[1], parts[2], parts[3], parts[4], parts[5]))
-            elif kind == "c":
-                if len(parts) != 5:
-                    raise AlgebraFormatError(
-                        f"line {lineno}: expected 'c A B num den', got {line!r}"
-                    )
-                c_entries.append((lineno, parts[1], parts[2], parts[3], parts[4]))
-            else:
-                raise AlgebraFormatError(f"line {lineno}: unknown record {kind!r}")
-    if basis is None:
-        raise AlgebraFormatError("missing basis line")
-    return basis, f_entries, c_entries
-
-
-def _to_fraction(lineno, num, den) -> Fraction:
+        lines = fh.readlines()
     try:
-        num_i, den_i = int(num), int(den)
-    except ValueError:
-        raise AlgebraFormatError(f"line {lineno}: non-integer rational {num}/{den}") from None
-    if den_i == 0:
-        raise AlgebraFormatError(f"line {lineno}: zero denominator")
-    return Fraction(num_i, den_i)
+        for lineno, raw in enumerate(lines, start=1):
+            head, *fields = raw.split() or ["#"]
+            if head.startswith("#"):
+                continue
+            if head == "basis":
+                if basis is not None:
+                    raise ValueError("duplicate basis line")
+                if not fields:
+                    raise ValueError("empty basis line")
+                basis = tuple(fields)
+            elif head != kind:
+                raise ValueError(_RECORDS[head][1] if head in _RECORDS
+                                 else f"unknown record {head!r}")
+            elif len(fields) + 1 != len(_RECORDS[kind][0].split()):
+                raise ValueError(f"expected {_RECORDS[kind][0]!r}, got {raw.strip()!r}")
+            else:
+                records.append((lineno, fields))
+        lineno = None  # an error before build reads a record, as of the labels, names no line
+        if basis is None:
+            raise ValueError("missing basis line")
+        return build(basis, entries())
+    except ValueError as exc:
+        raise AlgebraFormatError(f"line {lineno}: {exc}" if lineno else str(exc)) from None
 
 
 def load_algebra(path) -> LieAlgebraSpec:
-    basis, f_entries, c_entries = _parse_lines(path)
-    if c_entries:
-        raise AlgebraFormatError(
-            f"line {c_entries[0][0]}: cocycle record in an algebra file"
-        )
-    idx = {lab: i for i, lab in enumerate(basis)}
-    table = {}
-    for lineno, la, lb, lc, num, den in f_entries:
-        for lab in (la, lb, lc):
-            if lab not in idx:
-                raise AlgebraFormatError(f"line {lineno}: unknown label {lab!r}")
-        a, b, c = idx[la], idx[lb], idx[lc]
-        v = _to_fraction(lineno, num, den)
-        if a > b:
-            a, b, v = b, a, -v
-        # a nonzero diagonal entry conflicts with its own mirror image
-        if table.setdefault((a, b), {}).setdefault(c, v) != v or (a == b and v):
-            raise AlgebraFormatError(
-                f"line {lineno}: conflicting value for f[{lc}][{la}][{lb}]"
-            )
-    return LieAlgebraSpec(basis, {(a, b): row for (a, b), row in table.items() if a != b})
+    return _load(path, "f", _algebra_from_brackets)
 
 
 def load_cocycle(path) -> TwoCocycle:
-    basis, f_entries, c_entries = _parse_lines(path)
-    if f_entries:
-        raise AlgebraFormatError(
-            f"line {f_entries[0][0]}: structure-constant record in a cocycle file"
-        )
-    idx = {lab: i for i, lab in enumerate(basis)}
-    table = {}
-    for lineno, la, lb, num, den in c_entries:
-        for lab in (la, lb):
-            if lab not in idx:
-                raise AlgebraFormatError(f"line {lineno}: unknown label {lab!r}")
-        a, b = idx[la], idx[lb]
-        if a == b:
-            raise AlgebraFormatError(f"line {lineno}: diagonal entry {la},{lb}")
-        v = _to_fraction(lineno, num, den)
-        if a > b:
-            a, b, v = b, a, -v
-        if table.setdefault((a, b), v) != v:
-            raise AlgebraFormatError(f"line {lineno}: conflicting value for C[{la}][{lb}]")
-    return TwoCocycle(basis, table)
+    return _load(path, "c", TwoCocycle.from_entries)

@@ -190,12 +190,13 @@ def build_parser(defaults: bool = True) -> argparse.ArgumentParser:
            help="minimum accepted convergence order")
     option(p, "--scalar-tol", type=_nonnegative(float), default=1e-9,
            help="relative tolerance on the scalar slot")
-    option(p, "--check", choices=["poincare"],
+    run = p.add_mutually_exclusive_group()
+    option(run, "--check", choices=["poincare"],
            help="run the periodic closure residual check instead")
     option(p, "--closure-size", type=int, default=16)
     option(p, "--closure-mass", type=float, default=1.0)
     option(p, "--closure-tol", type=_nonnegative(float), default=1e-10)
-    option(p, "--demo", choices=["contradiction"],
+    option(run, "--demo", choices=["contradiction"],
            help="print the positive vacuum-energy lower bound")
 
     p = subcommand("casimir", cmd_casimir, "plate energies, all routes")
@@ -290,15 +291,13 @@ def _resolve_cocycle(algebra, builtin, opts):
             raise ValueError("--charges needs exactly three rationals c0,c1,c2")
         return alg.shift_cocycle(*(_rational(p) for p in parts))
     if opts["charges_raw"]:
-        entries = {}
+        entries = []
         for item in opts["charges_raw"]:
             head, _, value = item.partition("=")
             labels = [x.strip() for x in head.split(",")]
             if len(labels) != 2 or not value:
                 raise ValueError(f"bad --charges-raw entry {item!r}, want A,B=value")
-            value = _rational(value)
-            if entries.setdefault((labels[0], labels[1]), value) != value:
-                raise ValueError(f"conflicting values for --charges-raw {head.strip()}")
+            entries.append((labels, _rational(value)))
         return alg.TwoCocycle.from_entries(algebra.labels, entries)
     if opts["cocycle_file"]:
         cocycle = alg.load_cocycle(opts["cocycle_file"])

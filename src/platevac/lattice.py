@@ -74,9 +74,9 @@ residual is negative definite, so its upper side is clear). Any other
 block, or a band whose certificate fails, goes to a dense eigvalsh of the
 rows it keeps. An empty block is 0 without a solve.
 
-Sites are laid out once, by `_grid`: the N^dims sites in the C order of an
-N x ... x N array, so site (i, j) is i * N + j. Bonds, difference stencils,
-coordinates and the bulk window are index arrays derived from that grid.
+Sites are numbered in the C order of an N x ... x N array: site (i, j) is
+i * N + j. Bonds and stencils go onto the diagonals at +- the flat stride of
+one step; coordinates come from `np.unravel_index`, the bulk window from `_grid`.
 
 Spatial derivatives follow two deliberate conventions: the gradient energy
 in the Hamiltonian uses forward differences (keeps the potential matrix
@@ -145,8 +145,8 @@ class LatticeGeometry:
             raise ValueError("need at least 3 sites per direction")
         if self.n_sites > _MAX_SITES:
             raise ValueError(f"{self.n_sites} lattice sites, more than the {_MAX_SITES} allowed")
-        if not self.spacing > 0:
-            raise ValueError("spacing must be positive")
+        if not (math.isfinite(self.spacing) and self.spacing > 0):
+            raise ValueError("spacing must be finite and positive")
         if self.boundary not in ("open", "periodic"):
             raise ValueError("boundary must be 'open' or 'periodic'")
 
@@ -1054,7 +1054,6 @@ def verify_central_relation(geom: LatticeGeometry, mass_pair) -> dict:
                 "scalar_discrepancy_rel": abs(e_trace - e_eig) / abs(e_eig),
                 "bulk_residual_norm": bulk_residual_norm(residual, geom),
                 "full_residual_norm": spectral_norm(residual),
-                "commutator_scalar_raw": comm.scalar,
             }
         )
         energies.append(e_trace)

@@ -219,7 +219,7 @@ def test_bad_cocycle_entries_rejected(entries):
 
 
 def test_cocycle_labels_checked():
-    with pytest.raises(ValueError, match="unknown generator label 'Q'"):
+    with pytest.raises(ValueError, match="^unknown label 'Q'$"):
         al.TwoCocycle.from_entries(("P1", "P2"), {("P1", "Q"): 1})
     with pytest.raises(ValueError, match="antisymmetry"):
         al.TwoCocycle.from_entries(("P1", "P2"), {("P1", "P2"): 1, ("P2", "P1"): 1})
@@ -228,6 +228,20 @@ def test_cocycle_labels_checked():
         al.TwoCocycle(labels, {})
     with pytest.raises(ValueError, match="more than"):
         al.TwoCocycle.from_entries(labels, {})
+    with pytest.raises(ValueError, match="duplicate basis labels"):
+        al.TwoCocycle(("A", "A"), {})
+    with pytest.raises(ValueError, match="duplicate basis labels"):
+        al.TwoCocycle.from_entries(("A", "A"), {})
+
+
+def test_cocycle_entry_pairs_fold_in_order():
+    labels = ("P1", "P2")
+    pairs = [(("P1", "P2"), 1), (("P2", "P1"), -1), (("P1", "P2"), 1)]
+    assert al.TwoCocycle.from_entries(labels, pairs).entries == {(0, 1): 1}
+    with pytest.raises(ValueError, match=r"^conflicting values at \(P1, P2\)$"):
+        al.TwoCocycle.from_entries(labels, [(("P1", "P2"), 1), (("P1", "P2"), 2)])
+    with pytest.raises(ValueError, match=r"^antisymmetry violated at \(P1, P2\)$"):
+        al.TwoCocycle.from_entries(labels, [(("P2", "P1"), 1), (("P1", "P2"), 1)])
 
 
 def test_dense_cocycle_view_is_read_only_and_cached():
@@ -668,7 +682,7 @@ def test_load_algebra_reports_line_numbers(tmp_path):
 def test_load_algebra_rejects_conflicting_duplicates(tmp_path):
     path = tmp_path / "dup.alg"
     path.write_text("basis A B C\nf A B C 1 1\nf B A C 1 1\n")
-    with pytest.raises(al.AlgebraFormatError, match="conflicting"):
+    with pytest.raises(al.AlgebraFormatError, match=r"^line 3: antisymmetry violated at \(B, A\)$"):
         al.load_algebra(path)
 
 
@@ -709,3 +723,31 @@ def test_kind_mixups_rejected(tmp_path):
     cpath.write_text("basis A B C\nf A B C 1 1\n")
     with pytest.raises(al.AlgebraFormatError, match="structure-constant record"):
         al.load_cocycle(cpath)
+
+
+def test_load_algebra_refuses_a_diagonal_record_of_any_value(tmp_path):
+    path = tmp_path / "zdiag.alg"
+    path.write_text("basis A B C\nf A A B 0 1\n")
+    with pytest.raises(al.AlgebraFormatError, match=r"^line 2: pair \(A, A\) is diagonal$"):
+        al.load_algebra(path)
+
+
+def test_load_algebra_folds_each_component_apart(tmp_path):
+    # a mirror record on another component adds to the bracket, not conflicts
+    path = tmp_path / "mirror.alg"
+    path.write_text("basis A B C D\nf A B C 1 2\nf B A D 1 1\n")
+    assert al.load_algebra(path).brackets == {(0, 1): {2: Fraction(1, 2), 3: -1}}
+
+
+def test_gl8_table_file_roundtrip_is_byte_identical(tmp_path):
+    n = 8  # gl(8) on the matrix units: [E_ij, E_kl] = delta_jk E_il - delta_li E_kj
+    units = list(itertools.product(range(n), repeat=2))
+    brackets = {(a, b): {**({i * n + l: 1} if j == k else {}), **({k * n + j: -1} if l == i else {})}
+                for (a, (i, j)), (b, (k, l)) in itertools.combinations(enumerate(units), 2)}
+    g = al.LieAlgebraSpec(tuple(f"E{i}{j}" for i, j in units), brackets)
+    first, second = tmp_path / "first.alg", tmp_path / "second.alg"
+    al.save_algebra(g, first)
+    back = al.load_algebra(first)
+    assert back == g
+    al.save_algebra(back, second)
+    assert second.read_bytes() == first.read_bytes()

@@ -174,6 +174,16 @@ def test_cocycle_source_flags_mutually_exclusive(tmp_path):
 # algebra-verify
 
 
+def test_check_and_demo_exclude_each_other(tmp_path):
+    argv = ["algebra-verify", "--check", "poincare", "--demo", "contradiction"]
+    assert _exit_code([*argv, "--outdir", str(tmp_path)]) == 2
+    assert list(tmp_path.iterdir()) == []
+    ini = tmp_path / "run.ini"
+    ini.write_text("[algebra-verify]\ndemo = contradiction\n")
+    opts = parse_options(["algebra-verify", "--config", str(ini), "--check", "poincare"])
+    assert (opts["check"], opts["demo"]) == ("poincare", None)
+
+
 def test_algebra_verify_default_sweep(tmp_path, capsys):
     code = main(["algebra-verify", "--outdir", str(tmp_path)])
     assert code == 0
@@ -503,6 +513,7 @@ def test_config_flag_replaces_the_options_it_excludes(tmp_path):
     ("algebra-verify", "demo = bogus"),
     ("casimir", "diff = maybe"),
     ("cocycle", "builtin = poincare21\nalgebra-file = {tmp}/algebra.txt"),
+    ("algebra-verify", "check = poincare\ndemo = contradiction"),
     ("casimir", "command = casimir"),
     ("casimir", "cross-tol = 1;2"),
     ("casimir", "cross-tol = nan"),
@@ -606,6 +617,7 @@ def test_failed_check_exits_3_and_still_writes(tmp_path, capsys, monkeypatch,
     (["--charges-raw", "P1,P1=1"], "pair (P1, P1) is diagonal"),
     (["--charges-raw", "P1,P2=1", "--charges-raw", "P2,P1=1"], "antisymmetry violated at (P2, P1)"),
     (["--cocycle-file", "{tmp}/widec.txt"], "65 labels, more than the 64 allowed"),
+    (["--charges-raw", "P1,P2=1", "--charges-raw", "P1,P2=2"], "conflicting values at (P1, P2)"),
 ])
 def test_cocycle_errors_name_labels(tmp_path, capsys, argv, message):
     (tmp_path / "widec.txt").write_text("basis " + " ".join(f"X{i}" for i in range(65)) + "\n")

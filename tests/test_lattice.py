@@ -108,8 +108,9 @@ def test_geometry_validation():
         lat.LatticeGeometry(3, 8, 0.5)
     with pytest.raises(ValueError):
         lat.LatticeGeometry(1, 2, 0.5)
-    with pytest.raises(ValueError):
-        lat.LatticeGeometry(1, 8, 0.0)
+    for spacing in (0.0, -0.5, math.inf, math.nan):
+        with pytest.raises(ValueError, match="spacing"):
+            lat.LatticeGeometry(1, 8, spacing)
     with pytest.raises(ValueError):
         lat.LatticeGeometry(1, 8, 0.5, "mixed")
     # at most 4096 sites (2-d N = 64): a larger lattice is bad input, not a
@@ -1183,9 +1184,11 @@ def test_central_relation_report_small_lattice():
     g = lat.LatticeGeometry(1, 16, 0.5, "open")
     rep = lat.verify_central_relation(g, (math.pi, math.pi / 2))
     assert len(rep["per_label"]) == 2
+    momentum = lat.normal_ordered(lat.build_momentum(g, 0), lat.build_mode_basis(g, math.pi))
     for row in rep["per_label"]:
         assert row["bulk_window"] == 4  # a quarter of the sites
-        assert row["commutator_scalar_raw"] == 0.0  # pure quadratics
+        boost = lat.build_boost(g, 0, 0.0, row["mass"])
+        assert lat.commutator(boost, momentum).scalar == 0.0  # pure quadratics
         assert row["scalar_discrepancy_rel"] < 1e-12
         assert row["scalar_slot"] == -row["ground_energy_trace"]
     e0 = rep["per_label"][0]["ground_energy_trace"]
@@ -1237,7 +1240,7 @@ def test_central_relation_report_matches_dense_svd():
         k = lat.build_boost(g, 0, 0.0, mass)
         quad, _, scalar = _dense_commutator(k, p)
         residual = 0.5 * (quad + quad.T) - h.quad
-        assert row["commutator_scalar_raw"] == scalar == 0.0
+        assert lat.commutator(k, p).scalar == scalar == 0.0
         full = _dense_norm(residual)
         assert abs(row["full_residual_norm"] - full) <= 1e-12 * full
         bulk = lat.bulk_residual_norm(_from_dense(residual), g)
