@@ -29,8 +29,8 @@ Gauss points and applies the closed-form exponential of the traceless
 2 x 2 generator, a matrix of determinant 1, so W is conserved to rounding.
 Its drift is measured at every step endpoint and gated by wronskian_tol.
 The first grid has 8 steps per period of the fastest frequency; the step
-count doubles until (alpha, beta) settle to rtol, with at most 2^20 steps
-in one sweep.
+count doubles until (alpha, beta) settle to 1e-11 relative, with at most
+2^20 steps in one sweep.
 
 A schedule with L0 == L1 short-circuits to (alpha, beta) = (1, 0); that
 exact value fixes the global phase convention.
@@ -60,6 +60,7 @@ __all__ = [
 
 _STEPS_PER_PERIOD = 8  # the first sweep's grid, at the fastest frequency
 _NOISE_FLOOR = 1e-20  # |beta|^2 below this is integrator noise, not signal
+_TARGET = 1e-6  # the |beta|^2 whose crossing duration a scan estimates
 
 
 class IntegrationFailure(RuntimeError):
@@ -164,7 +165,6 @@ def evolve_mode(
     schedule: Schedule,
     n: int,
     k: float = 0.0,
-    rtol: float = 1e-11,
     wronskian_tol: float = 1e-8,
 ) -> BogoliubovResult:
     """Integrate one mode across the schedule and extract (alpha, beta).
@@ -174,8 +174,6 @@ def evolve_mode(
     cap, and WronskianViolation if the conserved Wronskian drifts by more
     than wronskian_tol at any step endpoint.
     """
-    if not 0.0 < rtol <= 1e-10:
-        raise ValueError(f"rtol must be in (0, 1e-10] for phase accuracy, got {rtol}")
     w_in = mode_frequency(n, k, schedule.L0)
     w_out = mode_frequency(n, k, schedule.L1)
 
@@ -193,8 +191,7 @@ def evolve_mode(
         return k * k + (n * math.pi / length) ** 2
 
     sol = solve_ivp(omega_sq, (-schedule.T, schedule.T), (f0, g0),
-                    first_step=2.0 * math.pi / (_STEPS_PER_PERIOD * max(w_in, w_out)),
-                    rtol=rtol)
+                    first_step=2.0 * math.pi / (_STEPS_PER_PERIOD * max(w_in, w_out)))
     if not sol.success:
         raise IntegrationFailure(f"mode (n={n}, k={k}): {sol.message}")
     drift = sol.drift
@@ -229,8 +226,6 @@ def adiabatic_scan(
     half_durations,
     n: int = 1,
     k: float = 0.0,
-    target: float = 1e-6,
-    rtol: float = 1e-11,
     wronskian_tol: float = 1e-8,
 ) -> ScanResult:
     """Evolve one mode over a ladder of schedule durations.
@@ -241,9 +236,9 @@ def adiabatic_scan(
     raises ScanQualityError rather than being reported as data.
 
     decay_exponent is the local power-law slope between the two largest
-    durations; threshold_half_duration estimates the T at which |beta|^2
-    crosses `target`, by interpolation if the scan brackets it and by
-    extrapolation at the fitted slope otherwise.
+    durations; threshold_half_duration is where |beta|^2 crosses 1e-6 on
+    the power law through the first pair that brackets it, or the last
+    pair if none does (inf when that crossing is past float range).
     """
     times = [float(t) for t in half_durations]
     if len(times) < 3:
@@ -251,10 +246,8 @@ def adiabatic_scan(
     if any(b <= a for a, b in zip(times, times[1:])):
         raise ValueError("durations must be strictly increasing")
 
-    rows = tuple(
-        evolve_mode(Schedule(l0, l1, t), n, k, rtol=rtol, wronskian_tol=wronskian_tol)
-        for t in times
-    )
+    rows = tuple(evolve_mode(Schedule(l0, l1, t), n, k, wronskian_tol=wronskian_tol)
+                 for t in times)
     numbers = [r.particle_number for r in rows]
 
     for i in range(1, len(numbers) - 1):
@@ -266,9 +259,9 @@ def adiabatic_scan(
             )
 
     decay_exponent = _local_exponent(times[-2], numbers[-2], times[-1], numbers[-1])
-    threshold = _threshold_duration(times, numbers, target, decay_exponent)
     return ScanResult(rows=rows, decay_exponent=decay_exponent,
-                      threshold_half_duration=threshold, target=target)
+                      threshold_half_duration=_threshold_duration(times, numbers),
+                      target=_TARGET)
 
 
 def _local_exponent(t_a, p_a, t_b, p_b):
@@ -277,17 +270,17 @@ def _local_exponent(t_a, p_a, t_b, p_b):
     return math.log(p_a / p_b) / math.log(t_b / t_a)
 
 
-def _threshold_duration(times, numbers, target, exponent):
-    below = [p < target for p in numbers]
-    if below[0]:
+def _threshold_duration(times, numbers):
+    if numbers[0] < _TARGET:
         return times[0]
-    for i in range(1, len(numbers)):
-        if below[i]:
-            if numbers[i] <= 0.0:
-                return times[i]
-            # log-log interpolation inside the bracketing pair
-            slope = _local_exponent(times[i - 1], numbers[i - 1], times[i], numbers[i])
-            return times[i - 1] * (numbers[i - 1] / target) ** (1.0 / slope)
-    if not math.isfinite(exponent) or exponent <= 0.0:
+    # the first pair that brackets the target, else the last pair
+    i = next((i for i, p in enumerate(numbers) if p < _TARGET), len(numbers) - 1)
+    slope = _local_exponent(times[i - 1], numbers[i - 1], times[i], numbers[i])
+    if slope == math.inf:  # |beta|^2 reached 0
+        return times[i]
+    if not slope > 0.0:
         return math.inf
-    return times[-1] * (numbers[-1] / target) ** (1.0 / exponent)
+    try:
+        return times[i - 1] * (numbers[i - 1] / _TARGET) ** (1.0 / slope)
+    except OverflowError:  # the fitted law reaches the target past float range
+        return math.inf

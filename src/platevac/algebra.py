@@ -458,27 +458,23 @@ def change_basis(algebra: LieAlgebraSpec, p_cols) -> LieAlgebraSpec:
 _HEADER = "# platevac exact algebra data"
 
 
-def save_algebra(algebra: LieAlgebraSpec, path) -> None:
-    """Write `basis` plus sparse `f a b c num den` lines (a-index < b-index)."""
-    lines = [_HEADER, "basis " + " ".join(algebra.labels)]
-    for (a, b), comps in algebra.brackets.items():
-        for c, v in comps.items():
-            lines.append(
-                f"f {algebra.labels[a]} {algebra.labels[b]} "
-                f"{algebra.labels[c]} {v.numerator} {v.denominator}"
-            )
+def _save(path, kind, labels, entries) -> None:
+    """Write `basis` plus one `kind` record per (index key, value) entry; `_load` reads it."""
+    lines = [_HEADER, "basis " + " ".join(labels)]
+    lines += [" ".join([kind, *(labels[i] for i in key), str(v.numerator), str(v.denominator)])
+              for key, v in entries]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def save_algebra(algebra: LieAlgebraSpec, path) -> None:
+    """Write `basis` plus sparse `f a b c num den` lines (a-index < b-index)."""
+    _save(path, "f", algebra.labels, (((a, b, c), v) for (a, b), comps in algebra.brackets.items()
+                                      for c, v in comps.items()))
 
 
 def save_cocycle(cocycle: TwoCocycle, path) -> None:
-    lines = [_HEADER, "basis " + " ".join(cocycle.labels)]
-    for (a, b), v in cocycle.entries.items():
-        lines.append(
-            f"c {cocycle.labels[a]} {cocycle.labels[b]} {v.numerator} {v.denominator}"
-        )
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _save(path, "c", cocycle.labels, cocycle.entries.items())
 
 
 _RECORDS = {  # kind: (record form, its message in a file of the other kind)

@@ -134,7 +134,7 @@ def abel_plana_zeta3() -> tuple[float, float]:
     divergent sum of n^3 with the growing parts removed; it equals
     zeta(-3) = 1/120.
     """
-    val, err = quad(lambda t: 2.0 * t**3 * _bose_factor(t), 0.0, math.inf)
+    val, err = quad(lambda t: 2.0 * t**3 * _bose_factor(t), 0.0)
     return val, err
 
 

@@ -124,8 +124,9 @@ class DegenerateVacuumError(ValueError):
     """The Hamiltonian has a (numerically) zero-frequency mode."""
 
 
-# 2-d N = 64. Generator blocks and the vacuum are O(k M), but an exact norm of
-# a quad with both kinds of block makes it a dense 2M x 2M matrix: 537 MB here
+# 2-d N = 64. Blocks and vacua are O(k M); on the command line the cap bounds the dense
+# eigvalsh in `_max_abs_eigenvalue`, up to M x M (134 MB here) when a band certificate
+# fails. A mixed-block quad's dense 2M x 2M norm and `.quad` are API and test paths only.
 _MAX_SITES = 4096
 
 
@@ -145,8 +146,10 @@ class LatticeGeometry:
             raise ValueError("need at least 3 sites per direction")
         if self.n_sites > _MAX_SITES:
             raise ValueError(f"{self.n_sites} lattice sites, more than the {_MAX_SITES} allowed")
-        if not (math.isfinite(self.spacing) and self.spacing > 0):
-            raise ValueError("spacing must be finite and positive")
+        a2 = self.spacing * self.spacing  # 4 dims / a^2 tops the Laplacian spectrum
+        if not (self.spacing > 0 and 0 < a2 < math.inf and 0 < 4 * self.dims / a2 < math.inf):
+            raise ValueError(f"spacing must be positive with a^2 and 4 dims / a^2 finite and "
+                             f"nonzero, got {self.spacing!r}")
         if self.boundary not in ("open", "periodic"):
             raise ValueError("boundary must be 'open' or 'periodic'")
 
@@ -494,7 +497,7 @@ def _check_vacuum_mass(geom: LatticeGeometry, mass: float) -> None:
     """_check_mass; a positive mass must survive the rounding of V at this spacing, and
     lambda_min = m^2 must leave a normalizable vacuum (DegenerateVacuumError otherwise)."""
     _check_mass(mass)
-    ma2 = (mass * geom.spacing) ** 2
+    ma2 = mass * geom.spacing * (mass * geom.spacing)  # inf past float range; ** 2 raises
     rounding = np.finfo(float).eps * (ma2 + 4 * geom.dims)
     if mass > 0 and rounding > _MAX_ROUNDING_RATIO * ma2:
         raise ValueError(

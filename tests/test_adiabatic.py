@@ -125,8 +125,6 @@ def test_time_reversal_symmetry():
 def test_evolve_validation(monkeypatch):
     s = ad.Schedule(1.0, 2.0, 1.0)
     with pytest.raises(ValueError):
-        ad.evolve_mode(s, 1, rtol=1e-6)  # too loose for phase accuracy
-    with pytest.raises(ValueError):
         ad.evolve_mode(s, 0)
     # the integrator's own drift is rounding, about 1e-15 here: report a
     # drift just above the bound so the gate trips on every platform
@@ -215,9 +213,16 @@ def test_scan_equal_lengths_all_zero():
 
 
 def test_scan_extrapolates_beyond_range():
-    scan = ad.adiabatic_scan(1.0, 2.0, [2.0, 4.0, 8.0], target=1e-12)
-    assert scan.threshold_half_duration > 8.0
+    scan = ad.adiabatic_scan(1.0, 2.0, [0.3, 0.6, 1.2])  # |beta|^2 stays above 1e-6
+    assert scan.threshold_half_duration > 1.2
     assert math.isfinite(scan.threshold_half_duration)
+
+
+def test_scan_threshold_past_float_range_is_inf():
+    # |beta|^2 barely falls over near-sudden durations: the fitted law reaches
+    # 1e-6 only past float range
+    scan = ad.adiabatic_scan(1.0, 2.0, [0.01, 0.02, 0.04])
+    assert scan.threshold_half_duration == math.inf
 
 
 def test_scan_validation():

@@ -423,6 +423,13 @@ def test_adiabatic_short_list_skips_scan(tmp_path, capsys):
     assert len(_read(tmp_path / "adiabatic_scan.csv").splitlines()) == 3
 
 
+def test_adiabatic_threshold_past_float_range_prints_inf(tmp_path, capsys):
+    code = main(["adiabatic", "--L0", "1", "--L1", "2", "--T", "0.01,0.02,0.04",
+                 "--outdir", str(tmp_path)])
+    assert code == 0
+    assert "estimated T for |beta|^2 < 1e-06: inf\n" in capsys.readouterr().out
+
+
 def test_adiabatic_sudden_check(tmp_path, capsys):
     code = main(["adiabatic", "--L0", "1", "--L1", "2", "--sudden-check",
                  "--T", "2,4,8", "--outdir", str(tmp_path)])

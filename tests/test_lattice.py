@@ -108,7 +108,7 @@ def test_geometry_validation():
         lat.LatticeGeometry(3, 8, 0.5)
     with pytest.raises(ValueError):
         lat.LatticeGeometry(1, 2, 0.5)
-    for spacing in (0.0, -0.5, math.inf, math.nan):
+    for spacing in (0.0, -0.5, math.inf, math.nan, 1e155, 1e-160):
         with pytest.raises(ValueError, match="spacing"):
             lat.LatticeGeometry(1, 8, spacing)
     with pytest.raises(ValueError):
@@ -1129,6 +1129,12 @@ def test_mass_bound(monkeypatch):
             lat.build_boost(g1, 0, 0.0, bad)
         with pytest.raises(ValueError, match="mass"):
             lat.verify_central_relation(g1, (1.0, bad))
+
+
+def test_largest_spacing_takes_the_largest_mass():
+    # (m a)^2 is past float range at m = 1e50, a = 1.3e154: the mass check reads inf
+    report = lat.verify_central_relation(lat.LatticeGeometry(1, 8, 1.3e154), (1e50, 1e49))
+    assert [row["mass"] for row in report["per_label"]] == [1e50, 1e49]
 
 
 def test_mass_lost_to_eigh_rounding_is_bad_input(monkeypatch):
