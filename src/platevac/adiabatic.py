@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass, field
 
 from ._integrate import solve_ivp
@@ -116,9 +117,10 @@ def mode_frequency(n: int, k: float, length: float) -> float:
         omega = math.hypot(k, n * math.pi / length)
     except OverflowError:  # an int n past float range
         omega = math.inf
-    if omega == math.inf:
-        raise ValueError(f"frequency overflows at n={n}, k={k}, length={length}")
-    if omega * omega == 0.0:  # from a length of about 2e162 at k = 0
+    if omega * omega == math.inf:  # from a length of about 2.4e-154 at n = 1
+        raise ValueError(f"frequency or its square overflows at n={n}, k={k}, length={length}")
+    # a subnormal omega^2 has lost digits, and k^2 + (n pi / L)^2 may round to 0
+    if omega * omega < sys.float_info.min:  # from a length of about 2.1e154 at k = 0
         raise ValueError(f"frequency squared underflows at n={n}, k={k}, length={length}")
     return omega
 
@@ -147,18 +149,9 @@ class BogoliubovResult:
     beta: complex
     wronskian_drift: float
     particle_number: float = field(init=False)
-    energy_final: float = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "particle_number", abs(self.beta) ** 2)
-        object.__setattr__(
-            self, "energy_final", self.omega_out * (self.particle_number + 0.5)
-        )
-
-    @property
-    def normalization_defect(self) -> float:
-        """|alpha|^2 - |beta|^2 - 1, zero up to integrator tolerance."""
-        return abs(self.alpha) ** 2 - abs(self.beta) ** 2 - 1.0
 
 
 def evolve_mode(

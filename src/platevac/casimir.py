@@ -49,11 +49,9 @@ _CUTOFF_SCALES = (20.0, 40.0, 80.0)  # the cutoff route's ladder Lambda = scale 
 
 @dataclass(frozen=True)
 class RegularizedSum:
-    """Energy per unit area with the method tag and an honest error bar."""
+    """Energy per unit area with an honest error bar."""
 
     value: float
-    method: str
-    parameters: dict
     error_estimate: float
 
     def __post_init__(self):
@@ -134,8 +132,7 @@ def abel_plana_zeta3() -> tuple[float, float]:
     divergent sum of n^3 with the growing parts removed; it equals
     zeta(-3) = 1/120.
     """
-    val, err = quad(lambda t: 2.0 * t**3 * _bose_factor(t), 0.0)
-    return val, err
+    return quad(lambda t: 2.0 * t**3 * _bose_factor(t), 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +172,7 @@ def _cutoff_tower_remainder(length: float, lam: float) -> tuple[float, float]:
     return tower - integral + 0.5 * cutoff_energy_density(0.0, lam), rounding
 
 
-def _cutoff_route(length: float) -> tuple[float, float, dict]:
+def _cutoff_route(length: float) -> tuple[float, float]:
     lams = [scale / length for scale in _CUTOFF_SCALES]
     f, rounding = zip(*(_cutoff_tower_remainder(length, lam) for lam in lams))
     # two Richardson levels over the doubling ladder: kill 1/Lambda^2, then 1/Lambda^4;
@@ -184,7 +181,7 @@ def _cutoff_route(length: float) -> tuple[float, float, dict]:
     r2 = (16.0 * r1[1] - r1[0]) / 15.0
     carried = (rounding[0] + 20.0 * rounding[1] + 64.0 * rounding[2]) / 45.0
     err = abs(r2 - r1[1]) + carried + 1e-13 * abs(r2)
-    return r2, err, {"cutoffs": lams, "extrapolation_order": 2}
+    return r2, err
 
 
 # ---------------------------------------------------------------------------
@@ -196,20 +193,15 @@ def casimir_energy_per_area(length: float, method: str = "zeta") -> RegularizedS
     # the tower sum_n -(n pi / L)^3 / (12 pi) is the n = 1 density times sum_n n^3
     prefactor = mode_energy_density(mode_mass(1, length))
     if method == "zeta":
-        zeta3 = zeta_negative_odd(3)  # exact 1/120
-        value = prefactor * float(zeta3)
-        return RegularizedSum(
-            value, "zeta", {"zeta_minus_3": f"{zeta3.numerator}/{zeta3.denominator}"},
-            1e-15 * abs(value),
-        )
+        value = prefactor * float(zeta_negative_odd(3))  # zeta(-3) = 1/120 exactly
+        return RegularizedSum(value, 1e-15 * abs(value))
     if method == "abel_plana":
         zeta3_num, quad_err = abel_plana_zeta3()
         value = prefactor * zeta3_num
         err = abs(prefactor) * (quad_err + 1e-14 * abs(zeta3_num))
-        return RegularizedSum(value, "abel_plana", {"zeta_minus_3_numeric": zeta3_num}, err)
+        return RegularizedSum(value, err)
     if method == "cutoff_extrapolation":
-        value, err, params = _cutoff_route(length)
-        return RegularizedSum(value, "cutoff_extrapolation", params, err)
+        return RegularizedSum(*_cutoff_route(length))
     raise ValueError(f"unknown method {method!r}; known: {', '.join(METHODS)}")
 
 

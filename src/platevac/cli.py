@@ -16,14 +16,15 @@ The layers are bound as lazy modules and run on their first use, so a run
 executes only the layers its subcommand calls: only `algebra-verify` loads
 numpy, through `lattice`.
 
-Every subcommand accepts --outdir, --seed, and --config.  The config file
-is INI-style with one section per subcommand; keys are the long flag
-names without the leading dashes.  Each line ``key = value`` is parsed as
-the flag ``--key=value`` by the same declarations as the command line, so
-file values are checked like flags; repeatable keys take ``;``-separated
-values.  Command-line flags override the file, which overrides defaults.
-CSV output uses 12-significant-digit scientific notation and unix line
-endings, so identical inputs produce byte-identical files.
+Every subcommand accepts --outdir and --config, and `cocycle` also --seed,
+the seed of its --selftest draws.  The config file is INI-style with one
+section per subcommand; keys are the long flag names without the leading
+dashes.  Each line ``key = value`` is parsed as the flag ``--key=value``
+by the same declarations as the command line, so file values are checked
+like flags; repeatable keys take ``;``-separated values.  Command-line
+flags override the file, which overrides defaults.  CSV output uses
+12-significant-digit scientific notation and unix line endings, so
+identical inputs produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -164,7 +165,6 @@ def build_parser(defaults: bool = True) -> argparse.ArgumentParser:
         p.set_defaults(handler=handler)
         option(p, "--outdir", type=Path, default=".", help="directory for output files")
         option(p, "--config", help="INI config file")
-        option(p, "--seed", type=int, default=0, help="random seed")
         return p
 
     p = subcommand("cocycle", cmd_cocycle, "exact algebra and cocycle diagnostics")
@@ -179,6 +179,7 @@ def build_parser(defaults: bool = True) -> argparse.ArgumentParser:
     option(src, "--cocycle-file", help="cocycle data file")
     option(p, "--selftest", type=_nonnegative(int, _SELFTEST_MAX), default=0, metavar="N",
            help="run N random charge triples through the solver")
+    option(p, "--seed", type=int, default=0, help="random seed of --selftest")
 
     p = subcommand("algebra-verify", cmd_algebra_verify, "lattice commutator verification")
     option(p, "--physical-size", type=float, default=8.0)

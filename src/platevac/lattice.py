@@ -56,10 +56,10 @@ and Sigma only on their stored diagonals; no M x M array is made.
 
 Both residual norms take an observable. `bulk_residual_norm` applies the
 blocks as banded matrix-vector products. `spectral_norm` works from the
-blocks of its quad: the largest |eigenvalue| of phi and pi, the square root
-of the largest eigenvalue of C^T C for a lone coupling block C, or the
-largest |eigenvalue| of the dense 2M x 2M matrix when both kinds are
-present. Of phi and pi, the block with the larger Gershgorin bound (the
+blocks of its quad: the largest |eigenvalue| of phi and pi, or the square
+root of the largest eigenvalue of C^T C for a lone coupling block C; a quad
+with both kinds is a ValueError, so no path here builds the dense 2M x 2M
+matrix. Of phi and pi, the block with the larger Gershgorin bound (the
 largest absolute row sum) is solved first, and the other is not solved
 when its bound falls below that value by more than rounding (the Pi block
 of a 1-d central residual, bound 797 against 4.1e6 at N = 640). A block
@@ -124,9 +124,9 @@ class DegenerateVacuumError(ValueError):
     """The Hamiltonian has a (numerically) zero-frequency mode."""
 
 
-# 2-d N = 64. Blocks and vacua are O(k M); on the command line the cap bounds the dense
-# eigvalsh in `_max_abs_eigenvalue`, up to M x M (134 MB here) when a band certificate
-# fails. A mixed-block quad's dense 2M x 2M norm and `.quad` are API and test paths only.
+# 2-d N = 64. Blocks and vacua are O(k M); the cap bounds the dense eigvalsh in
+# `_max_abs_eigenvalue`, up to M x M (134 MB here) when a band certificate fails.
+# No computation builds a 2M x 2M matrix; only the `.quad` view, on request, does.
 _MAX_SITES = 4096
 
 
@@ -309,17 +309,6 @@ def _diagonal(values: np.ndarray) -> DiagonalBlock:
     return _diagonals(np.zeros(1, np.int64), values[None])
 
 
-def _dense_quad(obs: "QuadraticObservable") -> np.ndarray:
-    """The dense 2M x 2M matrix Q."""
-    m = obs.n_modes
-    out = np.zeros((2 * m, 2 * m))
-    views = out[:m, :m], out[m:, :m], out[m:, m:]
-    for block, view in zip(obs.blocks, views):
-        block.dense(view)
-    out[:m, m:] = out[m:, :m].T
-    return out
-
-
 @dataclass(frozen=True, eq=False)
 class QuadraticObservable:
     """O = 1/2 xi^T Q xi + lin^T xi + scalar, Q = [[phi, C^T], [C, pi]] symmetric (Weyl order).
@@ -358,7 +347,13 @@ class QuadraticObservable:
     @cached_property
     def quad(self) -> np.ndarray:
         """Read-only dense 2M x 2M view of Q, built on first access."""
-        return _readonly(_dense_quad(self))
+        m = self.n_modes
+        out = np.zeros((2 * m, 2 * m))
+        views = out[:m, :m], out[m:, :m], out[m:, m:]
+        for block, view in zip(self.blocks, views):
+            block.dense(view)
+        out[:m, m:] = out[m:, :m].T
+        return _readonly(out)
 
     def shifted(self, delta_scalar: float) -> "QuadraticObservable":
         return replace(self, scalar=self.scalar + delta_scalar)  # shares the read-only blocks
@@ -743,9 +738,10 @@ def spectral_norm(obs: QuadraticObservable) -> float:
     when its bound is below that value by more than 4e-13 relative: its
     eigenvalues cannot reach it, so the max is the same float.
     Off-diagonal [[0, C^T], [C, 0]]: the square root of that of C^T C.
-    Otherwise: the largest |eigenvalue| of the whole matrix, made dense.
     A block's value is certified Lanczos on a narrow band, else a dense
     eigvalsh of the rows that hold an entry (`_max_abs_eigenvalue`).
+    A mixed quad, a coupling block beside a phi or pi block, is a
+    ValueError: every residual the checks norm is one of the two shapes.
     """
     if not obs.coupling:
         first, second = sorted((obs.phi, obs.pi), key=_gershgorin, reverse=True)
@@ -753,19 +749,15 @@ def spectral_norm(obs: QuadraticObservable) -> float:
         if _gershgorin(second) < top * (1 - 4 * _CERTIFIED_REL):
             return top
         return max(top, _max_abs_eigenvalue(second))
-    if not (obs.phi or obs.pi):
-        return math.sqrt(_max_abs_eigenvalue(obs.coupling.T @ obs.coupling))
-    return _dense_max_abs_eigenvalue(_dense_quad(obs))
+    if obs.phi or obs.pi:
+        raise ValueError("spectral_norm takes a block-diagonal or an off-diagonal quad, "
+                         "not a coupling block beside a phi or pi block")
+    return math.sqrt(_max_abs_eigenvalue(obs.coupling.T @ obs.coupling))
 
 
 def _gershgorin(block: DiagonalBlock) -> float:
     """max_i sum_j |B(i, j)|, which bounds every |eigenvalue| of B (Gershgorin 1931); 0 if empty."""
     return float(np.abs(block.data).sum(axis=0).max(initial=0.0))
-
-
-def _dense_max_abs_eigenvalue(sym: np.ndarray) -> float:
-    eig = np.linalg.eigvalsh(sym)
-    return float(max(-eig[0], eig[-1]))
 
 
 # A band of at most _NARROW_BAND diagonals per side (the LDL^T loop of
@@ -800,7 +792,8 @@ def _max_abs_eigenvalue(block: DiagonalBlock) -> float:
         value = _certified_max_abs_eigenvalue(block)
         if value is not None:
             return value
-    return _dense_max_abs_eigenvalue(block.dense())
+    eig = np.linalg.eigvalsh(block.dense())
+    return float(max(-eig[0], eig[-1]))
 
 
 def _certified_max_abs_eigenvalue(block: DiagonalBlock) -> float | None:

@@ -167,8 +167,6 @@ def test_zeta_route_analytic():
         got = cas.casimir_energy_per_area(length, "zeta")
         want = -(math.pi**2) / (1440.0 * length**3)
         assert abs(got.value - want) <= 1e-13 * abs(want)
-        assert got.method == "zeta"
-        assert got.parameters["zeta_minus_3"] == "1/120"
     frozen = cas.casimir_energy_per_area(1.0, "zeta").value
     assert abs(frozen - (-6.853891945200942e-3)) < 1e-15
 
@@ -186,7 +184,6 @@ def test_cutoff_route_within_error_bars():
         z = cas.casimir_energy_per_area(length, "zeta")
         c = cas.casimir_energy_per_area(length, "cutoff_extrapolation")
         assert abs(z.value - c.value) <= z.error_estimate + c.error_estimate
-        assert c.parameters["cutoffs"] == [20.0 / length, 40.0 / length, 80.0 / length]
 
 
 def test_cutoff_error_bar_counts_its_rounding():
@@ -215,7 +212,7 @@ def test_energy_route_validation():
     with pytest.raises(ValueError):
         cas.casimir_energy_per_area(1.0, "dimensional")
     with pytest.raises(ValueError):
-        cas.RegularizedSum(1.0, "zeta", {}, -1.0)
+        cas.RegularizedSum(1.0, -1.0)
 
 
 @pytest.mark.parametrize("length", [0.0, -1.0, 1e-100, 1e80, math.inf, math.nan])

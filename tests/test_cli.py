@@ -578,6 +578,9 @@ def test_config_malformed_file(tmp_path):
     ["cocycle", "--builtin", "abelian2",  # one pair, two values
      "--charges-raw", "P1,P2=1", "--charges-raw", "P1,P2=2"],
     ["cocycle", "--builtin", "abelian2", "--cocycle-file", "{tmp}/widec.txt"],  # 65 labels
+    ["adiabatic", "--L0", "1e-160", "--L1", "2e-160", "--T", "2e-160"],  # omega^2 overflows
+    ["adiabatic", "--L0", "1e162", "--L1", "2e162", "--T", "2e162",  # omega^2 is subnormal
+     "--k", "5e-163"],
 ])
 def test_bad_values_exit_2(tmp_path, capsys, argv):
     wide = "basis " + " ".join(f"X{i}" for i in range(65)) + "\n"
@@ -644,7 +647,10 @@ _FLAG_AND_INI = [
      "charges-raw = P1,P2=1; H,P1=-2/3"),
     ("cocycle", ["--cocycle-file", "c.txt"], "cocycle-file = c.txt"),
     ("cocycle", ["--selftest", "5"], "selftest = 5"),
-    *[(command, ["--seed", "7"], "seed = 7") for command in _COMMANDS],
+    ("cocycle", ["--seed", "7"], "seed = 7"),
+    ("cocycle", ["--seed", "-3"], "seed = -3"),
+    ("cocycle", ["--selftest", "5", "--seed", "7"], "selftest = 5\nseed = 7"),
+    ("casimir", ["--L", "0.5"], "L = 0.5"),  # one value replaces the default list
     *[(command, ["--outdir", "out"], "outdir = out") for command in _COMMANDS],
     ("algebra-verify", ["--physical-size", "6"], "physical-size = 6"),
     ("algebra-verify", ["--spacings", "0.3,0.2"], "spacings = 0.3,0.2"),

@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+import warnings
 from datetime import timedelta
 from fractions import Fraction
 
@@ -230,3 +231,28 @@ def _adiabatic_argv(draw):
 @given(argv=_adiabatic_argv())
 def test_adiabatic_exit_code_is_documented(tmp_path, argv):
     assert _exit_code([*argv, "--outdir", str(tmp_path)]) in (0, 2, 3, 4)
+
+
+# Command shapes with every length and duration in units of 10^{l} and every mass and
+# transverse momentum in units of 10^{m}; the sweep sets l = s and m = -s. The values
+# stay text, so 1e310 reads as inf and 1e-330 as 0.
+_SCALED_SHAPES = {
+    "scan": "adiabatic --L0=1e{l} --L1=2e{l} --T=2e{l},4e{l},8e{l} --k=0.5e{m}",
+    "single": "adiabatic --L0=1e{l} --L1=2e{l} --T=2e{l} --k=0.5e{m}",
+    "sudden": "adiabatic --L0=1e{l} --L1=2e{l} --T=2e{l} --sudden-check",
+    "casimir": "casimir --L=1e{l} --L=2e{l} --diff",
+    "sweep": "algebra-verify --physical-size=8e{l} --spacings=0.2e{l},0.1e{l} "
+             "--mass0=3.141592653589793e{m} --mass1=1.5707963267948966e{m}",
+    "demo": "algebra-verify --demo contradiction --closure-mass=1e{m}",
+}
+
+
+@settings(_SETTINGS, max_examples=40)
+@given(shape=st.sampled_from(sorted(_SCALED_SHAPES)), s=st.integers(-320, 310))
+def test_scaled_units_exit_code_is_documented(tmp_path, shape, s):
+    # the physics is unit-free: only the float range may refuse a rescaled run
+    argv = _SCALED_SHAPES[shape].format(l=s, m=-s).split()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = _exit_code([*argv, "--outdir", str(tmp_path)])
+    assert code in (0, 2, 3, 4)

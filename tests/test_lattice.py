@@ -99,6 +99,15 @@ def _dense_norm(quad):
     return float(np.linalg.norm(quad, 2))
 
 
+def _check_norm(obs, want, tol):
+    """spectral_norm(obs) is within tol of want, or a ValueError for a mixed quad."""
+    if obs.coupling and (obs.phi or obs.pi):
+        with pytest.raises(ValueError, match="coupling block beside a phi or pi block"):
+            lat.spectral_norm(obs)
+    else:
+        assert abs(lat.spectral_norm(obs) - want) <= tol
+
+
 # ---------------------------------------------------------------------------
 # construction and geometry
 
@@ -386,7 +395,7 @@ def test_zero_block_patterns_match_dense_oracles(m):
         shifted = a.shifted(1.5)
         assert np.array_equal(shifted.quad, a.quad) and np.array_equal(shifted.lin, a.lin)
         assert shifted.scalar == a.scalar + 1.5
-        assert abs(lat.spectral_norm(a) - _dense_norm(a.quad)) <= 1e-12 * _dense_norm(a.quad)
+        _check_norm(a, _dense_norm(a.quad), 1e-12 * _dense_norm(a.quad))
         vev = 0.5 * float(np.trace(a.quad @ sigma)) + a.scalar
         assert lat.vacuum_expectation(a, basis) == pytest.approx(vev, rel=1e-13, abs=1e-13)
         zero = a - a
@@ -402,8 +411,7 @@ def test_zero_block_patterns_match_dense_oracles(m):
             assert np.abs(got.quad - quad).max() <= 1e-13 * scale, pair
             assert np.abs(got.lin - lin).max() <= 1e-13 * scale, pair
             assert abs(got.scalar - scalar) <= 1e-13 * max(1.0, abs(scalar)), pair
-            want = _dense_norm(quad)
-            assert abs(lat.spectral_norm(got) - want) <= 1e-12 * scale, pair
+            _check_norm(got, _dense_norm(quad), 1e-12 * scale)
 
 
 def test_dense_views_read_only_and_cached():
@@ -704,12 +712,11 @@ def test_generator_arithmetic_matches_dense_quads(boundary, dims, n):
         assert np.abs(lat._quad_apply(obs, vec) - obs.quad @ vec).max() <= 1e-13 * scale
         vev = 0.5 * float(np.trace(obs.quad @ sigma)) + obs.scalar
         assert abs(lat.vacuum_expectation(obs, basis) - vev) <= 1e-13 * scale
-        assert abs(lat.spectral_norm(obs) - _dense_norm(obs.quad)) <= 1e-12 * scale
+        _check_norm(obs, _dense_norm(obs.quad), 1e-12 * scale)
         if n >= 4:
             bulk = lat._bulk_restriction(obs, g)
             assert _all_blocks(bulk, lat._bulk_sites(g).size)
-            got = lat.spectral_norm(bulk)
-            assert abs(got - _masked_dense_norm(obs.quad, g)) <= 1e-12 * scale
+            _check_norm(bulk, _masked_dense_norm(obs.quad, g), 1e-12 * scale)
 
     for a in gens.values():
         check_reads(a, np.abs(a.quad).max() * 2 * m)
@@ -1306,8 +1313,7 @@ def test_spectral_norm_matches_dense_svd(m, shape):
             q[m:, :m] = c
             q[:m, m:] = c.T
         want = _dense_norm(q)
-        got = lat.spectral_norm(_from_dense(q))
-        assert abs(got - want) <= 1e-12 * want if want else got == 0.0
+        _check_norm(_from_dense(q), want, 1e-12 * want)  # 0 exactly for the zero quad
 
 
 def _eigvalsh_norm(x):
@@ -1582,8 +1588,10 @@ def test_spectral_norm_returns_a_float():
     h = lat.build_hamiltonian(g, 1.0)
     p = lat.build_momentum(g, 0)
     k = lat.build_boost(g, 0, 0.3, 1.0)
-    for obs in (lat.QuadraticObservable(160), h, p, k, lat.commutator(k, p) - h):
+    for obs in (lat.QuadraticObservable(160), h, p, lat.commutator(k, p) - h):
         assert type(lat.spectral_norm(obs)) is float
+    with pytest.raises(ValueError, match="coupling block beside"):  # K at t != 0 is mixed
+        lat.spectral_norm(k)
 
 
 # ---------------------------------------------------------------------------
