@@ -65,6 +65,10 @@ def quad(f, a: float) -> tuple[float, float]:
     return value, error
 
 
+class IntegrationFailure(RuntimeError):
+    """The integrator did not converge within its step cap."""
+
+
 @dataclass(frozen=True)
 class OscillatorSolution:
     """End state of `solve_ivp` and the effort spent on it."""
@@ -73,8 +77,6 @@ class OscillatorSolution:
     t: range  # the final grid's step endpoints, by index
     nfev: int  # omega^2 at Gauss points: two per step, summed over all sweeps
     drift: float  # max |W - W(t0)| over the final grid's step endpoints
-    success: bool
-    message: str
 
 
 def _wronskian(f: complex, g: complex) -> float:
@@ -125,7 +127,7 @@ def solve_ivp(omega_sq, t_span, y0, first_step: float) -> OscillatorSolution:
     error estimate, is within _IVP_RTOL in the normal-mode amplitudes
     sqrt(omega/2) (f +- i f'/omega) at t1 ((alpha, beta) of a mode
     function). A first sweep too large to double once within MAX_STEPS
-    is a ValueError; a doubling past it returns success=False.
+    is a ValueError; a doubling past it raises IntegrationFailure.
     """
     t0, t1 = t_span
     first = (t1 - t0) / first_step
@@ -146,11 +148,9 @@ def solve_ivp(omega_sq, t_span, y0, first_step: float) -> OscillatorSolution:
             change = math.sqrt(w * abs(df) ** 2 + abs(dg) ** 2 / w)
             size = math.sqrt(w * abs(f) ** 2 + abs(g) ** 2 / w)
             if change <= 15.0 * _IVP_RTOL * size:
-                return OscillatorSolution((f, g), range(steps + 1), nfev, drift, True, "converged")
+                return OscillatorSolution((f, g), range(steps + 1), nfev, drift)
         if 2 * steps > MAX_STEPS:
-            return OscillatorSolution(
-                (f, g), range(steps + 1), nfev, drift, False,
-                f"no convergence to rtol {_IVP_RTOL:g} within {MAX_STEPS} steps per sweep",
-            )
+            raise IntegrationFailure(
+                f"no convergence to rtol {_IVP_RTOL:g} within {MAX_STEPS} steps per sweep")
         previous = (f, g)
         steps *= 2

@@ -493,7 +493,9 @@ def cmd_adiabatic(opts) -> bool:
     ok = True
     if opts["sudden_check"]:
         closed = ad.sudden_beta_magnitude(n, k, opts["L0"], opts["L1"])
-        run = ad.evolve_mode(ad.Schedule(opts["L0"], opts["L1"], 1e-4), n, k,
+        # 1e-4 of the faster half-period, so the check holds in any unit of length
+        fastest = max(ad.mode_frequency(n, k, opts["L0"]), ad.mode_frequency(n, k, opts["L1"]))
+        run = ad.evolve_mode(ad.Schedule(opts["L0"], opts["L1"], 1e-4 * math.pi / fastest), n, k,
                              wronskian_tol=opts["wronskian_tol"])
         dev = abs(abs(run.beta) - closed) / closed if closed else abs(run.beta)
         print(f"sudden |beta| closed form:  {_fmt(closed)}")
@@ -507,7 +509,7 @@ def cmd_adiabatic(opts) -> bool:
         results = scan.rows
         print(f"decay exponent (two largest T): {scan.decay_exponent:.4f}")
         print(f"estimated T for |beta|^2 < {scan.target:g}: "
-              f"{scan.threshold_half_duration:.4f}")
+              f"{scan.threshold_half_duration:.5g}")
     else:
         results = tuple(
             ad.evolve_mode(ad.Schedule(opts["L0"], opts["L1"], t), n, k,

@@ -484,27 +484,21 @@ def _check_mass(mass: float) -> None:
 # 2.3e-12.
 _MAX_ROUNDING_RATIO = 1e-2
 
-# a smallest potential eigenvalue at or below this leaves no normalizable vacuum
-_DEGENERACY_TOL = 1e-10
-
 
 def _check_vacuum_mass(geom: LatticeGeometry, mass: float) -> None:
-    """_check_mass; a positive mass must survive the rounding of V at this spacing, and
-    lambda_min = m^2 must leave a normalizable vacuum (DegenerateVacuumError otherwise)."""
+    """The one vacuum rule: _check_mass; a zero mass is a DegenerateVacuumError (the
+    constant field is a zero mode on every lattice), and a positive mass lost to the
+    rounding of V at this spacing a ValueError. Neither test depends on the unit of length."""
     _check_mass(mass)
+    if mass == 0:
+        raise DegenerateVacuumError("smallest potential eigenvalue 0.000e+00")
     ma2 = mass * geom.spacing * (mass * geom.spacing)  # inf past float range; ** 2 raises
     rounding = np.finfo(float).eps * (ma2 + 4 * geom.dims)
-    if mass > 0 and rounding > _MAX_ROUNDING_RATIO * ma2:
+    if rounding > _MAX_ROUNDING_RATIO * ma2:
         raise ValueError(
             f"mass {mass:g} is lost to the rounding of V at spacing {geom.spacing:g}: eps (m^2 + "
             f"4 dims / a^2) / m^2 = {rounding / ma2 if ma2 else math.inf:.3g} exceeds "
             f"{_MAX_ROUNDING_RATIO:g}")
-    _refuse_zero_mode(mass * mass)  # the constant field's eigenvalue on every lattice
-
-
-def _refuse_zero_mode(smallest: float) -> None:
-    if smallest <= _DEGENERACY_TOL:
-        raise DegenerateVacuumError(f"smallest potential eigenvalue {smallest:.3e}")
 
 
 def build_hamiltonian(geom: LatticeGeometry, mass: float) -> QuadraticObservable:
@@ -537,8 +531,6 @@ def build_boost(
     """
     if geom.boundary != "open":
         raise ValueError("boost generator needs an open boundary")
-    if not 0 <= direction < geom.dims:
-        raise ValueError("direction out of range")
     if not math.isfinite(t):
         raise ValueError(f"boost time t must be finite, got {t!r}")
     _check_mass(mass)
@@ -635,11 +627,12 @@ def build_mode_basis(geom: LatticeGeometry, mass: float) -> ModeBasis:
     offsets, Toeplitz (circulant when periodic) plus Hankel. One length-P
     rfft per axis gives g for every offset, and the basis keeps that table.
 
-    Raises DegenerateVacuumError when the smallest lambda is at most 1e-10
-    (no normalizable vacuum): a zero mass on any lattice, since the constant
-    field is then a zero mode.
+    Each axis has mu_0 = 0, so the smallest lambda is m^2 on every lattice,
+    and `_check_vacuum_mass` decides whether the vacuum exists: a zero mass
+    is a DegenerateVacuumError (the constant field is a zero mode), a mass
+    lost to the rounding of V a ValueError.
     """
-    _check_mass(mass)
+    _check_vacuum_mass(geom, mass)
     from numpy.fft import rfft  # loaded on first use: importing lattice stays cheap
 
     n, dims = geom.sites_per_dim, geom.dims
@@ -650,7 +643,6 @@ def build_mode_basis(geom: LatticeGeometry, mass: float) -> ModeBasis:
     mu = (4.0 / geom.spacing**2) * np.sin(np.pi / period * np.minimum(k, period - k)) ** 2
     lam = mass * mass + reduce(np.add.outer, [mu] * dims)
     ascending = np.sort(lam, axis=None)
-    _refuse_zero_mode(ascending[0])
 
     # Free ends: c_k^2 cos(pi k (2i + 1) / P) cos(pi k (2j + 1) / P) is
     # (c_k^2 / 2) [cos(2 pi k (i - j) / P) + cos(2 pi k (i + j + 1) / P)], with
@@ -1014,24 +1006,23 @@ def verify_central_relation(geom: LatticeGeometry, mass_pair) -> dict:
     - full_residual_norm: spectral norm of R over the whole lattice
       (edge-dominated, not expected to shrink with the spacing).
 
-    The momentum generator is normal-ordered in the first label's vacuum;
-    the final entry reports the central-charge difference E(L0) - E(L1).
-    The bulk window needs N >= 4; a smaller lattice is a ValueError.
+    P has no phi or pi block, so its vacuum value is 0 in every vacuum and
+    one P serves both labels; the final entry reports the central-charge
+    difference E(L0) - E(L1). Both vacua are built first, so a mass that
+    has none fails before any generator is built. The bulk window needs
+    N >= 4; a smaller lattice is a ValueError.
     """
     if geom.boundary != "open":
         raise ValueError("central-relation check needs an open boundary")
     if len(mass_pair) != 2:
         raise ValueError("mass_pair must hold exactly two masses")
-    for mass in mass_pair:
-        _check_vacuum_mass(geom, mass)
+    bases = [build_mode_basis(geom, mass) for mass in mass_pair]
     window = _bulk_window(geom)
+    momentum = build_momentum(geom, 0)
     per_label = []
     energies = []
-    for label, mass in enumerate(mass_pair):
+    for label, (mass, basis) in enumerate(zip(mass_pair, bases)):
         h = build_hamiltonian(geom, mass)
-        basis = build_mode_basis(geom, mass)
-        if label == 0:
-            momentum = normal_ordered(build_momentum(geom, 0), basis)
         e_trace = vacuum_expectation(h, basis)
         e_eig = basis.energy
         boost = build_boost(geom, 0, 0.0, mass)
@@ -1121,7 +1112,6 @@ def contradiction_demo(geom: LatticeGeometry, mass: float) -> dict:
     M * m / 2 > 0; demanding zero contradicts the commutation relations
     that fix the 1/2 per mode.
     """
-    _check_vacuum_mass(geom, mass)
     basis = build_mode_basis(geom, mass)
     vev = vacuum_expectation(build_hamiltonian(geom, mass), basis)
     return {

@@ -436,6 +436,20 @@ def test_adiabatic_sudden_check(tmp_path, capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "sudden-limit check: PASS" in out
+    # the check's duration is set against the mode's period, so it passes in any unit
+    for l0, l1 in (("1e-5", "2e-5"), ("1e5", "2e5")):
+        code = main(["adiabatic", "--L0", l0, "--L1", l1, "--sudden-check",
+                     "--T", l1, "--outdir", str(tmp_path)])
+        assert code == 0
+        assert "sudden-limit check: PASS" in capsys.readouterr().out
+
+
+def test_adiabatic_threshold_keeps_its_digits_at_any_scale(tmp_path, capsys):
+    # the README scan with --k 0.5 estimates 5.7173; in units 1e100 times larger
+    code = main(["adiabatic", "--L0", "1e-100", "--L1", "2e-100", "--T", "2e-100,4e-100,8e-100",
+                 "--k", "5e99", "--outdir", str(tmp_path)])
+    assert code == 0
+    assert "estimated T for |beta|^2 < 1e-06: 5.7173e-100\n" in capsys.readouterr().out
 
 
 def test_adiabatic_wronskian_exit_code(tmp_path, capsys, monkeypatch):

@@ -1158,6 +1158,18 @@ def test_mass_lost_to_eigh_rounding_is_bad_input(monkeypatch):
         lat.central_relation_convergence(8e-6, [1e-6, 1e-7], (1.0, 2.0))
     with pytest.raises(lat.DegenerateVacuumError):  # a zero mass keeps its own error
         lat.contradiction_demo(finer, 0.0)
+    # eps (m^2 + 4 / a^2) / m^2 is 8.9e-2 at a = 1e-3, m = 1e-4: every vacuum takes the rule
+    with pytest.raises(ValueError, match="lost to the rounding"):
+        lat.build_mode_basis(lat.LatticeGeometry(1, 10, 1e-3), 1e-4)
+
+
+def test_central_relation_in_units_a_million_times_larger():
+    # the default sweep with lengths x 1e6 and masses / 1e6: m^2 is 9.9e-12 but positive
+    report = lat.central_relation_convergence(8e6, [2e5, 1e5, 5e4],
+                                              (math.pi * 1e-6, math.pi / 2 * 1e-6))
+    for row in report["reports"]:
+        for label in row["per_label"]:
+            assert label["scalar_discrepancy_rel"] <= 1e-9
 
 
 def test_closure_requires_periodic():
