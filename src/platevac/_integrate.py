@@ -1,7 +1,7 @@
 """Quadrature and oscillator integration with the standard library only.
 
 `quad` is exp-sinh quadrature over [a, inf) (Takahasi & Mori 1974);
-`solve_ivp` a fourth-order Magnus integrator (Iserles & Norsett 1999) for
+`solve_ivp` a sixth-order Magnus integrator (Blanes, Casas & Ros 2000) for
 f'' + omega^2(t) f = 0. `casimir` and `adiabatic` bind them under these
 names, where bench/tracer.py wraps them.
 """
@@ -20,8 +20,9 @@ _QUAD_RTOL = 1e-10
 MAX_STEPS = 2**20  # steps in one sweep of `solve_ivp`
 _IVP_RTOL = 1e-11  # of `solve_ivp`: (alpha, beta) to this keeps the phase of beta
 _MIN_STEPS = 16
-_GAUSS = math.sqrt(3.0) / 6.0  # Gauss points at 1/2 -+ sqrt(3)/6 of a step
-_COMMUTATOR = math.sqrt(3.0) / 12.0
+_GAUSS = math.sqrt(15.0) / 10.0  # Gauss points at 1/2 -+ sqrt(15)/10 and 1/2 of a step
+_SPREAD = math.sqrt(15.0) / 3.0  # alpha2 = _SPREAD h (A3 - A1)
+_CURVATURE = 10.0 / 3.0  # alpha3 = _CURVATURE h (A3 - 2 A2 + A1)
 
 
 def quad(f, a: float) -> tuple[float, float]:
@@ -75,7 +76,7 @@ class OscillatorSolution:
 
     y: tuple[complex, complex]  # (f, f') at t1 on the final grid
     t: range  # the final grid's step endpoints, by index
-    nfev: int  # omega^2 at Gauss points: two per step, summed over all sweeps
+    nfev: int  # omega^2 at Gauss points: three per step, summed over all sweeps
     drift: float  # max |W - W(t0)| over the final grid's step endpoints
 
 
@@ -85,19 +86,28 @@ def _wronskian(f: complex, g: complex) -> float:
 
 
 def _sweep(omega_sq, t0: float, h: float, steps: int, f: complex, g: complex):
-    """`steps` Magnus-4 steps of size h from (f, g) at t0: end state and drift."""
+    """`steps` Magnus-6 steps of size h from (f, g) at t0: end state and drift."""
     w0 = _wronskian(f, g)
     drift = 0.0
     early, late = (0.5 - _GAUSS) * h, (0.5 + _GAUSS) * h
-    hh = h * h
+    half, hh = 0.5 * h, h * h
     for i in range(steps):
         t = t0 + i * h
         a1 = omega_sq(t + early)
-        a2 = omega_sq(t + late)
-        # Omega = [[p, h], [r, -p]]: h (A1 + A2)/2 plus sqrt(3) h^2/12 [A2, A1]
-        p = _COMMUTATOR * hh * (a2 - a1)
-        r = -0.5 * h * (a1 + a2)
-        theta_sq = -(p * p + h * r)  # Omega^2 = -theta^2 I
+        a2 = omega_sq(t + half)
+        a3 = omega_sq(t + late)
+        # A_i = [[0, 1], [-a_i, 0]], alpha1 = h A2, and -q and -u are the only
+        # nonzero entries of alpha2 and alpha3. Then the Blanes-Casas-Ros
+        # generator alpha1 + alpha3/12 + [-20 alpha1 - alpha3 + C1, alpha2 + C2]/240,
+        # C1 = [alpha1, alpha2], C2 = -[alpha1, 2 alpha3 + C1]/60, is
+        # Omega = [[p, b], [r, -p]]
+        q = _SPREAD * h * (a3 - a1)
+        u = _CURVATURE * h * (a3 - 2.0 * a2 + a1)
+        p = h * q * (20.0 + hh * a2 * (4.0 / 3.0) + h * u / 30.0) / 240.0
+        b = h + hh * (h * q * q + 20.0 * u) / 3600.0
+        r = (-h * a2 - u / 12.0
+             + h * (u * (20.0 * h * a2 + u) / 15.0 - 2.0 * q * q * (1.0 + hh * a2 / 30.0)) / 240.0)
+        theta_sq = -(p * p + b * r)  # Omega^2 = -theta^2 I
         if theta_sq > 0.0:
             theta = math.sqrt(theta_sq)
             c, s = math.cos(theta), math.sin(theta) / theta
@@ -107,7 +117,7 @@ def _sweep(omega_sq, t0: float, h: float, steps: int, f: complex, g: complex):
         else:
             c, s = 1.0, 1.0
         # exp(Omega) = c I + s Omega, determinant c^2 + s^2 theta^2 = 1
-        f, g = (c + s * p) * f + s * h * g, s * r * f + (c - s * p) * g
+        f, g = (c + s * p) * f + s * b * g, s * r * f + (c - s * p) * g
         d = abs(_wronskian(f, g) - w0)
         if d > drift:
             drift = d
@@ -117,13 +127,13 @@ def _sweep(omega_sq, t0: float, h: float, steps: int, f: complex, g: complex):
 def solve_ivp(omega_sq, t_span, y0, first_step: float) -> OscillatorSolution:
     """Solve f'' + omega_sq(t) f = 0 over t_span from y0 = (f, f'), complex.
 
-    A step samples A(t) = [[0, 1], [-omega_sq(t), 0]] at its two Gauss
+    A step samples A(t) = [[0, 1], [-omega_sq(t), 0]] at its three Gauss
     points and applies the closed-form exponential of the traceless
-    Magnus-4 generator, a matrix of determinant 1: the Wronskian
+    Magnus-6 generator, a matrix of determinant 1: the Wronskian
     i (conj(f) f' - conj(f') f) holds to rounding, and its largest drift
     over the step endpoints is returned. The first sweep has about
     (t1 - t0)/first_step steps, at least 16; the count doubles until a
-    fifteenth of the change from the previous sweep, the fourth-order
+    sixty-third of the change from the previous sweep, the sixth-order
     error estimate, is within _IVP_RTOL in the normal-mode amplitudes
     sqrt(omega/2) (f +- i f'/omega) at t1 ((alpha, beta) of a mode
     function). A first sweep too large to double once within MAX_STEPS
@@ -142,12 +152,12 @@ def solve_ivp(omega_sq, t_span, y0, first_step: float) -> OscillatorSolution:
     nfev, previous = 0, None
     while True:
         f, g, drift = _sweep(omega_sq, t0, (t1 - t0) / steps, steps, f0, g0)
-        nfev += 2 * steps
+        nfev += 3 * steps
         if previous is not None:
             df, dg = f - previous[0], g - previous[1]
             change = math.sqrt(w * abs(df) ** 2 + abs(dg) ** 2 / w)
             size = math.sqrt(w * abs(f) ** 2 + abs(g) ** 2 / w)
-            if change <= 15.0 * _IVP_RTOL * size:
+            if change <= 63.0 * _IVP_RTOL * size:
                 return OscillatorSolution((f, g), range(steps + 1), nfev, drift)
         if 2 * steps > MAX_STEPS:
             raise IntegrationFailure(

@@ -24,13 +24,13 @@ Conventions:
     Wronskian W = i (conj(f) f' - conj(f') f) = 1, conserved.
 
 The integrator (`solve_ivp` of the private `_integrate` module, standard
-library only) is fourth-order Magnus: each step samples omega^2 at two
-Gauss points and applies the closed-form exponential of the traceless
-2 x 2 generator, a matrix of determinant 1, so W is conserved to rounding.
-Its drift is measured at every step endpoint and gated by wronskian_tol.
-The first grid has 8 steps per period of the fastest frequency; the step
-count doubles until (alpha, beta) settle to 1e-11 relative, with at most
-2^20 steps in one sweep.
+library only) is sixth-order Magnus (Blanes, Casas & Ros 2000): each step
+samples omega^2 at three Gauss points and applies the closed-form
+exponential of the traceless 2 x 2 generator, a matrix of determinant 1,
+so W is conserved to rounding. Its drift is measured at every step
+endpoint and gated by wronskian_tol. The first grid has 8 steps per
+period of the fastest frequency; the step count doubles until (alpha,
+beta) settle to 1e-11 relative, with at most 2^20 steps in one sweep.
 
 A schedule with L0 == L1 short-circuits to (alpha, beta) = (1, 0); that
 exact value fixes the global phase convention.

@@ -145,12 +145,26 @@ def test_step_cap_bounds_the_work(monkeypatch):
         ad.evolve_mode(ad.Schedule(1.0, 2.0, 2.0), 1)
 
 
+def _initial_state(schedule, n, k):
+    """(f, f') at t = -T: the positive-frequency mode of the in-vacuum."""
+    w_in = ad.mode_frequency(n, k, schedule.L0)
+    f0 = cmath.exp(1j * w_in * schedule.T) / math.sqrt(2.0 * w_in)
+    return f0, -1j * w_in * f0
+
+
+def _bogoliubov(schedule, n, k, f1, g1):
+    """(alpha, beta) of the end state (f1, g1) at t = T."""
+    w_out = ad.mode_frequency(n, k, schedule.L1)
+    root = math.sqrt(0.5 * w_out)
+    return (root * (f1 + 1j * g1 / w_out) * cmath.exp(1j * w_out * schedule.T),
+            root * (f1 - 1j * g1 / w_out) * cmath.exp(-1j * w_out * schedule.T))
+
+
 def _dop853_bogoliubov(schedule, n, k):
     """(alpha, beta) from scipy's DOP853 on the real 4-vector (f, f'), rtol 1e-12."""
     w_in = ad.mode_frequency(n, k, schedule.L0)
     w_out = ad.mode_frequency(n, k, schedule.L1)
-    f0 = cmath.exp(1j * w_in * schedule.T) / math.sqrt(2.0 * w_in)
-    g0 = -1j * w_in * f0
+    f0, g0 = _initial_state(schedule, n, k)
 
     def rhs(t, y):
         w2 = k * k + (n * math.pi / ad.schedule_eval(schedule, t)) ** 2
@@ -160,14 +174,13 @@ def _dop853_bogoliubov(schedule, n, k):
                     method="DOP853", rtol=1e-12, atol=1e-14,
                     max_step=0.5 * math.pi / max(w_in, w_out))
     f1, g1 = complex(sol.y[0, -1], sol.y[1, -1]), complex(sol.y[2, -1], sol.y[3, -1])
-    root = math.sqrt(0.5 * w_out)
-    return (root * (f1 + 1j * g1 / w_out) * cmath.exp(1j * w_out * schedule.T),
-            root * (f1 - 1j * g1 / w_out) * cmath.exp(-1j * w_out * schedule.T))
+    return _bogoliubov(schedule, n, k, f1, g1)
 
 
 @pytest.mark.parametrize("n,k,t", [
-    (1, 0.0, 1e-4), (1, 0.0, 2.0), (1, 3.0, 8.0), (2, 3.0, 0.3),
-    (5, 3.0, 4.0), (20, 0.0, 1e-4), (20, 3.0, 2.0),
+    (1, 0.0, 1e-4), (1, 0.0, 2.0), (1, 0.0, 4.0), (1, 0.0, 8.0), (1, 0.5, 2.0),
+    (1, 3.0, 8.0), (2, 3.0, 0.3), (5, 3.0, 4.0), (20, 0.0, 1e-4), (20, 3.0, 2.0),
+    (20, 3.0, 16.0),
 ])
 def test_magnus_matches_dop853(n, k, t):
     schedule = ad.Schedule(1.0, 2.0, t)
@@ -176,6 +189,84 @@ def test_magnus_matches_dop853(n, k, t):
     assert abs(r.beta - beta) <= 1e-9
     assert abs(r.alpha - alpha) <= 1e-9
     assert r.wronskian_drift <= 1e-12  # every step has determinant 1
+
+
+_M4_GAUSS = math.sqrt(3.0) / 6.0  # Gauss points at 1/2 -+ sqrt(3)/6 of a step
+_M4_COMMUTATOR = math.sqrt(3.0) / 12.0
+
+
+def _magnus4_sweep(omega_sq, t0, h, steps, f, g):
+    """`steps` Magnus-4 steps (Iserles & Norsett 1999) of size h from (f, g) at t0.
+
+    A fourth-order oracle for `_integrate._sweep`, with the same arguments
+    and return.
+    """
+    w0 = _integrate._wronskian(f, g)
+    drift = 0.0
+    early, late = (0.5 - _M4_GAUSS) * h, (0.5 + _M4_GAUSS) * h
+    hh = h * h
+    for i in range(steps):
+        t = t0 + i * h
+        a1 = omega_sq(t + early)
+        a2 = omega_sq(t + late)
+        # Omega = [[p, h], [r, -p]]: h (A1 + A2)/2 plus sqrt(3) h^2/12 [A2, A1]
+        p = _M4_COMMUTATOR * hh * (a2 - a1)
+        r = -0.5 * h * (a1 + a2)
+        theta_sq = -(p * p + h * r)  # Omega^2 = -theta^2 I
+        if theta_sq > 0.0:
+            theta = math.sqrt(theta_sq)
+            c, s = math.cos(theta), math.sin(theta) / theta
+        elif theta_sq < 0.0:
+            theta = math.sqrt(-theta_sq)
+            c, s = math.cosh(theta), math.sinh(theta) / theta
+        else:
+            c, s = 1.0, 1.0
+        # exp(Omega) = c I + s Omega, determinant c^2 + s^2 theta^2 = 1
+        f, g = (c + s * p) * f + s * h * g, s * r * f + (c - s * p) * g
+        d = abs(_integrate._wronskian(f, g) - w0)
+        if d > drift:
+            drift = d
+    return f, g, drift
+
+
+def _fixed_grid(sweep, schedule, n, k, steps):
+    """(alpha, beta) from `steps` equal steps of `sweep` across [-T, T]."""
+    def omega_sq(t):
+        return k * k + (n * math.pi / ad.schedule_eval(schedule, t)) ** 2
+
+    f1, g1, _ = sweep(omega_sq, -schedule.T, 2.0 * schedule.T / steps, steps,
+                      *_initial_state(schedule, n, k))
+    return _bogoliubov(schedule, n, k, f1, g1)
+
+
+@pytest.mark.parametrize("t", [2.0, 4.0, 8.0])
+def test_magnus6_matches_magnus4_oracle_on_fixed_grids(t):
+    # 512 steps per period of omega_in = pi: the grid the Magnus-4 doubling
+    # settled on for the README scan
+    schedule = ad.Schedule(1.0, 2.0, t)
+    steps = 512 * int(t)
+    new = _fixed_grid(_integrate._sweep, schedule, 1, 0.0, steps)
+    old = _fixed_grid(_magnus4_sweep, schedule, 1, 0.0, steps)
+    assert abs(new[0] - old[0]) <= 1e-10
+    assert abs(new[1] - old[1]) <= 1e-10
+
+
+def test_magnus6_is_sixth_order():
+    # 16, 32 and 64 steps per period at T = 2 against 256 per period; a wrong
+    # commutator coefficient leaves a fourth-order step, whose error falls
+    # about 16x per halving like the oracle's
+    schedule, n = ad.Schedule(1.0, 2.0, 2.0), 32
+    ref = _fixed_grid(_integrate._sweep, schedule, 1, 0.0, 16 * n)
+
+    def ratios(sweep):
+        errors = []
+        for steps in (n, 2 * n, 4 * n):
+            alpha, beta = _fixed_grid(sweep, schedule, 1, 0.0, steps)
+            errors.append(max(abs(alpha - ref[0]), abs(beta - ref[1])))
+        return errors[0] / errors[1], errors[1] / errors[2]
+
+    assert min(ratios(_integrate._sweep)) >= 50.0
+    assert all(12.0 <= r <= 20.0 for r in ratios(_magnus4_sweep))
 
 
 def test_integration_failure_is_runtime_error():
