@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+
+from ._record import Record
 
 _HALF_PI = 0.5 * math.pi
 _QUAD_T_MAX = 6.0  # exp(pi/2 sinh 6) is 1e137: far past any term that counts
@@ -70,8 +71,7 @@ class IntegrationFailure(RuntimeError):
     """The integrator did not converge within its step cap."""
 
 
-@dataclass(frozen=True)
-class OscillatorSolution:
+class OscillatorSolution(Record):
     """End state of `solve_ivp` and the effort spent on it."""
 
     y: tuple[complex, complex]  # (f, f') at t1 on the final grid

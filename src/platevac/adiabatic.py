@@ -41,9 +41,9 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from dataclasses import dataclass, field
 
 from ._integrate import IntegrationFailure, solve_ivp
+from ._record import Record
 
 __all__ = [
     "Schedule",
@@ -72,8 +72,7 @@ class ScanQualityError(RuntimeError):
     """|beta|^2 failed to decrease along an increasing-duration scan."""
 
 
-@dataclass(frozen=True)
-class Schedule:
+class Schedule(Record):
     """Smooth plate motion from L0 to L1 over the window [-T, T]."""
 
     L0: float
@@ -132,8 +131,7 @@ def sudden_beta_magnitude(n: int, k: float, l0: float, l1: float) -> float:
     return abs(w_in - w_out) / (2.0 * math.sqrt(w_in * w_out))
 
 
-@dataclass(frozen=True)
-class BogoliubovResult:
+class BogoliubovResult(Record):
     """Outcome of evolving one mode through a schedule."""
 
     n: int
@@ -144,7 +142,7 @@ class BogoliubovResult:
     alpha: complex
     beta: complex
     wronskian_drift: float
-    particle_number: float = field(init=False)
+    particle_number: float = None  # |beta|^2, set by __post_init__
 
     def __post_init__(self):
         object.__setattr__(self, "particle_number", abs(self.beta) ** 2)
@@ -197,8 +195,7 @@ def evolve_mode(
     )
 
 
-@dataclass(frozen=True)
-class ScanResult:
+class ScanResult(Record):
     """Particle production versus schedule duration."""
 
     rows: tuple[BogoliubovResult, ...]

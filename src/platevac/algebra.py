@@ -54,11 +54,11 @@ import itertools
 import math
 import operator
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
 from . import exactlin
+from ._record import Record
 
 __all__ = [
     "AlgebraFormatError",
@@ -144,8 +144,7 @@ def _fold(entries, labels, negate=operator.neg) -> dict:
     return {key: table[key][1] for key in sorted(table) if table[key][1]}
 
 
-@dataclass(frozen=True)
-class LieAlgebraSpec:
+class LieAlgebraSpec(Record):
     """Ordered basis labels plus the nonzero brackets {(a, b): {c: f[c][a][b]}},
     with a < b and Fraction values, folded per (a, b) by `_fold`."""
 
@@ -270,8 +269,7 @@ def builtin_algebra(name: str) -> LieAlgebraSpec:
     raise KeyError(f"unknown builtin algebra {name!r}; known: {', '.join(BUILTIN_NAMES)}")
 
 
-@dataclass(frozen=True)
-class TwoCocycle:
+class TwoCocycle(Record):
     """Ordered basis labels plus the nonzero central terms {(a, b): C[a][b]},
     with a < b and Fraction values, folded by `_fold`."""
 
@@ -300,8 +298,7 @@ class TwoCocycle:
         return cls(tuple(labels), _fold(pairs, labels))
 
 
-@dataclass(frozen=True)
-class CoboundaryCertificate:
+class CoboundaryCertificate(Record):
     """Linear form alpha with (d alpha)[a][b] = sum_c f[c][a][b] alpha[c]."""
 
     labels: tuple[str, ...]
@@ -321,8 +318,7 @@ class CoboundaryCertificate:
         })
 
 
-@dataclass(frozen=True)
-class CoboundaryResult:
+class CoboundaryResult(Record):
     """Outcome of coboundary_solve.
 
     feasible: whether the cocycle is exactly a coboundary.

@@ -23,11 +23,11 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from ._integrate import quad
+from ._record import Record
 
 __all__ = [
     "RegularizedSum",
@@ -47,8 +47,7 @@ METHODS = ("zeta", "abel_plana", "cutoff_extrapolation")
 _CUTOFF_SCALES = (20.0, 40.0, 80.0)  # the cutoff route's ladder Lambda = scale / L
 
 
-@dataclass(frozen=True)
-class RegularizedSum:
+class RegularizedSum(Record):
     """Energy per unit area with an honest error bar."""
 
     value: float

@@ -14,7 +14,8 @@ lines through `_verdict`; `main` alone maps every outcome to an exit code.
 
 The layers are bound as lazy modules and run on their first use, so a run
 executes only the layers its subcommand calls: only `algebra-verify` loads
-numpy, through `lattice`.
+numpy, through `lattice`. `configparser` loads only for --config or an
+explicit flag value, `json` only for `cocycle`, `csv` only for a CSV file.
 
 Every subcommand accepts --outdir and --config, and `cocycle` also --seed,
 the seed of its --selftest draws.  The config file is INI-style with one
@@ -30,14 +31,9 @@ identical inputs produce byte-identical files.
 from __future__ import annotations
 
 import argparse
-import configparser
-import csv
 import importlib.util
-import json
 import math
-import random
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 
@@ -70,6 +66,7 @@ _SUDDEN_TOL = 1e-3  # relative deviation of the sudden-limit |beta|
 
 
 def _rational(text: str) -> Fraction:
+    from fractions import Fraction
     try:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
@@ -81,6 +78,7 @@ def _fraction_str(value: Fraction) -> str:
 
 
 def _write_csv(path: Path, header, rows):
+    import csv
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
@@ -130,6 +128,7 @@ def _finite(text: str) -> float:
 
 def _flag(text: str) -> bool:
     """Argument type of on/off options: the INI boolean spellings."""
+    import configparser
     states = configparser.ConfigParser.BOOLEAN_STATES
     try:
         return states[text.strip().lower()]
@@ -229,15 +228,18 @@ def _subparser(parser, command) -> argparse.ArgumentParser:
 
 def _config_tokens(parser, path, command) -> list[str]:
     """The [command] section of the INI file at `path` as ``--key=value`` flags."""
+    import configparser
     ini = configparser.ConfigParser()
     ini.optionxform = str  # keys like L0 are case-sensitive
-    if not ini.read(path):
-        raise ValueError(f"config file not found: {path}")
-    if not ini.has_section(command):
-        return []
+    try:
+        if not ini.read(path):
+            raise ValueError(f"config file not found: {path}")
+        items = ini.items(command) if ini.has_section(command) else []
+    except configparser.Error as exc:  # from read, or from items for an interpolation
+        raise ValueError(str(exc)) from None
     actions = _subparser(parser, command)._option_string_actions
     tokens = []
-    for key, raw in ini.items(command):
+    for key, raw in items:
         action = actions.get("--" + key)
         if action is None or key == "config":  # a config file names no other file
             raise ValueError(f"unknown key {key!r} in config section [{command}]")
@@ -312,6 +314,8 @@ def _resolve_cocycle(algebra, builtin, opts):
 
 
 def _selftest(algebra, trials, seed):
+    import random
+    from fractions import Fraction
     rng = random.Random(seed)
     failures = 0
     for _ in range(trials):
@@ -360,7 +364,7 @@ def cmd_cocycle(opts) -> bool:
         except ValueError:
             report["cocycle_residual"] = _fraction_str(alg.cocycle_check(algebra, cocycle))
         else:
-            report["cocycle_residual"] = _fraction_str(Fraction(0))
+            report["cocycle_residual"] = "0/1"
             report["feasible"] = solved.feasible
             report["kernel_dim"] = solved.kernel_dim
             report["rank_deficit"] = solved.rank_deficit
@@ -377,6 +381,7 @@ def cmd_cocycle(opts) -> bool:
         report["selftest"] = _selftest(algebra, opts["selftest"], opts["seed"])
         passed = not report["selftest"]["failures"]
 
+    import json
     out = opts["outdir"] / "cocycle_report.json"
     out.parent.mkdir(parents=True, exist_ok=True)
     with open(out, "w") as handle:
@@ -539,7 +544,7 @@ def main(argv=None) -> int:
     try:
         opts = parse_options(argv)
         return 0 if opts["handler"](opts) else 3
-    except (configparser.Error, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ad.IntegrationFailure, ad.WronskianViolation, ad.ScanQualityError) as exc:

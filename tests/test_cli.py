@@ -1,6 +1,5 @@
 """End-to-end checks of the command-line interface."""
 
-import dataclasses
 import json
 import math
 import os
@@ -456,8 +455,11 @@ def test_adiabatic_wronskian_exit_code(tmp_path, capsys, monkeypatch):
     # the integrator's drift is rounding, 1e-15 to 1e-14 here: report one just
     # above the bound so the gate trips on every platform
     integrate = ad.solve_ivp
-    monkeypatch.setattr(ad, "solve_ivp", lambda *args, **kwargs: dataclasses.replace(
-        integrate(*args, **kwargs), drift=2e-14))
+    def drifting(*args, **kwargs):
+        sol = integrate(*args, **kwargs)
+        return type(sol)(sol.y, sol.t, sol.nfev, drift=2e-14)
+
+    monkeypatch.setattr(ad, "solve_ivp", drifting)
     code = main(["adiabatic", "--L0", "1", "--L1", "2", "--wronskian-tol", "1e-14",
                  "--outdir", str(tmp_path)])
     assert code == 4
@@ -558,6 +560,21 @@ def test_config_malformed_file(tmp_path):
     ini = tmp_path / "run.ini"
     ini.write_text("L = 1\n")  # no section header
     assert main(["casimir", "--config", str(ini), "--outdir", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("text,message", [
+    # raised by items(), not read(): the % interpolation is resolved on access
+    ("[casimir]\ncross-tol = 1%\n", "'%' must be followed by '%' or '(', found: '%'"),
+    ("[casimir]\nL = 1\nL = 2\n",
+     "While reading from {ini!r} [line  3]: option 'L' in section 'casimir' already exists"),
+    ("[casimir]\nL = 1\n[casimir]\nL = 2\n",
+     "While reading from {ini!r} [line  3]: section 'casimir' already exists"),
+], ids=["interpolation", "option-twice", "section-twice"])
+def test_config_parser_errors_exit_2_with_the_parser_message(tmp_path, capsys, text, message):
+    ini = tmp_path / "run.ini"
+    ini.write_text(text)
+    assert main(["casimir", "--config", str(ini), "--outdir", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"error: {message.format(ini=str(ini))}\n"
 
 
 @pytest.mark.parametrize("argv", [

@@ -20,16 +20,38 @@ def _fresh(code: str, cwd=None) -> str:
                           capture_output=True, text=True).stdout
 
 
+# dataclasses imports inspect, about 10 ms of a fresh process: the
+# numpy-free layers build their records on platevac._record instead
+NO_INSPECT = ("dataclasses", "inspect")
+
+
 @pytest.mark.parametrize("module,absent", [
-    ("platevac.algebra", ("numpy", "scipy")),
+    ("platevac.algebra", ("numpy", "scipy", *NO_INSPECT)),
     ("platevac.lattice", ("scipy",)),
-    ("platevac.casimir", ("numpy", "scipy")),
-    ("platevac.adiabatic", ("numpy", "scipy")),
-    ("platevac.cli", ("numpy", "scipy")),
+    ("platevac.casimir", ("numpy", "scipy", *NO_INSPECT)),
+    ("platevac.adiabatic", ("numpy", "scipy", *NO_INSPECT)),
+    ("platevac.cli", ("numpy", "scipy", *NO_INSPECT)),
 ])
 def test_layer_import_loads_only_its_dependencies(module, absent):
     loaded = _fresh(f"import sys, {module}; print(*sorted(sys.modules))").split()
     assert not [name for name in loaded if name.split(".")[0] in absent]
+
+
+@pytest.mark.parametrize("argv,absent", [
+    (["casimir", "--L", "1"], ("json",)),
+    (["adiabatic", "--L0", "1", "--L1", "2", "--T", "2"], ("json",)),
+    (["cocycle", "--builtin", "poincare21", "--charges", "1,2,3"], ()),
+], ids=["casimir", "adiabatic", "cocycle"])
+def test_cli_run_loads_no_unused_stdlib_module(tmp_path, argv, absent):
+    # cli imports configparser for --config or a flag value, json for cocycle
+    out = _fresh(f"""
+import sys
+from platevac.cli import main
+code = main({[*argv, "--outdir", "out"]!r})
+print(code, *sorted(sys.modules))
+""", cwd=tmp_path).splitlines()[-1].split()
+    assert out[0] == "0"
+    assert not [name for name in out[1:] if name in {*NO_INSPECT, "configparser", *absent}]
 
 
 @pytest.mark.parametrize("argv,code,ran", [
