@@ -20,12 +20,14 @@ explicit flag value, `json` only for `cocycle`, `csv` only for a CSV file.
 Every subcommand accepts --outdir and --config, and `cocycle` also --seed,
 the seed of its --selftest draws.  The config file is INI-style with one
 section per subcommand; keys are the long flag names without the leading
-dashes.  Each line ``key = value`` is parsed as the flag ``--key=value``
-by the same declarations as the command line, so file values are checked
-like flags; repeatable keys take ``;``-separated values.  Command-line
-flags override the file, which overrides defaults.  CSV output uses
-12-significant-digit scientific notation and unix line endings, so
-identical inputs produce byte-identical files.
+dashes.  A run reads its subcommand's section, [DEFAULT] keys included, or
+[DEFAULT] alone if that section is missing.  Each line ``key = value`` is
+parsed as the flag ``--key=value`` by the same declarations as the command
+line, so file values are checked like flags; repeatable keys take
+``;``-separated values.  An option is its declared default, overridden by
+the file, overridden by a flag; a flag value starting with ``-`` needs the
+``--key=value`` form.  CSV output uses 12-significant-digit scientific
+notation and unix line endings, so identical inputs give byte-identical files.
 """
 
 from __future__ import annotations
@@ -99,31 +101,21 @@ def _verdict(label: str, ok: bool) -> bool:
 # argument plumbing
 
 
-def _nonnegative(kind, most=math.inf):
-    """Argument type of tolerances and counts: a finite `kind` from 0 to `most`."""
-    bound = ">= 0" if most == math.inf else f"from 0 to {most}"
+def _number(kind, least=-math.inf, most=math.inf):
+    """Argument type of tolerances, thresholds and counts: a finite `kind` in [least, most]."""
+    bound = (f" from {least} to {most}" if most < math.inf
+             else f" >= {least}" if least > -math.inf else "")
 
     def convert(text: str):
         try:
             value = kind(text)
         except ValueError:
             value = math.nan
-        if not (0 <= value <= most and value < math.inf):
+        if not (least <= value <= most and abs(value) < math.inf):
             raise argparse.ArgumentTypeError(
-                f"need a finite {kind.__name__} {bound}, got {text!r}")
+                f"need a finite {kind.__name__}{bound}, got {text!r}")
         return value
     return convert
-
-
-def _finite(text: str) -> float:
-    """Argument type of thresholds that may take either sign: a finite float."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"need a finite float, got {text!r}")
-    return value
 
 
 def _flag(text: str) -> bool:
@@ -139,15 +131,20 @@ def _flag(text: str) -> bool:
 
 def _floats(text: str) -> list[float]:
     """Argument type of comma-separated lists of floats."""
-    return [float(part) for part in text.split(",")]
+    try:
+        return [float(part) for part in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"need comma-separated floats, got {text!r}") from None
 
 
-def build_parser(defaults: bool = True) -> argparse.ArgumentParser:
+def build_parser():
     """Declare every subcommand and option: type, default, choices, repeats.
 
-    With ``defaults=False`` every option defaults to ``argparse.SUPPRESS``,
-    so a parse returns only the options its tokens name. Parse repeatable
-    flags that way: ``append`` adds to a default instead of replacing it.
+    Returns the parser and, per subcommand and config key (the long flag
+    without dashes), the option's ``(dest, default, repeats, group)``: its
+    typed default, whether it is repeatable, and its exclusive group or None.
+    The parser itself defaults every option to ``argparse.SUPPRESS``, so a
+    parse returns only the options its tokens name.
     """
     parser = argparse.ArgumentParser(
         prog="platevac",
@@ -155,121 +152,116 @@ def build_parser(defaults: bool = True) -> argparse.ArgumentParser:
         "lattice commutators, regularized plate energies, mode evolution.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def option(p, name, default=None, **kwargs):
-        p.add_argument(name, default=default if defaults else argparse.SUPPRESS, **kwargs)
+    declared = {}
 
     def subcommand(name, handler, summary):
         p = sub.add_parser(name, help=summary)
         p.set_defaults(handler=handler)
-        option(p, "--outdir", type=Path, default=".", help="directory for output files")
-        option(p, "--config", help="INI config file")
-        return p
+        options = declared[name] = {}
 
-    p = subcommand("cocycle", cmd_cocycle, "exact algebra and cocycle diagnostics")
+        def option(flag, default=None, group=None, **kwargs):
+            action = (group or p).add_argument(flag, default=argparse.SUPPRESS, **kwargs)
+            options[flag[2:]] = action.dest, default, kwargs.get("action") == "append", group
+
+        option("--outdir", type=Path, default=Path("."), help="directory for output files")
+        option("--config", help="INI config file")
+        return p, option
+
+    p, option = subcommand("cocycle", cmd_cocycle, "exact algebra and cocycle diagnostics")
     src = p.add_mutually_exclusive_group()
-    option(src, "--builtin", default="poincare21",
+    option("--builtin", default="poincare21", group=src,
            help="builtin algebra name (e.g. poincare21, abelian2)")
-    option(src, "--algebra-file", help="algebra data file")
+    option("--algebra-file", group=src, help="algebra data file")
     src = p.add_mutually_exclusive_group()
-    option(src, "--charges", help="c0,c1,c2 charge triple (poincare21 only)")
-    option(src, "--charges-raw", action="append", metavar="A,B=VALUE",
+    option("--charges", group=src, help="c0,c1,c2 charge triple (poincare21 only)")
+    option("--charges-raw", group=src, action="append", metavar="A,B=VALUE",
            help="explicit cocycle entry; repeatable")
-    option(src, "--cocycle-file", help="cocycle data file")
-    option(p, "--selftest", type=_nonnegative(int, _SELFTEST_MAX), default=0, metavar="N",
+    option("--cocycle-file", group=src, help="cocycle data file")
+    option("--selftest", type=_number(int, 0, _SELFTEST_MAX), default=0, metavar="N",
            help="run N random charge triples through the solver")
-    option(p, "--seed", type=int, default=0, help="random seed of --selftest")
+    option("--seed", type=int, default=0, help="random seed of --selftest")
 
-    p = subcommand("algebra-verify", cmd_algebra_verify, "lattice commutator verification")
-    option(p, "--physical-size", type=float, default=8.0)
-    option(p, "--spacings", type=_floats, default="0.2,0.1,0.05",
+    p, option = subcommand("algebra-verify", cmd_algebra_verify, "lattice commutator verification")
+    option("--physical-size", type=float, default=8.0)
+    option("--spacings", type=_floats, default=[0.2, 0.1, 0.05],
            help="comma-separated spacings")
-    option(p, "--mass0", type=float, default=math.pi)
-    option(p, "--mass1", type=float, default=math.pi / 2.0)
-    option(p, "--order-min", type=_finite, default=1.9,
+    option("--mass0", type=float, default=math.pi)
+    option("--mass1", type=float, default=math.pi / 2.0)
+    option("--order-min", type=_number(float), default=1.9,
            help="minimum accepted convergence order")
-    option(p, "--scalar-tol", type=_nonnegative(float), default=1e-9,
+    option("--scalar-tol", type=_number(float, 0), default=1e-9,
            help="relative tolerance on the scalar slot")
     run = p.add_mutually_exclusive_group()
-    option(run, "--check", choices=["poincare"],
+    option("--check", group=run, choices=["poincare"],
            help="run the periodic closure residual check instead")
-    option(p, "--closure-size", type=int, default=16)
-    option(p, "--closure-mass", type=float, default=1.0)
-    option(p, "--closure-tol", type=_nonnegative(float), default=1e-10)
-    option(run, "--demo", choices=["contradiction"],
+    option("--closure-size", type=int, default=16)
+    option("--closure-mass", type=float, default=1.0)
+    option("--closure-tol", type=_number(float, 0), default=1e-10)
+    option("--demo", group=run, choices=["contradiction"],
            help="print the positive vacuum-energy lower bound")
 
-    p = subcommand("casimir", cmd_casimir, "plate energies, all routes")
-    option(p, "--L", action="append", type=float, default=[1.0],
+    _, option = subcommand("casimir", cmd_casimir, "plate energies, all routes")
+    option("--L", action="append", type=float, default=[1.0],
            help="plate separation; repeatable")
-    option(p, "--diff", type=_flag, nargs="?", const=True, default=False,
+    option("--diff", type=_flag, nargs="?", const=True, default=False,
            help="add energy-difference column relative to the first L")
-    option(p, "--cross-tol", type=_nonnegative(float), default=1e-8,
+    option("--cross-tol", type=_number(float, 0), default=1e-8,
            help="relative tolerance between zeta and contour routes")
 
-    p = subcommand("adiabatic", cmd_adiabatic, "mode evolution through the schedule")
-    option(p, "--L0", type=float)
-    option(p, "--L1", type=float)
-    option(p, "--T", type=_floats, default="2,4,8", help="comma-separated half-durations")
-    option(p, "--n", type=int, default=1)
-    option(p, "--k", type=float, default=0.0)
-    option(p, "--sudden-check", type=_flag, nargs="?", const=True, default=False,
+    _, option = subcommand("adiabatic", cmd_adiabatic, "mode evolution through the schedule")
+    option("--L0", type=float)
+    option("--L1", type=float)
+    option("--T", type=_floats, default=[2.0, 4.0, 8.0], help="comma-separated half-durations")
+    option("--n", type=int, default=1)
+    option("--k", type=float, default=0.0)
+    option("--sudden-check", type=_flag, nargs="?", const=True, default=False,
            help="compare the integrator against the closed-form sudden limit")
-    option(p, "--wronskian-tol", type=_nonnegative(float), default=1e-8)
+    option("--wronskian-tol", type=_number(float, 0), default=1e-8)
 
-    return parser
-
-
-def _subparser(parser, command) -> argparse.ArgumentParser:
-    # argparse keeps its option tables private; these names date from Python 2.7
-    (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    return sub.choices[command]
+    return parser, declared
 
 
-def _config_tokens(parser, path, command) -> list[str]:
-    """The [command] section of the INI file at `path` as ``--key=value`` flags."""
+def _config_tokens(options, path, command) -> list[str]:
+    """The [command] section, else [DEFAULT], of the INI file at `path` as ``--key=value`` flags."""
     import configparser
     ini = configparser.ConfigParser()
     ini.optionxform = str  # keys like L0 are case-sensitive
     try:
         if not ini.read(path):
             raise ValueError(f"config file not found: {path}")
-        items = ini.items(command) if ini.has_section(command) else []
+        section = command if ini.has_section(command) else ini.default_section
+        items = ini.items(section)
     except configparser.Error as exc:  # from read, or from items for an interpolation
         raise ValueError(str(exc)) from None
-    actions = _subparser(parser, command)._option_string_actions
     tokens = []
     for key, raw in items:
-        action = actions.get("--" + key)
-        if action is None or key == "config":  # a config file names no other file
-            raise ValueError(f"unknown key {key!r} in config section [{command}]")
-        values = raw.split(";") if isinstance(action, argparse._AppendAction) else [raw]
+        if key not in options or key == "config":  # a config file names no other file
+            raise ValueError(f"unknown key {key!r} in config section [{section}]")
+        _, _, repeats, _ = options[key]
+        values = raw.split(";") if repeats else [raw]
         # the = form keeps a value like -0.1 from being read as a flag
         tokens += [f"--{key}={value.strip()}" for value in values]
     return tokens
 
 
 def parse_options(argv=None) -> dict:
-    """Resolve the options of one run: defaults, then the config file, then flags.
+    """Resolve the options of one run: declared defaults, then the config file, then flags.
 
     The flags and the file's tokens are parsed apart and merged key by key,
     so a flag replaces a file value, also of a repeatable option, and of
     the options it excludes.
     """
-    parser = build_parser(defaults=False)
+    parser, declared = build_parser()
     given = vars(parser.parse_args(argv))
     command = given["command"]
-    opts = vars(build_parser().parse_args([command]))
+    options = declared[command]
+    from_file = {}
     if "config" in given:
-        tokens = _config_tokens(parser, given["config"], command)
+        tokens = _config_tokens(options, given["config"], command)
         from_file = vars(parser.parse_args([command, *tokens]))
-        for group in _subparser(parser, command)._mutually_exclusive_groups:
-            dests = {action.dest for action in group._group_actions}
-            if dests & given.keys():
-                from_file = {k: v for k, v in from_file.items() if k not in dests}
-        opts.update(from_file)
-    opts.update(given)
-    return opts
+    flagged = {group for dest, *_, group in options.values() if dest in given} - {None}
+    return {**{dest: default if group in flagged else from_file.get(dest, default)
+               for dest, default, _, group in options.values()}, **given}
 
 
 # ---------------------------------------------------------------------------
@@ -384,9 +376,7 @@ def cmd_cocycle(opts) -> bool:
     import json
     out = opts["outdir"] / "cocycle_report.json"
     out.parent.mkdir(parents=True, exist_ok=True)
-    with open(out, "w") as handle:
-        json.dump(report, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
 
     verdict = report["feasible"]
     if verdict is not None:

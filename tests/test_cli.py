@@ -726,3 +726,61 @@ def test_flag_and_config_cases_cover_every_option():
         names = set(parse_options([command])) - {"command", "handler", "config"}
         assert {(command, "--" + name.replace("_", "-")) for name in names} == {
             pair for pair in covered if pair[0] == command}
+
+
+@pytest.mark.parametrize("text", [
+    "[DEFAULT]\ncross-tol = 1e-3\n",
+    "[DEFAULT]\ncross-tol = 1e-3\n[casimir]\nL = 1;2\n",
+])
+def test_default_section_applies_with_or_without_the_command_section(tmp_path, text):
+    ini = tmp_path / "run.ini"
+    ini.write_text(text)
+    opts = parse_options(["casimir", "--config", str(ini)])
+    assert opts["cross_tol"] == 1e-3
+    assert opts["L"] == ([1.0, 2.0] if "[casimir]" in text else [1.0])
+
+
+@pytest.mark.parametrize("text,section", [
+    ("[DEFAULT]\nbogus = 1\n", "DEFAULT"),
+    ("[DEFAULT]\nbogus = 1\n[casimir]\nL = 1\n", "casimir"),
+])
+def test_unknown_key_names_the_section_read(tmp_path, capsys, text, section):
+    ini = tmp_path / "run.ini"
+    ini.write_text(text)
+    assert main(["casimir", "--config", str(ini), "--outdir", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"error: unknown key 'bogus' in config section [{section}]\n"
+
+
+@pytest.mark.parametrize("command,flag,key,value", [
+    ("algebra-verify", "--spacings", "spacings", "0.1,x"),
+    ("algebra-verify", "--spacings", "spacings", "0.1;0.2"),
+    ("adiabatic", "--T", "T", ""),
+])
+def test_bad_float_list_names_no_private_function(tmp_path, capsys, command, flag, key, value):
+    ini = tmp_path / "run.ini"
+    ini.write_text(f"[{command}]\n{key} = {value}\n")
+    message = f"argument {flag}: need comma-separated floats, got {value!r}\n"
+    for argv in ([f"{flag}={value}"], ["--config", str(ini)]):
+        assert _exit_code([command, *argv, "--outdir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.endswith(message) and "_floats" not in err
+
+
+@pytest.mark.parametrize("argv", [["casimir", "--L", "1"], ["casimir", "--config", "{ini}"]])
+def test_one_parser_per_run(tmp_path, monkeypatch, argv):
+    from platevac import cli
+    ini = tmp_path / "run.ini"
+    ini.write_text("[casimir]\nL = 1;2\n")
+    calls = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda *a, **k: calls.append(1) or build(*a, **k))
+    parse_options([arg.format(ini=ini) for arg in argv])
+    assert len(calls) == 1
+
+
+def test_typed_defaults_are_fresh_per_run():
+    assert parse_options(["algebra-verify"])["spacings"] == [0.2, 0.1, 0.05]
+    assert parse_options(["adiabatic"])["T"] == [2.0, 4.0, 8.0]
+    assert parse_options(["casimir"])["outdir"] == Path(".")
+    parse_options(["casimir"])["L"].append(2.0)
+    assert parse_options(["casimir"])["L"] == [1.0]
