@@ -148,6 +148,7 @@ def build_parser():
     """
     parser = argparse.ArgumentParser(
         prog="platevac",
+        allow_abbrev=False,  # a flag is spelled out, as its config key must be
         description="Central charges from plate vacua: exact cocycle algebra, "
         "lattice commutators, regularized plate energies, mode evolution.",
     )
@@ -155,7 +156,7 @@ def build_parser():
     declared = {}
 
     def subcommand(name, handler, summary):
-        p = sub.add_parser(name, help=summary)
+        p = sub.add_parser(name, help=summary, allow_abbrev=False)
         p.set_defaults(handler=handler)
         options = declared[name] = {}
 

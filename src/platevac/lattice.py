@@ -21,7 +21,9 @@ diagonals in 1-d and about 9 in 2-d (the wrap bonds of a periodic axis
 sit at offsets +-(N - 1) and +-(M - N)). The builders write each axis's
 neighbor diagonals directly, with no dense M x M array. Offsets are kept
 on Python ints and numpy only sees the (k, M) data: a product of blocks
-with k_A and k_B diagonals is one gather and one bincount, O(M k_A k_B);
+with k_A and k_B diagonals is O(M k_A k_B) work, one gather and one
+bincount while its k_A k_B M pair cells fit 64 KiB, else one pass per
+diagonal of A, so no temporary outgrows 64 KiB or B's own k_B rows;
 a sum or difference adds rows on the union of the offsets; a transpose
 moves each diagonal's rows to the opposite offset, once per block. The
 dense 2M x 2M matrix `quad` is a read-only view built on first access; no
@@ -37,9 +39,11 @@ quadratic with real coefficients:
 Omega is never built. With X = Q_A omega Q_B, block (i, j) of X is
 A_i0 B_1j - A_i1 B_0j, a product with an empty block is empty at once, and
 the second quad term is -X^T because both Q are symmetric; so the result has
-phi = X_00 + X_00^T, pi = X_11 + X_11^T and C = X_10 + X_01^T. Diagonals
-that cancel exactly are dropped, so a residual that vanishes exactly is a
-quad of empty blocks.
+phi = X_00 + X_00^T, pi = X_11 + X_11^T and C = X_10 + X_01^T, each sum
+made in the array that takes the transpose's rows, so no separate
+transpose block is held. Diagonals that cancel exactly are dropped, so a
+residual that vanishes exactly is a quad of empty blocks. Two zero lins,
+as every generator has, give a zero lin and scalar with no work.
 
 Input scalar slots never contribute (constants commute), so a commutator of
 two pure Weyl quadratics carries no central term; central scalars only enter
@@ -54,8 +58,9 @@ length P // 2 + 1 per axis, and an entry of Sigma is a few reads of it.
 Sigma is block-diagonal, so a vacuum expectation needs only phi and pi,
 and Sigma only on their stored diagonals; no M x M array is made.
 
-Both residual norms take an observable. `bulk_residual_norm` applies the
-blocks as banded matrix-vector products. `spectral_norm` works from the
+Both residual norms take an observable. `bulk_residual_norm` applies each
+block once to the three bump profiles and makes the nine test vectors and
+their images three at a time. `spectral_norm` works from the
 blocks of its quad: the largest |eigenvalue| of phi and pi, or the square
 root of the largest eigenvalue of C^T C for a lone coupling block C; a quad
 with both kinds is a ValueError, so no path here builds the dense 2M x 2M
@@ -220,8 +225,10 @@ class DiagonalBlock:
 
     @cached_property
     def T(self) -> "DiagonalBlock":
-        if not self:
-            return self
+        return DiagonalBlock(-self.offsets[::-1], self._transposed()) if self else self
+
+    def _transposed(self) -> np.ndarray:
+        """A new array of the transpose's rows, on the offsets -offsets[::-1]."""
         m = self.size
         data = np.zeros(self.data.shape)
         # entry (i, i + o) is entry (i + o, i) of the transpose: row i + o of diagonal -o;
@@ -229,7 +236,7 @@ class DiagonalBlock:
         for row, o, out in zip(self.data, self.offsets.tolist(), data[::-1]):
             lo, hi = max(0, -o), min(m, m - o)
             out[lo + o:hi + o] = row[lo:hi]
-        return DiagonalBlock(-self.offsets[::-1], data)
+        return data
 
     def dot(self, vec: np.ndarray) -> np.ndarray:
         """B v, sum_d data[d, i] v[i + offsets[d]], for each vector v along vec's last axis."""
@@ -272,22 +279,44 @@ class DiagonalBlock:
     def __matmul__(self, other: "DiagonalBlock") -> "DiagonalBlock":
         """The product: entry (i, i + p + q) gathers A(i, i + p) B(i + p, i + p + q).
 
-        One gather makes every diagonal pair's row products, and one
-        bincount adds each pair's row into the diagonal p + q, pairs in order;
-        the offset sums are sorted and numbered on Python ints.
+        Every entry adds its diagonal pairs (q, p) from 0 in increasing q, so
+        both routes give the same bits. Up to _GATHER_CELLS pair cells
+        k_A k_B M, one gather makes every pair's row products and one
+        bincount adds them, so no temporary exceeds 64 KiB. Above that, one
+        pass per diagonal p of A, from the last, multiplies its row into the
+        rows of B shifted by p and adds them into the diagonals p + q; a
+        pass holds k_B rows, no more than B itself. The offset sums are
+        sorted and numbered on Python ints.
         """
         if not (self and other):
             return _zero(self.size)
         m = self.size
         ps, qs = self.offsets.tolist(), other.offsets.tolist()
         offsets = sorted({q + p for q in qs for p in ps})
-        index = {o: d * m for d, o in enumerate(offsets)}
-        rows = np.arange(m)
-        # rows of B at l = i + p; where l leaves [0, M), A's entry is zero
-        gathered = other.data.take(rows + self.offsets[:, None], axis=1, mode="clip")
-        cells = np.array([index[q + p] for q in qs for p in ps])[:, None] + rows  # pair (q, p)
-        data = np.bincount(cells.ravel(), (gathered * self.data).ravel(), len(offsets) * m)
-        return _diagonals(np.array(offsets), data.reshape(len(offsets), m))
+        index = {o: d for d, o in enumerate(offsets)}
+        if len(ps) * len(qs) * m <= _GATHER_CELLS:
+            rows = np.arange(m)
+            # rows of B at l = i + p; where l leaves [0, M), A's entry is zero
+            products = other.data.take(rows + self.offsets[:, None], axis=1, mode="clip")
+            products *= self.data
+            cells = np.array([index[q + p] * m for q in qs for p in ps])[:, None] + rows
+            data = np.bincount(cells.ravel(), products.ravel(), len(offsets) * m).reshape(-1, m)
+        else:
+            # the rows where i + p leaves [0, M) would add only A's zeros
+            data = np.zeros((len(offsets), m))
+            for p, row in zip(reversed(ps), self.data[::-1]):
+                lo, hi = max(0, -p), min(m, m - p)
+                data[[index[q + p] for q in qs], lo:hi] += row[lo:hi] * other.data[:, lo + p:hi + p]
+        return _diagonals(np.array(offsets), data)
+
+
+# pair cells of a product made in one gather, 64 KiB per temporary. A pass
+# per diagonal of A costs a few numpy calls, so the gather is faster on small
+# products (2-d 9 x 8 diagonals at N = 8 and 12: 1.3-2x), but its temporaries
+# are mapped and faulted in afresh once they pass glibc's 128 KiB mmap
+# threshold. On lattice-ladder jobs 8192 ran as fast as 16384 (4096 and the
+# passes alone were slower at N = 8 and 12) with a third of the faults.
+_GATHER_CELLS = 8192
 
 
 def _diagonals(offsets: np.ndarray, data: np.ndarray) -> DiagonalBlock:
@@ -296,6 +325,15 @@ def _diagonals(offsets: np.ndarray, data: np.ndarray) -> DiagonalBlock:
     if not keep.any():
         return _zero(data.shape[1])
     return DiagonalBlock(offsets, data) if keep.all() else DiagonalBlock(offsets[keep], data[keep])
+
+
+def _plus_transpose(x: DiagonalBlock, y: DiagonalBlock) -> DiagonalBlock:
+    """x + y^T; when y^T has the offsets of x, y^T's rows are made in the sum's own array."""
+    if not (x and y) or x.offsets.tolist() != [-o for o in reversed(y.offsets.tolist())]:
+        return x + y.T
+    data = y._transposed()
+    data += x.data
+    return _diagonals(x.offsets, data)
 
 
 @cache
@@ -685,8 +723,6 @@ def normal_ordered(obs: QuadraticObservable, basis: ModeBasis) -> QuadraticObser
 
 def _quad_apply(obs: QuadraticObservable, vec: np.ndarray) -> np.ndarray:
     """Q v from the blocks, (phi v_phi + C^T v_pi, C v_phi + pi v_pi), along vec's last axis."""
-    if not vec.any():  # the zero lin of every generator: no block to read
-        return np.zeros(vec.shape)
     v_phi, v_pi = vec[..., :obs.n_modes], vec[..., obs.n_modes:]
     return np.concatenate([obs.phi.dot(v_phi) + obs.coupling.T.dot(v_pi),
                            obs.coupling.dot(v_phi) + obs.pi.dot(v_pi)], axis=-1)
@@ -711,10 +747,12 @@ def commutator(a: QuadraticObservable, b: QuadraticObservable) -> QuadraticObser
     def omega(vec):  # omega v = (v_pi, -v_phi)
         return np.concatenate([vec[m:], -vec[:m]])
 
-    lin = _quad_apply(a, omega(b.lin)) - _quad_apply(b, omega(a.lin))
-    scalar = float(a.lin[:m] @ b.lin[m:] - a.lin[m:] @ b.lin[:m])
+    lin, scalar = None, 0.0  # the zero lin of every generator: both terms vanish
+    if a.lin.any() or b.lin.any():
+        lin = _quad_apply(a, omega(b.lin)) - _quad_apply(b, omega(a.lin))
+        scalar = float(a.lin[:m] @ b.lin[m:] - a.lin[m:] @ b.lin[:m])
     pairs = ((x00, x00), (x10, x01), (x11, x11))  # phi, C, pi of X + X^T
-    quad = [x + y.T for x, y in pairs]
+    quad = [_plus_transpose(x, y) for x, y in pairs]
     return QuadraticObservable(m, *quad, lin, scalar)
 
 
@@ -928,15 +966,22 @@ def bulk_residual_norm(residual: QuadraticObservable, geom: LatticeGeometry) -> 
     times a second difference, an O(1) matrix); measuring against fixed
     smooth profiles recovers the continuum convergence order.
     """
-    zero = np.zeros(geom.n_sites)
-    vectors = np.array([np.concatenate(halves) for f, df in _bump_profiles(geom)
-                        for halves in ((f, zero), (zero, f), (f, df))])
+    f, df = (np.array(p) for p in zip(*_bump_profiles(geom)))  # one row per profile
+    zero = np.zeros(f.shape)
+    # |v| of the test vectors (f, 0), (0, f) and (f, df), one dot over the
+    # 2M entries of each, as np.linalg.norm takes it
+    norms = [[math.sqrt(v @ v) for v in np.concatenate(halves, axis=1)]
+             for halves in ((f, zero), (zero, f), (f, df))]
+    phi, c, pi = residual.blocks
+    phi_f, c_f = phi.dot(f), c.dot(f)
+    # the halves of R v: the sums of the full product, less the terms of a
+    # zero half, which add exact zeros
+    images = ((phi_f, c_f), (c.T.dot(f), pi.dot(f)), (phi_f + c.T.dot(df), c_f + pi.dot(df)))
     worst = 0.0
-    for v, image in zip(vectors, _quad_apply(residual, vectors)):  # one banded pass for all
-        norm_v = float(np.linalg.norm(v))
-        if norm_v == 0.0:
-            continue
-        worst = max(worst, float(np.linalg.norm(image)) / norm_v)
+    for halves, norms_v in zip(images, norms):
+        for image, norm_v in zip(np.concatenate(halves, axis=1), norms_v):
+            if norm_v:
+                worst = max(worst, math.sqrt(image @ image) / norm_v)
     return worst
 
 

@@ -612,6 +612,8 @@ def test_config_parser_errors_exit_2_with_the_parser_message(tmp_path, capsys, t
     ["adiabatic", "--L0", "1e-160", "--L1", "2e-160", "--T", "2e-160"],  # omega^2 overflows
     ["adiabatic", "--L0", "1e162", "--L1", "2e162", "--T", "2e162",  # omega^2 is subnormal
      "--k", "5e-163"],
+    ["casimir", "--L", "1", "--cross", "1e-3"],  # a prefix of --cross-tol, as the key 'cross'
+    ["algebra-verify", "--sp", "0.2,0.1"],  # a prefix of --spacings
 ])
 def test_bad_values_exit_2(tmp_path, capsys, argv):
     wide = "basis " + " ".join(f"X{i}" for i in range(65)) + "\n"

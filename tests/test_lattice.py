@@ -444,6 +444,35 @@ def test_central_relation_peak_memory_stays_blockwise():
     assert peak < 8 * dense_bytes
 
 
+def _central_residual(geom, mass):
+    """(1/i)[K, P] - (H - E) at t = 0, the residual of the central check."""
+    h = lat.build_hamiltonian(geom, mass)
+    shift = lat.vacuum_expectation(h, lat.build_mode_basis(geom, mass))
+    comm = lat.commutator(lat.build_boost(geom, 0, 0.0, mass), lat.build_momentum(geom, 0))
+    return comm - h.shifted(-shift)
+
+
+def _traced_peak(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_closure_and_bulk_norm_peaks_stay_bounded():
+    # no product or norm makes a temporary of k_A k_B M entries or a stack of
+    # all nine test vectors: 554 and 199 KiB here, 1368 and 368 KiB with them
+    g2 = lat.LatticeGeometry(2, 24, 0.5, "periodic")
+    lat.verify_poincare_closure(g2, 1.0)  # numpy's first-call allocations stay out of the peak
+    assert _traced_peak(lambda: lat.verify_poincare_closure(g2, 1.0)) < 650 * 1024
+    n = 640
+    g1 = lat.LatticeGeometry(1, n, 8.0 / n, "open")
+    residual = _central_residual(g1, math.pi)
+    assert _traced_peak(lambda: lat.bulk_residual_norm(residual, g1)) < 220 * 1024
+
+
 # ---------------------------------------------------------------------------
 # diagonal (DIA) storage against dense arithmetic
 
@@ -619,6 +648,81 @@ def test_block_kernels_match_their_oracles(m):
                                for k in range(10) for reach in (min(4, m - 1), m - 1)]
     assert {b.offsets.size for b in blocks} >= set(range(min(10, 2 * m)))
     _check_kernels(rng, blocks)
+
+
+def _bits(block):
+    """A block's size, offsets and data bytes: np.array_equal that also tells -0.0 from 0.0."""
+    return block.size, block.offsets.tolist(), block.data.shape, block.data.tobytes()
+
+
+def _random_on(rng, m, offsets):
+    """A block with random entries, a fifth of them zero, on these diagonals inside the matrix."""
+    offsets = np.asarray(offsets, dtype=np.int64)
+    data = rng.standard_normal((offsets.size, m))
+    data[rng.random(data.shape) < 0.2] = 0.0
+    cols = lat._columns(offsets, m)
+    data[(cols < 0) | (cols >= m)] = 0.0
+    return lat._diagonals(offsets, data)
+
+
+def test_products_match_the_gather_oracle_on_both_sides_of_the_size_rule():
+    # _oracle_matmul is the one-gather, one-bincount product that every
+    # product used before the per-diagonal passes; a product must keep its bits
+    rng = np.random.default_rng(31)
+    pairs = []
+    for m in (80, 640, 2560):  # 1-d, 3 x 3 diagonals
+        a, b = (_random_on(rng, m, [-1, 0, 1]) for _ in range(2))
+        pairs += [(a, b), (-a, b)]
+    for n in (8, 24, 64):  # 2-d periodic, 9 x 8 and 8 x 9, wrap offsets included
+        g = lat.LatticeGeometry(2, n, 0.5, "periodic")
+        nine = _random_on(rng, g.n_sites, lat.build_hamiltonian(g, 1.0).phi.offsets)
+        eight = _random_on(rng, g.n_sites, lat.build_rotation(g).coupling.offsets)
+        one = _random_on(rng, g.n_sites, [n])
+        empty = lat._zero(g.n_sites)
+        pairs += [(nine, eight), (eight, nine), (-eight, nine), (one, nine), (eight, one),
+                  (empty, nine), (eight, empty)]
+    sides = {a.offsets.size * b.offsets.size * a.size <= lat._GATHER_CELLS
+             for a, b in pairs if a and b}
+    assert sides == {True, False}
+    for a, b in pairs:
+        product = a @ b
+        assert _bits(product) == _bits(_oracle_matmul(a, b))
+        # X + Y^T of the commutator, made in one array when the offsets mirror
+        for x, y in ((product, product), (-product, product), (a, b)):
+            assert _bits(lat._plus_transpose(x, y)) == _bits(x + y.T)
+
+
+def _oracle_bulk_residual_norm(residual, geom):
+    """The bulk norm from one (9, 2M) stack of test vectors, applied in one banded pass."""
+    zero = np.zeros(geom.n_sites)
+    vectors = np.array([np.concatenate(halves) for f, df in lat._bump_profiles(geom)
+                        for halves in ((f, zero), (zero, f), (f, df))])
+    worst = 0.0
+    for v, image in zip(vectors, lat._quad_apply(residual, vectors)):
+        norm_v = float(np.linalg.norm(v))
+        if norm_v:
+            worst = max(worst, float(np.linalg.norm(image)) / norm_v)
+    return worst
+
+
+@pytest.mark.parametrize("dims,n", [(1, 80), (1, 643), (2, 12), (2, 17)])
+def test_bulk_residual_norm_matches_the_stacked_oracle(dims, n):
+    # every block kind, alone and together, and the central residual itself
+    rng = np.random.default_rng(7 + n)
+    g = lat.LatticeGeometry(dims, n, 8.0 / n, "open")
+    m = g.n_sites
+    phi = _random_on(rng, m, [-1, 0, 1])
+    phi = phi + phi.T
+    c = _random_on(rng, m, [-n, -1, 0, 2])
+    residuals = [lat.QuadraticObservable(m, *blocks)
+                 for blocks in ((phi, None, None), (None, c, None), (None, None, -phi),
+                                (phi, c, -phi))]
+    if dims == 1:
+        residuals.append(_central_residual(g, math.pi))
+    for r in residuals:
+        want = _oracle_bulk_residual_norm(r, g)
+        assert want > 0
+        assert lat.bulk_residual_norm(r, g) == want
 
 
 @pytest.mark.parametrize("n", [3, 4, 8, 24])
