@@ -222,7 +222,10 @@ def adiabatic_scan(
     decay_exponent is the local power-law slope between the two largest
     durations; threshold_half_duration is where |beta|^2 crosses 1e-6 on
     the power law through the first pair that brackets it, or the last
-    pair if none does (inf when that crossing is past float range).
+    pair if none does (inf when that crossing is past float range). If the
+    first duration's |beta|^2 is already below 1e-6, it is that duration:
+    an upper bound, not a crossing. If a |beta|^2 of the pair is 0, it is
+    the pair's later duration.
     """
     times = [float(t) for t in half_durations]
     if len(times) < 3:

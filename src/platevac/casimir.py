@@ -9,7 +9,7 @@ its analytic continuation is -m^3/(12 pi), and summing the tower gives
 
 Three routes are implemented so no single regularization is trusted alone:
 
-- zeta: Bernoulli-number evaluation of zeta(-3) = 1/120 (exact rational),
+- zeta: the exact value zeta(-3) = -B_4 / 4 = 1/120 (Bernoulli number B_4 = -1/30),
 - abel_plana: the regularized sum of n^3 as the contour integral
   2 int_0^inf t^3/(e^{2 pi t}-1) dt, numerically,
 - cutoff_extrapolation: exponential damping e^{-omega/Lambda}, subtraction
@@ -23,16 +23,12 @@ from __future__ import annotations
 
 import math
 import sys
-from fractions import Fraction
-from functools import lru_cache
 
 from ._integrate import quad
 from ._record import Record
 
 __all__ = [
     "RegularizedSum",
-    "bernoulli_number",
-    "zeta_negative_odd",
     "mode_mass",
     "mode_energy_density",
     "abel_plana_zeta3",
@@ -56,26 +52,6 @@ class RegularizedSum(Record):
     def __post_init__(self):
         if self.error_estimate < 0:
             raise ValueError("error_estimate must be nonnegative")
-
-
-@lru_cache(maxsize=None)
-def bernoulli_number(n: int) -> Fraction:
-    """B_n (B_1 = -1/2 convention) from sum_{j<=m} C(m+1, j) B_j = 0."""
-    if n < 0:
-        raise ValueError("need n >= 0")
-    if n == 0:
-        return Fraction(1)
-    total = Fraction(0)
-    for j in range(n):
-        total += math.comb(n + 1, j) * bernoulli_number(j)
-    return -total / (n + 1)
-
-
-def zeta_negative_odd(n: int) -> Fraction:
-    """zeta(-n) = -B_{n+1}/(n+1) for positive integers n, exact."""
-    if n < 1:
-        raise ValueError("need n >= 1")
-    return -bernoulli_number(n + 1) / (n + 1)
 
 
 def _check_gap(length: float) -> None:
@@ -192,7 +168,7 @@ def casimir_energy_per_area(length: float, method: str = "zeta") -> RegularizedS
     # the tower sum_n -(n pi / L)^3 / (12 pi) is the n = 1 density times sum_n n^3
     prefactor = mode_energy_density(mode_mass(1, length))
     if method == "zeta":
-        value = prefactor * float(zeta_negative_odd(3))  # zeta(-3) = 1/120 exactly
+        value = prefactor * (1 / 120)  # zeta(-3), the float nearest 1/120
         return RegularizedSum(value, 1e-15 * abs(value))
     if method == "abel_plana":
         zeta3_num, quad_err = abel_plana_zeta3()

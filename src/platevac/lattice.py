@@ -67,21 +67,23 @@ with both kinds is a ValueError, so no path here builds the dense 2M x 2M
 matrix. Of phi and pi, the block with the larger Gershgorin bound (the
 largest absolute row sum) is solved first, and the other is not solved
 when its bound falls below that value by more than rounding (the Pi block
-of a 1-d central residual, bound 797 against 4.1e6 at N = 640). A block
-first keeps only the rows that hold a stored entry, since the rest only
-add zero eigenvalues (the 2-d [J, H] seam residual keeps 4N - 4 of its
-N^2 rows). A band of at most 2 diagonals per side (every 1-d central
-residual is one) with at least 100 rows gets its extreme eigenvalue from
-Lanczos, certified to 1e-13 relative by the Ritz residual and two banded
-LDL^T inertia checks, one per sign; a sign whose Gershgorin edge already
-lies inside the value skips its check (the phi block of a 1-d central
-residual is negative definite, so its upper side is clear). Any other
-block, or a band whose certificate fails, goes to a dense eigvalsh of the
-rows it keeps. An empty block is 0 without a solve.
+of a 1-d central residual, bound 797 against 4.1e6 at N = 640). Only the
+rows that hold a stored entry count, since the rest only add zero
+eigenvalues. A band of at most 2 diagonals per side (every 1-d central
+residual is one) with at least 100 such rows gets its extreme eigenvalue
+from Lanczos on the block as stored, certified to 1e-13 relative by the
+Ritz residual and two banded LDL^T inertia checks, one per sign; a sign
+whose Gershgorin edge already lies inside the value skips its check (the
+phi block of a 1-d central residual is negative definite, so its upper
+side is clear). Any other block, or a band whose certificate fails, goes
+to a dense eigvalsh of those rows alone, read straight from the
+diagonals by `DiagonalBlock.dense(keep)` (the 2-d [J, H] seam residual
+keeps 4N - 4 of its N^2 rows). An empty block is 0 without a solve.
 
 Sites are numbered in the C order of an N x ... x N array: site (i, j) is
 i * N + j. Bonds and stencils go onto the diagonals at +- the flat stride of
 one step; coordinates come from `np.unravel_index`, the bulk window from `_grid`.
+A bulk restriction zeroes the entries off that window: every block keeps all M sites.
 
 Spatial derivatives follow two deliberate conventions: the gradient energy
 in the Hamiltonian uses forward differences (keeps the potential matrix
@@ -214,13 +216,17 @@ class DiagonalBlock:
     def __bool__(self) -> bool:
         return self.offsets.size > 0
 
-    def dense(self, out: np.ndarray | None = None) -> np.ndarray:
-        """The M x M matrix, written into the zero array `out` when given."""
+    def dense(self, keep: np.ndarray | None = None) -> np.ndarray:
+        """The M x M matrix, or its rows and columns `keep` (distinct sites), off the diagonals."""
         m = self.size
-        out = np.zeros((m, m)) if out is None else out
-        cols = _columns(self.offsets, m)
-        inside = (cols >= 0) & (cols < m)
-        out[np.nonzero(inside)[1], cols[inside]] = self.data[inside]
+        rows = np.arange(m) if keep is None else keep
+        position = np.full(m + 1, -1)  # index in rows of each site; -1 off them
+        position[rows] = np.arange(rows.size)
+        cols = rows + self.offsets[:, None]
+        sub = position[np.where((cols >= 0) & (cols < m), cols, -1)]
+        hit = sub >= 0
+        out = np.zeros((rows.size, rows.size))
+        out[np.nonzero(hit)[1], sub[hit]] = self.data[:, rows][hit]
         return out
 
     @cached_property
@@ -387,9 +393,7 @@ class QuadraticObservable:
         """Read-only dense 2M x 2M view of Q, built on first access."""
         m = self.n_modes
         out = np.zeros((2 * m, 2 * m))
-        views = out[:m, :m], out[m:, :m], out[m:, m:]
-        for block, view in zip(self.blocks, views):
-            block.dense(view)
+        out[:m, :m], out[m:, :m], out[m:, m:] = (block.dense() for block in self.blocks)
         out[:m, m:] = out[m:, :m].T
         return _readonly(out)
 
@@ -808,21 +812,19 @@ _CERTIFIED_REL = 1e-13
 def _max_abs_eigenvalue(block: DiagonalBlock) -> float:
     """Largest |eigenvalue| of a symmetric block; 0 for the empty block.
 
-    The rows with no stored entry are dropped first: they only add zero
-    eigenvalues. A narrow band above the crossover gets a certified Lanczos
-    value; anything else, or a band whose certificate fails, a dense eigvalsh.
+    Only the rows that hold a stored entry count: the rest add zero eigenvalues.
+    A narrow band with enough of them gets a certified Lanczos value on the block
+    as stored; anything else, or a failed certificate, a dense eigvalsh of those rows.
     """
     keep = np.flatnonzero(block.data.any(axis=0))
     if not keep.size:
         return 0.0
-    if keep.size < block.size:
-        block = _restrict(block, keep)
     width = max(-block.offsets[0], block.offsets[-1])
     if keep.size >= _LANCZOS_MIN_ROWS and width <= _NARROW_BAND:
         value = _certified_max_abs_eigenvalue(block)
         if value is not None:
             return value
-    eig = np.linalg.eigvalsh(block.dense())
+    eig = np.linalg.eigvalsh(block.dense(keep))
     return float(max(-eig[0], eig[-1]))
 
 
@@ -985,29 +987,17 @@ def bulk_residual_norm(residual: QuadraticObservable, geom: LatticeGeometry) -> 
     return worst
 
 
-def _restrict(block: DiagonalBlock, keep: np.ndarray) -> DiagonalBlock:
-    """block[keep][:, keep] for the sorted indices `keep`, made from the stored diagonals."""
-    m = block.size
-    position = np.full(m + 1, -1)  # index in keep of each row; -1 off it
-    position[keep] = np.arange(keep.size)
-    cols = keep + block.offsets[:, None]
-    sub = position[np.where((cols >= 0) & (cols < m), cols, -1)]
-    hit = sub >= 0
-    rows, cols = np.nonzero(hit)[1], sub[hit]
-    # the new offsets from a mask over the 2K - 1 that K = keep.size rows can
-    # have: np.unique would import numpy.ma, about 15 ms in a fresh process
-    shift = cols - rows + keep.size - 1
-    present = np.bincount(shift, minlength=2 * keep.size - 1) > 0
-    offsets = np.flatnonzero(present) - (keep.size - 1)
-    flat = (np.cumsum(present) - 1)[shift] * keep.size + rows
-    data = np.bincount(flat, block.data[:, keep][hit], offsets.size * keep.size)
-    return _diagonals(offsets, data.reshape(offsets.size, keep.size))
-
-
 def _bulk_restriction(obs: QuadraticObservable, geom: LatticeGeometry) -> QuadraticObservable:
-    """The quad Q restricted to the bulk sites, in both the phi and the pi half."""
-    keep = _bulk_sites(geom)
-    return QuadraticObservable(keep.size, *(_restrict(b, keep) for b in obs.blocks))
+    """Q with every entry zeroed whose row or column lies off the bulk sites, in both halves."""
+    m = obs.n_modes
+    bulk = np.zeros(m, bool)
+    bulk[_bulk_sites(geom)] = True
+
+    def masked(block):  # a column off the matrix holds a zero entry, so clipping it is safe
+        return _diagonals(block.offsets,
+                          block.data * (bulk & bulk[np.clip(_columns(block.offsets, m), 0, m - 1)]))
+
+    return QuadraticObservable(m, *map(masked, obs.blocks))
 
 
 def _check_spacings(spacings) -> None:
@@ -1127,8 +1117,8 @@ def verify_poincare_closure(geom: LatticeGeometry, mass: float) -> dict:
 
     [P_1, P_2] and [H, P_i] are translation-invariant statements and get the
     plain spectral norm. [J, H] holds in the bulk but not across the
-    coordinate seam of the torus, so its norm is restricted to rows and
-    columns supported N // 4 sites away from the seam; in 2-D that needs
+    coordinate seam of the torus, so its bulk norm zeroes every entry whose
+    row or column lies within N // 4 sites of the seam; in 2-D that needs
     N >= 4, and a smaller lattice is a ValueError.
     """
     if geom.boundary != "periodic":

@@ -5,7 +5,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import solve_ivp
 
 from platevac import _integrate
 from platevac import adiabatic as ad
@@ -164,6 +163,8 @@ def _bogoliubov(schedule, n, k, f1, g1):
 
 def _dop853_bogoliubov(schedule, n, k):
     """(alpha, beta) from scipy's DOP853 on the real 4-vector (f, f'), rtol 1e-12."""
+    from scipy.integrate import solve_ivp  # here, so the scipy-free oracles run without it
+
     w_in = ad.mode_frequency(n, k, schedule.L0)
     w_out = ad.mode_frequency(n, k, schedule.L1)
     f0, g0 = _initial_state(schedule, n, k)
@@ -269,6 +270,25 @@ def test_magnus6_is_sixth_order():
 
     assert min(ratios(_integrate._sweep)) >= 50.0
     assert all(12.0 <= r <= 20.0 for r in ratios(_magnus4_sweep))
+
+
+@pytest.mark.parametrize("rho", [8.0, 4.0, 2.0, 1.0, 0.5])
+def test_integrator_matches_tanh_closed_form(rho):
+    # omega^2(t) = A + B tanh(rho t) from omega_in^2 = A - B to omega_out^2 = A + B:
+    # |beta|^2 = sinh^2(pi w_minus / rho) / (sinh(pi omega_in / rho) sinh(pi omega_out / rho)),
+    # w_minus = (omega_out - omega_in) / 2 (Bernard & Duncan, Ann. Phys. 107 (1977) 201).
+    # The schedule gives only the README modes omega_in = pi, omega_out = pi/2 and the
+    # window: at -+T = -+40 / rho, tanh is -+1 to rounding
+    schedule = ad.Schedule(1.0, 2.0, 40.0 / rho)
+    w_in, w_out = math.pi, math.pi / 2
+    a, b = 0.5 * (w_out**2 + w_in**2), 0.5 * (w_out**2 - w_in**2)
+    first_step = 2.0 * math.pi / (ad._STEPS_PER_PERIOD * max(w_in, w_out))  # as evolve_mode
+    sol = _integrate.solve_ivp(lambda t: a + b * math.tanh(rho * t), (-schedule.T, schedule.T),
+                               _initial_state(schedule, 1, 0.0), first_step)
+    beta = _bogoliubov(schedule, 1, 0.0, *sol.y)[1]
+    x = math.pi / rho
+    exact = math.sinh(x * (w_out - w_in) / 2) ** 2 / (math.sinh(x * w_in) * math.sinh(x * w_out))
+    assert abs(abs(beta) ** 2 - exact) <= 1e-8 * exact
 
 
 def test_integration_failure_is_runtime_error():

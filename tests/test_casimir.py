@@ -2,6 +2,7 @@
 
 import math
 from fractions import Fraction
+from functools import cache
 
 import numpy as np
 import pytest
@@ -11,27 +12,41 @@ from platevac import casimir as cas
 
 
 # ---------------------------------------------------------------------------
-# exact rational layer
+# exact rational layer: the oracle of the zeta route's constant
+
+
+@cache
+def _bernoulli(n):
+    """B_n (B_1 = -1/2 convention) from sum_{j<=n} C(n+1, j) B_j = 0, exact."""
+    if n == 0:
+        return Fraction(1)
+    return -sum(math.comb(n + 1, j) * _bernoulli(j) for j in range(n)) / (n + 1)
+
+
+def _zeta_negative_odd(n):
+    """zeta(-n) = -B_{n+1}/(n+1) for positive integers n, exact."""
+    return -_bernoulli(n + 1) / (n + 1)
 
 
 def test_bernoulli_frozen_values():
-    assert cas.bernoulli_number(0) == 1
-    assert cas.bernoulli_number(1) == Fraction(-1, 2)
-    assert cas.bernoulli_number(2) == Fraction(1, 6)
-    assert cas.bernoulli_number(4) == Fraction(-1, 30)
-    assert cas.bernoulli_number(12) == Fraction(-691, 2730)
+    assert _bernoulli(0) == 1
+    assert _bernoulli(1) == Fraction(-1, 2)
+    assert _bernoulli(2) == Fraction(1, 6)
+    assert _bernoulli(4) == Fraction(-1, 30)
+    assert _bernoulli(12) == Fraction(-691, 2730)
     for odd in (3, 5, 7, 9, 11):
-        assert cas.bernoulli_number(odd) == 0
-    with pytest.raises(ValueError):
-        cas.bernoulli_number(-1)
+        assert _bernoulli(odd) == 0
 
 
 def test_zeta_negative_odd_values():
-    assert cas.zeta_negative_odd(1) == Fraction(-1, 12)
-    assert cas.zeta_negative_odd(3) == Fraction(1, 120)
-    assert cas.zeta_negative_odd(5) == Fraction(-1, 252)
-    with pytest.raises(ValueError):
-        cas.zeta_negative_odd(0)
+    assert _zeta_negative_odd(1) == Fraction(-1, 12)
+    assert _zeta_negative_odd(3) == Fraction(1, 120)
+    assert _zeta_negative_odd(5) == Fraction(-1, 252)
+    # the zeta route takes the float nearest the exact zeta(-3), across the gap range
+    zeta3 = float(_zeta_negative_odd(3))
+    for length in (0.5, 1.0, 2.0, 3.0, 1e-75, 1e76):
+        prefactor = cas.mode_energy_density(cas.mode_mass(1, length))
+        assert cas.casimir_energy_per_area(length, "zeta").value == prefactor * zeta3
 
 
 def test_mode_mass():

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -786,3 +787,17 @@ def test_typed_defaults_are_fresh_per_run():
     assert parse_options(["casimir"])["outdir"] == Path(".")
     parse_options(["casimir"])["L"].append(2.0)
     assert parse_options(["casimir"])["L"] == [1.0]
+
+
+def test_readme_command_line_names_every_declared_option():
+    # each declared key appears as --key in README's "Command line" section, and
+    # each --flag there is declared, but for the --key=value placeholder and
+    # the refused prefix --cross
+    from platevac.cli import build_parser
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    start = readme.index("## Command line")
+    section = readme[start:readme.index("\n## ", start)]
+    flags = set(re.findall(r"--([A-Za-z][\w-]*)", section))
+    declared = {key for options in build_parser()[1].values() for key in options}
+    assert not declared - flags
+    assert flags - declared <= {"key", "cross"}

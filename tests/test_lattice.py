@@ -494,12 +494,19 @@ def test_diagonal_blocks_match_dense_matrices(m):
         _on_diagonals(rng, m, [m - 1]),  # the corner alone
         _on_diagonals(rng, m, [-1, 0, 1]),
         _on_diagonals(rng, m, [1 - m, 0, m - 1]),  # the wrap offsets of a ring
+        np.zeros((m, m)),  # the empty block
     ]
+    # every site, a random subset in random order, and the bulk window of a chain
+    keeps = [np.arange(m), rng.permutation(m)[:m // 2 + 1]]
+    if m >= 4:
+        keeps.append(lat._bulk_sites(lat.LatticeGeometry(1, m, 1.0)))
     for x in dense:
         b = _block(x)
         rows, cols = np.nonzero(x)
         assert b.offsets.tolist() == sorted(set((cols - rows).tolist()))
         assert np.array_equal(b.dense(), x) and np.array_equal(b.T.dense(), x.T)
+        for keep in keeps:  # read off the diagonals, bit-equal to the cut dense matrix
+            assert b.dense(keep).tobytes() == b.dense()[np.ix_(keep, keep)].tobytes()
         assert np.array_equal((-b).dense(), -x)
         v = rng.standard_normal(m)
         assert np.array_equal(b.scaled(v).dense(), v[:, None] * x)
@@ -819,7 +826,13 @@ def test_generator_arithmetic_matches_dense_quads(boundary, dims, n):
         _check_norm(obs, _dense_norm(obs.quad), 1e-12 * scale)
         if n >= 4:
             bulk = lat._bulk_restriction(obs, g)
-            assert _all_blocks(bulk, lat._bulk_sites(g).size)
+            assert _all_blocks(bulk, m)
+            # the entries off the bulk window, in either half, are zeroed; no site is dropped
+            off = np.ones(2 * m, bool)
+            off[np.concatenate([lat._bulk_sites(g), lat._bulk_sites(g) + m])] = False
+            want = obs.quad.copy()
+            want[off], want[:, off] = 0.0, 0.0
+            assert np.array_equal(bulk.quad, want)
             _check_norm(bulk, _masked_dense_norm(obs.quad, g), 1e-12 * scale)
 
     for a in gens.values():
