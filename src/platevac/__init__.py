@@ -9,7 +9,7 @@ so importing one layer loads only what that layer needs.
 - `lattice`: quadratic observables on finite field lattices, their
   commutators, vacuum state, and symmetry-closure checks. Needs numpy.
 - `casimir`: regularized plate energies (zeta, Abel-Plana, cutoff
-  extrapolation), forces, and central-charge differences.
+  extrapolation) and forces.
 - `adiabatic`: single-mode evolution under a slow plate motion and the
   Bogoliubov coefficients it produces.
 """

@@ -35,7 +35,6 @@ __all__ = [
     "cutoff_energy_density",
     "casimir_energy_per_area",
     "casimir_force_per_area",
-    "central_charge_difference",
     "METHODS",
 ]
 
@@ -185,7 +184,3 @@ def casimir_force_per_area(length: float) -> float:
     _check_gap(length)
     return -(math.pi**2) / (480.0 * length**4)
 
-
-def central_charge_difference(l0: float, l1: float) -> float:
-    """E(L0) - E(L1), the constant separating the two plate Hamiltonians."""
-    return casimir_energy_per_area(l0).value - casimir_energy_per_area(l1).value

@@ -5,10 +5,10 @@ measure absorbed into the variables (phi_x -> a^{dims/2} phi_x and likewise
 for pi), so the commutation relations read [xi_a, xi_b] = i omega[a][b] with
 omega the exact +-1 block matrix [[0, I], [-I, 0]].
 
-Observables are at most quadratic, O = 1/2 xi^T Q xi + lin^T xi + scalar,
-with Q symmetric; a symmetric Q is automatically Weyl (symmetric) ordered.
-`QuadraticObservable(n_modes, phi, coupling, pi, lin, scalar)` takes Q as
-its three M x M blocks,
+Observables are quadratic plus a scalar, O = 1/2 xi^T Q xi + scalar, with Q
+symmetric; a symmetric Q is automatically Weyl (symmetric) ordered.
+`QuadraticObservable(n_modes, phi, coupling, pi, scalar)` takes Q as its
+three M x M blocks,
 
     Q = [[phi, C^T], [C, pi]],
 
@@ -30,11 +30,9 @@ dense 2M x 2M matrix `quad` is a read-only view built on first access; no
 computation here reads it.
 
 `commutator` returns the rescaled product (1/i)[A, B], which is again
-quadratic with real coefficients:
+quadratic with real coefficients and scalar 0:
 
-    quad   = Q_A omega Q_B - Q_B omega Q_A
-    lin    = Q_A omega lin_B - Q_B omega lin_A
-    scalar = lin_A^T omega lin_B
+    quad = Q_A omega Q_B - Q_B omega Q_A
 
 Omega is never built. With X = Q_A omega Q_B, block (i, j) of X is
 A_i0 B_1j - A_i1 B_0j, a product with an empty block is empty at once, and
@@ -42,8 +40,7 @@ the second quad term is -X^T because both Q are symmetric; so the result has
 phi = X_00 + X_00^T, pi = X_11 + X_11^T and C = X_10 + X_01^T, each sum
 made in the array that takes the transpose's rows, so no separate
 transpose block is held. Diagonals that cancel exactly are dropped, so a
-residual that vanishes exactly is a quad of empty blocks. Two zero lins,
-as every generator has, give a zero lin and scalar with no work.
+residual that vanishes exactly is a quad of empty blocks.
 
 Input scalar slots never contribute (constants commute), so a commutator of
 two pure Weyl quadratics carries no central term; central scalars only enter
@@ -266,8 +263,6 @@ class DiagonalBlock:
         if not self:
             return other if op is operator.add else -other
         mine, theirs = self.offsets.tolist(), other.offsets.tolist()
-        if mine == theirs:
-            return _diagonals(self.offsets, op(self.data, other.data))
         offsets = sorted({*mine, *theirs})
         index = {o: d for d, o in enumerate(offsets)}
         data = np.zeros((len(offsets), self.size))
@@ -355,20 +350,18 @@ def _diagonal(values: np.ndarray) -> DiagonalBlock:
 
 @dataclass(frozen=True, eq=False)
 class QuadraticObservable:
-    """O = 1/2 xi^T Q xi + lin^T xi + scalar, Q = [[phi, C^T], [C, pi]] symmetric (Weyl order).
+    """O = 1/2 xi^T Q xi + scalar, Q = [[phi, C^T], [C, pi]] symmetric (Weyl order).
 
     Each block is an M x M `DiagonalBlock`; an omitted (None) block is stored
     as the empty one. phi and pi must be symmetric, which is taken on trust
-    (the builders, `commutator`, `+` and `-` make them so). A None `lin` is
-    the zero vector. Any other block, or a `lin` not of length 2M, is a
-    ValueError.
+    (the builders, `commutator`, `+` and `-` make them so). Any other block
+    is a ValueError.
     """
 
     n_modes: int
     phi: DiagonalBlock | None = None
     coupling: DiagonalBlock | None = None
     pi: DiagonalBlock | None = None
-    lin: np.ndarray | None = None
     scalar: float = 0.0
 
     def __post_init__(self):
@@ -378,10 +371,6 @@ class QuadraticObservable:
                 object.__setattr__(self, name, _zero(m))
             elif not (isinstance(block, DiagonalBlock) and block.size == m):
                 raise ValueError("quad blocks must be M x M DiagonalBlocks or None")
-        lin = np.zeros(2 * m) if self.lin is None else np.asarray(self.lin, dtype=float)
-        if lin.shape != (2 * m,):
-            raise ValueError("lin length must match quad dimension")
-        object.__setattr__(self, "lin", _readonly(lin))
         object.__setattr__(self, "scalar", float(self.scalar))
 
     @property
@@ -403,8 +392,7 @@ class QuadraticObservable:
     def _combine(self, other: "QuadraticObservable", op) -> "QuadraticObservable":
         m = _same_modes(self, other)
         blocks = [op(x, y) for x, y in zip(self.blocks, other.blocks)]
-        return QuadraticObservable(m, *blocks, op(self.lin, other.lin),
-                                   op(self.scalar, other.scalar))
+        return QuadraticObservable(m, *blocks, op(self.scalar, other.scalar))
 
     def __add__(self, other: "QuadraticObservable") -> "QuadraticObservable":
         return self._combine(other, operator.add)
@@ -725,19 +713,12 @@ def normal_ordered(obs: QuadraticObservable, basis: ModeBasis) -> QuadraticObser
 # commutators
 
 
-def _quad_apply(obs: QuadraticObservable, vec: np.ndarray) -> np.ndarray:
-    """Q v from the blocks, (phi v_phi + C^T v_pi, C v_phi + pi v_pi), along vec's last axis."""
-    v_phi, v_pi = vec[..., :obs.n_modes], vec[..., obs.n_modes:]
-    return np.concatenate([obs.phi.dot(v_phi) + obs.coupling.T.dot(v_pi),
-                           obs.coupling.dot(v_phi) + obs.pi.dot(v_pi)], axis=-1)
-
-
 def commutator(a: QuadraticObservable, b: QuadraticObservable) -> QuadraticObservable:
-    """(1/i)[A, B] for Weyl-ordered quadratic observables.
+    """(1/i)[A, B] for Weyl-ordered quadratic observables, with scalar 0.
 
-    The input scalar slots drop out entirely; the output scalar comes only
-    from the linear x linear cross term. With both quads symmetric,
-    Q_B omega Q_A = -(Q_A omega Q_B)^T, so one block product X gives the quad.
+    The input scalar slots drop out entirely (constants commute). With both
+    quads symmetric, Q_B omega Q_A = -(Q_A omega Q_B)^T, so one block product
+    X gives the quad.
     """
     m = _same_modes(a, b)
     ca, cb = a.coupling.T, b.coupling.T
@@ -747,17 +728,8 @@ def commutator(a: QuadraticObservable, b: QuadraticObservable) -> QuadraticObser
     x01 = a.phi @ b.pi - ca @ cb
     x10 = a.coupling @ b.coupling - a.pi @ b.phi
     x11 = a.coupling @ b.pi - a.pi @ cb
-
-    def omega(vec):  # omega v = (v_pi, -v_phi)
-        return np.concatenate([vec[m:], -vec[:m]])
-
-    lin, scalar = None, 0.0  # the zero lin of every generator: both terms vanish
-    if a.lin.any() or b.lin.any():
-        lin = _quad_apply(a, omega(b.lin)) - _quad_apply(b, omega(a.lin))
-        scalar = float(a.lin[:m] @ b.lin[m:] - a.lin[m:] @ b.lin[:m])
     pairs = ((x00, x00), (x10, x01), (x11, x11))  # phi, C, pi of X + X^T
-    quad = [_plus_transpose(x, y) for x, y in pairs]
-    return QuadraticObservable(m, *quad, lin, scalar)
+    return QuadraticObservable(m, *(_plus_transpose(x, y) for x, y in pairs))
 
 
 # ---------------------------------------------------------------------------

@@ -362,7 +362,8 @@ def test_casimir_diff_column(tmp_path):
     assert first_row[-1] == ""  # reference length has no difference entry
     zeta_l2 = lines[4].split(",")
     assert zeta_l2[1] == "zeta"
-    assert zeta_l2[-1] == "%.11e" % cas.central_charge_difference(1.0, 2.0)
+    want = cas.casimir_energy_per_area(1.0).value - cas.casimir_energy_per_area(2.0).value
+    assert zeta_l2[-1] == "%.11e" % want
 
 
 def _contour_off_by_1e15(monkeypatch):
@@ -382,12 +383,32 @@ def test_casimir_cross_check_exit_code(tmp_path, capsys, monkeypatch):
     assert "FAIL" in capsys.readouterr().out
 
 
-def test_casimir_byte_deterministic(tmp_path):
-    args = ["casimir", "--L", "0.5", "--L", "2", "--diff", "--outdir", str(tmp_path)]
-    assert main(args) == 0
-    first = (tmp_path / "casimir.csv").read_bytes()
-    assert main(args) == 0
-    assert (tmp_path / "casimir.csv").read_bytes() == first
+def _run_twice_alike(tmp_path, capsys, args):
+    """Run `args` into two output directories: same exit code 0, stdout and file bytes."""
+    runs = []
+    for name in ("first", "second"):
+        outdir = tmp_path / name
+        capsys.readouterr()
+        assert main([*args, "--outdir", str(outdir)]) == 0
+        files = {path.relative_to(outdir): path.read_bytes() for path in outdir.rglob("*")}
+        assert files
+        runs.append((files, capsys.readouterr().out.replace(str(outdir), "OUTDIR")))
+    assert runs[0] == runs[1]
+
+
+def test_casimir_byte_deterministic(tmp_path, capsys):
+    _run_twice_alike(tmp_path, capsys, ["casimir", "--L", "0.5", "--L", "2", "--diff"])
+
+
+@pytest.mark.parametrize("args", [
+    "algebra-verify",
+    "algebra-verify --check poincare",
+    "adiabatic --L0 1 --L1 2 --T 2,4,8",
+    "cocycle --builtin poincare21 --charges 1,2,3",
+])
+def test_outputs_byte_deterministic(tmp_path, capsys, args):
+    # README: identical inputs give byte-identical files
+    _run_twice_alike(tmp_path, capsys, args.split())
 
 
 def test_casimir_rejects_bad_length(tmp_path):

@@ -1,5 +1,6 @@
 """Property checks of the command line: every input ends in a documented exit code."""
 
+import configparser
 import itertools
 import json
 import math
@@ -14,7 +15,7 @@ from hypothesis import HealthCheck, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from platevac.algebra import builtin_algebra, change_basis, save_algebra  # noqa: E402
-from platevac.cli import main, parse_options  # noqa: E402
+from platevac.cli import build_parser, main, parse_options  # noqa: E402
 
 # finite and non-finite floats, with the edges of the float range drawn often
 _FLOATS = st.one_of(
@@ -256,3 +257,123 @@ def test_scaled_units_exit_code_is_documented(tmp_path, shape, s):
         warnings.simplefilter("error")
         code = _exit_code([*argv, "--outdir", str(tmp_path)])
     assert code in (0, 2, 3, 4)
+
+
+# ---------------------------------------------------------------------------
+# every declared option, generated from build_parser()[1]: a value resolves the
+# same as flag tokens, as a [command] line and as a [DEFAULT] line
+
+_DECLARED = build_parser()[1]
+_KEYS = [(command, key) for command, options in _DECLARED.items()
+         for key in options if key != "config"]  # a config file names no other file
+# ordered pairs of options in one exclusive group, so either may be the flag
+_EXCLUSIVE = [(command, a, b) for command, options in _DECLARED.items()
+              for a, b in itertools.permutations(options, 2)
+              if options[a][3] is not None and options[a][3] is options[b][3]]
+
+# value texts by kind. An INI line strips a value's outer whitespace, splits a
+# repeatable one at ";" and interpolates "%", so no value holds any of these.
+_NUMBER_TEXT = st.one_of(
+    st.sampled_from(["nan", "-nan", "inf", "-inf", "-0.0", "0", "-1", "3", "0.25", "1e308",
+                     "1.7976931348623157e308", "1e309", "-1e400", "5e-324", "1e-400",
+                     "123456789012345678901234567890", "1_000", "0x10", ""]),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.integers(-10**30, 10**30).map(str),
+)
+_LIST_TEXT = st.lists(_NUMBER_TEXT, min_size=1, max_size=3).map(",".join)
+_ON_OFF_TEXT = st.sampled_from(
+    [*configparser.ConfigParser.BOOLEAN_STATES, "TRUE", "Off", "YeS", "maybe", "2", ""])
+_WORD_TEXT = st.sampled_from(["poincare", "contradiction", "poincare21", "abelian2", "bogus",
+                              "1,2,3", "P1,P2=1", "H,P1=-2/3", "-1", "a.txt", "out", "x y", ""])
+_ANY_TEXT = st.one_of(_NUMBER_TEXT, _LIST_TEXT, _ON_OFF_TEXT, _WORD_TEXT)
+
+
+def _values(default, repeats):
+    """A list of value texts for an option with this declared default: one, or 1-3 if repeatable.
+
+    The kind follows the default (on/off, float list, number, else any kind),
+    with a value of any kind one time in four.
+    """
+    if isinstance(default, bool):
+        own = _ON_OFF_TEXT
+    elif isinstance(default, list) and not repeats:
+        own = _LIST_TEXT
+    elif isinstance(default, (int, float, list)):
+        own = _NUMBER_TEXT
+    else:
+        own = _ANY_TEXT
+    text = st.one_of(own, own, own, _ANY_TEXT)
+    return st.lists(text, min_size=1, max_size=3 if repeats else 1)
+
+
+@st.composite
+def _flag_tokens(draw, key, values):
+    """The flag tokens of these values: --key=value, or --key value when that parses alike."""
+    tokens = []
+    for value in values:
+        apart = value and not value.startswith("-") and draw(st.booleans())
+        tokens += [f"--{key}", value] if apart else [f"--{key}={value}"]
+    return tokens
+
+
+def _ini_line(key, values):
+    return f"{key} = {'; '.join(values)}"
+
+
+def _outcome(argv, capsys):
+    """parse_options(argv) as ("ok", its options but config) or ("exit", code, stderr)."""
+    capsys.readouterr()
+    try:
+        opts = parse_options(argv)
+    except SystemExit as exc:
+        return "exit", exc.code, capsys.readouterr().err
+    opts.pop("config")
+    return "ok", repr(sorted(opts.items()))  # repr: nan equals nan, and -0.0 differs from 0.0
+
+
+def _flag_over_file(flags, file):
+    """Flags over a file: the flags' error, else the file's, else the flags' options."""
+    return file if flags[0] == "ok" and file[0] == "exit" else flags
+
+
+@pytest.mark.parametrize("command,key", _KEYS)
+@settings(_SETTINGS, max_examples=12)
+@given(data=st.data())
+def test_every_declared_option_resolves_alike_as_flag_and_config_line(
+        tmp_path, capsys, command, key, data):
+    _, default, repeats, _ = _DECLARED[command][key]
+    values, other = (data.draw(_values(default, repeats)) for _ in range(2))
+    flags = data.draw(_flag_tokens(key, values))
+    want = _outcome([command, *flags], capsys)
+    assert want[0] == "ok" or want[1] == 2
+    ini = tmp_path / "run.ini"
+    for section in (command, "DEFAULT"):
+        ini.write_text(f"[{section}]\n{_ini_line(key, values)}\n")
+        assert _outcome([command, "--config", str(ini)], capsys) == want, section
+    # the same key in the file: the flag wins, but the file value is still checked
+    ini.write_text(f"[{command}]\n{_ini_line(key, other)}\n")
+    file = _outcome([command, "--config", str(ini)], capsys)
+    assert _outcome([command, *flags, "--config", str(ini)], capsys) == _flag_over_file(want, file)
+
+
+@pytest.mark.parametrize("command,first,second", _EXCLUSIVE)
+@settings(_SETTINGS, max_examples=12)
+@given(data=st.data())
+def test_exclusive_pairs_refuse_each_other_and_a_flag_wins_over_the_file(
+        tmp_path, capsys, command, first, second, data):
+    options = _DECLARED[command]
+    one, two = (data.draw(_values(*options[key][1:3])) for key in (first, second))
+    flags_one, flags_two = (data.draw(_flag_tokens(k, v))
+                            for k, v in ((first, one), (second, two)))
+    both = _outcome([command, *flags_one, *flags_two], capsys)
+    assert both[:2] == ("exit", 2)  # a value's own error, or "not allowed with"
+    ini = tmp_path / "run.ini"
+    for section in (command, "DEFAULT"):
+        ini.write_text(f"[{section}]\n{_ini_line(first, one)}\n{_ini_line(second, two)}\n")
+        assert _outcome([command, "--config", str(ini)], capsys) == both, section
+    # mixed: the flag replaces the excluded file option, whose value is still checked
+    ini.write_text(f"[{command}]\n{_ini_line(second, two)}\n")
+    flag = _outcome([command, *flags_one], capsys)
+    file = _outcome([command, "--config", str(ini)], capsys)
+    mixed = _outcome([command, *flags_one, "--config", str(ini)], capsys)
+    assert mixed == _flag_over_file(flag, file)

@@ -27,20 +27,19 @@ def _sym_block(x):
     return _block(0.5 * (x + x.T))
 
 
-def _from_dense(q, lin=None, scalar=0.0):
+def _from_dense(q, scalar=0.0):
     """The observable whose Q is the symmetric part of the dense 2M x 2M matrix q."""
     q = np.asarray(q, dtype=float)
     m = q.shape[0] // 2
     coupling = _block(0.5 * (q[m:, :m] + q[:m, m:].T))
     return lat.QuadraticObservable(m, _sym_block(q[:m, :m]), coupling, _sym_block(q[m:, m:]),
-                                   lin, scalar)
+                                   scalar)
 
 
-def _rand_obs(rng, n_modes, with_lin=True):
+def _rand_obs(rng, n_modes):
     dim = 2 * n_modes
     quad = rng.standard_normal((dim, dim))
-    lin = rng.standard_normal(dim) if with_lin else None
-    return _from_dense(quad + quad.T, lin, rng.standard_normal())
+    return _from_dense(quad + quad.T, rng.standard_normal())
 
 
 def _omega(n_modes):
@@ -74,11 +73,16 @@ def _covariance(basis):
 
 
 def _dense_commutator(a, b):
-    """The commutator formulas with an explicit dense omega (reference)."""
+    """The commutator's quad with an explicit dense omega (reference); its scalar is 0."""
     om = _omega(a.n_modes)
-    quad = a.quad @ om @ b.quad - b.quad @ om @ a.quad
-    lin = a.quad @ om @ b.lin - b.quad @ om @ a.lin
-    return quad, lin, float(a.lin @ om @ b.lin)
+    return a.quad @ om @ b.quad - b.quad @ om @ a.quad
+
+
+def _quad_apply(obs, vec):
+    """Q v from the blocks, (phi v_phi + C^T v_pi, C v_phi + pi v_pi), along vec's last axis."""
+    v_phi, v_pi = vec[..., :obs.n_modes], vec[..., obs.n_modes:]
+    return np.concatenate([obs.phi.dot(v_phi) + obs.coupling.T.dot(v_pi),
+                           obs.coupling.dot(v_phi) + obs.pi.dot(v_pi)], axis=-1)
 
 
 def _phi(obs):
@@ -152,21 +156,17 @@ def test_quad_symmetrized_and_readonly():
     assert np.array_equal(_phi(obs), np.array([[1.0, 1.0], [1.0, 3.0]]))
     assert np.array_equal(_pi(obs), -_phi(obs))
     assert np.array_equal(_coupling(obs), upper)  # the coupling is not symmetrized
-    assert np.array_equal(obs.lin, np.zeros(4)) and obs.scalar == 0.0
+    assert obs.scalar == 0.0
     zero = _block(np.zeros((2, 2)))
     assert not zero and zero.offsets.shape == (0,) and zero.data.shape == (0, 2)
-    views = [obs.quad, obs.lin] + [x for block in obs.blocks for x in (block.offsets, block.data)]
+    views = [obs.quad] + [x for block in obs.blocks for x in (block.offsets, block.data)]
     for view in views:
         with pytest.raises(ValueError):
             view[0, ...] = 5.0
-    # an observable rebuilds from another's blocks, lin and scalar
-    lin = np.arange(4.0)
-    again = lat.QuadraticObservable(2, *obs.blocks, lin, 0.3)
+    # an observable rebuilds from another's blocks and scalar
+    again = lat.QuadraticObservable(2, *obs.blocks, 0.3)
     assert again.blocks == obs.blocks and np.array_equal(again.quad, obs.quad)
-    assert np.array_equal(again.lin, lin) and again.scalar == 0.3
-    for bad in ([1.0, 2.0, 3.0], np.zeros(4), np.zeros((1, 2))):
-        with pytest.raises(ValueError, match="lin length"):
-            lat.QuadraticObservable(1, lin=bad)
+    assert again.scalar == 0.3
     for block in ("phi", "coupling", "pi"):
         for bad in (np.eye(2), np.eye(3), _block(np.eye(3)), [[1.0, 0.0], [0.0, 1.0]]):
             with pytest.raises(ValueError, match="M x M"):
@@ -174,8 +174,8 @@ def test_quad_symmetrized_and_readonly():
 
 
 def test_observable_arithmetic():
-    a = _from_dense(np.eye(2), [1.0, 0.0], 2.0)
-    b = _from_dense(2 * np.eye(2), [0.0, 1.0], -1.0)
+    a = _from_dense(np.eye(2), 2.0)
+    b = _from_dense(2 * np.eye(2), -1.0)
     s = a + b
     assert np.array_equal(s.quad, 3 * np.eye(2))
     assert s.scalar == 1.0
@@ -193,13 +193,6 @@ def test_commutator_canonical_pair_examples():
     c = lat.commutator(q2, p2)
     assert np.array_equal(c.quad, np.array([[0.0, 1.0], [1.0, 0.0]]))
     assert c.scalar == 0.0
-    assert np.all(c.lin == 0.0)
-
-    q = lat.QuadraticObservable(1, lin=[1.0, 0.0])
-    p = lat.QuadraticObservable(1, lin=[0.0, 1.0])
-    c = lat.commutator(q, p)
-    assert c.scalar == 1.0
-    assert np.all(c.quad == 0.0)
 
     same = lat.commutator(q2, q2)
     assert np.all(same.quad == 0.0) and same.scalar == 0.0
@@ -212,7 +205,6 @@ def test_commutator_ignores_input_scalars():
     base = lat.commutator(a, b)
     shifted = lat.commutator(a.shifted(5.0), b.shifted(-2.5))
     assert np.array_equal(base.quad, shifted.quad)
-    assert np.array_equal(base.lin, shifted.lin)
     assert base.scalar == shifted.scalar
 
 
@@ -222,12 +214,10 @@ def test_commutator_antisymmetric_bilinear():
     ab = lat.commutator(a, b)
     ba = lat.commutator(b, a)
     assert np.allclose(ab.quad, -ba.quad, atol=1e-13)
-    assert np.allclose(ab.lin, -ba.lin, atol=1e-13)
     assert abs(ab.scalar + ba.scalar) < 1e-13
     left = lat.commutator(a + b, c)
     split = lat.commutator(a, c) + lat.commutator(b, c)
     assert np.allclose(left.quad, split.quad, atol=1e-12)
-    assert np.allclose(left.lin, split.lin, atol=1e-12)
     assert abs(left.scalar - split.scalar) < 1e-12
 
 
@@ -241,25 +231,23 @@ def test_commutator_jacobi_identity():
             + lat.commutator(c, lat.commutator(a, b))
         )
         scale = max(np.abs(total.quad).max(), 1.0) * 0 + sum(
-            np.abs(x.quad).max() + np.abs(x.lin).max() for x in (a, b, c)
+            np.abs(x.quad).max() for x in (a, b, c)
         )
         assert np.abs(total.quad).max() <= 1e-10 * scale**3
-        assert np.abs(total.lin).max() <= 1e-10 * scale**3
         assert abs(total.scalar) <= 1e-10 * scale**3
 
 
 def test_commutator_matches_explicit_omega():
     rng = np.random.default_rng(5)
     for n_modes in (1, 2, 5):
-        for with_lin in (True, False):
-            a = _rand_obs(rng, n_modes, with_lin)
-            b = _rand_obs(rng, n_modes, with_lin)
-            quad, lin, scalar = _dense_commutator(a, b)
+        for _ in range(2):
+            a = _rand_obs(rng, n_modes)
+            b = _rand_obs(rng, n_modes)
+            quad = _dense_commutator(a, b)
             got = lat.commutator(a, b)
             scale = np.abs(a.quad).max() * np.abs(b.quad).max() * 2 * n_modes
             assert np.abs(got.quad - quad).max() <= 1e-13 * scale
-            assert np.abs(got.lin - lin).max() <= 1e-13 * scale
-            assert abs(got.scalar - scalar) <= 1e-13 * max(1.0, abs(scalar))
+            assert got.scalar == 0.0
 
 
 def test_commutator_of_generators_matches_explicit_omega():
@@ -271,17 +259,15 @@ def test_commutator_of_generators_matches_explicit_omega():
     p = lat.normal_ordered(lat.build_momentum(g, 0), basis)
     k0 = lat.build_boost(g, 0, 0.0, 1.0)
     kt = lat.build_boost(g, 0, 0.7, 1.0)
-    shifted = lat.QuadraticObservable(g.n_sites, *kt.blocks,
-                                      np.linspace(-1.0, 1.0, 2 * g.n_sites), 0.3)
+    shifted = kt.shifted(0.3)
     obs = (h, p, k0, kt, shifted)
     for a in obs:
         for b in obs:
-            quad, lin, scalar = _dense_commutator(a, b)
+            quad = _dense_commutator(a, b)
             got = lat.commutator(a, b)
             scale = np.abs(a.quad).max() * np.abs(b.quad).max()
             assert np.abs(got.quad - quad).max() <= 1e-14 * scale
-            assert np.abs(got.lin - lin).max() <= 1e-14 * scale
-            assert got.scalar == pytest.approx(scalar, rel=1e-14, abs=1e-14)
+            assert got.scalar == 0.0
 
 
 def test_commutator_dimension_mismatch():
@@ -294,8 +280,8 @@ def test_commutator_dimension_mismatch():
 def test_weyl_quadratics_have_no_central_term():
     rng = np.random.default_rng(13)
     for _ in range(10):
-        a = _rand_obs(rng, 4, with_lin=False)
-        b = _rand_obs(rng, 4, with_lin=False)
+        a = _rand_obs(rng, 4)
+        b = _rand_obs(rng, 4)
         assert lat.commutator(a, b).scalar == 0.0
 
 
@@ -320,8 +306,6 @@ def _fock_ops(n_modes):
 def _as_operator(obs, xi):
     dim = xi[0].shape[0]
     out = obs.scalar * np.eye(dim, dtype=complex)
-    for i, op in enumerate(xi):
-        out += obs.lin[i] * op
     for i in range(len(xi)):
         for j in range(len(xi)):
             if obs.quad[i, j] != 0.0:
@@ -338,8 +322,8 @@ def _low_block(mat, n_modes):
 
 @pytest.mark.parametrize("n_modes", [1, 2])
 def test_commutator_against_fock_oracle(n_modes):
-    """Every coefficient path (quad x quad, quad x lin, lin x lin) checked
-    against brute-force operator algebra on a truncated oscillator tower."""
+    """The quad and scalar of the commutator checked against brute-force
+    operator algebra on a truncated oscillator tower."""
     xi = _fock_ops(n_modes)
     rng = np.random.default_rng(17 + n_modes)
     for _ in range(4):
@@ -387,13 +371,13 @@ def test_zero_block_patterns_match_dense_oracles(m):
     obs = {}
     for pattern, on in _PATTERNS.items():
         q = _pattern_quad(rng, m, pattern)
-        a = _from_dense(q, rng.standard_normal(2 * m), rng.standard_normal())
+        a = _from_dense(q, rng.standard_normal())
         assert [bool(x) for x in a.blocks] == list(on), pattern
         assert np.array_equal(a.quad, q) and a.quad is a.quad
         obs[pattern] = a
     for name_a, a in obs.items():
         shifted = a.shifted(1.5)
-        assert np.array_equal(shifted.quad, a.quad) and np.array_equal(shifted.lin, a.lin)
+        assert np.array_equal(shifted.quad, a.quad)
         assert shifted.scalar == a.scalar + 1.5
         _check_norm(a, _dense_norm(a.quad), 1e-12 * _dense_norm(a.quad))
         vev = 0.5 * float(np.trace(a.quad @ sigma)) + a.scalar
@@ -405,12 +389,11 @@ def test_zero_block_patterns_match_dense_oracles(m):
             assert np.array_equal((a + b).quad, a.quad + b.quad), pair
             assert np.array_equal((a - b).quad, a.quad - b.quad), pair
             assert _all_blocks(a + b, m) and _all_blocks(a - b, m), pair
-            quad, lin, scalar = _dense_commutator(a, b)
+            quad = _dense_commutator(a, b)
             got = lat.commutator(a, b)
             scale = np.abs(a.quad).max() * np.abs(b.quad).max() * 2 * m
             assert np.abs(got.quad - quad).max() <= 1e-13 * scale, pair
-            assert np.abs(got.lin - lin).max() <= 1e-13 * scale, pair
-            assert abs(got.scalar - scalar) <= 1e-13 * max(1.0, abs(scalar)), pair
+            assert got.scalar == 0.0, pair
             _check_norm(got, _dense_norm(quad), 1e-12 * scale)
 
 
@@ -705,7 +688,7 @@ def _oracle_bulk_residual_norm(residual, geom):
     vectors = np.array([np.concatenate(halves) for f, df in lat._bump_profiles(geom)
                         for halves in ((f, zero), (zero, f), (f, df))])
     worst = 0.0
-    for v, image in zip(vectors, lat._quad_apply(residual, vectors)):
+    for v, image in zip(vectors, _quad_apply(residual, vectors)):
         norm_v = float(np.linalg.norm(v))
         if norm_v:
             worst = max(worst, float(np.linalg.norm(image)) / norm_v)
@@ -820,7 +803,7 @@ def test_generator_arithmetic_matches_dense_quads(boundary, dims, n):
     def check_reads(obs, scale):
         assert _all_blocks(obs, m)
         vec = rng.standard_normal(2 * m)
-        assert np.abs(lat._quad_apply(obs, vec) - obs.quad @ vec).max() <= 1e-13 * scale
+        assert np.abs(_quad_apply(obs, vec) - obs.quad @ vec).max() <= 1e-13 * scale
         vev = 0.5 * float(np.trace(obs.quad @ sigma)) + obs.scalar
         assert abs(lat.vacuum_expectation(obs, basis) - vev) <= 1e-13 * scale
         _check_norm(obs, _dense_norm(obs.quad), 1e-12 * scale)
@@ -843,11 +826,11 @@ def test_generator_arithmetic_matches_dense_quads(boundary, dims, n):
             assert np.array_equal((a + b).quad, a.quad + b.quad), pair
             assert np.array_equal((a - b).quad, a.quad - b.quad), pair
             assert _all_blocks(a + b, m) and _all_blocks(a - b, m), pair
-            quad, lin, scalar = _dense_commutator(a, b)
+            quad = _dense_commutator(a, b)
             got = lat.commutator(a, b)
             scale = np.abs(a.quad).max() * np.abs(b.quad).max() * 2 * m
             assert np.abs(got.quad - quad).max() <= 1e-13 * scale, pair
-            assert np.abs(got.lin - lin).max() <= 1e-13 * scale and got.scalar == scalar == 0.0
+            assert got.scalar == 0.0, pair
             check_reads(got, scale)
     if boundary == "periodic":  # translations commute exactly: every block cancels to empty
         pairs = [("H", "P1"), ("H", "P2"), ("P1", "P2")] if dims == 2 else [("H", "P1")]
@@ -1192,14 +1175,14 @@ def test_closure_report_matches_dense_svd():
     h = lat.build_hamiltonian(g, 1.0)
     p1, p2 = lat.build_momentum(g, 0), lat.build_momentum(g, 1)
     rot = lat.build_rotation(g)
-    jh = _dense_commutator(rot, h)[0]
+    jh = _dense_commutator(rot, h)
     keep = np.arange(3, 9)
     keep = (keep[:, None] * 12 + keep[None, :]).ravel()
     idx = np.concatenate([keep, keep + g.n_sites])
     dense = {
-        "H,P1": _dense_norm(_dense_commutator(h, p1)[0]),
-        "H,P2": _dense_norm(_dense_commutator(h, p2)[0]),
-        "P1,P2": _dense_norm(_dense_commutator(p1, p2)[0]),
+        "H,P1": _dense_norm(_dense_commutator(h, p1)),
+        "H,P2": _dense_norm(_dense_commutator(h, p2)),
+        "P1,P2": _dense_norm(_dense_commutator(p1, p2)),
         "J,H bulk": _dense_norm(jh[np.ix_(idx, idx)]),
         "J,H full": _dense_norm(jh),
     }
@@ -1312,7 +1295,6 @@ def test_normal_ordering_scalar_mechanism():
         comm_of_normal = lat.commutator(na, nb)
         normal_of_comm = lat.normal_ordered(comm, basis)
         assert np.array_equal(comm_of_normal.quad, normal_of_comm.quad)
-        assert np.array_equal(comm_of_normal.lin, normal_of_comm.lin)
         vev = lat.vacuum_expectation(comm, basis)
         diff = comm_of_normal.scalar - normal_of_comm.scalar
         assert abs(diff - vev) <= 1e-10 * max(1.0, abs(vev))
@@ -1380,9 +1362,9 @@ def test_central_relation_report_matches_dense_svd():
         assert row["ground_energy_trace"] == e
         assert row["scalar_slot"] == -e
         k = lat.build_boost(g, 0, 0.0, mass)
-        quad, _, scalar = _dense_commutator(k, p)
+        quad = _dense_commutator(k, p)
         residual = 0.5 * (quad + quad.T) - h.quad
-        assert lat.commutator(k, p).scalar == scalar == 0.0
+        assert lat.commutator(k, p).scalar == 0.0
         full = _dense_norm(residual)
         assert abs(row["full_residual_norm"] - full) <= 1e-12 * full
         bulk = lat.bulk_residual_norm(_from_dense(residual), g)
