@@ -57,7 +57,8 @@ and Sigma only on their stored diagonals; no M x M array is made.
 
 Both residual norms take an observable. `bulk_residual_norm` applies each
 block once to the three bump profiles and makes the nine test vectors and
-their images three at a time. `spectral_norm` works from the
+their images three at a time; `verify_central_relation` builds those
+vectors once for both labels. `spectral_norm` works from the
 blocks of its quad: the largest |eigenvalue| of phi and pi, or the square
 root of the largest eigenvalue of C^T C for a lone coupling block C; a quad
 with both kinds is a ValueError, so no path here builds the dense 2M x 2M
@@ -67,15 +68,21 @@ when its bound falls below that value by more than rounding (the Pi block
 of a 1-d central residual, bound 797 against 4.1e6 at N = 640). Only the
 rows that hold a stored entry count, since the rest only add zero
 eigenvalues. A band of at most 2 diagonals per side (every 1-d central
-residual is one) with at least 100 such rows gets its extreme eigenvalue
-from Lanczos on the block as stored, certified to 1e-13 relative by the
-Ritz residual and two banded LDL^T inertia checks, one per sign; a sign
-whose Gershgorin edge already lies inside the value skips its check (the
-phi block of a 1-d central residual is negative definite, so its upper
-side is clear). Any other block, or a band whose certificate fails, goes
-to a dense eigvalsh of those rows alone, read straight from the
-diagonals by `DiagonalBlock.dense(keep)` (the 2-d [J, H] seam residual
-keeps 4N - 4 of its N^2 rows). An empty block is 0 without a solve.
+residual is one) tries two routes in turn, each a lower bound nu on the
+norm that one certificate, `_bounded`, accepts when banded LDL^T inertia
+checks of (nu + delta) I -+ A, delta = 1e-13 nu, put every eigenvalue
+inside +-(nu + delta); a sign whose Gershgorin edge already lies inside nu
+skips its check (the phi block of a 1-d central residual is negative
+definite, so its upper side is clear). First, a window: the eigvalsh of the
+principal sub-block on the rows within 8, then 32, sites of the largest row
+sum, a lower bound by Cauchy interlacing (the top eigenvector of a 1-d
+central residual sits at a plate, so the first window of 9 or 10 rows
+certifies it). Then, with at least 100 rows, Lanczos on the block as
+stored, whose Ritz residual gives the lower bound. Any other block, or a
+band neither route certifies, goes to a dense eigvalsh of those rows alone,
+read straight from the diagonals by `DiagonalBlock.dense(keep)` (the 2-d
+[J, H] seam residual keeps 4N - 4 of its N^2 rows). An empty block is 0
+without a solve.
 
 Sites are numbered in the C order of an N x ... x N array: site (i, j) is
 i * N + j. Bonds and stencils go onto the diagonals at +- the flat stride of
@@ -744,8 +751,9 @@ def spectral_norm(obs: QuadraticObservable) -> float:
     when its bound is below that value by more than 4e-13 relative: its
     eigenvalues cannot reach it, so the max is the same float.
     Off-diagonal [[0, C^T], [C, 0]]: the square root of that of C^T C.
-    A block's value is certified Lanczos on a narrow band, else a dense
-    eigvalsh of the rows that hold an entry (`_max_abs_eigenvalue`).
+    A narrow band's value is a certified window at its largest row sum,
+    else certified Lanczos; any other block, or a band neither certifies,
+    a dense eigvalsh of the rows that hold an entry (`_max_abs_eigenvalue`).
     A mixed quad, a coupling block beside a phi or pi block, is a
     ValueError: every residual the checks norm is one of the two shapes.
     """
@@ -767,15 +775,18 @@ def _gershgorin(block: DiagonalBlock) -> float:
 
 
 # A band of at most _NARROW_BAND diagonals per side (the LDL^T loop of
-# `_positive_definite` reads two below the main one) takes Lanczos from
-# _LANCZOS_MIN_ROWS rows on. On the 1-d central residuals (a 2-vCPU Xeon,
-# one BLAS thread) Lanczos and its certificate cost as much as a dense
-# eigvalsh at 96-112 rows; a block takes 0.5 ms against 1.0 ms at 160 rows
-# and 6 ms against 2 s at 2560. They certify in 6 to 12 steps, a lone
-# momentum coupling in 18 or 19. A band that needs more than _LANCZOS_STEPS,
-# such as H's phi with its clustered top, falls back to eigvalsh after at
-# most about 5 ms.
+# `_positive_definite` reads two below the main one) takes the windows of
+# _WINDOW_HALF_WIDTHS sites around its largest row sum, then Lanczos from
+# _LANCZOS_MIN_ROWS rows on. A 1-d central residual's top eigenvector sits at
+# a plate (beyond 8 sites its largest component is 2.4e-8 at N = 80), so the
+# first window certifies it: 59 us at N = 80 and 560 us at 2560, mostly the
+# LDL^T sweep, against 360 us and 1.5 ms by Lanczos and 260 us and 1.9 s by a
+# dense eigvalsh (2-vCPU Xeon, one BLAS thread). Lanczos and eigvalsh cost the
+# same at 96-112 rows; Lanczos certifies in 6 to 12 steps, a lone momentum
+# coupling in 18 or 19. H's phi, whose top is spread out, fails both windows
+# (0.4 ms at 2560 rows) and Lanczos and goes to eigvalsh.
 _NARROW_BAND = 2
+_WINDOW_HALF_WIDTHS = (8, 32)
 _LANCZOS_MIN_ROWS = 100
 _LANCZOS_STEPS = 32
 _CERTIFIED_REL = 1e-13
@@ -784,20 +795,47 @@ _CERTIFIED_REL = 1e-13
 def _max_abs_eigenvalue(block: DiagonalBlock) -> float:
     """Largest |eigenvalue| of a symmetric block; 0 for the empty block.
 
-    Only the rows that hold a stored entry count: the rest add zero eigenvalues.
-    A narrow band with enough of them gets a certified Lanczos value on the block
-    as stored; anything else, or a failed certificate, a dense eigvalsh of those rows.
+    Only the rows that hold a stored entry count: the rest add zero
+    eigenvalues. A narrow band tries, in order, the windows at its largest
+    row sum (`_windowed_max_abs_eigenvalue`) and, with enough rows, Lanczos
+    (`_certified_max_abs_eigenvalue`); each gives a lower bound that
+    `_bounded` certifies. Anything else, or a band neither certifies, gets a
+    dense eigvalsh of those rows.
     """
     keep = np.flatnonzero(block.data.any(axis=0))
     if not keep.size:
         return 0.0
-    width = max(-block.offsets[0], block.offsets[-1])
-    if keep.size >= _LANCZOS_MIN_ROWS and width <= _NARROW_BAND:
-        value = _certified_max_abs_eigenvalue(block)
+    if max(-block.offsets[0], block.offsets[-1]) <= _NARROW_BAND:
+        value = _windowed_max_abs_eigenvalue(block, keep)
+        if value is None and keep.size >= _LANCZOS_MIN_ROWS:
+            value = _certified_max_abs_eigenvalue(block)
         if value is not None:
             return value
-    eig = np.linalg.eigvalsh(block.dense(keep))
+    return _dense_max_abs_eigenvalue(block, keep)
+
+
+def _dense_max_abs_eigenvalue(block: DiagonalBlock, rows: np.ndarray) -> float:
+    """Largest |eigenvalue| of the principal sub-block on `rows`, by a dense eigvalsh."""
+    eig = np.linalg.eigvalsh(block.dense(rows))
     return float(max(-eig[0], eig[-1]))
+
+
+def _windowed_max_abs_eigenvalue(block: DiagonalBlock, keep: np.ndarray) -> float | None:
+    """A band's norm from a window at its largest row sum, when `_bounded` accepts it; else None.
+
+    For each half-width h of _WINDOW_HALF_WIDTHS, the rows of `keep` within h
+    sites of the row with the largest absolute row sum form a principal
+    sub-block; its largest |eigenvalue| nu is at most the norm by Cauchy
+    interlacing (Parlett 1980, 10.1). A window that holds every row of `keep`
+    is the whole block, so its nu is the norm itself.
+    """
+    centre = int(np.abs(block.data).sum(axis=0).argmax())
+    for half in _WINDOW_HALF_WIDTHS:
+        rows = keep[np.abs(keep - centre) <= half]
+        nu = _dense_max_abs_eigenvalue(block, rows)
+        if rows.size == keep.size or _bounded(block, nu):
+            return nu
+    return None
 
 
 def _certified_max_abs_eigenvalue(block: DiagonalBlock) -> float | None:
@@ -839,26 +877,34 @@ def _certified(block: DiagonalBlock, theta: float, y: np.ndarray) -> float | Non
     """nu = |theta| if the Ritz pair (theta, y) of the band A certifies it as the norm; else None.
 
     With delta = 1e-13 nu, ||A y - theta y|| <= delta ||y|| puts an
-    eigenvalue within delta of theta, and positive LDL^T pivots of
-    (nu + delta) I - A and (nu + delta) I + A put every eigenvalue inside
-    +-(nu + delta), by Sylvester's law of inertia; so nu is the norm to 1e-13.
+    eigenvalue within delta of theta, so nu - delta is a lower bound on the
+    norm, and `_bounded` gives the upper bound nu + delta.
+    """
+    nu = abs(theta)
+    r = block.dot(y) - theta * y
+    if not math.sqrt(r @ r) <= _CERTIFIED_REL * nu * math.sqrt(y @ y):
+        return None
+    return float(nu) if _bounded(block, nu) else None
+
+
+def _bounded(block: DiagonalBlock, nu: float) -> bool:
+    """Whether every |eigenvalue| of the band A is at most nu + delta, delta = 1e-13 nu.
+
+    Positive LDL^T pivots of (nu + delta) I - A and (nu + delta) I + A put
+    every eigenvalue inside +-(nu + delta), by Sylvester's law of inertia.
     A side whose Gershgorin edge, max_i (+-A(i, i) + sum_(j != i) |A(i, j)|),
     is at most nu needs no LDL^T: every eigenvalue of +-A is below that
     edge, and delta covers its rounding, under 5 eps times a row sum, which
-    is at most sqrt(5) nu on a band of 5 diagonals.
+    is at most sqrt(5) nu on a band of 5 diagonals. With a lower bound of
+    nu (less delta, for a Ritz value) this makes nu the norm to 1e-13.
     """
-    nu = abs(theta)
-    delta = _CERTIFIED_REL * nu
-    r = block.dot(y) - theta * y
-    if not math.sqrt(r @ r) <= delta * math.sqrt(y @ y):
-        return None
     lower = np.zeros((_NARROW_BAND + 1, block.size))  # row k: the entries (i, i - k)
     below = block.offsets <= 0
     lower[-block.offsets[below]] = block.data[below]
     radius = np.abs(block.data).sum(axis=0) - np.abs(lower[0])  # off-diagonal row sums
-    bounded = all((sign * lower[0] + radius).max() <= nu
-                  or _positive_definite(sign * lower, nu + delta) for sign in (1, -1))
-    return float(nu) if bounded else None
+    shift = nu + _CERTIFIED_REL * nu
+    return all((sign * lower[0] + radius).max() <= nu
+               or _positive_definite(sign * lower, shift) for sign in (1, -1))
 
 
 def _positive_definite(lower: np.ndarray, shift: float) -> bool:
@@ -940,12 +986,25 @@ def bulk_residual_norm(residual: QuadraticObservable, geom: LatticeGeometry) -> 
     times a second difference, an O(1) matrix); measuring against fixed
     smooth profiles recovers the continuum convergence order.
     """
-    f, df = (np.array(p) for p in zip(*_bump_profiles(geom)))  # one row per profile
+    return _bulk_residual_norm(residual, _bulk_test_vectors(geom))
+
+
+def _bulk_test_vectors(geom: LatticeGeometry) -> tuple:
+    """The profiles f and their derivatives df, one row each, and |v| of each test vector.
+
+    The test vectors are (f, 0), (0, f) and (f, df); each |v| is one dot over
+    its 2M entries, as np.linalg.norm takes it.
+    """
+    f, df = (np.array(p) for p in zip(*_bump_profiles(geom)))
     zero = np.zeros(f.shape)
-    # |v| of the test vectors (f, 0), (0, f) and (f, df), one dot over the
-    # 2M entries of each, as np.linalg.norm takes it
     norms = [[math.sqrt(v @ v) for v in np.concatenate(halves, axis=1)]
              for halves in ((f, zero), (zero, f), (f, df))]
+    return f, df, norms
+
+
+def _bulk_residual_norm(residual: QuadraticObservable, tests: tuple) -> float:
+    """`bulk_residual_norm` on the test vectors `tests` of `_bulk_test_vectors`."""
+    f, df, norms = tests
     phi, c, pi = residual.blocks
     phi_f, c_f = phi.dot(f), c.dot(f)
     # the halves of R v: the sums of the full product, less the terms of a
@@ -1025,6 +1084,7 @@ def verify_central_relation(geom: LatticeGeometry, mass_pair) -> dict:
         raise ValueError("mass_pair must hold exactly two masses")
     bases = [build_mode_basis(geom, mass) for mass in mass_pair]
     window = _bulk_window(geom)
+    tests = _bulk_test_vectors(geom)  # one set for both labels
     momentum = build_momentum(geom, 0)
     per_label = []
     energies = []
@@ -1046,7 +1106,7 @@ def verify_central_relation(geom: LatticeGeometry, mass_pair) -> dict:
                 "ground_energy_trace": e_trace,
                 "ground_energy_eigensum": e_eig,
                 "scalar_discrepancy_rel": abs(e_trace - e_eig) / abs(e_eig),
-                "bulk_residual_norm": bulk_residual_norm(residual, geom),
+                "bulk_residual_norm": _bulk_residual_norm(residual, tests),
                 "full_residual_norm": spectral_norm(residual),
             }
         )

@@ -1456,13 +1456,15 @@ def _record_norm_inputs(monkeypatch):
 @pytest.mark.parametrize("n", [80, 160, 320, 640, 1280])
 def test_central_residual_norms_certified_without_eigvalsh(monkeypatch, n):
     # the 1-d residual blocks are bands of at most two diagonals per side:
-    # above the crossover Lanczos and its LDL^T certificate give the norm
+    # the first window at a plate (its rows 0 .. 8 or 0 .. 9, or the mirror)
+    # and its LDL^T certificate give the norm, with no dense solve of the block
     g = lat.LatticeGeometry(1, n, 8.0 / n, "open")
     sizes = _record_eigvalsh(monkeypatch)
     residuals = _record_norm_inputs(monkeypatch)
     rep = lat.verify_central_relation(g, (math.pi, math.pi / 2))
     monkeypatch.undo()
-    assert sizes == ([] if n >= lat._LANCZOS_MIN_ROWS else [n] * 2)  # phi only, pi pruned
+    half = lat._WINDOW_HALF_WIDTHS[0]
+    assert len(sizes) == 2 and set(sizes) <= {half + 1, half + 2}  # phi only, pi pruned
     for row, residual in zip(rep["per_label"], residuals, strict=True):
         assert not residual.coupling
         assert max(abs(residual.phi.offsets).max(), abs(residual.pi.offsets).max()) <= 2
@@ -1513,10 +1515,13 @@ def test_banded_norm_matches_dense_eigvalsh(monkeypatch, width, m):
                 sizes.clear()
                 got = lat._max_abs_eigenvalue(_block(scale * x))
                 assert abs(got - want) <= 1e-12 * want, (empty_rows, spike, scale)
-                # the dense solve reads only the rows that hold an entry
-                assert sizes in ([], [rows]), (empty_rows, spike, scale)
+                # at most two windows, then a dense solve of only the rows that hold an entry
+                windows, dense = sizes[:2], sizes[2:]
+                assert all(w <= 2 * h + 1 for w, h in zip(windows, lat._WINDOW_HALF_WIDTHS)), (
+                    empty_rows, spike, scale)
+                assert dense in ([], [rows]), (empty_rows, spike, scale)
                 if spike and rows >= lat._LANCZOS_MIN_ROWS:
-                    assert sizes == [], (empty_rows, scale)
+                    assert dense == [], (empty_rows, scale)
 
 
 def _lower(block):
@@ -1560,16 +1565,84 @@ def test_uncertified_band_falls_back_to_eigvalsh(monkeypatch, failure):
     g = lat.LatticeGeometry(1, 320, 8.0 / 320, "open")
     want = lat.verify_central_relation(g, (math.pi, math.pi / 2))
     if failure == "one step":
-        # the Ritz residual of one step is far above 1e-13 nu: no certificate is tried
+        # no window; the Ritz residual of one step is far above 1e-13 nu: no certificate is tried
+        monkeypatch.setattr(lat, "_WINDOW_HALF_WIDTHS", ())
         monkeypatch.setattr(lat, "_LANCZOS_STEPS", 1)
+        want_sizes = [320] * 2
     else:
+        # both windows at the plate are rejected, then Lanczos's certificate
         monkeypatch.setattr(lat, "_positive_definite", lambda lower, shift: False)
+        want_sizes = [10, 34, 320] * 2
     sizes = _record_eigvalsh(monkeypatch)
     got = lat.verify_central_relation(g, (math.pi, math.pi / 2))
-    assert sizes == [320] * 2  # phi of each label; pi is pruned by its Gershgorin bound
+    assert sizes == want_sizes  # phi of each label; pi is pruned by its Gershgorin bound
     for old, new in zip(want["per_label"], got["per_label"]):
         value = old["full_residual_norm"]
         assert abs(new["full_residual_norm"] - value) <= 1e-12 * value
+
+
+@pytest.mark.parametrize("n", [8, 16, 40, 80, 160, 320, 640, 1280])
+def test_window_norm_of_central_residuals_matches_dense_eigvalsh(monkeypatch, n):
+    # at every unit of length and mass pair, the first window at a plate
+    # certifies the norm of the block with the larger Gershgorin bound (phi
+    # in the default units, the unit-free pi at 8e6) from N = 40 on; below
+    # that the second window may be the whole block. By interlacing the window's
+    # value is never above the block's, but for rounding. The other block's
+    # bound is below that value, so it is not solved
+    eps = np.finfo(float).eps
+    for physical_size in (8.0, 1e-4, 8e6):
+        unit = physical_size / 8.0
+        for masses in ((math.pi, math.pi / 2), (2.0, 0.5)):
+            g = lat.LatticeGeometry(1, n, physical_size / n, "open")
+            residuals = _record_norm_inputs(monkeypatch)
+            rep = lat.verify_central_relation(g, tuple(mass / unit for mass in masses))
+            monkeypatch.undo()
+            for row, residual in zip(rep["per_label"], residuals, strict=True):
+                first, second = sorted(residual.blocks[::2], key=lat._gershgorin, reverse=True)
+                sizes = _record_eigvalsh(monkeypatch)
+                got = lat._max_abs_eigenvalue(first)
+                monkeypatch.undo()
+                case = (physical_size, masses, row["L_label"], first is residual.pi, sizes)
+                assert len(sizes) <= (1 if n >= 40 else 2), case
+                assert sizes[0] <= 2 * lat._WINDOW_HALF_WIDTHS[0] + 1, case
+                want = _eigvalsh_norm(first.dense())
+                assert abs(got - want) <= 1e-12 * want, case
+                assert got <= want * (1 + 8 * eps), case
+                assert lat._gershgorin(second) < got and row["full_residual_norm"] == got, case
+
+
+@pytest.mark.parametrize("m", [lat._LANCZOS_MIN_ROWS - 1, 200])
+def test_window_away_from_the_top_is_rejected(monkeypatch, m):
+    # row 20 is the centre of a star, row sum 4 but local top 2; the top
+    # eigenvalue, about 3, sits on row m - 10, beyond both windows. The
+    # certificate rejects each window, and Lanczos (200 rows) or the dense
+    # solve (99 rows) gives the norm
+    rng = np.random.default_rng(m)
+    x = 0.01 * _random_band(rng, m, 2)
+    for j in (18, 19, 21, 22):
+        x[20, j] = x[j, 20] = 1.0
+    x[m - 10, m - 10] = 3.0
+    for scale in (1.0, -1.0, 1e-30, 1e30):
+        sizes = _record_eigvalsh(monkeypatch)
+        got = lat._max_abs_eigenvalue(_block(scale * x))
+        monkeypatch.undo()
+        want = _eigvalsh_norm(scale * x)
+        assert abs(got - want) <= 1e-12 * want, scale
+        windows = [min(m, 20 + h + 1) - max(0, 20 - h) for h in lat._WINDOW_HALF_WIDTHS]
+        assert sizes == windows + ([] if m >= lat._LANCZOS_MIN_ROWS else [m]), scale
+
+
+def test_spread_out_top_runs_two_windows_then_the_fallback(monkeypatch):
+    # H's phi at N = 640 has its top spread over the chain: both windows
+    # at its first interior row and Lanczos fail, and the dense solve runs
+    g = lat.LatticeGeometry(1, 640, 8.0 / 640, "open")
+    phi = lat.build_hamiltonian(g, math.pi).phi
+    sizes = _record_eigvalsh(monkeypatch)
+    got = lat._max_abs_eigenvalue(phi)
+    monkeypatch.undo()
+    assert sizes == [10, 34, 640]
+    want = _eigvalsh_norm(phi.dense())
+    assert abs(got - want) <= 1e-12 * want
 
 
 def _oracle_spectral_norm(obs):
