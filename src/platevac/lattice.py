@@ -25,9 +25,9 @@ with k_A and k_B diagonals is O(M k_A k_B) work, one gather and one
 bincount while its k_A k_B M pair cells fit 64 KiB, else one pass per
 diagonal of A, so no temporary outgrows 64 KiB or B's own k_B rows;
 a sum or difference adds rows on the union of the offsets; a transpose
-moves each diagonal's rows to the opposite offset, once per block. The
-dense 2M x 2M matrix `quad` is a read-only view built on first access; no
-computation here reads it.
+moves each diagonal's rows to the opposite offset. The dense 2M x 2M
+matrix `quad` is a read-only view built on first access; no computation
+here reads it.
 
 `commutator` returns the rescaled product (1/i)[A, B], which is again
 quadratic with real coefficients and scalar 0:
@@ -37,10 +37,12 @@ quadratic with real coefficients and scalar 0:
 Omega is never built. With X = Q_A omega Q_B, block (i, j) of X is
 A_i0 B_1j - A_i1 B_0j, a product with an empty block is empty at once, and
 the second quad term is -X^T because both Q are symmetric; so the result has
-phi = X_00 + X_00^T, pi = X_11 + X_11^T and C = X_10 + X_01^T, each sum
-made in the array that takes the transpose's rows, so no separate
-transpose block is held. Diagonals that cancel exactly are dropped, so a
-residual that vanishes exactly is a quad of empty blocks.
+phi = X_00 + X_00^T, pi = X_11 + X_11^T and C = X_10 + X_01^T. The products,
+differences and sums run on raw (offsets, data) pairs, and each result block
+is made once, at the end; a lone main diagonal, such as Pi = I of H or
+Pi = -x of a boost, scales the other factor's rows. Diagonals that cancel
+exactly are dropped, so a residual that vanishes exactly is a quad of
+empty blocks.
 
 Input scalar slots never contribute (constants commute), so a commutator of
 two pure Weyl quadratics carries no central term; central scalars only enter
@@ -56,37 +58,28 @@ Sigma is block-diagonal, so a vacuum expectation needs only phi and pi,
 and Sigma only on their stored diagonals; no M x M array is made.
 
 Both residual norms take an observable. `bulk_residual_norm` applies each
-block once to the three bump profiles and makes the nine test vectors and
-their images three at a time; `verify_central_relation` builds those
-vectors once for both labels. `spectral_norm` works from the
-blocks of its quad: the largest |eigenvalue| of phi and pi, or the square
-root of the largest eigenvalue of C^T C for a lone coupling block C; a quad
-with both kinds is a ValueError, so no path here builds the dense 2M x 2M
-matrix. Of phi and pi, the block with the larger Gershgorin bound (the
-largest absolute row sum) is solved first, and the other is not solved
-when its bound falls below that value by more than rounding (the Pi block
-of a 1-d central residual, bound 797 against 4.1e6 at N = 640). Only the
-rows that hold a stored entry count, since the rest only add zero
-eigenvalues. A band of at most 2 diagonals per side (every 1-d central
-residual is one) tries two routes in turn, each a lower bound nu on the
-norm that one certificate, `_bounded`, accepts when banded LDL^T inertia
-checks of (nu + delta) I -+ A, delta = 1e-13 nu, put every eigenvalue
-inside +-(nu + delta); a sign whose Gershgorin edge already lies inside nu
-skips its check (the phi block of a 1-d central residual is negative
-definite, so its upper side is clear). First, a window: the eigvalsh of the
-principal sub-block on the rows within 8, then 32, sites of the largest row
-sum, a lower bound by Cauchy interlacing (the top eigenvector of a 1-d
-central residual sits at a plate, so the first window of 9 or 10 rows
-certifies it). Then, with at least 100 rows, Lanczos on the block as
-stored, whose Ritz residual gives the lower bound. Any other block, or a
-band neither route certifies, goes to a dense eigvalsh of those rows alone,
-read straight from the diagonals by `DiagonalBlock.dense(keep)` (the 2-d
-[J, H] seam residual keeps 4N - 4 of its N^2 rows). An empty block is 0
-without a solve.
+block once to the three bump profiles (Pi to f and df in one pass, an empty
+C not at all); `verify_central_relation` builds those vectors once for both
+labels. `spectral_norm` works from the blocks of its quad: the largest
+|eigenvalue| of phi and pi, or the square root of the largest eigenvalue of
+C^T C for a lone coupling block C; a quad with both kinds is a ValueError,
+so no path here builds the dense 2M x 2M matrix. Each block's absolute row
+sums are taken once: the larger Gershgorin bound picks the block solved
+first, the other is not solved when its bound falls below that value by
+more than rounding, and only the rows with a nonzero sum count. A band of
+at most 2 diagonals per side (every 1-d central residual is one) tries a
+window, the eigvalsh of the rows within 8, then 32, sites of the largest
+row sum, then, with at least 100 rows, Lanczos; each gives a lower bound nu
+on the norm that `_bounded` certifies by banded LDL^T inertia checks of
+(nu + delta) I -+ A, delta = 1e-13 nu. Any other block, or a band neither
+route certifies, goes to a dense eigvalsh of those rows alone, read
+straight from the diagonals by `DiagonalBlock.dense(keep)`, one strided
+slice per diagonal for a run of rows (the 2-d [J, H] seam residual keeps
+4N - 4 of its N^2 rows). An empty block is 0 without a solve.
 
 Sites are numbered in the C order of an N x ... x N array: site (i, j) is
 i * N + j. Bonds and stencils go onto the diagonals at +- the flat stride of
-one step; coordinates come from `np.unravel_index`, the bulk window from `_grid`.
+one step; coordinates come from the strides, the bulk window from `_grid`.
 A bulk restriction zeroes the entries off that window: every block keeps all M sites.
 
 Spatial derivatives follow two deliberate conventions: the gradient energy
@@ -201,9 +194,11 @@ class DiagonalBlock:
     every all-zero diagonal, so a stored diagonal has a nonzero entry; every
     operation here keeps that. The all-zero block stores no diagonal (offsets
     of shape (0,), data of shape (0, M)) and is false; `@`, `+`, `-` and `.T`
-    return at once when an operand is empty. Blocks come from the builders
-    and the operations below; the constructor itself checks none of these
-    conditions. A block is immutable, so `.T` is made once and kept.
+    return at once when an operand is empty. They run on raw pairs (offsets
+    as a list of ints, data), which keep these rules without a block. Blocks
+    come from the builders and the operations below; the constructor itself
+    checks none of these conditions. A block is immutable, so `.T` is made
+    once and kept.
     """
 
     offsets: np.ndarray
@@ -224,29 +219,29 @@ class DiagonalBlock:
         """The M x M matrix, or its rows and columns `keep` (distinct sites), off the diagonals."""
         m = self.size
         rows = np.arange(m) if keep is None else keep
-        position = np.full(m + 1, -1)  # index in rows of each site; -1 off them
-        position[rows] = np.arange(rows.size)
-        cols = rows + self.offsets[:, None]
-        sub = position[np.where((cols >= 0) & (cols < m), cols, -1)]
+        r, start = rows.size, int(rows[0]) if rows.size else 0
+        out = np.zeros((r, r))
+        if keep is None or keep.tolist() == list(range(start, start + r)):
+            flat = out.reshape(-1)  # a run of sites, as every window: (i, i + o) is i (r + 1) + o
+            for row, o in zip(self.data, self.offsets.tolist()):
+                lo, hi = max(0, -o), min(r, r - o)
+                if lo < hi:
+                    flat[lo * (r + 1) + o:hi * (r + 1) + o:r + 1] = row[start + lo:start + hi]
+            return out
+        position = np.full(m + 1, -1)  # index in rows of each site; -1 off them and at M
+        position[rows] = np.arange(r)
+        sub = position[np.clip(rows + self.offsets[:, None], -1, m)]  # a column off the matrix: -1
         hit = sub >= 0
-        out = np.zeros((rows.size, rows.size))
         out[np.nonzero(hit)[1], sub[hit]] = self.data[:, rows][hit]
         return out
 
+    @property
+    def _pair(self) -> tuple:
+        return self.offsets.tolist(), self.data
+
     @cached_property
     def T(self) -> "DiagonalBlock":
-        return DiagonalBlock(-self.offsets[::-1], self._transposed()) if self else self
-
-    def _transposed(self) -> np.ndarray:
-        """A new array of the transpose's rows, on the offsets -offsets[::-1]."""
-        m = self.size
-        data = np.zeros(self.data.shape)
-        # entry (i, i + o) is entry (i + o, i) of the transpose: row i + o of diagonal -o;
-        # rows lo .. hi - 1 of diagonal o lie inside the matrix
-        for row, o, out in zip(self.data, self.offsets.tolist(), data[::-1]):
-            lo, hi = max(0, -o), min(m, m - o)
-            out[lo + o:hi + o] = row[lo:hi]
-        return data
+        return DiagonalBlock(*_transposed(self._pair, self.size)) if self else self
 
     def dot(self, vec: np.ndarray) -> np.ndarray:
         """B v, sum_d data[d, i] v[i + offsets[d]], for each vector v along vec's last axis."""
@@ -264,58 +259,83 @@ class DiagonalBlock:
     def __neg__(self) -> "DiagonalBlock":
         return DiagonalBlock(self.offsets, -self.data)
 
-    def _merge(self, other: "DiagonalBlock", op) -> "DiagonalBlock":
-        if not other:
-            return self
-        if not self:
-            return other if op is operator.add else -other
-        mine, theirs = self.offsets.tolist(), other.offsets.tolist()
-        offsets = sorted({*mine, *theirs})
-        index = {o: d for d, o in enumerate(offsets)}
-        data = np.zeros((len(offsets), self.size))
-        data[[index[o] for o in mine]] = self.data
-        rows = [index[o] for o in theirs]
-        data[rows] = op(data[rows], other.data)
-        return _diagonals(np.array(offsets), data)
-
     def __add__(self, other: "DiagonalBlock") -> "DiagonalBlock":
-        return self._merge(other, operator.add)
+        return _block(_merged(self._pair, other._pair, np.add), self.size)
 
     def __sub__(self, other: "DiagonalBlock") -> "DiagonalBlock":
-        return self._merge(other, operator.sub)
+        return _block(_merged(self._pair, other._pair, np.subtract), self.size)
 
     def __matmul__(self, other: "DiagonalBlock") -> "DiagonalBlock":
-        """The product: entry (i, i + p + q) gathers A(i, i + p) B(i + p, i + p + q).
+        return _block(_product(self._pair, other._pair, self.size), self.size)
 
-        Every entry adds its diagonal pairs (q, p) from 0 in increasing q, so
-        both routes give the same bits. Up to _GATHER_CELLS pair cells
-        k_A k_B M, one gather makes every pair's row products and one
-        bincount adds them, so no temporary exceeds 64 KiB. Above that, one
-        pass per diagonal p of A, from the last, multiplies its row into the
-        rows of B shifted by p and adds them into the diagonals p + q; a
-        pass holds k_B rows, no more than B itself. The offset sums are
-        sorted and numbered on Python ints.
-        """
-        if not (self and other):
-            return _zero(self.size)
-        m = self.size
-        ps, qs = self.offsets.tolist(), other.offsets.tolist()
-        offsets = sorted({q + p for q in qs for p in ps})
-        index = {o: d for d, o in enumerate(offsets)}
-        if len(ps) * len(qs) * m <= _GATHER_CELLS:
-            rows = np.arange(m)
-            # rows of B at l = i + p; where l leaves [0, M), A's entry is zero
-            products = other.data.take(rows + self.offsets[:, None], axis=1, mode="clip")
-            products *= self.data
-            cells = np.array([index[q + p] * m for q in qs for p in ps])[:, None] + rows
-            data = np.bincount(cells.ravel(), products.ravel(), len(offsets) * m).reshape(-1, m)
-        else:
-            # the rows where i + p leaves [0, M) would add only A's zeros
-            data = np.zeros((len(offsets), m))
-            for p, row in zip(reversed(ps), self.data[::-1]):
-                lo, hi = max(0, -p), min(m, m - p)
-                data[[index[q + p] for q in qs], lo:hi] += row[lo:hi] * other.data[:, lo + p:hi + p]
-        return _diagonals(np.array(offsets), data)
+
+def _transposed(x: tuple, m: int) -> tuple:
+    """X^T: each diagonal's rows move to the opposite offset, in a new array."""
+    offsets, data = x
+    out = np.zeros(data.shape)
+    # entry (i, i + o), i in lo .. hi - 1, is entry (i + o, i): row i + o of diagonal -o
+    for row, o, t in zip(data, offsets, out[::-1]):
+        lo, hi = max(0, -o), min(m, m - o)
+        t[lo + o:hi + o] = row[lo:hi]
+    return [-o for o in reversed(offsets)], out
+
+
+def _merged(x: tuple, y: tuple, op) -> tuple:
+    """x + y or x - y (op np.add or np.subtract) on the union of the offsets; a result on
+    y's offsets is made in y when y is writeable, a kernel's new array read once."""
+    (xs, x_data), (ys, y_data) = x, y
+    if not ys:
+        return x
+    out = y_data if y_data.flags.writeable else None
+    if not xs:
+        return y if op is np.add else (ys, np.negative(y_data, out=out))
+    if xs == ys:
+        return _pruned((xs, op(x_data, y_data, out=out)))
+    offsets = sorted({*xs, *ys})
+    index = {o: d for d, o in enumerate(offsets)}
+    data = np.zeros((len(offsets), x_data.shape[1]))
+    data[[index[o] for o in xs]] = x_data
+    rows = [index[o] for o in ys]
+    data[rows] = op(data[rows], y_data)
+    return _pruned((offsets, data))
+
+
+def _product(a: tuple, b: tuple, m: int) -> tuple:
+    """A @ B: entry (i, i + p + q) gathers A(i, i + p) B(i + p, i + p + q).
+
+    Every entry adds its diagonal pairs (q, p) from +0.0 in increasing q, so
+    every route gives the same bits: a lone main diagonal of one factor
+    scales the other's rows, + 0.0 turning -0.0 into that +0.0. Up to
+    _GATHER_CELLS pair cells k_A k_B M, one gather makes every pair's row
+    products and one bincount adds them, so no temporary exceeds 64 KiB.
+    Above that, one pass per diagonal p of A, from the last, multiplies its
+    row into the rows of B shifted by p and adds them into the diagonals
+    p + q; a pass holds k_B rows, no more than B itself. The offset sums are
+    sorted and numbered on Python ints.
+    """
+    (ps, a_data), (qs, b_data) = a, b
+    if not (ps and qs):
+        return [], np.zeros((0, m))
+    if ps == [0]:
+        return _pruned((qs, a_data * b_data + 0.0))
+    if qs == [0]:
+        return _pruned((ps, a_data * b_data[0].take(_columns(np.array(ps), m), mode="clip") + 0.0))
+    offsets = sorted({q + p for q in qs for p in ps})
+    index = {o: d for d, o in enumerate(offsets)}
+    if len(ps) * len(qs) * m <= _GATHER_CELLS:
+        rows = np.arange(m)
+        # rows of B at l = i + p; where l leaves [0, M), A's entry is zero
+        products = b_data.take(_columns(np.array(ps), m), axis=1, mode="clip")
+        products *= a_data
+        cells = np.array([index[q + p] * m for q in qs for p in ps])[:, None] + rows
+        data = np.bincount(cells.ravel(), products.ravel(), len(offsets) * m).reshape(-1, m)
+    else:
+        # the rows where i + p leaves [0, M) would add only A's zeros
+        data = np.zeros((len(offsets), m))
+        for p, row in zip(reversed(ps), a_data[::-1]):
+            lo, hi = max(0, -p), min(m, m - p)
+            data[[index[q + p] for q in qs], lo:hi] += row[lo:hi] * b_data[:, lo + p:hi + p]
+    return _pruned((offsets, data))
 
 
 # pair cells of a product made in one gather, 64 KiB per temporary. A pass
@@ -327,21 +347,21 @@ class DiagonalBlock:
 _GATHER_CELLS = 8192
 
 
+def _pruned(x: tuple) -> tuple:
+    """The pair without its all-zero diagonals, such as any with |offset| >= M."""
+    offsets, data = x
+    keep = data.any(axis=1).tolist()
+    return x if all(keep) else ([o for o, k in zip(offsets, keep) if k], data[keep])
+
+
+def _block(x: tuple, m: int) -> DiagonalBlock:
+    """The M x M block of a pair."""
+    return DiagonalBlock(*x) if x[0] else _zero(m)
+
+
 def _diagonals(offsets: np.ndarray, data: np.ndarray) -> DiagonalBlock:
-    """The block of these diagonals without the all-zero ones, such as any with |offset| >= M."""
-    keep = data.any(axis=1)
-    if not keep.any():
-        return _zero(data.shape[1])
-    return DiagonalBlock(offsets, data) if keep.all() else DiagonalBlock(offsets[keep], data[keep])
-
-
-def _plus_transpose(x: DiagonalBlock, y: DiagonalBlock) -> DiagonalBlock:
-    """x + y^T; when y^T has the offsets of x, y^T's rows are made in the sum's own array."""
-    if not (x and y) or x.offsets.tolist() != [-o for o in reversed(y.offsets.tolist())]:
-        return x + y.T
-    data = y._transposed()
-    data += x.data
-    return _diagonals(x.offsets, data)
+    """The block of these diagonals without the all-zero ones."""
+    return _block(_pruned((offsets.tolist(), data)), data.shape[1])
 
 
 @cache
@@ -585,10 +605,14 @@ def build_rotation(geom: LatticeGeometry) -> QuadraticObservable:
     """
     if geom.dims != 2:
         raise ValueError("rotation generator needs dims = 2")
-    x1 = geom.centered_coordinate(0)
-    x2 = geom.centered_coordinate(1)
-    b = _difference_matrix(geom, 1).scaled(x1) - _difference_matrix(geom, 0).scaled(x2)
-    return QuadraticObservable(geom.n_sites, coupling=b)
+    return _rotation(geom, [_difference_matrix(geom, d) for d in range(2)])
+
+
+def _rotation(geom: LatticeGeometry, differences: list) -> QuadraticObservable:
+    """J from the centered differences [D_1, D_2] of `geom`: coupling x_1 D_2 - x_2 D_1."""
+    x1, x2 = geom.centered_coordinate(0), geom.centered_coordinate(1)
+    return QuadraticObservable(geom.n_sites,
+                               coupling=differences[1].scaled(x1) - differences[0].scaled(x2))
 
 
 # ---------------------------------------------------------------------------
@@ -638,8 +662,9 @@ class ModeBasis:
         n, m = geom.sites_per_dim, geom.n_sites
         free = geom.boundary == "open"
         period = 2 * n if free else n
-        rows = np.unravel_index(np.arange(m), (n,) * geom.dims)
-        cols = np.unravel_index(np.clip(_columns(offsets, m), 0, m - 1), (n,) * geom.dims)
+        # per-axis coordinates of a site: site (i, j) is i * N + j
+        rows, cols = ((np.divmod(x, n) if geom.dims == 2 else (x,))
+                      for x in (np.arange(m), np.clip(_columns(offsets, m), 0, m - 1)))
         # g(d) = g(P - d), and the table holds d = 0 .. P // 2
         per_axis = [[np.minimum(d % period, -d % period)
                      for d in ((i - j, i + j + 1) if free else (i - j,))]
@@ -728,15 +753,15 @@ def commutator(a: QuadraticObservable, b: QuadraticObservable) -> QuadraticObser
     X gives the quad.
     """
     m = _same_modes(a, b)
-    ca, cb = a.coupling.T, b.coupling.T
+    (a0, ac, a1), (b0, bc, b1) = ([x._pair for x in obs.blocks] for obs in (a, b))
+    act, bct = a.coupling.T._pair, b.coupling.T._pair
     # X = Q_A omega Q_B, block (i, j) = A_i0 B_1j - A_i1 B_0j, where
     # Q_00 = phi, Q_01 = C^T, Q_10 = C and Q_11 = pi
-    x00 = a.phi @ b.coupling - ca @ b.phi
-    x01 = a.phi @ b.pi - ca @ cb
-    x10 = a.coupling @ b.coupling - a.pi @ b.phi
-    x11 = a.coupling @ b.pi - a.pi @ cb
-    pairs = ((x00, x00), (x10, x01), (x11, x11))  # phi, C, pi of X + X^T
-    return QuadraticObservable(m, *(_plus_transpose(x, y) for x, y in pairs))
+    factors = ((a0, bc, act, b0), (a0, b1, act, bct), (ac, bc, a1, b0), (ac, b1, a1, bct))
+    x00, x01, x10, x11 = (_merged(_product(p, q, m), _product(r, s, m), np.subtract)
+                          for p, q, r, s in factors)
+    return QuadraticObservable(m, *(_block(_merged(x, _transposed(y, m), np.add), m)
+                                    for x, y in ((x00, x00), (x10, x01), (x11, x11))))  # X + X^T
 
 
 # ---------------------------------------------------------------------------
@@ -757,21 +782,23 @@ def spectral_norm(obs: QuadraticObservable) -> float:
     A mixed quad, a coupling block beside a phi or pi block, is a
     ValueError: every residual the checks norm is one of the two shapes.
     """
-    if not obs.coupling:
-        first, second = sorted((obs.phi, obs.pi), key=_gershgorin, reverse=True)
-        top = _max_abs_eigenvalue(first)
-        if _gershgorin(second) < top * (1 - 4 * _CERTIFIED_REL):
-            return top
-        return max(top, _max_abs_eigenvalue(second))
-    if obs.phi or obs.pi:
+    if not (obs.phi or obs.pi):  # off-diagonal; the empty quad takes no row sums here
+        return math.sqrt(_max_abs_eigenvalue(obs.coupling.T @ obs.coupling))
+    if obs.coupling:
         raise ValueError("spectral_norm takes a block-diagonal or an off-diagonal quad, "
                          "not a coupling block beside a phi or pi block")
-    return math.sqrt(_max_abs_eigenvalue(obs.coupling.T @ obs.coupling))
+    blocks, sums = (obs.phi, obs.pi), [_row_sums(obs.phi), _row_sums(obs.pi)]
+    bounds = [float(x.max(initial=0.0)) for x in sums]
+    first, second = sorted((0, 1), key=bounds.__getitem__, reverse=True)
+    top = _max_abs_eigenvalue(blocks[first], sums[first])
+    if bounds[second] < top * (1 - 4 * _CERTIFIED_REL):
+        return top
+    return max(top, _max_abs_eigenvalue(blocks[second], sums[second]))
 
 
-def _gershgorin(block: DiagonalBlock) -> float:
-    """max_i sum_j |B(i, j)|, which bounds every |eigenvalue| of B (Gershgorin 1931); 0 if empty."""
-    return float(np.abs(block.data).sum(axis=0).max(initial=0.0))
+def _row_sums(block: DiagonalBlock) -> np.ndarray:
+    """sum_j |B(i, j)| for each row i; the largest bounds every |eigenvalue| (Gershgorin 1931)."""
+    return np.abs(block.data).sum(axis=0)
 
 
 # A band of at most _NARROW_BAND diagonals per side (the LDL^T loop of
@@ -792,23 +819,24 @@ _LANCZOS_STEPS = 32
 _CERTIFIED_REL = 1e-13
 
 
-def _max_abs_eigenvalue(block: DiagonalBlock) -> float:
+def _max_abs_eigenvalue(block: DiagonalBlock, sums: np.ndarray | None = None) -> float:
     """Largest |eigenvalue| of a symmetric block; 0 for the empty block.
 
-    Only the rows that hold a stored entry count: the rest add zero
-    eigenvalues. A narrow band tries, in order, the windows at its largest
-    row sum (`_windowed_max_abs_eigenvalue`) and, with enough rows, Lanczos
-    (`_certified_max_abs_eigenvalue`); each gives a lower bound that
-    `_bounded` certifies. Anything else, or a band neither certifies, gets a
-    dense eigvalsh of those rows.
+    Only the rows that hold a stored entry, a nonzero row sum (`sums`, else
+    `_row_sums`), count: the rest add zero eigenvalues. A narrow band tries,
+    in order, the windows at its largest row sum (`_windowed_max_abs_eigenvalue`)
+    and, with enough rows, Lanczos (`_certified_max_abs_eigenvalue`); each gives
+    a lower bound that `_bounded` certifies. Anything else, or a band neither
+    certifies, gets a dense eigvalsh of those rows.
     """
-    keep = np.flatnonzero(block.data.any(axis=0))
+    sums = _row_sums(block) if sums is None else sums
+    keep = np.flatnonzero(sums)
     if not keep.size:
         return 0.0
     if max(-block.offsets[0], block.offsets[-1]) <= _NARROW_BAND:
-        value = _windowed_max_abs_eigenvalue(block, keep)
+        value = _windowed_max_abs_eigenvalue(block, keep, sums)
         if value is None and keep.size >= _LANCZOS_MIN_ROWS:
-            value = _certified_max_abs_eigenvalue(block)
+            value = _certified_max_abs_eigenvalue(block, sums)
         if value is not None:
             return value
     return _dense_max_abs_eigenvalue(block, keep)
@@ -820,7 +848,8 @@ def _dense_max_abs_eigenvalue(block: DiagonalBlock, rows: np.ndarray) -> float:
     return float(max(-eig[0], eig[-1]))
 
 
-def _windowed_max_abs_eigenvalue(block: DiagonalBlock, keep: np.ndarray) -> float | None:
+def _windowed_max_abs_eigenvalue(block: DiagonalBlock, keep: np.ndarray,
+                                 sums: np.ndarray) -> float | None:
     """A band's norm from a window at its largest row sum, when `_bounded` accepts it; else None.
 
     For each half-width h of _WINDOW_HALF_WIDTHS, the rows of `keep` within h
@@ -829,16 +858,16 @@ def _windowed_max_abs_eigenvalue(block: DiagonalBlock, keep: np.ndarray) -> floa
     interlacing (Parlett 1980, 10.1). A window that holds every row of `keep`
     is the whole block, so its nu is the norm itself.
     """
-    centre = int(np.abs(block.data).sum(axis=0).argmax())
+    centre = int(sums.argmax())
     for half in _WINDOW_HALF_WIDTHS:
         rows = keep[np.abs(keep - centre) <= half]
         nu = _dense_max_abs_eigenvalue(block, rows)
-        if rows.size == keep.size or _bounded(block, nu):
+        if rows.size == keep.size or _bounded(block, nu, sums):
             return nu
     return None
 
 
-def _certified_max_abs_eigenvalue(block: DiagonalBlock) -> float | None:
+def _certified_max_abs_eigenvalue(block: DiagonalBlock, sums: np.ndarray) -> float | None:
     """The largest |eigenvalue| of a band by Lanczos, when `_certified` accepts it; else None.
 
     Lanczos with full reorthogonalisation (Paige 1972) runs from a fixed
@@ -866,14 +895,14 @@ def _certified_max_abs_eigenvalue(block: DiagonalBlock) -> float | None:
         # |beta s_j| is the Ritz pair's residual while the basis stays
         # orthonormal; half of delta leaves room for the explicit one
         if abs(beta * vectors[-1, pick]) <= 0.5 * _CERTIFIED_REL * abs(ritz[pick]):
-            return _certified(block, ritz[pick], vectors[:, pick] @ done)
+            return _certified(block, ritz[pick], vectors[:, pick] @ done, sums)
         if j + 1 < steps:
             basis[j + 1] = w / beta
             tridiagonal[j, j + 1] = beta
     return None
 
 
-def _certified(block: DiagonalBlock, theta: float, y: np.ndarray) -> float | None:
+def _certified(block: DiagonalBlock, theta: float, y: np.ndarray, sums: np.ndarray) -> float | None:
     """nu = |theta| if the Ritz pair (theta, y) of the band A certifies it as the norm; else None.
 
     With delta = 1e-13 nu, ||A y - theta y|| <= delta ||y|| puts an
@@ -884,10 +913,10 @@ def _certified(block: DiagonalBlock, theta: float, y: np.ndarray) -> float | Non
     r = block.dot(y) - theta * y
     if not math.sqrt(r @ r) <= _CERTIFIED_REL * nu * math.sqrt(y @ y):
         return None
-    return float(nu) if _bounded(block, nu) else None
+    return float(nu) if _bounded(block, nu, sums) else None
 
 
-def _bounded(block: DiagonalBlock, nu: float) -> bool:
+def _bounded(block: DiagonalBlock, nu: float, sums: np.ndarray) -> bool:
     """Whether every |eigenvalue| of the band A is at most nu + delta, delta = 1e-13 nu.
 
     Positive LDL^T pivots of (nu + delta) I - A and (nu + delta) I + A put
@@ -901,7 +930,7 @@ def _bounded(block: DiagonalBlock, nu: float) -> bool:
     lower = np.zeros((_NARROW_BAND + 1, block.size))  # row k: the entries (i, i - k)
     below = block.offsets <= 0
     lower[-block.offsets[below]] = block.data[below]
-    radius = np.abs(block.data).sum(axis=0) - np.abs(lower[0])  # off-diagonal row sums
+    radius = sums - np.abs(lower[0])  # off-diagonal row sums
     shift = nu + _CERTIFIED_REL * nu
     return all((sign * lower[0] + radius).max() <= nu
                or _positive_definite(sign * lower, shift) for sign in (1, -1))
@@ -990,7 +1019,7 @@ def bulk_residual_norm(residual: QuadraticObservable, geom: LatticeGeometry) -> 
 
 
 def _bulk_test_vectors(geom: LatticeGeometry) -> tuple:
-    """The profiles f and their derivatives df, one row each, and |v| of each test vector.
+    """The profiles f over their derivatives df, one row each, and |v| of each test vector.
 
     The test vectors are (f, 0), (0, f) and (f, df); each |v| is one dot over
     its 2M entries, as np.linalg.norm takes it.
@@ -999,17 +1028,19 @@ def _bulk_test_vectors(geom: LatticeGeometry) -> tuple:
     zero = np.zeros(f.shape)
     norms = [[math.sqrt(v @ v) for v in np.concatenate(halves, axis=1)]
              for halves in ((f, zero), (zero, f), (f, df))]
-    return f, df, norms
+    return np.concatenate([f, df]), norms
 
 
 def _bulk_residual_norm(residual: QuadraticObservable, tests: tuple) -> float:
     """`bulk_residual_norm` on the test vectors `tests` of `_bulk_test_vectors`."""
-    f, df, norms = tests
-    phi, c, pi = residual.blocks
-    phi_f, c_f = phi.dot(f), c.dot(f)
+    both, norms = tests
+    f, (phi, c, pi) = both[:_N_PROFILES], residual.blocks
+    phi_f, (pi_f, pi_df) = phi.dot(f), pi.dot(both).reshape(2, _N_PROFILES, -1)
     # the halves of R v: the sums of the full product, less the terms of a
-    # zero half, which add exact zeros
-    images = ((phi_f, c_f), (c.T.dot(f), pi.dot(f)), (phi_f + c.T.dot(df), c_f + pi.dot(df)))
+    # zero half, which add exact zeros; an empty C gives its zeros with no dot
+    zero = np.zeros(f.shape)
+    c_f, ct_f, ct_df = (c.dot(f), *c.T.dot(both).reshape(2, _N_PROFILES, -1)) if c else [zero] * 3
+    images = ((phi_f, c_f), (ct_f, pi_f), (phi_f + ct_df, c_f + pi_df))
     worst = 0.0
     for halves, norms_v in zip(images, norms):
         for image, norm_v in zip(np.concatenate(halves, axis=1), norms_v):
@@ -1028,7 +1059,7 @@ def _bulk_restriction(obs: QuadraticObservable, geom: LatticeGeometry) -> Quadra
         return _diagonals(block.offsets,
                           block.data * (bulk & bulk[np.clip(_columns(block.offsets, m), 0, m - 1)]))
 
-    return QuadraticObservable(m, *map(masked, obs.blocks))
+    return QuadraticObservable(m, *(masked(block) if block else block for block in obs.blocks))
 
 
 def _check_spacings(spacings) -> None:
@@ -1164,8 +1195,7 @@ def verify_poincare_closure(geom: LatticeGeometry, mass: float) -> dict:
         out[f"H,P{d + 1}"] = spectral_norm(commutator(h, p))
     if geom.dims == 2:
         out["P1,P2"] = spectral_norm(commutator(momenta[0], momenta[1]))
-        rot = build_rotation(geom)
-        comm_jh = commutator(rot, h)
+        comm_jh = commutator(_rotation(geom, [p.coupling for p in momenta]), h)
         out["J,H bulk"] = spectral_norm(_bulk_restriction(comm_jh, geom))
         out["J,H full"] = spectral_norm(comm_jh)
     return out

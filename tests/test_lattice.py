@@ -677,9 +677,113 @@ def test_products_match_the_gather_oracle_on_both_sides_of_the_size_rule():
     for a, b in pairs:
         product = a @ b
         assert _bits(product) == _bits(_oracle_matmul(a, b))
-        # X + Y^T of the commutator, made in one array when the offsets mirror
+        # X + Y^T of the oracle commutator, made in one array when the offsets mirror
         for x, y in ((product, product), (-product, product), (a, b)):
-            assert _bits(lat._plus_transpose(x, y)) == _bits(x + y.T)
+            assert _bits(_oracle_plus_transpose(x, y)) == _bits(x + y.T)
+
+
+def _oracle_plus_transpose(x, y):
+    """x + y^T; when y^T has the offsets of x, y^T's rows are made in the sum's own array."""
+    if not (x and y) or x.offsets.tolist() != [-o for o in reversed(y.offsets.tolist())]:
+        return x + y.T
+    data = np.array(y.T.data)
+    data += x.data
+    return lat._diagonals(x.offsets, data)
+
+
+def _oracle_commutator(a, b):
+    """(1/i)[A, B] by block operations, one block per product, difference and sum (reference).
+
+    The commutator before the fused kernel, with its `_plus_transpose`; the
+    only change is that y^T's rows come from a copy of y.T.data.
+    """
+    m = lat._same_modes(a, b)
+    ca, cb = a.coupling.T, b.coupling.T
+    # X = Q_A omega Q_B, block (i, j) = A_i0 B_1j - A_i1 B_0j, where
+    # Q_00 = phi, Q_01 = C^T, Q_10 = C and Q_11 = pi
+    x00 = a.phi @ b.coupling - ca @ b.phi
+    x01 = a.phi @ b.pi - ca @ cb
+    x10 = a.coupling @ b.coupling - a.pi @ b.phi
+    x11 = a.coupling @ b.pi - a.pi @ cb
+    pairs = ((x00, x00), (x10, x01), (x11, x11))  # phi, C, pi of X + X^T
+    return lat.QuadraticObservable(m, *(_oracle_plus_transpose(x, y) for x, y in pairs))
+
+
+def _lone_diagonal_pairs(rng, m):
+    """Observables with a lone main diagonal, some entries 0.0 or -0.0, in each block."""
+    d = rng.standard_normal(m)
+    d[::3], d[1::4] = 0.0, -0.0
+    d[0] = 1.5  # so the diagonal is stored
+    lone = lat._diagonal(d)
+    other = _rand_obs(rng, m)
+    for blocks in ((lone, None, None), (None, lone, None), (None, None, lone),
+                   (lone, None, -lone), (other.phi, lone, lone)):
+        obs = lat.QuadraticObservable(m, *blocks)
+        yield obs, other
+        yield other, obs
+        yield obs, obs
+
+
+def _commutator_pairs():
+    """(name, A, B): the pairs of the central relation and closure checks, and random ones."""
+    for n in (3, 4, 5, 8, 17, 80):
+        g = lat.LatticeGeometry(1, n, 8.0 / n, "open")
+        p, h = lat.build_momentum(g, 0), lat.build_hamiltonian(g, math.pi)
+        for t in (0.0, 0.4, -1.5):
+            k = lat.build_boost(g, 0, t, math.pi)
+            for name, other in (("P", p), ("H", h)):
+                yield f"1-d N={n} K(t={t}), {name}", k, other
+                yield f"1-d N={n} {name}, K(t={t})", other, k
+    for n in (4, 5, 8, 12, 16, 24, 64):
+        g = lat.LatticeGeometry(2, n, 0.5, "periodic")
+        h = lat.build_hamiltonian(g, 1.0)
+        p1, p2 = lat.build_momentum(g, 0), lat.build_momentum(g, 1)
+        j = lat.build_rotation(g)
+        for name, a, b in (("H, P1", h, p1), ("H, P2", h, p2), ("P1, P2", p1, p2),
+                           ("J, H", j, h), ("P1, J", p1, j)):
+            yield f"2-d N={n} [{name}]", a, b
+    rng = np.random.default_rng(41)
+    for m in (1, 2, 5, 9):
+        for i in range(3):
+            yield f"random m={m} #{i}", _rand_obs(rng, m), _rand_obs(rng, m)
+        for i, (a, b) in enumerate(_lone_diagonal_pairs(rng, m)):
+            yield f"lone diagonal m={m} #{i}", a, b
+
+
+def test_commutator_is_bit_equal_to_the_block_oracle():
+    # size, offsets and data bytes of every block, signed zeros included
+    cases = 0
+    for name, a, b in _commutator_pairs():
+        got, want = lat.commutator(a, b), _oracle_commutator(a, b)
+        assert [_bits(x) for x in got.blocks] == [_bits(x) for x in want.blocks], name
+        assert got.scalar == want.scalar == 0.0, name
+        cases += 1
+    assert cases >= 150
+
+
+def test_commutator_makes_at_most_one_block_per_result_block(monkeypatch):
+    # products, differences and sums stay raw (offsets, data) pairs; only the
+    # three result blocks are made. At the block-by-block commutator, 4 to 7
+    # blocks went through _diagonals
+    calls, made = [], []
+    diagonals, post_init = lat._diagonals, lat.DiagonalBlock.__post_init__
+    monkeypatch.setattr(lat, "_diagonals", lambda *args: calls.append(1) or diagonals(*args))
+    monkeypatch.setattr(lat.DiagonalBlock, "__post_init__",
+                        lambda block: made.append(1) or post_init(block))
+    g1 = lat.LatticeGeometry(1, 80, 0.1, "open")
+    g2 = lat.LatticeGeometry(2, 8, 0.5, "periodic")
+    p, h = lat.build_momentum(g1, 0), lat.build_hamiltonian(g1, math.pi)
+    h2, j = lat.build_hamiltonian(g2, 1.0), lat.build_rotation(g2)
+    pairs = [(lat.build_boost(g1, 0, 0.0, math.pi), p), (lat.build_boost(g1, 0, 0.4, math.pi), p),
+             (lat.build_boost(g1, 0, 0.4, math.pi), h), (h2, lat.build_momentum(g2, 0)), (j, h2)]
+    rng = np.random.default_rng(43)
+    pairs += [(_rand_obs(rng, 6), _rand_obs(rng, 6)) for _ in range(3)]
+    for a, b in pairs:
+        a.coupling.T, b.coupling.T  # the transposes of the inputs are made once and kept
+        calls.clear()
+        made.clear()
+        lat.commutator(a, b)
+        assert len(calls) <= 3 and len(made) <= 3
 
 
 def _oracle_bulk_residual_norm(residual, geom):
@@ -1427,6 +1531,11 @@ def test_spectral_norm_matches_dense_svd(m, shape):
         _check_norm(_from_dense(q), want, 1e-12 * want)  # 0 exactly for the zero quad
 
 
+def _gershgorin(block):
+    """The largest absolute row sum of a block, which bounds every |eigenvalue|; 0 if empty."""
+    return float(lat._row_sums(block).max(initial=0.0))
+
+
 def _eigvalsh_norm(x):
     """Largest |eigenvalue| of a dense symmetric matrix by a full eigvalsh (reference)."""
     return float(np.abs(np.linalg.eigvalsh(x)).max())
@@ -1554,9 +1663,10 @@ def test_certificate_rejects_a_value_that_is_not_the_norm():
     unit = np.eye(150)
     for sign in (1.0, -1.0):
         block = _block(np.diag(sign * values))
-        assert lat._certified(block, sign * -9.0, unit[7]) == 9.0
-        assert lat._certified(block, sign * 5.0, unit[3]) is None  # an eigenpair, not the top
-        assert lat._certified(block, sign * 12.0, unit[3]) is None  # above the top, no eigenpair
+        sums = lat._row_sums(block)
+        assert lat._certified(block, sign * -9.0, unit[7], sums) == 9.0
+        assert lat._certified(block, sign * 5.0, unit[3], sums) is None  # an eigenpair, not the top
+        assert lat._certified(block, sign * 12.0, unit[3], sums) is None  # above the top, no eigenpair
         assert lat._max_abs_eigenvalue(block) == 9.0
 
 
@@ -1598,7 +1708,7 @@ def test_window_norm_of_central_residuals_matches_dense_eigvalsh(monkeypatch, n)
             rep = lat.verify_central_relation(g, tuple(mass / unit for mass in masses))
             monkeypatch.undo()
             for row, residual in zip(rep["per_label"], residuals, strict=True):
-                first, second = sorted(residual.blocks[::2], key=lat._gershgorin, reverse=True)
+                first, second = sorted(residual.blocks[::2], key=_gershgorin, reverse=True)
                 sizes = _record_eigvalsh(monkeypatch)
                 got = lat._max_abs_eigenvalue(first)
                 monkeypatch.undo()
@@ -1608,7 +1718,7 @@ def test_window_norm_of_central_residuals_matches_dense_eigvalsh(monkeypatch, n)
                 want = _eigvalsh_norm(first.dense())
                 assert abs(got - want) <= 1e-12 * want, case
                 assert got <= want * (1 + 8 * eps), case
-                assert lat._gershgorin(second) < got and row["full_residual_norm"] == got, case
+                assert _gershgorin(second) < got and row["full_residual_norm"] == got, case
 
 
 @pytest.mark.parametrize("m", [lat._LANCZOS_MIN_ROWS - 1, 200])
@@ -1687,7 +1797,8 @@ def test_pruned_spectral_norm_is_bit_equal_to_both_blocks_solved(monkeypatch, m)
     rng = np.random.default_rng(11 * m)
     solves = []
     max_abs = lat._max_abs_eigenvalue
-    monkeypatch.setattr(lat, "_max_abs_eigenvalue", lambda b: solves.append(b) or max_abs(b))
+    monkeypatch.setattr(lat, "_max_abs_eigenvalue",
+                        lambda b, *args: solves.append(b) or max_abs(b, *args))
     pruned = 0
     for phi, pi in _band_pairs(rng, m):
         for a, b in ((phi, pi), (pi, phi)):
@@ -1709,7 +1820,8 @@ def test_pruning_near_a_tie_returns_the_same_float(monkeypatch, m):
     phi = _block(np.diag(values))
     solves = []
     max_abs = lat._max_abs_eigenvalue
-    monkeypatch.setattr(lat, "_max_abs_eigenvalue", lambda b: solves.append(b) or max_abs(b))
+    monkeypatch.setattr(lat, "_max_abs_eigenvalue",
+                        lambda b, *args: solves.append(b) or max_abs(b, *args))
     for factor in (1 - 1e-12, 1 - 5e-13, 1 - 4e-13, 1 - 1e-13, 1 - 1e-16, 1.0, 1 + 1e-16,
                    1 + 1e-13, 1 + 5e-13):
         pi = _block(np.diag(values * factor))
@@ -1738,7 +1850,7 @@ def test_one_sided_certificate_agrees_with_both_sides_checked(monkeypatch, m):
             for i in sorted({0, m // 2, m - 1}):
                 for theta in (values[i], values[i] * (1 + 3e-14), values[i] * (1 - 3e-14)):
                     sweeps.clear()
-                    got = lat._certified(block, theta, vectors[:, i])
+                    got = lat._certified(block, theta, vectors[:, i], lat._row_sums(block))
                     run = len(sweeps)
                     sweeps.clear()
                     assert got == _oracle_certified(block, theta, vectors[:, i]), (m, i, theta)
@@ -1757,7 +1869,8 @@ def test_central_norm_sweeps_once_per_label_and_skips_pi(monkeypatch, n):
     positive_definite, max_abs = lat._positive_definite, lat._max_abs_eigenvalue
     monkeypatch.setattr(lat, "_positive_definite",
                         lambda lower, shift: sweeps.append(shift) or positive_definite(lower, shift))
-    monkeypatch.setattr(lat, "_max_abs_eigenvalue", lambda b: solves.append(b) or max_abs(b))
+    monkeypatch.setattr(lat, "_max_abs_eigenvalue",
+                        lambda b, *args: solves.append(b) or max_abs(b, *args))
     residuals = _record_norm_inputs(monkeypatch)
     rep = lat.verify_central_relation(g, (math.pi, math.pi / 2))
     monkeypatch.undo()
