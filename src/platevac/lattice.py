@@ -69,13 +69,13 @@ first, the other is not solved when its bound falls below that value by
 more than rounding, and only the rows with a nonzero sum count. A band of
 at most 2 diagonals per side (every 1-d central residual is one) tries a
 window, the eigvalsh of the rows within 8, then 32, sites of the largest
-row sum, then, with at least 100 rows, Lanczos; each gives a lower bound nu
-on the norm that `_bounded` certifies by banded LDL^T inertia checks of
-(nu + delta) I -+ A, delta = 1e-13 nu. Any other block, or a band neither
-route certifies, goes to a dense eigvalsh of those rows alone, read
-straight from the diagonals by `DiagonalBlock.dense(keep)`, one strided
-slice per diagonal for a run of rows (the 2-d [J, H] seam residual keeps
-4N - 4 of its N^2 rows). An empty block is 0 without a solve.
+row sum; it gives a lower bound nu on the norm that `_bounded` certifies
+by banded LDL^T inertia checks of (nu + delta) I -+ A, delta = 1e-13 nu.
+Any other block, or a band whose windows fail, goes to the one fallback,
+a dense eigvalsh of those rows alone, read straight from the diagonals by
+`DiagonalBlock.dense(keep)`, one strided slice per diagonal for a run of
+rows (the 2-d [J, H] seam residual keeps 4N - 4 of its N^2 rows). An
+empty block is 0 without a solve.
 
 Sites are numbered in the C order of an N x ... x N array: site (i, j) is
 i * N + j. Bonds and stencils go onto the diagonals at +- the flat stride of
@@ -97,7 +97,7 @@ import math
 import operator
 from dataclasses import dataclass, replace
 from functools import cache, cached_property, reduce
-from itertools import product
+from itertools import chain, product
 
 import numpy as np
 
@@ -128,8 +128,10 @@ class DegenerateVacuumError(ValueError):
     """The Hamiltonian has a (numerically) zero-frequency mode."""
 
 
-# 2-d N = 64. Blocks and vacua are O(k M); the cap bounds the dense eigvalsh in
-# `_max_abs_eigenvalue`, up to M x M (134 MB here) when a band certificate fails.
+# 2-d N = 64. Blocks and vacua are O(k M); the cap bounds the dense eigvalsh of
+# the kept rows in `_max_abs_eigenvalue`, the one fallback for any block, a band
+# whose windows fail included: at M = 4096 rows it takes 3.6-4.7 s (2-vCPU Xeon,
+# one BLAS thread), a 134 MB matrix and a process peak near 290 MB.
 # No computation builds a 2M x 2M matrix; only the `.quad` view, on request, does.
 _MAX_SITES = 4096
 
@@ -776,9 +778,9 @@ def spectral_norm(obs: QuadraticObservable) -> float:
     when its bound is below that value by more than 4e-13 relative: its
     eigenvalues cannot reach it, so the max is the same float.
     Off-diagonal [[0, C^T], [C, 0]]: the square root of that of C^T C.
-    A narrow band's value is a certified window at its largest row sum,
-    else certified Lanczos; any other block, or a band neither certifies,
-    a dense eigvalsh of the rows that hold an entry (`_max_abs_eigenvalue`).
+    A narrow band's value is a certified window at its largest row sum;
+    any other block, or a band whose windows fail, gets a dense eigvalsh
+    of the rows that hold an entry (`_max_abs_eigenvalue`).
     A mixed quad, a coupling block beside a phi or pi block, is a
     ValueError: every residual the checks norm is one of the two shapes.
     """
@@ -802,20 +804,16 @@ def _row_sums(block: DiagonalBlock) -> np.ndarray:
 
 
 # A band of at most _NARROW_BAND diagonals per side (the LDL^T loop of
-# `_positive_definite` reads two below the main one) takes the windows of
-# _WINDOW_HALF_WIDTHS sites around its largest row sum, then Lanczos from
-# _LANCZOS_MIN_ROWS rows on. A 1-d central residual's top eigenvector sits at
-# a plate (beyond 8 sites its largest component is 2.4e-8 at N = 80), so the
-# first window certifies it: 59 us at N = 80 and 560 us at 2560, mostly the
-# LDL^T sweep, against 360 us and 1.5 ms by Lanczos and 260 us and 1.9 s by a
-# dense eigvalsh (2-vCPU Xeon, one BLAS thread). Lanczos and eigvalsh cost the
-# same at 96-112 rows; Lanczos certifies in 6 to 12 steps, a lone momentum
-# coupling in 18 or 19. H's phi, whose top is spread out, fails both windows
-# (0.4 ms at 2560 rows) and Lanczos and goes to eigvalsh.
+# `_positive_definite` reads two below the main one) tries the windows of
+# _WINDOW_HALF_WIDTHS sites around its largest row sum before the whole block.
+# A 1-d central residual's top eigenvector sits at a plate (beyond 8 sites its
+# largest component is 2.4e-8 at N = 80), so the first window certifies it:
+# 59 us at N = 80 and 560 us at 2560, mostly the LDL^T sweep, against 260 us
+# and 1.9 s by a dense eigvalsh of the block (2-vCPU Xeon, one BLAS thread).
+# H's phi, whose top is spread out, fails both windows (0.4 ms at 2560 rows)
+# and goes to the dense eigvalsh.
 _NARROW_BAND = 2
 _WINDOW_HALF_WIDTHS = (8, 32)
-_LANCZOS_MIN_ROWS = 100
-_LANCZOS_STEPS = 32
 _CERTIFIED_REL = 1e-13
 
 
@@ -823,97 +821,28 @@ def _max_abs_eigenvalue(block: DiagonalBlock, sums: np.ndarray | None = None) ->
     """Largest |eigenvalue| of a symmetric block; 0 for the empty block.
 
     Only the rows that hold a stored entry, a nonzero row sum (`sums`, else
-    `_row_sums`), count: the rest add zero eigenvalues. A narrow band tries,
-    in order, the windows at its largest row sum (`_windowed_max_abs_eigenvalue`)
-    and, with enough rows, Lanczos (`_certified_max_abs_eigenvalue`); each gives
-    a lower bound that `_bounded` certifies. Anything else, or a band neither
-    certifies, gets a dense eigvalsh of those rows.
+    `_row_sums`), count: the rest add zero eigenvalues. Each try is the
+    eigvalsh of the principal sub-block on some of those rows; its largest
+    |eigenvalue| nu is at most the norm by Cauchy interlacing (Parlett 1980,
+    10.1). A narrow band first tries the rows within each of
+    _WINDOW_HALF_WIDTHS sites of its largest row sum. The last try, and the
+    only one for any other block, is every kept row. A try is kept when
+    `_bounded` certifies nu, or when it holds every kept row: then nu is the
+    norm itself.
     """
     sums = _row_sums(block) if sums is None else sums
     keep = np.flatnonzero(sums)
     if not keep.size:
         return 0.0
+    tries = [keep]
     if max(-block.offsets[0], block.offsets[-1]) <= _NARROW_BAND:
-        value = _windowed_max_abs_eigenvalue(block, keep, sums)
-        if value is None and keep.size >= _LANCZOS_MIN_ROWS:
-            value = _certified_max_abs_eigenvalue(block, sums)
-        if value is not None:
-            return value
-    return _dense_max_abs_eigenvalue(block, keep)
-
-
-def _dense_max_abs_eigenvalue(block: DiagonalBlock, rows: np.ndarray) -> float:
-    """Largest |eigenvalue| of the principal sub-block on `rows`, by a dense eigvalsh."""
-    eig = np.linalg.eigvalsh(block.dense(rows))
-    return float(max(-eig[0], eig[-1]))
-
-
-def _windowed_max_abs_eigenvalue(block: DiagonalBlock, keep: np.ndarray,
-                                 sums: np.ndarray) -> float | None:
-    """A band's norm from a window at its largest row sum, when `_bounded` accepts it; else None.
-
-    For each half-width h of _WINDOW_HALF_WIDTHS, the rows of `keep` within h
-    sites of the row with the largest absolute row sum form a principal
-    sub-block; its largest |eigenvalue| nu is at most the norm by Cauchy
-    interlacing (Parlett 1980, 10.1). A window that holds every row of `keep`
-    is the whole block, so its nu is the norm itself.
-    """
-    centre = int(sums.argmax())
-    for half in _WINDOW_HALF_WIDTHS:
-        rows = keep[np.abs(keep - centre) <= half]
-        nu = _dense_max_abs_eigenvalue(block, rows)
+        centre = int(sums.argmax())
+        tries = chain((keep[np.abs(keep - centre) <= half] for half in _WINDOW_HALF_WIDTHS), tries)
+    for rows in tries:
+        eig = np.linalg.eigvalsh(block.dense(rows))
+        nu = float(max(-eig[0], eig[-1]))
         if rows.size == keep.size or _bounded(block, nu, sums):
             return nu
-    return None
-
-
-def _certified_max_abs_eigenvalue(block: DiagonalBlock, sums: np.ndarray) -> float | None:
-    """The largest |eigenvalue| of a band by Lanczos, when `_certified` accepts it; else None.
-
-    Lanczos with full reorthogonalisation (Paige 1972) runs from a fixed
-    start vector for at most _LANCZOS_STEPS steps. The first extreme Ritz
-    pair whose estimated residual is below half of delta = 1e-13 |theta|
-    goes to `_certified`, and its verdict is final.
-    """
-    m = block.size
-    steps = min(m, _LANCZOS_STEPS)
-    basis = np.empty((steps, m))
-    # a Weyl sequence, not a random draw: importing numpy.random takes about
-    # 10 ms in a fresh process
-    start = np.arange(1, m + 1) * 0.6180339887498949 % 1.0 - 0.5
-    basis[0] = start / math.sqrt(start @ start)
-    tridiagonal = np.zeros((steps, steps))  # the Lanczos T, upper triangle
-    for j in range(steps):
-        done = basis[:j + 1]
-        w = block.dot(done[-1])
-        tridiagonal[j, j] = done[-1] @ w
-        for _ in range(2):  # classical Gram-Schmidt, twice
-            w -= (done @ w) @ done
-        beta = math.sqrt(w @ w)
-        ritz, vectors = np.linalg.eigh(tridiagonal[:j + 1, :j + 1], "U")
-        pick = 0 if -ritz[0] > ritz[-1] else -1
-        # |beta s_j| is the Ritz pair's residual while the basis stays
-        # orthonormal; half of delta leaves room for the explicit one
-        if abs(beta * vectors[-1, pick]) <= 0.5 * _CERTIFIED_REL * abs(ritz[pick]):
-            return _certified(block, ritz[pick], vectors[:, pick] @ done, sums)
-        if j + 1 < steps:
-            basis[j + 1] = w / beta
-            tridiagonal[j, j + 1] = beta
-    return None
-
-
-def _certified(block: DiagonalBlock, theta: float, y: np.ndarray, sums: np.ndarray) -> float | None:
-    """nu = |theta| if the Ritz pair (theta, y) of the band A certifies it as the norm; else None.
-
-    With delta = 1e-13 nu, ||A y - theta y|| <= delta ||y|| puts an
-    eigenvalue within delta of theta, so nu - delta is a lower bound on the
-    norm, and `_bounded` gives the upper bound nu + delta.
-    """
-    nu = abs(theta)
-    r = block.dot(y) - theta * y
-    if not math.sqrt(r @ r) <= _CERTIFIED_REL * nu * math.sqrt(y @ y):
-        return None
-    return float(nu) if _bounded(block, nu, sums) else None
 
 
 def _bounded(block: DiagonalBlock, nu: float, sums: np.ndarray) -> bool:
@@ -924,8 +853,8 @@ def _bounded(block: DiagonalBlock, nu: float, sums: np.ndarray) -> bool:
     A side whose Gershgorin edge, max_i (+-A(i, i) + sum_(j != i) |A(i, j)|),
     is at most nu needs no LDL^T: every eigenvalue of +-A is below that
     edge, and delta covers its rounding, under 5 eps times a row sum, which
-    is at most sqrt(5) nu on a band of 5 diagonals. With a lower bound of
-    nu (less delta, for a Ritz value) this makes nu the norm to 1e-13.
+    is at most sqrt(5) nu on a band of 5 diagonals. With nu a lower bound,
+    as a window's is, this makes nu the norm to 1e-13.
     """
     lower = np.zeros((_NARROW_BAND + 1, block.size))  # row k: the entries (i, i - k)
     below = block.offsets <= 0

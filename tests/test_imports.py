@@ -103,8 +103,8 @@ print(*vars(sys.modules["platevac.exactlin"]))
 
 
 def test_lattice_norms_load_no_numpy_random():
-    # importing numpy.random takes 10-12 ms in a fresh process; the Lanczos
-    # start vector of a certified norm is a fixed sequence, not a random draw
+    # importing numpy.random takes 10-12 ms in a fresh process, and no
+    # lattice check or norm needs a random draw
     out = _fresh("""
 import sys, platevac.lattice as lat
 lat.verify_central_relation(lat.LatticeGeometry(1, 640, 8.0 / 640), (1.0, 2.0))

@@ -1562,23 +1562,76 @@ def _record_norm_inputs(monkeypatch):
     return seen
 
 
-@pytest.mark.parametrize("n", [80, 160, 320, 640, 1280])
-def test_central_residual_norms_certified_without_eigvalsh(monkeypatch, n):
+def _certified(block, theta, y, sums):
+    """nu = |theta| if the Ritz pair (theta, y) of the band A certifies it as the norm; else None.
+
+    With delta = 1e-13 nu, ||A y - theta y|| <= delta ||y|| puts an
+    eigenvalue within delta of theta, so nu - delta is a lower bound on the
+    norm, and `lat._bounded` gives the upper bound nu + delta (reference).
+    """
+    nu = abs(theta)
+    r = block.dot(y) - theta * y
+    if not math.sqrt(r @ r) <= lat._CERTIFIED_REL * nu * math.sqrt(y @ y):
+        return None
+    return float(nu) if lat._bounded(block, nu, sums) else None
+
+
+def _lanczos(block):
+    """The largest |eigenvalue| of a band by Lanczos, when `_certified` accepts it; else None.
+
+    Lanczos with full reorthogonalisation (Paige 1972) runs from a fixed
+    start vector for at most 32 steps. The first extreme Ritz pair
+    whose estimated residual is below half of delta = 1e-13 |theta| goes to
+    `_certified`, and its verdict is final (reference).
+    """
+    m = block.size
+    steps = min(m, 32)
+    basis = np.empty((steps, m))
+    start = np.arange(1, m + 1) * 0.6180339887498949 % 1.0 - 0.5  # a Weyl sequence
+    basis[0] = start / math.sqrt(start @ start)
+    tridiagonal = np.zeros((steps, steps))  # the Lanczos T, upper triangle
+    for j in range(steps):
+        done = basis[:j + 1]
+        w = block.dot(done[-1])
+        tridiagonal[j, j] = done[-1] @ w
+        for _ in range(2):  # classical Gram-Schmidt, twice
+            w -= (done @ w) @ done
+        beta = math.sqrt(w @ w)
+        ritz, vectors = np.linalg.eigh(tridiagonal[:j + 1, :j + 1], "U")
+        pick = 0 if -ritz[0] > ritz[-1] else -1
+        # |beta s_j| is the Ritz pair's residual while the basis stays
+        # orthonormal; half of delta leaves room for the explicit one
+        if abs(beta * vectors[-1, pick]) <= 0.5 * lat._CERTIFIED_REL * abs(ritz[pick]):
+            return _certified(block, ritz[pick], vectors[:, pick] @ done, lat._row_sums(block))
+        if j + 1 < steps:
+            basis[j + 1] = w / beta
+            tridiagonal[j, j + 1] = beta
+    return None
+
+
+@pytest.mark.parametrize("physical_size", [8.0, 1e-4, 8e6])
+@pytest.mark.parametrize("n", [80, 160, 320, 640, 1280, 2560])
+def test_central_residual_norms_certified_without_eigvalsh(monkeypatch, n, physical_size):
     # the 1-d residual blocks are bands of at most two diagonals per side:
     # the first window at a plate (its rows 0 .. 8 or 0 .. 9, or the mirror)
-    # and its LDL^T certificate give the norm, with no dense solve of the block
-    g = lat.LatticeGeometry(1, n, 8.0 / n, "open")
+    # and its LDL^T certificate give the norm, with no dense solve of the
+    # block, up to the CI sweep's N = 2560 and in the CLI's scaled units.
+    # Lanczos checks the value: a dense eigvalsh of 2560 rows takes 1.9 s
+    unit = physical_size / 8.0
+    g = lat.LatticeGeometry(1, n, physical_size / n, "open")
     sizes = _record_eigvalsh(monkeypatch)
     residuals = _record_norm_inputs(monkeypatch)
-    rep = lat.verify_central_relation(g, (math.pi, math.pi / 2))
+    rep = lat.verify_central_relation(g, (math.pi / unit, math.pi / 2 / unit))
     monkeypatch.undo()
-    half = lat._WINDOW_HALF_WIDTHS[0]
-    assert len(sizes) == 2 and set(sizes) <= {half + 1, half + 2}  # phi only, pi pruned
+    # one window per label, the block with the larger Gershgorin bound; the other is pruned
+    assert len(sizes) == 2 and max(sizes) <= 2 * lat._WINDOW_HALF_WIDTHS[0] + 1, sizes
     for row, residual in zip(rep["per_label"], residuals, strict=True):
         assert not residual.coupling
         assert max(abs(residual.phi.offsets).max(), abs(residual.pi.offsets).max()) <= 2
-        want = max(_eigvalsh_norm(residual.phi.dense()), _eigvalsh_norm(residual.pi.dense()))
-        assert abs(row["full_residual_norm"] - want) <= 1e-12 * want
+        first, second = sorted(residual.blocks[::2], key=_gershgorin, reverse=True)
+        want = _lanczos(first)
+        assert want is not None and _gershgorin(second) < want, row["L_label"]
+        assert abs(row["full_residual_norm"] - want) <= 1e-12 * want, row["L_label"]
 
 
 @pytest.mark.parametrize("n", [8, 12, 16, 24, 32])
@@ -1609,7 +1662,7 @@ def _random_band(rng, m, width, empty_rows=0):
 
 
 @pytest.mark.parametrize("width", [0, 1, 2])
-@pytest.mark.parametrize("m", [lat._LANCZOS_MIN_ROWS - 1, lat._LANCZOS_MIN_ROWS, 200])
+@pytest.mark.parametrize("m", [99, 100, 200])
 def test_banded_norm_matches_dense_eigvalsh(monkeypatch, width, m):
     rng = np.random.default_rng(7 * m + width)
     sizes = _record_eigvalsh(monkeypatch)
@@ -1629,8 +1682,10 @@ def test_banded_norm_matches_dense_eigvalsh(monkeypatch, width, m):
                 assert all(w <= 2 * h + 1 for w, h in zip(windows, lat._WINDOW_HALF_WIDTHS)), (
                     empty_rows, spike, scale)
                 assert dense in ([], [rows]), (empty_rows, spike, scale)
-                if spike and rows >= lat._LANCZOS_MIN_ROWS:
-                    assert dense == [], (empty_rows, scale)
+                if spike:  # the Lanczos oracle certifies an isolated extreme eigenvalue
+                    lanczos = _lanczos(_block(scale * x))
+                    assert lanczos is not None and abs(lanczos - want) <= 1e-12 * want, (
+                        empty_rows, scale)
 
 
 def _lower(block):
@@ -1664,23 +1719,22 @@ def test_certificate_rejects_a_value_that_is_not_the_norm():
     for sign in (1.0, -1.0):
         block = _block(np.diag(sign * values))
         sums = lat._row_sums(block)
-        assert lat._certified(block, sign * -9.0, unit[7], sums) == 9.0
-        assert lat._certified(block, sign * 5.0, unit[3], sums) is None  # an eigenpair, not the top
-        assert lat._certified(block, sign * 12.0, unit[3], sums) is None  # above the top, no eigenpair
+        assert _certified(block, sign * -9.0, unit[7], sums) == 9.0
+        assert _certified(block, sign * 5.0, unit[3], sums) is None  # an eigenpair, not the top
+        assert _certified(block, sign * 12.0, unit[3], sums) is None  # above the top, no eigenpair
         assert lat._max_abs_eigenvalue(block) == 9.0
 
 
-@pytest.mark.parametrize("failure", ["one step", "inertia"])
+@pytest.mark.parametrize("failure", ["no window", "inertia"])
 def test_uncertified_band_falls_back_to_eigvalsh(monkeypatch, failure):
     g = lat.LatticeGeometry(1, 320, 8.0 / 320, "open")
     want = lat.verify_central_relation(g, (math.pi, math.pi / 2))
-    if failure == "one step":
-        # no window; the Ritz residual of one step is far above 1e-13 nu: no certificate is tried
+    if failure == "no window":
+        # the whole block is the first and only try
         monkeypatch.setattr(lat, "_WINDOW_HALF_WIDTHS", ())
-        monkeypatch.setattr(lat, "_LANCZOS_STEPS", 1)
         want_sizes = [320] * 2
     else:
-        # both windows at the plate are rejected, then Lanczos's certificate
+        # both windows at the plate are rejected, then the whole block is solved
         monkeypatch.setattr(lat, "_positive_definite", lambda lower, shift: False)
         want_sizes = [10, 34, 320] * 2
     sizes = _record_eigvalsh(monkeypatch)
@@ -1717,16 +1771,18 @@ def test_window_norm_of_central_residuals_matches_dense_eigvalsh(monkeypatch, n)
                 assert sizes[0] <= 2 * lat._WINDOW_HALF_WIDTHS[0] + 1, case
                 want = _eigvalsh_norm(first.dense())
                 assert abs(got - want) <= 1e-12 * want, case
+                lanczos = _lanczos(first)  # the oracle pair, on the same blocks
+                assert lanczos is not None and abs(lanczos - want) <= 1e-12 * want, case
                 assert got <= want * (1 + 8 * eps), case
                 assert _gershgorin(second) < got and row["full_residual_norm"] == got, case
 
 
-@pytest.mark.parametrize("m", [lat._LANCZOS_MIN_ROWS - 1, 200])
+@pytest.mark.parametrize("m", [99, 200])
 def test_window_away_from_the_top_is_rejected(monkeypatch, m):
     # row 20 is the centre of a star, row sum 4 but local top 2; the top
     # eigenvalue, about 3, sits on row m - 10, beyond both windows. The
-    # certificate rejects each window, and Lanczos (200 rows) or the dense
-    # solve (99 rows) gives the norm
+    # certificate rejects each window, and the dense solve of all m rows
+    # gives the norm
     rng = np.random.default_rng(m)
     x = 0.01 * _random_band(rng, m, 2)
     for j in (18, 19, 21, 22):
@@ -1739,12 +1795,12 @@ def test_window_away_from_the_top_is_rejected(monkeypatch, m):
         want = _eigvalsh_norm(scale * x)
         assert abs(got - want) <= 1e-12 * want, scale
         windows = [min(m, 20 + h + 1) - max(0, 20 - h) for h in lat._WINDOW_HALF_WIDTHS]
-        assert sizes == windows + ([] if m >= lat._LANCZOS_MIN_ROWS else [m]), scale
+        assert sizes == windows + [m], scale
 
 
 def test_spread_out_top_runs_two_windows_then_the_fallback(monkeypatch):
     # H's phi at N = 640 has its top spread over the chain: both windows
-    # at its first interior row and Lanczos fail, and the dense solve runs
+    # at its first interior row fail, and the dense solve runs
     g = lat.LatticeGeometry(1, 640, 8.0 / 640, "open")
     phi = lat.build_hamiltonian(g, math.pi).phi
     sizes = _record_eigvalsh(monkeypatch)
@@ -1792,7 +1848,7 @@ def _band_pairs(rng, m):
                 yield phi, ratio * pi
 
 
-@pytest.mark.parametrize("m", [7, lat._LANCZOS_MIN_ROWS + 20])
+@pytest.mark.parametrize("m", [7, 120])
 def test_pruned_spectral_norm_is_bit_equal_to_both_blocks_solved(monkeypatch, m):
     rng = np.random.default_rng(11 * m)
     solves = []
@@ -1810,7 +1866,7 @@ def test_pruned_spectral_norm_is_bit_equal_to_both_blocks_solved(monkeypatch, m)
     assert pruned >= 40  # the ratios 1e-3 and 1e3 prune every kind
 
 
-@pytest.mark.parametrize("m", [30, lat._LANCZOS_MIN_ROWS + 20])
+@pytest.mark.parametrize("m", [30, 120])
 def test_pruning_near_a_tie_returns_the_same_float(monkeypatch, m):
     # on a diagonal block the Gershgorin bound is the norm itself, so pi's
     # bound sits within 1e-13 of phi's value: pruned only below 1 - 4e-13
@@ -1850,7 +1906,7 @@ def test_one_sided_certificate_agrees_with_both_sides_checked(monkeypatch, m):
             for i in sorted({0, m // 2, m - 1}):
                 for theta in (values[i], values[i] * (1 + 3e-14), values[i] * (1 - 3e-14)):
                     sweeps.clear()
-                    got = lat._certified(block, theta, vectors[:, i], lat._row_sums(block))
+                    got = _certified(block, theta, vectors[:, i], lat._row_sums(block))
                     run = len(sweeps)
                     sweeps.clear()
                     assert got == _oracle_certified(block, theta, vectors[:, i]), (m, i, theta)

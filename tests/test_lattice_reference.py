@@ -24,7 +24,6 @@ from pathlib import Path
 from platevac import lattice as lat
 
 REFERENCE = Path(__file__).parent / "reference" / "lattice_reports.json"
-_REL = 1e-12
 
 CENTRAL_CASES = [
     {"sites": n, "physical_size": size, "masses": [mass * 8.0 / size for mass in masses]}
@@ -65,7 +64,7 @@ def _mismatches(got, want, path=""):
         # a relative discrepancy is itself a rounding residue of order eps:
         # 1e-12 of it would ask for equal bits, so it is held to 1e-12 absolute
         scale = 1.0 if path.endswith("_rel") else abs(want)
-        return [] if abs(got - want) <= _REL * scale else [f"{path}: {got!r} != {want!r}"]
+        return [] if abs(got - want) <= 1e-12 * scale else [f"{path}: {got!r} != {want!r}"]
     return [] if got == want and type(got) is type(want) else [f"{path}: {got!r} != {want!r}"]
 
 
@@ -83,7 +82,6 @@ def main():
         "central": [{"case": case, "report": central_report(case)} for case in CENTRAL_CASES],
         "closure": [{"case": case, "report": closure_report(case)} for case in CLOSURE_CASES],
     }
-    REFERENCE.parent.mkdir(exist_ok=True)
     REFERENCE.write_text(json.dumps(reference, indent=1) + "\n")
 
 
