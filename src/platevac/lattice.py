@@ -19,13 +19,14 @@ the all-zero block is the empty block, which stores none and is false.
 Every generator is a nearest-neighbor stencil, so a block holds 3
 diagonals in 1-d and about 9 in 2-d (the wrap bonds of a periodic axis
 sit at offsets +-(N - 1) and +-(M - N)). The builders write each axis's
-neighbor diagonals directly, with no dense M x M array. Offsets are kept
-on Python ints and numpy only sees the (k, M) data: a product of blocks
-with k_A and k_B diagonals is O(M k_A k_B) work, one gather and one
-bincount while its k_A k_B M pair cells fit 64 KiB, else one pass per
-diagonal of A, so no temporary outgrows 64 KiB or B's own k_B rows;
-a sum or difference adds rows on the union of the offsets; a transpose
-moves each diagonal's rows to the opposite offset. The dense 2M x 2M
+neighbor diagonals into one (k, M) array at their sorted offsets, with no
+dense M x M array. Offsets are kept on Python ints and numpy only sees the
+(k, M) data: a product of blocks with k_A and k_B diagonals is O(M k_A k_B)
+work, one gather and one bincount while its k_A k_B M pair cells fit
+64 KiB, else one pass per diagonal of the factor with fewer, so no
+temporary outgrows 64 KiB or the other factor's own rows; a sum or
+difference adds rows on the union of the offsets; a transpose moves each
+diagonal's rows to the opposite offset. The dense 2M x 2M
 matrix `quad` is a read-only view built on first access; no computation
 here reads it.
 
@@ -39,10 +40,11 @@ A_i0 B_1j - A_i1 B_0j, a product with an empty block is empty at once, and
 the second quad term is -X^T because both Q are symmetric; so the result has
 phi = X_00 + X_00^T, pi = X_11 + X_11^T and C = X_10 + X_01^T. The products,
 differences and sums run on raw (offsets, data) pairs, and each result block
-is made once, at the end; a lone main diagonal, such as Pi = I of H or
-Pi = -x of a boost, scales the other factor's rows. Diagonals that cancel
-exactly are dropped, so a residual that vanishes exactly is a quad of
-empty blocks.
+is made once, at the end. Phi and pi add each diagonal o >= 0 of X to its
+mirror -o and copy that row to -o, so only C transposes a block. A lone
+main diagonal, such as Pi = I of H or Pi = -x of a boost, scales the other
+factor's rows. Diagonals that cancel exactly are dropped, so a residual
+that vanishes exactly is a quad of empty blocks.
 
 Input scalar slots never contribute (constants commute), so a commutator of
 two pure Weyl quadratics carries no central term; central scalars only enter
@@ -282,6 +284,34 @@ def _transposed(x: tuple, m: int) -> tuple:
     return [-o for o in reversed(offsets)], out
 
 
+def _symmetrized(x: tuple, m: int) -> tuple:
+    """X + X^T, row o >= 0 X_o(i) + X_-o(i + o) and its twin -o a copy, with the bits of
+    X merged with its transpose: where X stores only X_o, row o is X_o and row -o
+    0.0 + X_o; where only X_-o, row o is 0.0 + X_-o and row -o is X_-o."""
+    offsets, data = x
+    result, stored = sorted({*offsets, *(-o for o in offsets)}), set(offsets)
+    if result != offsets:  # X on the union of the offsets, a zero row where it stores none
+        data = np.zeros((len(result), m))
+        data[[result.index(o) for o in offsets]] = x[1]
+    k, h = len(result), len(result) // 2  # result[h:] are the offsets o >= 0
+    out = np.zeros((k, m))
+    upper, downs, twins = out[h:], data[k - 1 - h::-1], out[k - 1 - h::-1]
+    for o, down, row in zip(result[h:], downs, upper):
+        row[:m - o] = down[o:]
+    upper += data[h:]
+    keep = upper.any(axis=1).tolist()
+    for r, o in enumerate(result[h:]):
+        if keep[r] and o:
+            if o in stored:
+                twins[r, o:] = upper[r, :m - o]
+            else:
+                twins[r] = downs[r]
+            if -o not in stored:
+                upper[r] = data[h + r]
+    keep = keep[::-1][:h] + keep
+    return (result, out) if all(keep) else ([o for o, kept in zip(result, keep) if kept], out[keep])
+
+
 def _merged(x: tuple, y: tuple, op) -> tuple:
     """x + y or x - y (op np.add or np.subtract) on the union of the offsets; a result on
     y's offsets is made in y when y is writeable, a kernel's new array read once."""
@@ -310,10 +340,10 @@ def _product(a: tuple, b: tuple, m: int) -> tuple:
     scales the other's rows, + 0.0 turning -0.0 into that +0.0. Up to
     _GATHER_CELLS pair cells k_A k_B M, one gather makes every pair's row
     products and one bincount adds them, so no temporary exceeds 64 KiB.
-    Above that, one pass per diagonal p of A, from the last, multiplies its
-    row into the rows of B shifted by p and adds them into the diagonals
-    p + q; a pass holds k_B rows, no more than B itself. The offset sums are
-    sorted and numbered on Python ints.
+    Above that, one pass per diagonal of the narrower factor adds into the
+    diagonals p + q: per q of B, in increasing q, A's rows times B's row at
+    i + p, else per p of A, from the last, A's row times B's rows shifted by
+    p; a pass holds the wider factor's rows. Offset sums are Python ints.
     """
     (ps, a_data), (qs, b_data) = a, b
     if not (ps and qs):
@@ -331,6 +361,11 @@ def _product(a: tuple, b: tuple, m: int) -> tuple:
         products *= a_data
         cells = np.array([index[q + p] * m for q in qs for p in ps])[:, None] + rows
         data = np.bincount(cells.ravel(), products.ravel(), len(offsets) * m).reshape(-1, m)
+    elif len(qs) < len(ps):
+        # B's row at i + p, clipped where A's entry is zero, for every p at once
+        columns, data = _columns(np.array(ps), m), np.zeros((len(offsets), m))
+        for q, row in zip(qs, b_data):
+            data[[index[p + q] for p in ps]] += a_data * row.take(columns, mode="clip")
     else:
         # the rows where i + p leaves [0, M) would add only A's zeros
         data = np.zeros((len(offsets), m))
@@ -341,9 +376,10 @@ def _product(a: tuple, b: tuple, m: int) -> tuple:
 
 
 # pair cells of a product made in one gather, 64 KiB per temporary. A pass
-# per diagonal of A costs a few numpy calls, so the gather is faster on small
-# products (2-d 9 x 8 diagonals at N = 8 and 12: 1.3-2x), but its temporaries
-# are mapped and faulted in afresh once they pass glibc's 128 KiB mmap
+# per diagonal of the narrower factor (4 for the 9 x 4 diagonals of V C in
+# 2-d) costs a few numpy calls, so the gather is faster on small products
+# (2-d 9 x 8 diagonals at N = 8 and 12: 1.3-2x), but its temporaries are
+# mapped and faulted in afresh once they pass glibc's 128 KiB mmap
 # threshold. On lattice-ladder jobs 8192 ran as fast as 16384 (4096 and the
 # passes alone were slower at N = 8 and 12) with a third of the faults.
 _GATHER_CELLS = 8192
@@ -450,32 +486,31 @@ def _layers(geom: LatticeGeometry, direction: int, site: np.ndarray) -> np.ndarr
     return site.reshape((geom.sites_per_dim,) * geom.dims).swapaxes(0, direction)
 
 
-def _neighbor_diagonals(geom: LatticeGeometry, direction: int, up, down) -> dict:
-    """The diagonals {offset: row} that put up[k] at (x, x + e) and down[k] at (x + e, x).
+def _bond_rows(geom: LatticeGeometry, directions) -> tuple:
+    """Zero diagonals at 0 and at the bonds along `directions`, +-s and, periodic,
+    -+(N - 1) s for a step s: sorted offsets, their (k, M) array, {offset: row}."""
+    n = geom.sites_per_dim
+    steps = (1, n - 1) if geom.boundary == "periodic" else (1,)
+    offsets = sorted({0, *(sign * k * n ** (geom.dims - 1 - d)
+                           for d in directions for k in steps for sign in (1, -1))})
+    data = np.zeros((len(offsets), geom.n_sites))
+    return offsets, data, dict(zip(offsets, data))
+
+
+def _neighbor_diagonals(geom: LatticeGeometry, direction: int, up, down, rows: dict) -> None:
+    """Write up[k] at (x, x + e) and down[k] at (x + e, x) into the diagonals {offset: row}.
 
     x runs over layer k along `direction` and e is one step along it; up and
     down hold one layer per bond, the last one the wrap bond of a periodic
     axis, whose entries sit on the offsets -+(N - 1) s instead of +-s.
     """
-    n, m = geom.sites_per_dim, geom.n_sites
+    n = geom.sites_per_dim
     stride = n ** (geom.dims - 1 - direction)
-
-    def row(layers, values):
-        out = np.zeros(m)
-        _layers(geom, direction, out)[layers] = values
-        return out
-
-    out = {stride: row(slice(0, n - 1), up[:n - 1]), -stride: row(slice(1, n), down[:n - 1])}
+    _layers(geom, direction, rows[stride])[:n - 1] = up[:n - 1]
+    _layers(geom, direction, rows[-stride])[1:] = down[:n - 1]
     if geom.boundary == "periodic":
-        out[-(n - 1) * stride] = row(n - 1, up[n - 1])
-        out[(n - 1) * stride] = row(0, down[n - 1])
-    return out
-
-
-def _stencil(diagonals: dict) -> DiagonalBlock:
-    """The block of the diagonals {offset: row}."""
-    offsets = sorted(diagonals)
-    return _diagonals(np.array(offsets), np.stack([diagonals[o] for o in offsets]))
+        _layers(geom, direction, rows[-(n - 1) * stride])[n - 1] = up[n - 1]
+        _layers(geom, direction, rows[(n - 1) * stride])[0] = down[n - 1]
 
 
 def _potential_matrix(geom: LatticeGeometry, mass: float, weight: np.ndarray) -> DiagonalBlock:
@@ -487,9 +522,9 @@ def _potential_matrix(geom: LatticeGeometry, mass: float, weight: np.ndarray) ->
     its site term, then its bonds axis by axis, the bond from the previous
     layer before the one to the next except where the former wraps.
     """
-    diagonal = (mass * mass) * weight
+    offsets, data, rows = _bond_rows(geom, range(geom.dims))
+    diagonal = np.multiply(mass * mass, weight, out=rows[0])
     inverse_a2 = 1.0 / (geom.spacing * geom.spacing)
-    neighbors = {}
     for direction in range(geom.dims):
         w, sites = _layers(geom, direction, weight), _layers(geom, direction, diagonal)
         if geom.boundary == "open":
@@ -502,8 +537,8 @@ def _potential_matrix(geom: LatticeGeometry, mass: float, weight: np.ndarray) ->
             sites += bond
             sites[0] += bond[-1]
         # 0.0 - b, not -b, so that a bond of weight zero leaves +0.0 off the diagonal
-        neighbors |= _neighbor_diagonals(geom, direction, 0.0 - bond, 0.0 - bond)
-    return _stencil({0: diagonal, **neighbors})
+        _neighbor_diagonals(geom, direction, 0.0 - bond, 0.0 - bond, rows)
+    return _block(_pruned((offsets, data)), geom.n_sites)
 
 
 def _difference_matrix(geom: LatticeGeometry, direction: int) -> DiagonalBlock:
@@ -512,15 +547,16 @@ def _difference_matrix(geom: LatticeGeometry, direction: int) -> DiagonalBlock:
     step = 1.0 / (2.0 * geom.spacing)
     shape = (n - (geom.boundary == "open"),) + (n,) * (geom.dims - 1)
     up, down = np.full(shape, step), np.full(shape, -step)
-    diagonal = np.zeros(geom.n_sites)  # all zero, so dropped, on a periodic lattice
+    offsets, data, rows = _bond_rows(geom, [direction])  # row 0 is dropped when periodic
     if geom.boundary == "open":
         # an open edge row adds a half step to its bond, one-sided: 2 * step is
         # exactly fl(1/a) while step is a normal float (a below about 2e307)
         up[0] += step
         down[-1] -= step
-        edges = _layers(geom, direction, diagonal)
+        edges = _layers(geom, direction, rows[0])
         edges[0], edges[-1] = -2 * step, 2 * step
-    return _stencil({0: diagonal, **_neighbor_diagonals(geom, direction, up, down)})
+    _neighbor_diagonals(geom, direction, up, down, rows)
+    return _block(_pruned((offsets, data)), geom.n_sites)
 
 
 # the residual norms square entries of order m^2 N; at physical size 8 they
@@ -667,10 +703,10 @@ class ModeBasis:
         # per-axis coordinates of a site: site (i, j) is i * N + j
         rows, cols = ((np.divmod(x, n) if geom.dims == 2 else (x,))
                       for x in (np.arange(m), np.clip(_columns(offsets, m), 0, m - 1)))
-        # g(d) = g(P - d), and the table holds d = 0 .. P // 2
-        per_axis = [[np.minimum(d % period, -d % period)
-                     for d in ((i - j, i + j + 1) if free else (i - j,))]
-                    for i, j in zip(rows, cols)]
+        # g(d) = g(P - d), and the table holds d = 0 .. P // 2; for free ends (P = 2N)
+        # |i - j| < N needs no fold, and i + j + 1 lies in 1 .. P - 1
+        per_axis = [(abs(i - j), np.minimum(i + j + 1, period - 1 - i - j)) if free
+                    else (np.minimum(abs(i - j), period - abs(i - j)),) for i, j in zip(rows, cols)]
         table = getattr(self, f"cosine_{block}")
         return reduce(operator.add, (table[terms] for terms in product(*per_axis)))
 
@@ -716,14 +752,12 @@ def build_mode_basis(geom: LatticeGeometry, mass: float) -> ModeBasis:
     if free:
         weight[0] *= 0.5
 
-    def cosine_sums(f):
-        g = f * reduce(np.multiply.outer, [weight] * dims)
-        for axis in range(dims):
-            g = rfft(g, period, axis=axis).real
-        return g
-
+    # the F of Sigma_phi and Sigma_pi stacked, so each axis takes one rfft for both
     root = np.sqrt(lam)
-    return ModeBasis(np.sqrt(ascending), geom, cosine_sums(0.5 / root), cosine_sums(0.5 * root))
+    g = np.stack([0.5 / root, 0.5 * root]) * reduce(np.multiply.outer, [weight] * dims)
+    for axis in range(1, dims + 1):
+        g = rfft(g, period, axis=axis).real
+    return ModeBasis(np.sqrt(ascending), geom, g[0], g[1])
 
 
 def vacuum_expectation(obs: QuadraticObservable, basis: ModeBasis) -> float:
@@ -762,8 +796,9 @@ def commutator(a: QuadraticObservable, b: QuadraticObservable) -> QuadraticObser
     factors = ((a0, bc, act, b0), (a0, b1, act, bct), (ac, bc, a1, b0), (ac, b1, a1, bct))
     x00, x01, x10, x11 = (_merged(_product(p, q, m), _product(r, s, m), np.subtract)
                           for p, q, r, s in factors)
-    return QuadraticObservable(m, *(_block(_merged(x, _transposed(y, m), np.add), m)
-                                    for x, y in ((x00, x00), (x10, x01), (x11, x11))))  # X + X^T
+    return QuadraticObservable(m, _block(_symmetrized(x00, m), m),  # X + X^T
+                               _block(_merged(x10, _transposed(x01, m), np.add), m),
+                               _block(_symmetrized(x11, m), m))
 
 
 # ---------------------------------------------------------------------------
@@ -905,12 +940,13 @@ def _bulk_sites(geom: LatticeGeometry) -> np.ndarray:
 _N_PROFILES = 3
 
 
-def _bump_profiles(geom: LatticeGeometry) -> list[np.ndarray]:
+def _bump_profiles(geom: LatticeGeometry) -> np.ndarray:
     """Smooth compactly-supported site profiles living strictly inside the bulk.
 
     The shapes are fixed functions of the physical coordinate, so refining
     the lattice samples the same continuum profiles; residual norms against
-    them expose the discretization order cleanly.
+    them expose the discretization order cleanly. A (2, _N_PROFILES, M) array:
+    the profiles f over their derivatives df, one row per profile.
     """
     n = geom.sites_per_dim
     window = _bulk_window(geom)
@@ -921,19 +957,16 @@ def _bump_profiles(geom: LatticeGeometry) -> list[np.ndarray]:
     # bounds, so the a^2 residual term dominates already at coarse spacings
     envelope = (1.0 - y * y) ** 4
     d_envelope = -8.0 * y * (1.0 - y * y) ** 3
-    profiles = []
-    for nu in range(1, _N_PROFILES + 1):
-        rate = 0.3 * math.pi * nu
-        phase = rate * y + 0.3 * nu
-        f = envelope * np.cos(phase)
-        df = d_envelope * np.cos(phase) - envelope * rate * np.sin(phase)
-        full = np.zeros(geom.n_sites)
-        dfull = np.zeros(geom.n_sites)
-        # f x ... x f and df x f x ... on the bulk sub-grid, in its C order
-        full[keep] = reduce(np.multiply.outer, [f] * geom.dims).ravel()
-        dfull[keep] = reduce(np.multiply.outer, [df] + [f] * (geom.dims - 1)).ravel()
-        profiles.append((full, dfull))
-    return profiles
+    nu = np.arange(1, _N_PROFILES + 1)[:, None]  # one row per profile
+    rate = 0.3 * math.pi * nu
+    phase = rate * y + 0.3 * nu
+    cos = np.cos(phase)
+    f, df = envelope * cos, d_envelope * cos - envelope * rate * np.sin(phase)
+    if geom.dims == 2:  # f x f and df x f on the bulk sub-grid, in its C order
+        f, df = f[:, :, None] * f[:, None], df[:, :, None] * f[:, None]
+    full = np.zeros((2, _N_PROFILES, geom.n_sites))
+    full[:, :, keep] = np.stack([f, df]).reshape(2, _N_PROFILES, -1)
+    return full
 
 
 def bulk_residual_norm(residual: QuadraticObservable, geom: LatticeGeometry) -> float:
@@ -953,11 +986,11 @@ def _bulk_test_vectors(geom: LatticeGeometry) -> tuple:
     The test vectors are (f, 0), (0, f) and (f, df); each |v| is one dot over
     its 2M entries, as np.linalg.norm takes it.
     """
-    f, df = (np.array(p) for p in zip(*_bump_profiles(geom)))
+    f, df = profiles = _bump_profiles(geom)
     zero = np.zeros(f.shape)
     norms = [[math.sqrt(v @ v) for v in np.concatenate(halves, axis=1)]
              for halves in ((f, zero), (zero, f), (f, df))]
-    return np.concatenate([f, df]), norms
+    return profiles.reshape(-1, geom.n_sites), norms
 
 
 def _bulk_residual_norm(residual: QuadraticObservable, tests: tuple) -> float:

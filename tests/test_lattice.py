@@ -765,9 +765,11 @@ def test_commutator_makes_at_most_one_block_per_result_block(monkeypatch):
     # products, differences and sums stay raw (offsets, data) pairs; only the
     # three result blocks are made. At the block-by-block commutator, 4 to 7
     # blocks went through _diagonals
-    calls, made = [], []
+    calls, made, transposes = [], [], []
     diagonals, post_init = lat._diagonals, lat.DiagonalBlock.__post_init__
+    transposed = lat._transposed
     monkeypatch.setattr(lat, "_diagonals", lambda *args: calls.append(1) or diagonals(*args))
+    monkeypatch.setattr(lat, "_transposed", lambda *args: transposes.append(1) or transposed(*args))
     monkeypatch.setattr(lat.DiagonalBlock, "__post_init__",
                         lambda block: made.append(1) or post_init(block))
     g1 = lat.LatticeGeometry(1, 80, 0.1, "open")
@@ -782,14 +784,40 @@ def test_commutator_makes_at_most_one_block_per_result_block(monkeypatch):
         a.coupling.T, b.coupling.T  # the transposes of the inputs are made once and kept
         calls.clear()
         made.clear()
+        transposes.clear()
         lat.commutator(a, b)
         assert len(calls) <= 3 and len(made) <= 3
+        # phi and pi of X + X^T come from X's upper half: only C = X_10 + X_01^T
+        # transposes, where all three blocks did
+        assert len(transposes) <= 1
+
+
+def test_symmetrized_keeps_the_bits_of_x_plus_its_transpose():
+    # X + X^T on X's upper half against X merged with its transpose, signed
+    # zeros included, where X stores o and -o, only one of them, or 0 alone
+    rng = np.random.default_rng(47)
+    cases = 0
+    for m in (1, 2, 5, 9, 40):
+        for offsets in ([0], [1], [-1], [0, 2], [-3, -1, 0], [-2, 1, 2], [-4, -1, 1, 3, 4],
+                        sorted(rng.choice(np.arange(1 - m, m), min(m, 6), replace=False))):
+            offsets = [o for o in offsets if abs(o) < m]
+            data = rng.standard_normal((len(offsets), m))
+            data[rng.random(data.shape) < 0.3] = -0.0
+            data[rng.random(data.shape) < 0.2] = 0.0
+            cols = lat._columns(np.array(offsets, dtype=np.int64), m)
+            data[(cols < 0) | (cols >= m)] = 0.0
+            x = lat._pruned(([int(o) for o in offsets], data))
+            got = lat._block(lat._symmetrized(x, m), m)
+            want = lat._block(lat._merged(x, lat._transposed(x, m), np.add), m)
+            assert _bits(got) == _bits(want), (m, offsets)
+            cases += 1
+    assert cases == 40
 
 
 def _oracle_bulk_residual_norm(residual, geom):
     """The bulk norm from one (9, 2M) stack of test vectors, applied in one banded pass."""
     zero = np.zeros(geom.n_sites)
-    vectors = np.array([np.concatenate(halves) for f, df in lat._bump_profiles(geom)
+    vectors = np.array([np.concatenate(halves) for f, df in zip(*lat._bump_profiles(geom))
                         for halves in ((f, zero), (zero, f), (f, df))])
     worst = 0.0
     for v, image in zip(vectors, _quad_apply(residual, vectors)):
