@@ -725,7 +725,8 @@ def build_mode_basis(geom: LatticeGeometry, mass: float) -> ModeBasis:
     the offset i - j, and for free ends also i + j + 1: per axis, the block
     is the cosine sum g(d) = sum_k w_k F_k cos(2 pi k d / P) at those
     offsets, Toeplitz (circulant when periodic) plus Hankel. One length-P
-    rfft per axis gives g for every offset, and the basis keeps that table.
+    rfft per axis, over the F of both blocks stacked, gives g for every
+    offset, and the basis keeps the two tables.
 
     Each axis has mu_0 = 0, so the smallest lambda is m^2 on every lattice,
     and `_check_vacuum_mass` decides whether the vacuum exists: a zero mass
@@ -752,7 +753,6 @@ def build_mode_basis(geom: LatticeGeometry, mass: float) -> ModeBasis:
     if free:
         weight[0] *= 0.5
 
-    # the F of Sigma_phi and Sigma_pi stacked, so each axis takes one rfft for both
     root = np.sqrt(lam)
     g = np.stack([0.5 / root, 0.5 * root]) * reduce(np.multiply.outer, [weight] * dims)
     for axis in range(1, dims + 1):

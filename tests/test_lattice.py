@@ -1,8 +1,10 @@
 """Lattice observables: commutator contract, vacuum structure, closure checks."""
 
+import itertools
 import math
 import operator
 import tracemalloc
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -1049,6 +1051,71 @@ def test_closed_form_mode_basis_matches_dense_eigh(monkeypatch, dims, n, boundar
     assert abs(lat.vacuum_expectation(h, basis) - trace) <= 1e-14 * trace
     for block, want in (("phi", sigma_phi), ("pi", sigma_pi)):
         assert np.abs(_sigma(basis, block) - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def _oracle_cosine_tables(geom, mass):
+    """Sigma_phi's and Sigma_pi's cosine sums g, one rfft per axis for each block in turn."""
+    from numpy.fft import rfft
+
+    n, dims, free = geom.sites_per_dim, geom.dims, geom.boundary == "open"
+    period = 2 * n if free else n
+    k = np.arange(n)
+    mu = (4.0 / geom.spacing**2) * np.sin(np.pi / period * np.minimum(k, period - k)) ** 2
+    lam = mass * mass + reduce(np.add.outer, [mu] * dims)
+    weight = np.full(n, 1.0 / n)
+    if free:
+        weight[0] *= 0.5
+    tables = []
+    for f in (0.5 / np.sqrt(lam), 0.5 * np.sqrt(lam)):
+        g = f * reduce(np.multiply.outer, [weight] * dims)
+        for axis in range(dims):
+            g = rfft(g, period, axis=axis).real
+        tables.append(g)
+    return tables
+
+
+def _oracle_covariance(geom, table, offsets):
+    """Sigma at (i, i + o) from the table g, each index folded by two modulos."""
+    n, m, free = geom.sites_per_dim, geom.n_sites, geom.boundary == "open"
+    period = 2 * n if free else n
+    rows, cols = ((np.divmod(x, n) if geom.dims == 2 else (x,))
+                  for x in (np.arange(m), np.clip(lat._columns(offsets, m), 0, m - 1)))
+    per_axis = [[np.minimum(d % period, -d % period)
+                 for d in ((i - j, i + j + 1) if free else (i - j,))]
+                for i, j in zip(rows, cols)]
+    return reduce(operator.add, (table[terms] for terms in itertools.product(*per_axis)))
+
+
+def _oracle_bump_profiles(geom):
+    """(f, df) of each profile nu = 1, 2, 3, one profile at a time."""
+    n, window, keep = geom.sites_per_dim, lat._bulk_window(geom), lat._bulk_sites(geom)
+    y = (2.0 * np.arange(window, n - window) - (n - 1)) / (n - 2 * window)
+    envelope, d_envelope = (1.0 - y * y) ** 4, -8.0 * y * (1.0 - y * y) ** 3
+    out = np.zeros((2, lat._N_PROFILES, geom.n_sites))
+    for nu in range(1, lat._N_PROFILES + 1):
+        rate = 0.3 * math.pi * nu
+        phase = rate * y + 0.3 * nu
+        f = envelope * np.cos(phase)
+        df = d_envelope * np.cos(phase) - envelope * rate * np.sin(phase)
+        out[0, nu - 1, keep] = reduce(np.multiply.outer, [f] * geom.dims).ravel()
+        out[1, nu - 1, keep] = reduce(np.multiply.outer, [df] + [f] * (geom.dims - 1)).ravel()
+    return out
+
+
+@pytest.mark.parametrize("dims,n", [(1, 8), (1, 80), (2, 8), (2, 16)])
+@pytest.mark.parametrize("boundary", ["open", "periodic"])
+def test_vacuum_tables_covariance_and_profiles_keep_the_loop_bits(dims, n, boundary):
+    # one rfft per axis for both tables, covariance indices folded from their
+    # known ranges and the three profiles in one broadcast: the same bits as
+    # one block, two modulos and one profile at a time
+    g = lat.LatticeGeometry(dims, n, 8.0 / n, boundary)
+    basis = lat.build_mode_basis(g, 1.3)
+    offsets = np.arange(1 - g.n_sites, g.n_sites)
+    for block, table in zip(("phi", "pi"), _oracle_cosine_tables(g, 1.3)):
+        assert getattr(basis, f"cosine_{block}").tobytes() == table.tobytes()
+        want = _oracle_covariance(g, table, offsets)
+        assert basis.covariance(block, offsets).tobytes() == want.tobytes()
+    assert lat._bump_profiles(g).tobytes() == _oracle_bump_profiles(g).tobytes()
 
 
 def test_mode_basis_symplectic_and_energy():
