@@ -790,7 +790,7 @@ def test_commutator_makes_at_most_one_block_per_result_block(monkeypatch):
         lat.commutator(a, b)
         assert len(calls) <= 3 and len(made) <= 3
         # phi and pi of X + X^T come from X's upper half: only C = X_10 + X_01^T
-        # transposes, where all three blocks did
+        # transposes
         assert len(transposes) <= 1
 
 
