@@ -59,7 +59,7 @@ length P // 2 + 1 per axis, and an entry of Sigma is a few reads of it.
 Sigma is block-diagonal, so a vacuum expectation needs only phi and pi,
 and Sigma only on their stored diagonals; no M x M array is made.
 
-Both residual norms take an observable. `bulk_residual_norm` applies each
+Both residual norms take an observable. `_bulk_residual_norm` applies each
 block once to the three bump profiles (Pi to f and df in one pass, an empty
 C not at all); `verify_central_relation` builds those vectors once for both
 labels. `spectral_norm` works from the blocks of its quad: the largest
@@ -69,11 +69,11 @@ so no path here builds the dense 2M x 2M matrix. Each block's absolute row
 sums are taken once: the larger Gershgorin bound picks the block solved
 first, the other is not solved when its bound falls below that value by
 more than rounding, and only the rows with a nonzero sum count. A band of
-at most 2 diagonals per side (every 1-d central residual is one) tries a
-window, the eigvalsh of the rows within 8, then 32, sites of the largest
-row sum; it gives a lower bound nu on the norm that `_bounded` certifies
-by banded LDL^T inertia checks of (nu + delta) I -+ A, delta = 1e-13 nu.
-Any other block, or a band whose windows fail, goes to the one fallback,
+at most 2 diagonals per side (every 1-d central residual is one) tries one
+window, the eigvalsh of the rows within 8 sites of the largest row sum; it
+gives a lower bound nu on the norm that `_bounded` certifies by banded
+LDL^T inertia checks of (nu + delta) I -+ A, delta = 1e-13 nu. Any other
+block, or a band whose window fails, goes to the one fallback,
 a dense eigvalsh of those rows alone, read straight from the diagonals by
 `DiagonalBlock.dense(keep)`, one strided slice per diagonal for a run of
 rows (the 2-d [J, H] seam residual keeps 4N - 4 of its N^2 rows). An
@@ -99,7 +99,7 @@ import math
 import operator
 from dataclasses import dataclass, replace
 from functools import cache, cached_property, reduce
-from itertools import chain, product
+from itertools import product
 
 import numpy as np
 
@@ -112,7 +112,6 @@ __all__ = [
     "build_hamiltonian",
     "build_momentum",
     "build_boost",
-    "build_rotation",
     "build_mode_basis",
     "commutator",
     "spectral_norm",
@@ -132,7 +131,7 @@ class DegenerateVacuumError(ValueError):
 
 # 2-d N = 64. Blocks and vacua are O(k M); the cap bounds the dense eigvalsh of
 # the kept rows in `_max_abs_eigenvalue`, the one fallback for any block, a band
-# whose windows fail included: at M = 4096 rows it takes 3.6-4.7 s (2-vCPU Xeon,
+# whose window fails included: at M = 4096 rows it takes 3.6-4.7 s (2-vCPU Xeon,
 # one BLAS thread), a 134 MB matrix and a process peak near 290 MB.
 # No computation builds a 2M x 2M matrix; only the `.quad` view, on request, does.
 _MAX_SITES = 4096
@@ -140,7 +139,7 @@ _MAX_SITES = 4096
 
 @dataclass(frozen=True)
 class LatticeGeometry:
-    """Finite spatial lattice: `dims` in (1, 2), N sites per direction, at most 4096 sites."""
+    """Finite spatial lattice: integer `dims` in (1, 2) and N per direction, at most 4096 sites."""
 
     dims: int
     sites_per_dim: int
@@ -148,6 +147,12 @@ class LatticeGeometry:
     boundary: str = "open"
 
     def __post_init__(self):
+        for name in ("dims", "sites_per_dim"):  # a numpy integer is kept as an int
+            value = getattr(self, name)
+            try:
+                object.__setattr__(self, name, operator.index(value))
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, got {value!r}") from None
         if self.dims not in (1, 2):
             raise ValueError("dims must be 1 or 2")
         if self.sites_per_dim < 3:
@@ -635,19 +640,9 @@ def build_boost(
                                coupling, _diagonal(-coord))
 
 
-def build_rotation(geom: LatticeGeometry) -> QuadraticObservable:
-    """J = sum_x [x_1 (pi d_2 phi)_x - x_2 (pi d_1 phi)_x], two dimensions only.
-
-    On a periodic lattice the centered coordinate jumps at the wrap seam, so
-    the rotation residuals concentrate there; closure checks mask the seam.
-    """
-    if geom.dims != 2:
-        raise ValueError("rotation generator needs dims = 2")
-    return _rotation(geom, [_difference_matrix(geom, d) for d in range(2)])
-
-
 def _rotation(geom: LatticeGeometry, differences: list) -> QuadraticObservable:
-    """J from the centered differences [D_1, D_2] of `geom`: coupling x_1 D_2 - x_2 D_1."""
+    """J = sum_x [x_1 (pi d_2 phi)_x - x_2 (pi d_1 phi)_x] on a 2-d `geom`, from its centered
+    differences [D_1, D_2]: the coupling x_1 D_2 - x_2 D_1."""
     x1, x2 = geom.centered_coordinate(0), geom.centered_coordinate(1)
     return QuadraticObservable(geom.n_sites,
                                coupling=differences[1].scaled(x1) - differences[0].scaled(x2))
@@ -814,7 +809,7 @@ def spectral_norm(obs: QuadraticObservable) -> float:
     eigenvalues cannot reach it, so the max is the same float.
     Off-diagonal [[0, C^T], [C, 0]]: the square root of that of C^T C.
     A narrow band's value is a certified window at its largest row sum;
-    any other block, or a band whose windows fail, gets a dense eigvalsh
+    any other block, or a band whose window fails, gets a dense eigvalsh
     of the rows that hold an entry (`_max_abs_eigenvalue`).
     A mixed quad, a coupling block beside a phi or pi block, is a
     ValueError: every residual the checks norm is one of the two shapes.
@@ -839,16 +834,16 @@ def _row_sums(block: DiagonalBlock) -> np.ndarray:
 
 
 # A band of at most _NARROW_BAND diagonals per side (the LDL^T loop of
-# `_positive_definite` reads two below the main one) tries the windows of
-# _WINDOW_HALF_WIDTHS sites around its largest row sum before the whole block.
+# `_positive_definite` reads two below the main one) tries the window of
+# _WINDOW_HALF_WIDTH sites around its largest row sum before the whole block.
 # A 1-d central residual's top eigenvector sits at a plate (beyond 8 sites its
-# largest component is 2.4e-8 at N = 80), so the first window certifies it:
+# largest component is 2.4e-8 at N = 80), so the window certifies it:
 # 59 us at N = 80 and 560 us at 2560, mostly the LDL^T sweep, against 260 us
 # and 1.9 s by a dense eigvalsh of the block (2-vCPU Xeon, one BLAS thread).
-# H's phi, whose top is spread out, fails both windows (0.4 ms at 2560 rows)
-# and goes to the dense eigvalsh.
+# Where it failed on a check's input (N = 8 ... 2560, five units), a window of half-width
+# 32 certified only as the whole block: the dense eigvalsh runs, as for H's spread-out phi.
 _NARROW_BAND = 2
-_WINDOW_HALF_WIDTHS = (8, 32)
+_WINDOW_HALF_WIDTH = 8
 _CERTIFIED_REL = 1e-13
 
 
@@ -859,9 +854,9 @@ def _max_abs_eigenvalue(block: DiagonalBlock, sums: np.ndarray | None = None) ->
     `_row_sums`), count: the rest add zero eigenvalues. Each try is the
     eigvalsh of the principal sub-block on some of those rows; its largest
     |eigenvalue| nu is at most the norm by Cauchy interlacing (Parlett 1980,
-    10.1). A narrow band first tries the rows within each of
-    _WINDOW_HALF_WIDTHS sites of its largest row sum. The last try, and the
-    only one for any other block, is every kept row. A try is kept when
+    10.1). A narrow band first tries the rows within _WINDOW_HALF_WIDTH
+    sites of its largest row sum. The last try, and the only one for any
+    other block, is every kept row. A try is kept when
     `_bounded` certifies nu, or when it holds every kept row: then nu is the
     norm itself.
     """
@@ -871,8 +866,7 @@ def _max_abs_eigenvalue(block: DiagonalBlock, sums: np.ndarray | None = None) ->
         return 0.0
     tries = [keep]
     if max(-block.offsets[0], block.offsets[-1]) <= _NARROW_BAND:
-        centre = int(sums.argmax())
-        tries = chain((keep[np.abs(keep - centre) <= half] for half in _WINDOW_HALF_WIDTHS), tries)
+        tries.insert(0, keep[np.abs(keep - int(sums.argmax())) <= _WINDOW_HALF_WIDTH])
     for rows in tries:
         eig = np.linalg.eigvalsh(block.dense(rows))
         nu = float(max(-eig[0], eig[-1]))
@@ -969,17 +963,6 @@ def _bump_profiles(geom: LatticeGeometry) -> np.ndarray:
     return full
 
 
-def bulk_residual_norm(residual: QuadraticObservable, geom: LatticeGeometry) -> float:
-    """max over smooth bulk test vectors v of |R v|_2 / |v|_2, R the quad of `residual`.
-
-    R v is taken block by block. The raw operator norm of a finite-difference
-    residual does not shrink with the spacing (the residual acts like a^2
-    times a second difference, an O(1) matrix); measuring against fixed
-    smooth profiles recovers the continuum convergence order.
-    """
-    return _bulk_residual_norm(residual, _bulk_test_vectors(geom))
-
-
 def _bulk_test_vectors(geom: LatticeGeometry) -> tuple:
     """The profiles f over their derivatives df, one row each, and |v| of each test vector.
 
@@ -994,7 +977,13 @@ def _bulk_test_vectors(geom: LatticeGeometry) -> tuple:
 
 
 def _bulk_residual_norm(residual: QuadraticObservable, tests: tuple) -> float:
-    """`bulk_residual_norm` on the test vectors `tests` of `_bulk_test_vectors`."""
+    """max over the bulk test vectors v of `tests` of |R v|_2 / |v|_2, R the quad of `residual`.
+
+    R v is taken block by block. The raw operator norm of a finite-difference
+    residual does not shrink with the spacing (the residual acts like a^2
+    times a second difference, an O(1) matrix); measuring against fixed
+    smooth profiles recovers the continuum convergence order.
+    """
     both, norms = tests
     f, (phi, c, pi) = both[:_N_PROFILES], residual.blocks
     phi_f, (pi_f, pi_df) = phi.dot(f), pi.dot(both).reshape(2, _N_PROFILES, -1)

@@ -29,6 +29,16 @@ def _sym_block(x):
     return _block(0.5 * (x + x.T))
 
 
+def _rotation(geom):
+    """J on a 2-d lattice, from its centered differences as the closure check builds it."""
+    return lat._rotation(geom, [lat._difference_matrix(geom, d) for d in range(2)])
+
+
+def _bulk_norm(residual, geom):
+    """The bulk residual norm on `geom`'s test vectors, as the central check takes it."""
+    return lat._bulk_residual_norm(residual, lat._bulk_test_vectors(geom))
+
+
 def _from_dense(q, scalar=0.0):
     """The observable whose Q is the symmetric part of the dense 2M x 2M matrix q."""
     q = np.asarray(q, dtype=float)
@@ -135,6 +145,17 @@ def test_geometry_validation():
     for dims, sites in ((2, 65), (1, 4097), (2, 1000), (1, 80000)):
         with pytest.raises(ValueError, match="sites"):
             lat.LatticeGeometry(dims, sites, 0.5)
+
+
+def test_geometry_takes_integer_sizes_only():
+    # 4.5 sites per direction once built a lattice of 20.25 sites, and dims = 1.0
+    # passed as 1; numpy integers are stored as ints
+    for dims, sites in ((2, 4.5), (1, 8.0), (1.0, 8), (2.0, 8), (1, "8"), (None, 8), (1, None)):
+        with pytest.raises(ValueError, match="must be an integer"):
+            lat.LatticeGeometry(dims, sites, 0.5)
+    g = lat.LatticeGeometry(np.int64(2), np.int32(5), 0.5)
+    assert (type(g.dims), type(g.sites_per_dim), g.n_sites) == (int, int, 25)
+    assert g == lat.LatticeGeometry(2, 5, 0.5)
 
 
 def test_geometry_counts():
@@ -455,7 +476,7 @@ def test_closure_and_bulk_norm_peaks_stay_bounded():
     n = 640
     g1 = lat.LatticeGeometry(1, n, 8.0 / n, "open")
     residual = _central_residual(g1, math.pi)
-    assert _traced_peak(lambda: lat.bulk_residual_norm(residual, g1)) < 220 * 1024
+    assert _traced_peak(lambda: _bulk_norm(residual, g1)) < 220 * 1024
 
 
 # ---------------------------------------------------------------------------
@@ -668,7 +689,7 @@ def test_products_match_the_gather_oracle_on_both_sides_of_the_size_rule():
     for n in (8, 24, 64):  # 2-d periodic, 9 x 8 and 8 x 9, wrap offsets included
         g = lat.LatticeGeometry(2, n, 0.5, "periodic")
         nine = _random_on(rng, g.n_sites, lat.build_hamiltonian(g, 1.0).phi.offsets)
-        eight = _random_on(rng, g.n_sites, lat.build_rotation(g).coupling.offsets)
+        eight = _random_on(rng, g.n_sites, _rotation(g).coupling.offsets)
         one = _random_on(rng, g.n_sites, [n])
         empty = lat._zero(g.n_sites)
         pairs += [(nine, eight), (eight, nine), (-eight, nine), (one, nine), (eight, one),
@@ -740,7 +761,7 @@ def _commutator_pairs():
         g = lat.LatticeGeometry(2, n, 0.5, "periodic")
         h = lat.build_hamiltonian(g, 1.0)
         p1, p2 = lat.build_momentum(g, 0), lat.build_momentum(g, 1)
-        j = lat.build_rotation(g)
+        j = _rotation(g)
         for name, a, b in (("H, P1", h, p1), ("H, P2", h, p2), ("P1, P2", p1, p2),
                            ("J, H", j, h), ("P1, J", p1, j)):
             yield f"2-d N={n} [{name}]", a, b
@@ -777,7 +798,7 @@ def test_commutator_makes_at_most_one_block_per_result_block(monkeypatch):
     g1 = lat.LatticeGeometry(1, 80, 0.1, "open")
     g2 = lat.LatticeGeometry(2, 8, 0.5, "periodic")
     p, h = lat.build_momentum(g1, 0), lat.build_hamiltonian(g1, math.pi)
-    h2, j = lat.build_hamiltonian(g2, 1.0), lat.build_rotation(g2)
+    h2, j = lat.build_hamiltonian(g2, 1.0), _rotation(g2)
     pairs = [(lat.build_boost(g1, 0, 0.0, math.pi), p), (lat.build_boost(g1, 0, 0.4, math.pi), p),
              (lat.build_boost(g1, 0, 0.4, math.pi), h), (h2, lat.build_momentum(g2, 0)), (j, h2)]
     rng = np.random.default_rng(43)
@@ -846,7 +867,7 @@ def test_bulk_residual_norm_matches_the_stacked_oracle(dims, n):
     for r in residuals:
         want = _oracle_bulk_residual_norm(r, g)
         assert want > 0
-        assert lat.bulk_residual_norm(r, g) == want
+        assert _bulk_norm(r, g) == want
 
 
 @pytest.mark.parametrize("n", [3, 4, 8, 24])
@@ -875,7 +896,7 @@ def test_stencil_assembly_matches_the_cell_oracle(boundary, dims, n):
             assert _same(k.coupling, differences[d].scaled(0.4))
             gens.append(k)
     if dims == 2:
-        j = lat.build_rotation(g)
+        j = _rotation(g)
         want = _oracle_merge(differences[1].scaled(coords[0]), differences[0].scaled(coords[1]),
                              operator.sub)
         assert _same(j.coupling, want)
@@ -884,7 +905,7 @@ def test_stencil_assembly_matches_the_cell_oracle(boundary, dims, n):
 
 
 def test_transpose_is_made_once_and_read_only():
-    b = lat.build_rotation(lat.LatticeGeometry(2, 5, 0.5, "periodic")).coupling
+    b = _rotation(lat.LatticeGeometry(2, 5, 0.5, "periodic")).coupling
     assert b.T is b.T
     # bit-equal as a matrix; an entry off the matrix comes back as +0.0
     assert _same(b.T.T, b) and b.T.T.dense().tobytes() == b.dense().tobytes()
@@ -903,7 +924,7 @@ def _generators(geom):
         if geom.boundary == "open":
             gens[f"K{d + 1}"] = lat.build_boost(geom, d, 0.4, 1.3)
     if geom.dims == 2:
-        gens["J"] = lat.build_rotation(geom)
+        gens["J"] = _rotation(geom)
     return gens
 
 
@@ -1341,11 +1362,6 @@ def test_periodic_potential_matches_hand_written_stencil(mass):
     assert np.array_equal(_pi(h2), np.eye(n * n))
 
 
-def test_rotation_requires_two_dims():
-    with pytest.raises(ValueError):
-        lat.build_rotation(lat.LatticeGeometry(1, 8, 0.5))
-
-
 # ---------------------------------------------------------------------------
 # closure residuals
 
@@ -1373,7 +1389,7 @@ def test_closure_report_matches_dense_svd():
     report = lat.verify_poincare_closure(g, 1.0)
     h = lat.build_hamiltonian(g, 1.0)
     p1, p2 = lat.build_momentum(g, 0), lat.build_momentum(g, 1)
-    rot = lat.build_rotation(g)
+    rot = _rotation(g)
     jh = _dense_commutator(rot, h)
     keep = np.arange(3, 9)
     keep = (keep[:, None] * 12 + keep[None, :]).ravel()
@@ -1394,7 +1410,7 @@ def test_closure_report_matches_dense_svd():
 def _forbid_norms(monkeypatch):
     def fail(*args):
         raise AssertionError("a norm was computed before the input was rejected")
-    for name in ("spectral_norm", "bulk_residual_norm", "_bulk_restriction"):
+    for name in ("spectral_norm", "_bulk_residual_norm", "_bulk_restriction"):
         monkeypatch.setattr(lat, name, fail)
 
 
@@ -1566,7 +1582,7 @@ def test_central_relation_report_matches_dense_svd():
         assert lat.commutator(k, p).scalar == 0.0
         full = _dense_norm(residual)
         assert abs(row["full_residual_norm"] - full) <= 1e-12 * full
-        bulk = lat.bulk_residual_norm(_from_dense(residual), g)
+        bulk = _bulk_norm(_from_dense(residual), g)
         assert abs(row["bulk_residual_norm"] - bulk) <= 1e-12 * full
 
 
@@ -1708,7 +1724,7 @@ def _lanczos(block):
 @pytest.mark.parametrize("n", [80, 160, 320, 640, 1280, 2560])
 def test_central_residual_norms_certified_without_eigvalsh(monkeypatch, n, physical_size):
     # the 1-d residual blocks are bands of at most two diagonals per side:
-    # the first window at a plate (its rows 0 .. 8 or 0 .. 9, or the mirror)
+    # the window at a plate (its rows 0 .. 8 or 0 .. 9, or the mirror)
     # and its LDL^T certificate give the norm, with no dense solve of the
     # block, up to the CI sweep's N = 2560 and in the CLI's scaled units.
     # Lanczos checks the value: a dense eigvalsh of 2560 rows takes 1.9 s
@@ -1719,7 +1735,7 @@ def test_central_residual_norms_certified_without_eigvalsh(monkeypatch, n, physi
     rep = lat.verify_central_relation(g, (math.pi / unit, math.pi / 2 / unit))
     monkeypatch.undo()
     # one window per label, the block with the larger Gershgorin bound; the other is pruned
-    assert len(sizes) == 2 and max(sizes) <= 2 * lat._WINDOW_HALF_WIDTHS[0] + 1, sizes
+    assert len(sizes) == 2 and max(sizes) <= 2 * lat._WINDOW_HALF_WIDTH + 1, sizes
     for row, residual in zip(rep["per_label"], residuals, strict=True):
         assert not residual.coupling
         assert max(abs(residual.phi.offsets).max(), abs(residual.pi.offsets).max()) <= 2
@@ -1772,11 +1788,9 @@ def test_banded_norm_matches_dense_eigvalsh(monkeypatch, width, m):
                 sizes.clear()
                 got = lat._max_abs_eigenvalue(_block(scale * x))
                 assert abs(got - want) <= 1e-12 * want, (empty_rows, spike, scale)
-                # at most two windows, then a dense solve of only the rows that hold an entry
-                windows, dense = sizes[:2], sizes[2:]
-                assert all(w <= 2 * h + 1 for w, h in zip(windows, lat._WINDOW_HALF_WIDTHS)), (
-                    empty_rows, spike, scale)
-                assert dense in ([], [rows]), (empty_rows, spike, scale)
+                # at most one window, then a dense solve of only the rows that hold an entry
+                assert sizes[0] <= 2 * lat._WINDOW_HALF_WIDTH + 1, (empty_rows, spike, scale)
+                assert sizes[1:] in ([], [rows]), (empty_rows, spike, scale)
                 if spike:  # the Lanczos oracle certifies an isolated extreme eigenvalue
                     lanczos = _lanczos(_block(scale * x))
                     assert lanczos is not None and abs(lanczos - want) <= 1e-12 * want, (
@@ -1825,13 +1839,13 @@ def test_uncertified_band_falls_back_to_eigvalsh(monkeypatch, failure):
     g = lat.LatticeGeometry(1, 320, 8.0 / 320, "open")
     want = lat.verify_central_relation(g, (math.pi, math.pi / 2))
     if failure == "no window":
-        # the whole block is the first and only try
-        monkeypatch.setattr(lat, "_WINDOW_HALF_WIDTHS", ())
+        # no block is a narrow band: the whole block is the first and only try
+        monkeypatch.setattr(lat, "_NARROW_BAND", -1)
         want_sizes = [320] * 2
     else:
-        # both windows at the plate are rejected, then the whole block is solved
+        # the window at the plate is rejected, then the whole block is solved
         monkeypatch.setattr(lat, "_positive_definite", lambda lower, shift: False)
-        want_sizes = [10, 34, 320] * 2
+        want_sizes = [10, 320] * 2
     sizes = _record_eigvalsh(monkeypatch)
     got = lat.verify_central_relation(g, (math.pi, math.pi / 2))
     assert sizes == want_sizes  # phi of each label; pi is pruned by its Gershgorin bound
@@ -1842,10 +1856,10 @@ def test_uncertified_band_falls_back_to_eigvalsh(monkeypatch, failure):
 
 @pytest.mark.parametrize("n", [8, 16, 40, 80, 160, 320, 640, 1280])
 def test_window_norm_of_central_residuals_matches_dense_eigvalsh(monkeypatch, n):
-    # at every unit of length and mass pair, the first window at a plate
+    # at every unit of length and mass pair, the window at a plate
     # certifies the norm of the block with the larger Gershgorin bound (phi
     # in the default units, the unit-free pi at 8e6) from N = 40 on; below
-    # that the second window may be the whole block. By interlacing the window's
+    # that the whole block may follow it. By interlacing the window's
     # value is never above the block's, but for rounding. The other block's
     # bound is below that value, so it is not solved
     eps = np.finfo(float).eps
@@ -1863,7 +1877,7 @@ def test_window_norm_of_central_residuals_matches_dense_eigvalsh(monkeypatch, n)
                 monkeypatch.undo()
                 case = (physical_size, masses, row["L_label"], first is residual.pi, sizes)
                 assert len(sizes) <= (1 if n >= 40 else 2), case
-                assert sizes[0] <= 2 * lat._WINDOW_HALF_WIDTHS[0] + 1, case
+                assert sizes[0] <= 2 * lat._WINDOW_HALF_WIDTH + 1, case
                 want = _eigvalsh_norm(first.dense())
                 assert abs(got - want) <= 1e-12 * want, case
                 lanczos = _lanczos(first)  # the oracle pair, on the same blocks
@@ -1875,8 +1889,8 @@ def test_window_norm_of_central_residuals_matches_dense_eigvalsh(monkeypatch, n)
 @pytest.mark.parametrize("m", [99, 200])
 def test_window_away_from_the_top_is_rejected(monkeypatch, m):
     # row 20 is the centre of a star, row sum 4 but local top 2; the top
-    # eigenvalue, about 3, sits on row m - 10, beyond both windows. The
-    # certificate rejects each window, and the dense solve of all m rows
+    # eigenvalue, about 3, sits on row m - 10, beyond the window. The
+    # certificate rejects the window, and the dense solve of all m rows
     # gives the norm
     rng = np.random.default_rng(m)
     x = 0.01 * _random_band(rng, m, 2)
@@ -1889,19 +1903,18 @@ def test_window_away_from_the_top_is_rejected(monkeypatch, m):
         monkeypatch.undo()
         want = _eigvalsh_norm(scale * x)
         assert abs(got - want) <= 1e-12 * want, scale
-        windows = [min(m, 20 + h + 1) - max(0, 20 - h) for h in lat._WINDOW_HALF_WIDTHS]
-        assert sizes == windows + [m], scale
+        assert sizes == [2 * lat._WINDOW_HALF_WIDTH + 1, m], scale
 
 
-def test_spread_out_top_runs_two_windows_then_the_fallback(monkeypatch):
-    # H's phi at N = 640 has its top spread over the chain: both windows
-    # at its first interior row fail, and the dense solve runs
+def test_spread_out_top_runs_one_window_then_the_fallback(monkeypatch):
+    # H's phi at N = 640 has its top spread over the chain: the window at
+    # its first interior row fails, and the dense solve runs
     g = lat.LatticeGeometry(1, 640, 8.0 / 640, "open")
     phi = lat.build_hamiltonian(g, math.pi).phi
     sizes = _record_eigvalsh(monkeypatch)
     got = lat._max_abs_eigenvalue(phi)
     monkeypatch.undo()
-    assert sizes == [10, 34, 640]
+    assert sizes == [10, 640]
     want = _eigvalsh_norm(phi.dense())
     assert abs(got - want) <= 1e-12 * want
 

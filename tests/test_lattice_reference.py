@@ -5,9 +5,10 @@ reports, each with the arguments that made it, floats written with repr.
 The cases reach every route of `spectral_norm`:
 
 - an empty block: the 1-d closure and H,P1, H,P2 and P1,P2 in 2-d;
-- a first window: the 1-d central relation, certified from N = 16 on, the
+- a window: the 1-d central relation, certified from N = 16 on, the
   whole block at N = 8 and 10;
-- a second window, the whole block: the central relation at N = 10, 16 and 24;
+- the whole block after a rejected window: the central relation at N = 10,
+  16 and 24;
 - a dense solve of a block that is no narrow band: the 2-d [J, H], whose
   seam rows alone are solved at spacing 0.5, and whose rounding residue at
   spacings 0.013 and 7.1 spreads over most rows.
