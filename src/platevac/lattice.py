@@ -73,10 +73,14 @@ at most 2 diagonals per side (every 1-d central residual is one) tries one
 window, the eigvalsh of the rows within 8 sites of the largest row sum; it
 gives a lower bound nu on the norm that `_bounded` certifies by banded
 LDL^T inertia checks of (nu + delta) I -+ A, delta = 1e-13 nu. Any other
-block, or a band whose window fails, goes to the one fallback,
-a dense eigvalsh of those rows alone, read straight from the diagonals by
-`DiagonalBlock.dense(keep)`, one strided slice per diagonal for a run of
-rows (the 2-d [J, H] seam residual keeps 4N - 4 of its N^2 rows). An
+block, or a band whose window fails, is solved on those rows alone, read
+straight from the diagonals by `DiagonalBlock.dense`, one strided slice
+per diagonal for a run of rows. A block whose offsets are all odd couples
+even rows to odd ones only, so it is [[0, B], [B^T, 0]] and its norm is
+the square root of the top eigenvalue of the smaller Gram matrix, B^T B
+or B B^T: the 2-d [J, H] seam residual, at offsets +-1, +-(2N - 1) and
++-(N^2 - N +- 1), keeps 4N - 4 of its N^2 rows and solves a Gram matrix
+of 2N - 2. Any other block gets a dense eigvalsh of its kept rows. An
 empty block is 0 without a solve.
 
 Sites are numbered in the C order of an N x ... x N array: site (i, j) is
@@ -130,9 +134,9 @@ class DegenerateVacuumError(ValueError):
 
 
 # 2-d N = 64. Blocks and vacua are O(k M); the cap bounds the dense eigvalsh of
-# the kept rows in `_max_abs_eigenvalue`, the one fallback for any block, a band
-# whose window fails included: at M = 4096 rows it takes 3.6-4.7 s (2-vCPU Xeon,
-# one BLAS thread), a 134 MB matrix and a process peak near 290 MB.
+# the kept rows in `_max_abs_eigenvalue`, the fallback for a block with an even
+# offset: at M = 4096 rows it takes 3.6-4.7 s (2-vCPU Xeon, one BLAS thread),
+# a 134 MB matrix and a process peak near 290 MB.
 # No computation builds a 2M x 2M matrix; only the `.quad` view, on request, does.
 _MAX_SITES = 4096
 
@@ -224,21 +228,24 @@ class DiagonalBlock:
     def __bool__(self) -> bool:
         return self.offsets.size > 0
 
-    def dense(self, keep: np.ndarray | None = None) -> np.ndarray:
-        """The M x M matrix, or its rows and columns `keep` (distinct sites), off the diagonals."""
+    def dense(self, keep: np.ndarray | None = None, cols: np.ndarray | None = None) -> np.ndarray:
+        """The M x M matrix, or its rows `keep` and columns `cols` (default `keep`; distinct
+        sites each), off the diagonals."""
         m = self.size
         rows = np.arange(m) if keep is None else keep
         r, start = rows.size, int(rows[0]) if rows.size else 0
-        out = np.zeros((r, r))
-        if keep is None or keep.tolist() == list(range(start, start + r)):
+        if cols is None and (keep is None or keep.tolist() == list(range(start, start + r))):
+            out = np.zeros((r, r))
             flat = out.reshape(-1)  # a run of sites, as every window: (i, i + o) is i (r + 1) + o
             for row, o in zip(self.data, self.offsets.tolist()):
                 lo, hi = max(0, -o), min(r, r - o)
                 if lo < hi:
                     flat[lo * (r + 1) + o:hi * (r + 1) + o:r + 1] = row[start + lo:start + hi]
             return out
-        position = np.full(m + 1, -1)  # index in rows of each site; -1 off them and at M
-        position[rows] = np.arange(r)
+        cols = rows if cols is None else cols
+        out = np.zeros((r, cols.size))
+        position = np.full(m + 1, -1)  # index in cols of each site; -1 off them and at M
+        position[cols] = np.arange(cols.size)
         sub = position[np.clip(rows + self.offsets[:, None], -1, m)]  # a column off the matrix: -1
         hit = sub >= 0
         out[np.nonzero(hit)[1], sub[hit]] = self.data[:, rows][hit]
@@ -487,35 +494,9 @@ def _grid(geom: LatticeGeometry) -> np.ndarray:
 
 
 def _layers(geom: LatticeGeometry, direction: int, site: np.ndarray) -> np.ndarray:
-    """A view of the site-indexed `site` with `direction` first: entry [k] is layer k."""
-    return site.reshape((geom.sites_per_dim,) * geom.dims).swapaxes(0, direction)
-
-
-def _bond_rows(geom: LatticeGeometry, directions) -> tuple:
-    """Zero diagonals at 0 and at the bonds along `directions`, +-s and, periodic,
-    -+(N - 1) s for a step s: sorted offsets, their (k, M) array, {offset: row}."""
-    n = geom.sites_per_dim
-    steps = (1, n - 1) if geom.boundary == "periodic" else (1,)
-    offsets = sorted({0, *(sign * k * n ** (geom.dims - 1 - d)
-                           for d in directions for k in steps for sign in (1, -1))})
-    data = np.zeros((len(offsets), geom.n_sites))
-    return offsets, data, dict(zip(offsets, data))
-
-
-def _neighbor_diagonals(geom: LatticeGeometry, direction: int, up, down, rows: dict) -> None:
-    """Write up[k] at (x, x + e) and down[k] at (x + e, x) into the diagonals {offset: row}.
-
-    x runs over layer k along `direction` and e is one step along it; up and
-    down hold one layer per bond, the last one the wrap bond of a periodic
-    axis, whose entries sit on the offsets -+(N - 1) s instead of +-s.
-    """
-    n = geom.sites_per_dim
-    stride = n ** (geom.dims - 1 - direction)
-    _layers(geom, direction, rows[stride])[:n - 1] = up[:n - 1]
-    _layers(geom, direction, rows[-stride])[1:] = down[:n - 1]
-    if geom.boundary == "periodic":
-        _layers(geom, direction, rows[-(n - 1) * stride])[n - 1] = up[n - 1]
-        _layers(geom, direction, rows[(n - 1) * stride])[0] = down[n - 1]
+    """A view of `site`, sites on its last axis, with `direction` first: [..., k, :] is layer k."""
+    shape = site.shape[:-1] + (geom.sites_per_dim,) * geom.dims
+    return site.reshape(shape).swapaxes(-geom.dims, direction - geom.dims)
 
 
 def _potential_matrix(geom: LatticeGeometry, mass: float, weight: np.ndarray) -> DiagonalBlock:
@@ -525,43 +506,57 @@ def _potential_matrix(geom: LatticeGeometry, mass: float, weight: np.ndarray) ->
     gives the weighted potential of a boost. A bond b between u and w adds b
     to (u, u) and (w, w) and -b to (u, w) and (w, u); a diagonal entry adds
     its site term, then its bonds axis by axis, the bond from the previous
-    layer before the one to the next except where the former wraps.
+    layer before the one to the next except where the former wraps. Along
+    a periodic axis of step s the wrap bond, from layer N - 1 to layer 0,
+    sits at the offsets -+(N - 1) s instead of +-s.
     """
-    offsets, data, rows = _bond_rows(geom, range(geom.dims))
-    diagonal = np.multiply(mass * mass, weight, out=rows[0])
+    n, periodic = geom.sites_per_dim, geom.boundary == "periodic"
+    strides = [n ** (geom.dims - 1 - d) for d in range(geom.dims)]
+    steps = (1, n - 1) if periodic else (1,)
+    offsets = sorted({0, *(sign * k * s for s in strides for k in steps for sign in (1, -1))})
+    data = np.zeros((len(offsets), geom.n_sites))
+    centre = offsets.index(0)
+    np.multiply(mass * mass, weight, out=data[centre])
     inverse_a2 = 1.0 / (geom.spacing * geom.spacing)
-    for direction in range(geom.dims):
-        w, sites = _layers(geom, direction, weight), _layers(geom, direction, diagonal)
-        if geom.boundary == "open":
+    for direction, s in enumerate(strides):
+        w, layers = _layers(geom, direction, weight), _layers(geom, direction, data)
+        sites = layers[centre]
+        if not periodic:
             bond = 0.5 * (w[:-1] + w[1:]) * inverse_a2
             sites[1:] += bond
             sites[:-1] += bond
         else:
-            bond = 0.5 * (w + np.roll(w, -1, axis=0)) * inverse_a2
+            bond = 0.5 * (w + np.concatenate((w[1:], w[:1]))) * inverse_a2
             sites[1:] += bond[:-1]
             sites += bond
             sites[0] += bond[-1]
         # 0.0 - b, not -b, so that a bond of weight zero leaves +0.0 off the diagonal
-        _neighbor_diagonals(geom, direction, 0.0 - bond, 0.0 - bond, rows)
+        negative = 0.0 - bond
+        layers[offsets.index(s), :n - 1] = layers[offsets.index(-s), 1:] = negative[:n - 1]
+        if periodic:
+            layers[offsets.index(-(n - 1) * s), n - 1] = negative[n - 1]
+            layers[offsets.index((n - 1) * s), 0] = negative[n - 1]
     return _block(_pruned((offsets, data)), geom.n_sites)
 
 
 def _difference_matrix(geom: LatticeGeometry, direction: int) -> DiagonalBlock:
     """Centered difference along `direction`, one-sided at the edges of an open lattice."""
-    n = geom.sites_per_dim
-    step = 1.0 / (2.0 * geom.spacing)
-    shape = (n - (geom.boundary == "open"),) + (n,) * (geom.dims - 1)
-    up, down = np.full(shape, step), np.full(shape, -step)
-    offsets, data, rows = _bond_rows(geom, [direction])  # row 0 is dropped when periodic
-    if geom.boundary == "open":
-        # an open edge row adds a half step to its bond, one-sided: 2 * step is
-        # exactly fl(1/a) while step is a normal float (a below about 2e307)
-        up[0] += step
-        down[-1] -= step
-        edges = _layers(geom, direction, rows[0])
-        edges[0], edges[-1] = -2 * step, 2 * step
-    _neighbor_diagonals(geom, direction, up, down, rows)
-    return _block(_pruned((offsets, data)), geom.n_sites)
+    n, step = geom.sites_per_dim, 1.0 / (2.0 * geom.spacing)
+    s = n ** (geom.dims - 1 - direction)
+    periodic = geom.boundary == "periodic"
+    offsets = [-(n - 1) * s, -s, s, (n - 1) * s] if periodic else [-s, 0, s]
+    data = np.zeros((len(offsets), geom.n_sites))
+    layers = _layers(geom, direction, data)
+    up, down = offsets.index(s), offsets.index(-s)
+    layers[up, :n - 1], layers[down, 1:] = step, -step
+    if periodic:  # the wrap bond, from layer N - 1 to layer 0
+        layers[0, n - 1], layers[3, 0] = step, -step
+    else:
+        # an open edge row adds a half step to its bond, one-sided: 2 * step, that
+        # is step + step, is exactly fl(1/a) while step is a normal float (a below about 2e307)
+        layers[up, 0] = layers[1, n - 1] = 2 * step
+        layers[down, n - 1] = layers[1, 0] = -2 * step
+    return DiagonalBlock(np.array(offsets), data)
 
 
 # the residual norms square entries of order m^2 N; at physical size 8 they
@@ -643,9 +638,13 @@ def build_boost(
 def _rotation(geom: LatticeGeometry, differences: list) -> QuadraticObservable:
     """J = sum_x [x_1 (pi d_2 phi)_x - x_2 (pi d_1 phi)_x] on a 2-d `geom`, from its centered
     differences [D_1, D_2]: the coupling x_1 D_2 - x_2 D_1."""
-    x1, x2 = geom.centered_coordinate(0), geom.centered_coordinate(1)
-    return QuadraticObservable(geom.n_sites,
-                               coupling=differences[1].scaled(x1) - differences[0].scaled(x2))
+    n, m = geom.sites_per_dim, geom.n_sites
+    line = geom.spacing * (np.arange(n) - (n - 1) / 2.0)  # the centered coordinate of a layer
+    # site i N + j has x_1 = line[i] and x_2 = line[j]
+    (o1, d1), (o2, d2) = ((d.offsets.tolist(), d.data.reshape(-1, n, n)) for d in differences)
+    x1_d2, x2_d1 = (d2 * line[:, None]).reshape(-1, m), (d1 * line).reshape(-1, m)
+    coupling = _block(_merged((o2, x1_d2), (o1, x2_d1), np.subtract), m)
+    return QuadraticObservable(m, coupling=coupling)
 
 
 # ---------------------------------------------------------------------------
@@ -809,8 +808,10 @@ def spectral_norm(obs: QuadraticObservable) -> float:
     eigenvalues cannot reach it, so the max is the same float.
     Off-diagonal [[0, C^T], [C, 0]]: the square root of that of C^T C.
     A narrow band's value is a certified window at its largest row sum;
-    any other block, or a band whose window fails, gets a dense eigvalsh
-    of the rows that hold an entry (`_max_abs_eigenvalue`).
+    any other block, or a band whose window fails, gets one eigvalsh on
+    the rows that hold an entry: of the smaller Gram matrix of its even
+    rows against its odd ones when every offset is odd, else of those rows
+    (`_max_abs_eigenvalue`).
     A mixed quad, a coupling block beside a phi or pi block, is a
     ValueError: every residual the checks norm is one of the two shapes.
     """
@@ -851,27 +852,37 @@ def _max_abs_eigenvalue(block: DiagonalBlock, sums: np.ndarray | None = None) ->
     """Largest |eigenvalue| of a symmetric block; 0 for the empty block.
 
     Only the rows that hold a stored entry, a nonzero row sum (`sums`, else
-    `_row_sums`), count: the rest add zero eigenvalues. Each try is the
-    eigvalsh of the principal sub-block on some of those rows; its largest
-    |eigenvalue| nu is at most the norm by Cauchy interlacing (Parlett 1980,
-    10.1). A narrow band first tries the rows within _WINDOW_HALF_WIDTH
-    sites of its largest row sum. The last try, and the only one for any
-    other block, is every kept row. A try is kept when
-    `_bounded` certifies nu, or when it holds every kept row: then nu is the
-    norm itself.
+    `_row_sums`), count: the rest add zero eigenvalues. A narrow band first
+    tries the eigvalsh of the rows within _WINDOW_HALF_WIDTH sites of its
+    largest row sum; that largest |eigenvalue| nu is at most the norm by
+    Cauchy interlacing (Parlett 1980, 10.1), and is kept when `_bounded`
+    certifies it or the window holds every kept row. Then every kept row
+    counts. With only odd offsets, even rows couple to odd ones alone: the
+    block is [[0, B], [B^T, 0]], B the kept even rows by the kept odd
+    columns, whose eigenvalues are +-sigma(B) (Jordan-Wielandt; Golub and
+    Van Loan, Matrix Computations, 8.6), so the norm is the square root of
+    the top eigenvalue of the smaller Gram, B^T B or B B^T. Any other block
+    gets the eigvalsh of its kept rows.
     """
     sums = _row_sums(block) if sums is None else sums
     keep = np.flatnonzero(sums)
     if not keep.size:
         return 0.0
-    tries = [keep]
     if max(-block.offsets[0], block.offsets[-1]) <= _NARROW_BAND:
-        tries.insert(0, keep[np.abs(keep - int(sums.argmax())) <= _WINDOW_HALF_WIDTH])
-    for rows in tries:
+        rows = keep[np.abs(keep - int(sums.argmax())) <= _WINDOW_HALF_WIDTH]
         eig = np.linalg.eigvalsh(block.dense(rows))
         nu = float(max(-eig[0], eig[-1]))
         if rows.size == keep.size or _bounded(block, nu, sums):
             return nu
+    if (block.offsets % 2).all():
+        odd = (keep % 2).astype(bool)
+        b = block.dense(keep[~odd], keep[odd])
+        scale = np.abs(b).max()  # the Gram of b / scale can neither overflow nor underflow
+        b /= scale
+        gram = b.T @ b if b.shape[0] >= b.shape[1] else b @ b.T
+        return float(scale * math.sqrt(np.linalg.eigvalsh(gram)[-1]))
+    eig = np.linalg.eigvalsh(block.dense(keep))
+    return float(max(-eig[0], eig[-1]))
 
 
 def _bounded(block: DiagonalBlock, nu: float, sums: np.ndarray) -> bool:
@@ -1008,7 +1019,7 @@ def _bulk_restriction(obs: QuadraticObservable, geom: LatticeGeometry) -> Quadra
 
     def masked(block):  # a column off the matrix holds a zero entry, so clipping it is safe
         return _diagonals(block.offsets,
-                          block.data * (bulk & bulk[np.clip(_columns(block.offsets, m), 0, m - 1)]))
+                          block.data * (bulk & bulk.take(_columns(block.offsets, m), mode="clip")))
 
     return QuadraticObservable(m, *(masked(block) if block else block for block in obs.blocks))
 
@@ -1134,6 +1145,12 @@ def verify_poincare_closure(geom: LatticeGeometry, mass: float) -> dict:
     coordinate seam of the torus, so its bulk norm zeroes every entry whose
     row or column lies within N // 4 sites of the seam; in 2-D that needs
     N >= 4, and a smaller lattice is a ValueError.
+
+    At spacing 0.5 [J, H] is exactly zero off the seam, and its full norm
+    is a Gram solve of 2N - 2 rows. At other spacings a rounding residue
+    (about 1e-12) on most rows holds even offsets, so both [J, H] norms are
+    dense eigvalsh solves of most rows: 1.0-1.5 s per closure at N = 64
+    (2-vCPU Xeon, one BLAS thread), against milliseconds at spacing 0.5.
     """
     if geom.boundary != "periodic":
         raise ValueError("closure check is defined on periodic lattices")

@@ -12,7 +12,9 @@ lattice runs of the warnings-as-errors step, which run here under
 files CI writes for them (`gl8.txt`, `widec.txt`, `zdiag.txt` and four INI
 files) are inputs of the reference too. The reference holds each
 command's exit code, an argparse refusal's `SystemExit` code included,
-stdout and every file it writes.
+stdout, stderr and every file it writes. In stderr the run's directory
+reads `<tmp>`, and argparse wraps its usage text at 80 columns, whatever
+the terminal.
 
 Text must match exactly, except numeric tokens. Those must keep their
 shape (digits before and after the point, and an exponent or none), so a
@@ -39,6 +41,7 @@ import tempfile
 import textwrap
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -119,14 +122,16 @@ def reference_commands():
 
 
 def run(argv, inputs, directory):
-    """Exit code, stdout and written files of `cli.main(argv)` run in `directory` holding `inputs`."""
+    """Exit code, stdout, stderr and written files of `cli.main(argv)` run in `directory`
+    holding `inputs`."""
     directory = Path(directory)
     for name, text in inputs.items():
         (directory / name).write_text(text)
-    stdout, cwd = io.StringIO(), os.getcwd()
+    stdout, stderr, cwd = io.StringIO(), io.StringIO(), os.getcwd()
     os.chdir(directory)
     try:
-        with contextlib.redirect_stdout(stdout):
+        with (contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr),
+              mock.patch.dict(os.environ, COLUMNS="80")):
             code = cli.main(argv)
     except SystemExit as exc:  # argparse refuses a bad command line with exit code 2
         code = exc.code
@@ -134,7 +139,10 @@ def run(argv, inputs, directory):
         os.chdir(cwd)
     files = {path.name: path.read_text() for path in sorted(directory.iterdir())
              if path.name not in inputs}
-    return {"exit_code": code, "stdout": stdout.getvalue(), "files": files}
+    errors = stderr.getvalue()
+    for path in sorted({str(directory), str(directory.resolve())}, key=len, reverse=True):
+        errors = errors.replace(path, "<tmp>")
+    return {"exit_code": code, "stdout": stdout.getvalue(), "stderr": errors, "files": files}
 
 
 def _shape(token):
@@ -162,7 +170,8 @@ def _mismatches(got, want):
         return [f"exit code {got['exit_code']} != {want['exit_code']}"]
     if sorted(got["files"]) != sorted(want["files"]):
         return [f"files {sorted(got['files'])} != {sorted(want['files'])}"]
-    bad = _text_mismatches(got["stdout"], want["stdout"], "stdout")
+    bad = (_text_mismatches(got["stdout"], want["stdout"], "stdout")
+           + _text_mismatches(got["stderr"], want["stderr"], "stderr"))
     for name, text in want["files"].items():
         bad += _text_mismatches(got["files"][name], text, name)
     return bad

@@ -513,6 +513,8 @@ def test_diagonal_blocks_match_dense_matrices(m):
         assert np.array_equal(b.dense(), x) and np.array_equal(b.T.dense(), x.T)
         for keep in keeps:  # read off the diagonals, bit-equal to the cut dense matrix
             assert b.dense(keep).tobytes() == b.dense()[np.ix_(keep, keep)].tobytes()
+        for keep, cols in itertools.product(keeps, repeat=2):  # and its rectangular cuts
+            assert b.dense(keep, cols).tobytes() == b.dense()[np.ix_(keep, cols)].tobytes()
         assert np.array_equal((-b).dense(), -x)
         v = rng.standard_normal(m)
         assert np.array_equal(b.scaled(v).dense(), v[:, None] * x)
@@ -623,6 +625,105 @@ def _oracle_difference(geom, direction):
         cells += [(layer[0], layer[1], half), (layer[-1], layer[-1], 2 * half),
                   (layer[0], layer[0], -2 * half), (layer[-1], layer[-2], -half)]
     return _oracle_from_cells(geom.n_sites, cells)
+
+
+# the per-axis builders as they were before each axis's bonds and stencils were
+# written through one layered view of the diagonals (reference)
+
+
+def _oracle_bond_rows(geom, directions):
+    """Zero diagonals at 0 and at the bonds along `directions`, +-s and, periodic,
+    -+(N - 1) s for a step s: sorted offsets, their (k, M) array, {offset: row}."""
+    n = geom.sites_per_dim
+    steps = (1, n - 1) if geom.boundary == "periodic" else (1,)
+    offsets = sorted({0, *(sign * k * n ** (geom.dims - 1 - d)
+                           for d in directions for k in steps for sign in (1, -1))})
+    data = np.zeros((len(offsets), geom.n_sites))
+    return offsets, data, dict(zip(offsets, data))
+
+
+def _oracle_neighbor_diagonals(geom, direction, up, down, rows):
+    """Write up[k] at (x, x + e) and down[k] at (x + e, x) into the diagonals {offset: row}.
+
+    x runs over layer k along `direction` and e is one step along it; up and
+    down hold one layer per bond, the last one the wrap bond of a periodic
+    axis, whose entries sit on the offsets -+(N - 1) s instead of +-s.
+    """
+    n = geom.sites_per_dim
+    stride = n ** (geom.dims - 1 - direction)
+    lat._layers(geom, direction, rows[stride])[:n - 1] = up[:n - 1]
+    lat._layers(geom, direction, rows[-stride])[1:] = down[:n - 1]
+    if geom.boundary == "periodic":
+        lat._layers(geom, direction, rows[-(n - 1) * stride])[n - 1] = up[n - 1]
+        lat._layers(geom, direction, rows[(n - 1) * stride])[0] = down[n - 1]
+
+
+def _oracle_potential_matrix(geom, mass, weight):
+    """Site terms m^2 w_x plus forward-difference bonds, each weighted at its midpoint.
+
+    All-ones weights give the potential matrix of H; the centered coordinate
+    gives the weighted potential of a boost. A bond b between u and w adds b
+    to (u, u) and (w, w) and -b to (u, w) and (w, u); a diagonal entry adds
+    its site term, then its bonds axis by axis, the bond from the previous
+    layer before the one to the next except where the former wraps.
+    """
+    offsets, data, rows = _oracle_bond_rows(geom, range(geom.dims))
+    diagonal = np.multiply(mass * mass, weight, out=rows[0])
+    inverse_a2 = 1.0 / (geom.spacing * geom.spacing)
+    for direction in range(geom.dims):
+        w, sites = lat._layers(geom, direction, weight), lat._layers(geom, direction, diagonal)
+        if geom.boundary == "open":
+            bond = 0.5 * (w[:-1] + w[1:]) * inverse_a2
+            sites[1:] += bond
+            sites[:-1] += bond
+        else:
+            bond = 0.5 * (w + np.roll(w, -1, axis=0)) * inverse_a2
+            sites[1:] += bond[:-1]
+            sites += bond
+            sites[0] += bond[-1]
+        # 0.0 - b, not -b, so that a bond of weight zero leaves +0.0 off the diagonal
+        _oracle_neighbor_diagonals(geom, direction, 0.0 - bond, 0.0 - bond, rows)
+    return lat._block(lat._pruned((offsets, data)), geom.n_sites)
+
+
+def _oracle_difference_matrix(geom, direction):
+    """Centered difference along `direction`, one-sided at the edges of an open lattice."""
+    n = geom.sites_per_dim
+    step = 1.0 / (2.0 * geom.spacing)
+    shape = (n - (geom.boundary == "open"),) + (n,) * (geom.dims - 1)
+    up, down = np.full(shape, step), np.full(shape, -step)
+    offsets, data, rows = _oracle_bond_rows(geom, [direction])  # row 0 is dropped when periodic
+    if geom.boundary == "open":
+        # an open edge row adds a half step to its bond, one-sided: 2 * step is
+        # exactly fl(1/a) while step is a normal float (a below about 2e307)
+        up[0] += step
+        down[-1] -= step
+        edges = lat._layers(geom, direction, rows[0])
+        edges[0], edges[-1] = -2 * step, 2 * step
+    _oracle_neighbor_diagonals(geom, direction, up, down, rows)
+    return lat._block(lat._pruned((offsets, data)), geom.n_sites)
+
+
+def _oracle_rotation(geom, differences):
+    """J = sum_x [x_1 (pi d_2 phi)_x - x_2 (pi d_1 phi)_x] on a 2-d `geom`, from its centered
+    differences [D_1, D_2]: the coupling x_1 D_2 - x_2 D_1."""
+    x1, x2 = geom.centered_coordinate(0), geom.centered_coordinate(1)
+    return lat.QuadraticObservable(geom.n_sites,
+                                   coupling=differences[1].scaled(x1) - differences[0].scaled(x2))
+
+
+def _oracle_bulk_restriction(obs, geom):
+    """Q with every entry zeroed whose row or column lies off the bulk sites, in both halves."""
+    m = obs.n_modes
+    bulk = np.zeros(m, bool)
+    bulk[lat._bulk_sites(geom)] = True
+
+    def masked(block):  # a column off the matrix holds a zero entry, so clipping it is safe
+        return lat._diagonals(block.offsets,
+                              block.data * (bulk & bulk[np.clip(lat._columns(block.offsets, m),
+                                                                0, m - 1)]))
+
+    return lat.QuadraticObservable(m, *(masked(block) if block else block for block in obs.blocks))
 
 
 def _same(x, y):
@@ -902,6 +1003,37 @@ def test_stencil_assembly_matches_the_cell_oracle(boundary, dims, n):
         assert _same(j.coupling, want)
         gens.append(j)
     _check_kernels(rng, [b for gen in gens for b in gen.blocks if b])
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 8, 17])
+@pytest.mark.parametrize("dims", [1, 2])
+@pytest.mark.parametrize("boundary", ["open", "periodic"])
+def test_builders_keep_the_bits_of_their_per_axis_oracles(boundary, dims, n):
+    # offsets and data bit for bit, -0.0 entries included, at the spacings
+    # of the lattice reference and with unit, coordinate, random and
+    # signed-zero weights
+    rng = np.random.default_rng(97 + 10 * n + dims)
+    for spacing in (0.5, 0.013, 7.1):
+        g = lat.LatticeGeometry(dims, n, spacing, boundary)
+        m = g.n_sites
+        weights = [np.ones(m), *(g.centered_coordinate(d) for d in range(dims)),
+                   rng.standard_normal(m), np.full(m, -0.0)]
+        for weight, mass in itertools.product(weights, (0.0, 1.3)):
+            assert _same(lat._potential_matrix(g, mass, weight),
+                         _oracle_potential_matrix(g, mass, weight)), (spacing, mass)
+        differences = [lat._difference_matrix(g, d) for d in range(dims)]
+        for d, difference in enumerate(differences):
+            assert _same(difference, _oracle_difference_matrix(g, d)), (spacing, d)
+        observables = [lat.build_hamiltonian(g, 1.3), _from_dense(_sym(rng, 2 * m))]
+        if dims == 2:
+            j = lat._rotation(g, differences)
+            assert not j.phi and not j.pi and j.scalar == 0.0
+            assert _same(j.coupling, _oracle_rotation(g, differences).coupling), spacing
+            observables += [j, lat.commutator(j, observables[0])]
+        if n >= 4:
+            for obs in observables:
+                got, want = lat._bulk_restriction(obs, g), _oracle_bulk_restriction(obs, g)
+                assert all(_same(x, y) for x, y in zip(got.blocks, want.blocks)), spacing
 
 
 def test_transpose_is_made_once_and_read_only():
@@ -1745,21 +1877,90 @@ def test_central_residual_norms_certified_without_eigvalsh(monkeypatch, n, physi
         assert abs(row["full_residual_norm"] - want) <= 1e-12 * want, row["L_label"]
 
 
-@pytest.mark.parametrize("n", [8, 12, 16, 24, 32])
+@pytest.mark.parametrize("n", [8, 12, 16, 17, 24, 32])
 def test_seam_norm_solves_only_the_seam_rows(monkeypatch, n):
-    # [J, H] is nonzero on the 4N - 4 rows next to the coordinate seam, with
-    # wrap offsets: eigvalsh gets those rows only, the other residuals none
+    # [J, H] is nonzero on the 4N - 4 rows next to the coordinate seam, at
+    # the odd offsets +-1, +-(2N - 1) and +-(N^2 - N +- 1): its norm is one
+    # eigvalsh of a Gram matrix of 2N - 2 rows, the other residuals take none
     g = lat.LatticeGeometry(2, n, 0.5, "periodic")
     sizes = _record_eigvalsh(monkeypatch)
     seen = _record_norm_inputs(monkeypatch)
     report = lat.verify_poincare_closure(g, 1.0)
     monkeypatch.undo()
-    assert sizes == [4 * n - 4]
+    assert sizes == [2 * n - 2]
     full = seen[-1]
     assert not full.coupling and not full.pi
+    assert full.phi.offsets.tolist() == sorted(
+        sign * o for o in (1, 2 * n - 1, n * n - n - 1, n * n - n + 1) for sign in (1, -1))
+    assert np.count_nonzero(lat._row_sums(full.phi)) == 4 * n - 4
     want = _eigvalsh_norm(full.phi.dense())
-    assert abs(report["J,H full"] - want) <= 1e-12 * want
+    assert abs(report["J,H full"] - want) <= 1e-13 * want
     assert report["J,H bulk"] == report["H,P1"] == report["H,P2"] == report["P1,P2"] == 0.0
+
+
+def _odd_offset_block(rng, m, offsets, gone):
+    """A random symmetric M x M matrix on the diagonals +-offsets, rows and columns `gone` zeroed."""
+    x = _on_diagonals(rng, m, offsets)
+    x = x + x.T
+    x[gone] = 0.0
+    x[:, gone] = 0.0
+    return x
+
+
+@pytest.mark.parametrize("m", [63, 64, 81])
+def test_parity_norm_matches_dense_eigvalsh(monkeypatch, m):
+    # a block with odd offsets only couples even rows to odd ones, so it is
+    # [[0, B], [B^T, 0]]: one eigvalsh of the smaller Gram matrix of B gives
+    # its norm, whichever parity class is smaller. One even offset sends the
+    # block back to a dense eigvalsh of every kept row
+    rng = np.random.default_rng(m)
+    n = math.isqrt(m)
+    offset_sets = [[1, 2 * n - 1, n * n - n - 1, n * n - n + 1],  # as on the torus seam
+                   sorted(rng.choice(np.arange(3, m, 2), 3, replace=False).tolist()),
+                   [m - 2 if m % 2 else m - 1, 5]]  # the farthest odd offset
+    orders = set()
+    for offsets in offset_sets:
+        for parity, count in itertools.product((0, 1), (0, 1, m // 4)):
+            gone = rng.choice(np.arange(parity, m, 2), count, replace=False)
+            x = _odd_offset_block(rng, m, offsets, gone)
+            kept = np.flatnonzero(x.any(axis=1))
+            even, odd = np.count_nonzero(kept % 2 == 0), np.count_nonzero(kept % 2)
+            orders.add(int(np.sign(even - odd)))
+            for scale in (1.0, -1.0, 1e-200, 1e200):  # its Gram would underflow or overflow
+                sizes = _record_eigvalsh(monkeypatch)
+                got = lat._max_abs_eigenvalue(_block(scale * x))
+                monkeypatch.undo()
+                want = _eigvalsh_norm(scale * x)
+                case = (offsets, parity, count, scale)
+                assert abs(got - want) <= 1e-13 * want, case
+                assert sizes == [min(even, odd)], case
+            even_offset = _on_diagonals(rng, m, [2])
+            y = x + even_offset + even_offset.T
+            sizes = _record_eigvalsh(monkeypatch)
+            got = lat._max_abs_eigenvalue(_block(y))
+            monkeypatch.undo()
+            want = _eigvalsh_norm(y)
+            assert abs(got - want) <= 1e-13 * want, offsets
+            assert sizes == [np.count_nonzero(y.any(axis=1))], offsets
+    assert orders >= {-1, 1}, orders  # class sizes in both orders
+
+
+def test_narrow_odd_band_tries_the_window_before_the_parity_class(monkeypatch):
+    # the offsets +-1 alone make a narrow band: its window comes first, and
+    # the Gram of a parity class only when the certificate rejects it
+    rng = np.random.default_rng(2)
+    x = _odd_offset_block(rng, 99, [1], [])
+    x[40, 41] = x[41, 40] = 50.0  # an isolated extreme pair +-50, as the window needs
+    for certified in (True, False):
+        if not certified:
+            monkeypatch.setattr(lat, "_positive_definite", lambda lower, shift: False)
+        sizes = _record_eigvalsh(monkeypatch)
+        got = lat._max_abs_eigenvalue(_block(x))
+        monkeypatch.undo()
+        want = _eigvalsh_norm(x)
+        assert abs(got - want) <= 1e-13 * want, certified
+        window = 2 * lat._WINDOW_HALF_WIDTH + 1
+        assert sizes == ([window] if certified else [window, 49]), certified
 
 
 def _random_band(rng, m, width, empty_rows=0):

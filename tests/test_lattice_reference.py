@@ -9,9 +9,12 @@ The cases reach every route of `spectral_norm`:
   whole block at N = 8 and 10;
 - the whole block after a rejected window: the central relation at N = 10,
   16 and 24;
-- a dense solve of a block that is no narrow band: the 2-d [J, H], whose
-  seam rows alone are solved at spacing 0.5, and whose rounding residue at
-  spacings 0.013 and 7.1 spreads over most rows.
+- a Gram solve of one parity class: the 2-d [J, H] at spacing 0.5, whose
+  seam rows hold odd offsets only, at even and odd N, and at N = 4 at
+  every spacing;
+- a dense solve of a block that is no narrow band: the rounding residue of
+  the 2-d [J, H] at spacings 0.013 and 7.1 from N = 8 on, which spreads
+  over most rows and holds even offsets.
 
 Rewrite the file after a deliberate change of a reported value with
 
